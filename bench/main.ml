@@ -194,8 +194,7 @@ let experiments : (string * string * (?quick:bool -> unit -> unit)) list =
     ("scaling", "sec 8.2 cluster-scale projection", H.Scaling.run);
     ("others", "sec 8 'other schedulers' (Spark native, Firmament)", H.Others.run);
     ("ablations", "design-choice ablations", H.Ablations.run);
-    ("engine-bench", "event core: heap vs wheel calendar, alloc/event", H.Engine_bench.run);
-    ("shard-sim", "parallel-in-run shard scaling on the sharded cluster model", H.Shard_bench.run);
+    ("engine-bench", "event core: wheel calendar storm, alloc/event", H.Engine_bench.run);
     ("cluster-shard", "real data path sharded over work-stealing window executors",
      H.Cluster_shard_bench.run);
     ("micro", "bechamel micro-benchmarks", run_micro);

@@ -7,9 +7,8 @@ open Draconis_workload
    every shard count), and report one row per count so BENCH_engine.json
    tracks events/sec scaling of the parallel data path.
 
-   Unlike shard-sim, which scales an abstract cluster *model*, these
-   rows measure the production code path: Sync barrier windows fanned
-   over a Pool.Team of work-stealing deques. *)
+   These rows measure the production code path: Sync barrier windows
+   fanned over a Pool.Team of work-stealing deques. *)
 
 let kind = Synthetic.Fixed_500us
 

@@ -11,24 +11,21 @@ open Draconis_stats
    cancel path and the generation-counter guard see traffic too.
 
    All randomness comes from one seeded splitmix stream drawn inside the
-   handlers.  Both calendars execute the exact same event order, so the
-   draw sequence — and with it every count below — is identical across
-   [Heap] and [Wheel]; the run asserts this. *)
+   handlers, so every count below is a deterministic function of the
+   seed and the engine's event order. *)
 
 type measurement = {
-  calendar : Engine.calendar;
   scheduled : int;
   cancels : int;
   executed : int;
-  final_clock : Time.t;
   wall_s : float;
   words_per_event : float;
 }
 
 let ring_size = 128
 
-let storm ~calendar ~total ~seed =
-  let engine = Engine.create ~calendar () in
+let storm ~total ~seed =
+  let engine = Engine.create () in
   let rng = Rng.create ~seed in
   let scheduled = ref 0 in
   let cancels = ref 0 in
@@ -75,11 +72,9 @@ let storm ~calendar ~total ~seed =
   let words = Gc.minor_words () -. minor0 in
   let executed = Engine.executed engine in
   {
-    calendar;
     scheduled = !scheduled;
     cancels = !cancels;
     executed;
-    final_clock = Engine.now engine;
     wall_s;
     words_per_event = words /. float_of_int (max 1 executed);
   }
@@ -91,7 +86,7 @@ let outcome (m : measurement) : Runner.outcome =
      treat as a baseline to regress against.  The wall-clock events/sec
      rides along as an informational field compare never checks. *)
   {
-    system = "engine-" ^ Engine.calendar_name m.calendar;
+    system = "engine-wheel";
     load_tps = 0.0;
     sched_p50 = 0;
     sched_p99 = 0;
@@ -270,51 +265,15 @@ let run_sharded ~quick ~seed =
 let run ?(quick = false) () =
   let total = if quick then 200_000 else 2_000_000 in
   let seed = 42 in
-  (* Warm up both paths once so the first measured run does not pay
-     one-time costs (code, branch predictors) the other would skip. *)
-  List.iter
-    (fun calendar -> ignore (storm ~calendar ~total:(total / 20) ~seed))
-    [ Engine.Heap; Engine.Wheel ];
-  let heap = storm ~calendar:Engine.Heap ~total ~seed in
-  let wheel = storm ~calendar:Engine.Wheel ~total ~seed in
-  if heap.executed <> wheel.executed then
-    failwith
-      (Printf.sprintf
-         "engine-bench: calendars disagree on executed events (heap %d, wheel %d)"
-         heap.executed wheel.executed);
-  if heap.final_clock <> wheel.final_clock then
-    failwith
-      (Printf.sprintf
-         "engine-bench: calendars disagree on final clock (heap %d, wheel %d)"
-         heap.final_clock wheel.final_clock);
-  if heap.cancels <> wheel.cancels then
-    failwith
-      (Printf.sprintf
-         "engine-bench: calendars disagree on cancels (heap %d, wheel %d)"
-         heap.cancels wheel.cancels);
-  let table =
-    Table.create
-      ~columns:
-        [ "calendar"; "events"; "wall s"; "events/sec"; "minor words/event" ]
-  in
-  let rate m =
-    if m.wall_s > 0.0 then float_of_int m.executed /. m.wall_s else 0.0
-  in
-  List.iter
-    (fun m ->
-      Table.add_row table
-        [
-          Engine.calendar_name m.calendar;
-          string_of_int m.executed;
-          Printf.sprintf "%.3f" m.wall_s;
-          Printf.sprintf "%.0f" (rate m);
-          Table.f2 m.words_per_event;
-        ])
-    [ heap; wheel ];
-  Table.print ~title:"engine-bench: event core (heap vs wheel calendar)" table;
-  let speedup = if rate heap > 0.0 then rate wheel /. rate heap else 0.0 in
+  (* Warm up once so the measured run does not pay one-time costs (code,
+     branch predictors). *)
+  ignore (storm ~total:(total / 20) ~seed);
+  let m = storm ~total ~seed in
   Printf.printf
-    "wheel/heap speedup: %.2fx; minor words/event: heap %.2f, wheel %.2f\n%!"
-    speedup heap.words_per_event wheel.words_per_event;
-  Report.add_outcomes [ outcome heap; outcome wheel ];
+    "engine-bench: wheel calendar storm: %d events in %.3f s (%.0f events/sec), \
+     %.2f minor words/event\n%!"
+    m.executed m.wall_s
+    (if m.wall_s > 0.0 then float_of_int m.executed /. m.wall_s else 0.0)
+    m.words_per_event;
+  Report.add_outcomes [ outcome m ];
   run_sharded ~quick ~seed

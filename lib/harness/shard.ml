@@ -1,8 +1,4 @@
 open Draconis_sim
-module Fabric = Draconis_net.Fabric
-module Topology = Draconis_net.Topology
-module Plan = Draconis_fault.Plan
-module Sampler = Draconis_stats.Sampler
 
 (* -- shard-count knob (mirrors Pool's jobs knob) ------------------------- *)
 
@@ -10,7 +6,7 @@ let env_var = "DRACONIS_SHARDS"
 let max_shards = Pool.max_jobs
 
 (* Invalid values fail loudly rather than silently running unsharded —
-   the same contract as DRACONIS_CALENDAR and Pool's jobs knob. *)
+   the same contract as Pool's DRACONIS_JOBS knob. *)
 let env_shards () =
   match Sys.getenv_opt env_var with
   | None | Some "" -> None
@@ -59,330 +55,3 @@ let run_windows ?until ?workers sync =
       ~finally:(fun () -> Pool.Team.shutdown team)
       (fun () -> Sync.run ?until ~executor:(Pool.Team.run team) sync)
   end
-
-(* -- the sharded cluster model ------------------------------------------- *)
-
-type config = {
-  clients : int;
-  executors : int;
-  interarrival : Dist.t;
-  service : Dist.t;
-  horizon : Time.t;
-  seed : int;
-  fabric : Fabric.config;
-  faults : Plan.t;
-}
-
-let default_config =
-  {
-    (* ~80% utilization: 4 x 1/25us offered against 10 x 1/50us service
-       capacity, so the queue sees real contention and the scheduling-
-       delay percentiles are non-trivial baselines. *)
-    clients = 4;
-    executors = 10;
-    interarrival = Dist.exponential ~mean:(Time.us 25);
-    service = Dist.exponential ~mean:(Time.us 50);
-    horizon = Time.ms 5;
-    seed = 42;
-    fabric = Fabric.default_config;
-    faults = Plan.empty;
-  }
-
-type result = {
-  outcome : Runner.outcome;
-  windows : int;
-  cross_posts : int;
-  dropped : int;
-  wall_s : float;
-  lps : int;
-  workers : int;
-}
-
-(* Fault plans compile to static time windows before the run, so whether
-   a message falls into one depends only on (simulated time, endpoint) —
-   never on the partitioning — and the RNG drop draw happens exactly
-   when the loss probability is positive, keeping per-entity streams
-   aligned across shard counts. *)
-type fault_windows = {
-  loss : (Time.t * Time.t * float) array;
-  cuts : (Time.t * Time.t * int list) array;
-  slow : (Time.t * Time.t * int * float) array;
-}
-
-let fault_windows plan =
-  let loss = ref [] and cuts = ref [] and slow = ref [] in
-  List.iter
-    (fun { Plan.at; event } ->
-      match event with
-      | Plan.Loss_burst { duration; loss = p } ->
-        loss := (at, at + duration, p) :: !loss
-      | Plan.Partition { hosts; duration } -> cuts := (at, at + duration, hosts) :: !cuts
-      | Plan.Straggler { node; factor; duration } ->
-        slow := (at, at + duration, node, factor) :: !slow
-      | (Plan.Switch_failover | Plan.Crash _) as e ->
-        (* These change scheduler/executor state machines the model does
-           not have; rejecting loudly beats silently ignoring them. *)
-        invalid_arg
-          ("Shard.run_model: fault not supported by the sharded model: "
-          ^ Plan.event_to_string e))
-    (Plan.events plan);
-  {
-    loss = Array.of_list (List.rev !loss);
-    cuts = Array.of_list (List.rev !cuts);
-    slow = Array.of_list (List.rev !slow);
-  }
-
-let loss_at w t =
-  Array.fold_left
-    (fun acc (a, b, p) -> if t >= a && t < b then Float.max acc p else acc)
-    0.0 w.loss
-
-let cut_at w t host =
-  Array.exists (fun (a, b, hosts) -> t >= a && t < b && List.mem host hosts) w.cuts
-
-let slow_at w t node =
-  Array.fold_left
-    (fun acc (a, b, n, f) -> if n = node && t >= a && t < b then Float.max acc f else acc)
-    1.0 w.slow
-
-(* Per-entity stream seed: splitmix-style (seed, entity) mix, so a
-   stream depends only on the model entity, never on its LP. *)
-let mix seed eid =
-  let h = ref (seed lxor ((eid + 1) * 0x9E3779B97F4A7C1)) in
-  h := (!h lxor (!h lsr 30)) * 0xBF58476D1CE4E5B;
-  h := (!h lxor (!h lsr 27)) * 0x94D049BB133111E;
-  (!h lxor (!h lsr 31)) land max_int
-
-(* A model entity: the switch (eid 0, no host), a client, or an
-   executor.  Each has its own RNG stream and per-source mailbox
-   sequence counter; mutable state is only ever touched from the domain
-   running the entity's LP. *)
-type endpoint = {
-  eid : int;
-  host : int; (* -1 for the switch *)
-  lp_index : int;
-  rng : Rng.t;
-  mutable seq : int;
-  mutable submitted : int;
-  mutable drops : int; (* sends this entity lost to fault windows *)
-}
-
-type runtime = {
-  cfg : config;
-  wins : fault_windows;
-  lps : Lp.t array;
-  mailboxes : Fabric.Mailbox.t array; (* one per LP *)
-  base : Time.t; (* host_to_switch: minimum one-way latency *)
-  jitter : Time.t;
-}
-
-let engine_of rt (e : endpoint) = Lp.engine rt.lps.(e.lp_index)
-
-(* Every entity-to-entity message — even between entities that happen to
-   share an LP — goes through the destination LP's mailbox, so same-time
-   deliveries are ordered by the (at, src, seq) stamp alone and the
-   outcome cannot depend on the partitioning. *)
-let send rt ~(src : endpoint) ~(dst : endpoint) fn =
-  let now = Engine.now (engine_of rt src) in
-  let latency =
-    rt.base + if rt.jitter > 0 then Rng.int src.rng (rt.jitter + 1) else 0
-  in
-  let lost =
-    let p = loss_at rt.wins now in
-    p > 0.0 && Rng.float src.rng < p
-  in
-  let cut =
-    (src.host >= 0 && cut_at rt.wins now src.host)
-    || (dst.host >= 0 && cut_at rt.wins now dst.host)
-  in
-  if lost || cut then src.drops <- src.drops + 1
-  else begin
-    src.seq <- src.seq + 1;
-    Fabric.Mailbox.post rt.mailboxes.(dst.lp_index) ~now ~latency ~src:src.eid
-      ~seq:src.seq fn
-  end
-
-type task = { service : Time.t; enqueued : Time.t }
-
-(* All cluster-wide counters live on the switch entity, so they are only
-   ever mutated from the switch LP's domain. *)
-type switch_state = {
-  sw : endpoint;
-  queue : task Queue.t;
-  busy : bool array;
-  delays : Sampler.t;
-  mutable dispatched : int;
-  mutable completed : int;
-}
-
-let rec idle_executor busy i =
-  if i >= Array.length busy then None
-  else if not busy.(i) then Some i
-  else idle_executor busy (i + 1)
-
-(* Switch: FIFO queue, dispatch to the smallest-id idle executor.
-   Executor: run the task for its (possibly straggler-scaled) service
-   time on its own engine, then send the completion back — the pull loop
-   that drives the next dispatch. *)
-let rec try_dispatch rt st execs =
-  if not (Queue.is_empty st.queue) then
-    match idle_executor st.busy 0 with
-    | None -> ()
-    | Some x ->
-      let task = Queue.pop st.queue in
-      let now = Engine.now (engine_of rt st.sw) in
-      st.busy.(x) <- true;
-      st.dispatched <- st.dispatched + 1;
-      Sampler.record st.delays (now - task.enqueued);
-      send rt ~src:st.sw ~dst:execs.(x) (fun () ->
-          run_task rt st execs x task.service);
-      try_dispatch rt st execs
-
-and run_task rt st execs x service =
-  let exec = execs.(x) in
-  let engine = engine_of rt exec in
-  let now = Engine.now engine in
-  (* Straggler node ids are executor indices in this model. *)
-  let factor = slow_at rt.wins now x in
-  let dur =
-    if factor = 1.0 then max 1 service
-    else max 1 (int_of_float (Float.round (float_of_int service *. factor)))
-  in
-  ignore
-    (Engine.schedule engine ~after:dur (fun () ->
-         send rt ~src:exec ~dst:st.sw (fun () ->
-             st.completed <- st.completed + 1;
-             st.busy.(x) <- false;
-             try_dispatch rt st execs)))
-
-let rec arrival rt st execs (cl : endpoint) () =
-  let engine = engine_of rt cl in
-  let now = Engine.now engine in
-  cl.submitted <- cl.submitted + 1;
-  let service = max 1 (rt.cfg.service cl.rng) in
-  send rt ~src:cl ~dst:st.sw (fun () ->
-      let sw_now = Engine.now (engine_of rt st.sw) in
-      Queue.push { service; enqueued = sw_now } st.queue;
-      try_dispatch rt st execs);
-  let next = now + max 1 (rt.cfg.interarrival cl.rng) in
-  if next <= rt.cfg.horizon then
-    ignore (Engine.schedule engine ~after:(next - now) (arrival rt st execs cl))
-
-let run_model ?lps:lp_count ?workers config =
-  let lp_count = match lp_count with Some n -> n | None -> shards () in
-  let workers = match workers with Some w -> w | None -> lp_count in
-  if config.clients < 1 then invalid_arg "Shard.run_model: need at least 1 client";
-  if config.executors < 1 then
-    invalid_arg "Shard.run_model: need at least 1 executor";
-  if config.horizon < 1 then invalid_arg "Shard.run_model: need a positive horizon";
-  if lp_count < 1 || lp_count > max_shards then
-    invalid_arg
-      (Printf.sprintf "Shard.run_model: lps %d out of range [1, %d]" lp_count
-         max_shards);
-  let wins = fault_windows config.faults in
-  let nodes = config.clients + config.executors in
-  (* LP layout: with one LP everything is sequential (the reference
-     path); otherwise LP 0 holds the switch alone and the hosts split
-     into lp_count - 1 rack-aligned groups. *)
-  let host_groups = max 1 (lp_count - 1) in
-  if host_groups > nodes then
-    invalid_arg
-      (Printf.sprintf "Shard.run_model: %d LPs need at least %d hosts (have %d)"
-         lp_count (lp_count - 1) nodes);
-  let topo = Topology.create ~nodes ~racks:(min 4 nodes) in
-  let part = Topology.partition topo ~groups:host_groups in
-  let lp_of_host h = if lp_count = 1 then 0 else 1 + part.(h) in
-  let lookahead = Fabric.lookahead config.fabric in
-  let lps = Array.init lp_count (fun i -> Lp.create ~id:i ~seed:config.seed ()) in
-  let mailboxes = Array.map (fun lp -> Fabric.Mailbox.create ~lookahead lp) lps in
-  let rt =
-    {
-      cfg = config;
-      wins;
-      lps;
-      mailboxes;
-      base = config.fabric.Fabric.host_to_switch;
-      jitter = config.fabric.Fabric.jitter;
-    }
-  in
-  let endpoint eid host =
-    {
-      eid;
-      host;
-      lp_index = (if host < 0 then 0 else lp_of_host host);
-      rng = Rng.create ~seed:(mix config.seed eid);
-      seq = 0;
-      submitted = 0;
-      drops = 0;
-    }
-  in
-  let sw = endpoint 0 (-1) in
-  let clients = Array.init config.clients (fun c -> endpoint (1 + c) c) in
-  let execs =
-    Array.init config.executors (fun x ->
-        endpoint (1 + config.clients + x) (config.clients + x))
-  in
-  let st =
-    {
-      sw;
-      queue = Queue.create ();
-      busy = Array.make config.executors false;
-      delays = Sampler.create ();
-      dispatched = 0;
-      completed = 0;
-    }
-  in
-  Array.iter
-    (fun cl ->
-      let first = max 1 (config.interarrival cl.rng) in
-      if first <= config.horizon then
-        ignore (Engine.schedule (engine_of rt cl) ~after:first (arrival rt st execs cl)))
-    clients;
-  let sync = Sync.create ~lookahead lps in
-  let t0 = Unix.gettimeofday () in
-  run_windows ~workers sync;
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let submitted = Array.fold_left (fun a c -> a + c.submitted) 0 clients in
-  let dropped =
-    sw.drops
-    + Array.fold_left (fun a c -> a + c.drops) 0 clients
-    + Array.fold_left (fun a e -> a + e.drops) 0 execs
-  in
-  let has = Sampler.count st.delays > 0 in
-  let outcome : Runner.outcome =
-    {
-      system = "shard-sim";
-      load_tps = 0.0;
-      sched_p50 = (if has then Sampler.percentile st.delays 50.0 else 0);
-      sched_p99 = (if has then Sampler.percentile st.delays 99.0 else 0);
-      sched_mean = (if has then Sampler.mean st.delays else 0.0);
-      decisions_per_sec = float_of_int st.dispatched /. Time.to_s config.horizon;
-      submitted;
-      started = st.dispatched;
-      completed = st.completed;
-      timeouts = submitted - st.completed;
-      rejected = 0;
-      recirc_fraction = 0.0;
-      recirc_drops = 0;
-      swaps = 0;
-      recirculations = 0;
-      repair_flags = 0;
-      events = Sync.executed sync;
-      (* Wall-clock rate is attached by the bench wrapper; the outcome
-         itself stays a pure function of (config, lps) so the property
-         suite can compare runs structurally. *)
-      events_per_sec = 0.0;
-      drained = Sync.drained sync;
-      has_latency = true;
-      phases = [];
-    }
-  in
-  {
-    outcome;
-    windows = Sync.windows sync;
-    cross_posts = Array.fold_left (fun a lp -> a + Lp.posted lp) 0 lps;
-    dropped;
-    wall_s;
-    lps = lp_count;
-    workers;
-  }

@@ -1,6 +1,5 @@
-(** Sharded (parallel-in-run) simulation: the [DRACONIS_SHARDS] knob,
-    the team-backed window executor, and a cluster-shaped reference
-    model used to pin the determinism contract down.
+(** Sharded (parallel-in-run) simulation: the [DRACONIS_SHARDS] knob and
+    the team-backed window executor.
 
     Where {!Pool} parallelizes {e across} independent grid points, this
     module parallelizes {e inside} one simulation: the model is
@@ -8,24 +7,14 @@
     its own engine, and a conservative barrier-window coordinator
     ({!Draconis_sim.Sync}) runs them in lockstep windows bounded by the
     fabric's minimum link latency ({!Draconis_net.Fabric.lookahead}).
-
-    {2 Determinism contract}
+    {!run_windows} drives those windows, inline or fanned over a
+    {!Pool.Team}.
 
     A sharded run must produce {e exactly} the outcomes of the
-    sequential run.  The model upholds this by construction:
-    - every entity (switch, client, executor) draws from its own RNG
-      stream derived from [(seed, entity id)], so partitioning never
-      shifts draws;
-    - {e all} entity-to-entity messages — same-LP or cross-LP — travel
-      through {!Draconis_net.Fabric.Mailbox} with an [(at, src, seq)]
-      stamp, so same-time deliveries are ordered by stamp alone;
-    - fault plans compile to static time windows, so loss/partition/
-      straggler decisions depend only on simulated time and endpoint;
-    - the barrier-window sequence derives from the global event floor,
-      which no grouping of entities onto LPs can change.
-
-    The property suite asserts outcome equality across 1, 2 and 4
-    shards; [DRACONIS_SHARDS=1] is the bit-deterministic reference. *)
+    [DRACONIS_SHARDS=1] run.  The real sharded cluster
+    ({!Draconis.Cluster} with [shards]) carries that contract; its
+    property tests compare every outcome field across shard counts,
+    lane counts and static fault windows. *)
 
 open Draconis_sim
 
@@ -65,59 +54,3 @@ val requested : unit -> int option
     thunks out and is shut down when the run finishes (or raises).
     @raise Invalid_argument if [workers] is outside [\[1, max_shards\]]. *)
 val run_windows : ?until:Time.t -> ?workers:int -> Sync.t -> unit
-
-(** {2 Sharded cluster model}
-
-    A deliberately small open system in the shape of the paper's fig. 5a
-    / fig. 6 experiments: open-loop clients submit tasks to a central
-    switch scheduler (FIFO queue, smallest-id idle executor dispatch);
-    executors run each task for its service time and send the completion
-    back, pulling the next dispatch.  Metrics mirror {!Runner.outcome}:
-    scheduling delay is queue-entry to dispatch at the switch. *)
-
-type config = {
-  clients : int;
-  executors : int;
-  interarrival : Dist.t;  (** per-client, open loop *)
-  service : Dist.t;
-  horizon : Time.t;  (** submissions stop after this instant *)
-  seed : int;
-  fabric : Draconis_net.Fabric.config;
-      (** only the latency model is used: [host_to_switch] (which is
-          also the sync lookahead) and [jitter]; loss comes from
-          [faults] so that it composes with the window protocol *)
-  faults : Draconis_fault.Plan.t;
-      (** [Loss_burst] (sender-drawn i.i.d. drops inside the window),
-          [Partition] (hosts: clients first, then executors) and
-          [Straggler] (node = executor index) are supported;
-          [Switch_failover] and [Crash] raise [Invalid_argument] *)
-}
-
-(** 4 clients, 10 executors (~80% utilization, so the delay percentiles
-    are non-trivial), exp(25us) interarrivals, exp(50us) service, 5 ms
-    horizon, default fabric, no faults. *)
-val default_config : config
-
-type result = {
-  outcome : Runner.outcome;
-      (** a pure function of [(config, lps)] — [events_per_sec] is left
-          0 so results compare structurally; the bench wrapper attaches
-          the wall-clock rate *)
-  windows : int;  (** barrier windows executed (partition-independent) *)
-  cross_posts : int;  (** messages routed through LP mailboxes *)
-  dropped : int;  (** messages eaten by fault windows *)
-  wall_s : float;
-  lps : int;
-  workers : int;
-}
-
-(** [run_model ?lps ?workers config] builds the model on [lps] logical
-    processes (default {!shards}; LP 0 holds the switch, hosts split
-    into rack-aligned groups via {!Draconis_net.Topology.partition}),
-    runs it to completion on [workers] domains (default [lps]) and
-    returns the frozen metrics.  Outcomes are equal for every valid
-    [lps]/[workers] combination on the same [config].
-    @raise Invalid_argument on an empty model, [lps]/[workers] out of
-    range, more than [clients + executors + 1] LPs, or an unsupported
-    fault in [config.faults]. *)
-val run_model : ?lps:int -> ?workers:int -> config -> result

@@ -13,10 +13,6 @@
    generation in the token guards a caller cancelling a handle whose
    slot has since been handed to a newer event. *)
 
-type calendar = Heap | Wheel
-
-let calendar_name = function Heap -> "heap" | Wheel -> "wheel"
-
 let seq_bits = 21
 let seq_limit = 1 lsl seq_bits
 let max_at = max_int asr seq_bits
@@ -32,13 +28,11 @@ let flag_pending = '\001'
 let flag_fired = '\002'
 let flag_cancelled = '\003'
 
-type queue = Q_heap of int Int_heap.t | Q_wheel of Wheel.t
-
 type t = {
   mutable clock : Time.t;
   mutable seq : int;
   mutable executed : int;
-  queue : queue;
+  queue : Wheel.t;
   (* handle slab: parallel arrays indexed by slot *)
   mutable fns : (unit -> unit) array;
   mutable gens : int array;
@@ -51,34 +45,15 @@ type t = {
 let pack ~at ~seq = (at lsl seq_bits) lor seq
 let key_at key = key asr seq_bits
 
-let calendar_of_env () =
-  match Sys.getenv_opt "DRACONIS_CALENDAR" with
-  | None | Some "" -> Wheel
-  | Some v -> (
-    match String.lowercase_ascii v with
-    | "wheel" -> Wheel
-    | "heap" -> Heap
-    | other ->
-      invalid_arg
-        (Printf.sprintf
-           "Engine.create: DRACONIS_CALENDAR must be \"heap\" or \"wheel\", got %S"
-           other))
-
 let noop () = ()
 
-let create ?calendar () =
-  let kind = match calendar with Some c -> c | None -> calendar_of_env () in
-  let queue =
-    match kind with
-    | Heap -> Q_heap (Int_heap.create ())
-    | Wheel -> Q_wheel (Wheel.create ~shift:seq_bits ())
-  in
+let create () =
   let cap = 256 in
   {
     clock = 0;
     seq = 0;
     executed = 0;
-    queue;
+    queue = Wheel.create ~shift:seq_bits ();
     fns = Array.make cap noop;
     gens = Array.make cap 0;
     flags = Bytes.make cap flag_fired;
@@ -87,23 +62,14 @@ let create ?calendar () =
     slab_used = 0;
   }
 
-let calendar t = match t.queue with Q_heap _ -> Heap | Q_wheel _ -> Wheel
 let now t = t.clock
 let executed t = t.executed
-
-let pending t =
-  match t.queue with Q_heap h -> Int_heap.length h | Q_wheel w -> Wheel.length w
-
-let q_push t key tok =
-  match t.queue with
-  | Q_heap h -> Int_heap.push h key tok
-  | Q_wheel w -> Wheel.push w key tok
-
-let q_peek_key t =
-  match t.queue with Q_heap h -> Int_heap.peek_key h | Q_wheel w -> Wheel.peek_key w
+let pending t = Wheel.length t.queue
 
 let next_at t =
-  match q_peek_key t with exception Not_found -> None | key -> Some (key_at key)
+  match Wheel.peek_key t.queue with
+  | exception Not_found -> None
+  | key -> Some (key_at key)
 
 (* -- handle slab ----------------------------------------------------------- *)
 
@@ -157,12 +123,9 @@ let renumber t =
   let keys = Array.make (max 1 count) 0 in
   let toks = Array.make (max 1 count) 0 in
   let live = ref 0 in
-  let drain f =
-    match t.queue with Q_heap h -> Int_heap.drain h f | Q_wheel w -> Wheel.drain w f
-  in
   (* Drop cancelled entries while renumbering: their slots recycle now
      instead of at their (never-observable) pop. *)
-  drain (fun key tok ->
+  Wheel.drain t.queue (fun key tok ->
       let idx = tok land idx_mask in
       if Bytes.get t.flags idx = flag_pending then begin
         keys.(!live) <- key;
@@ -171,7 +134,7 @@ let renumber t =
       end
       else slab_release t idx ~flag:flag_cancelled);
   for seq = 0 to !live - 1 do
-    q_push t (pack ~at:(key_at keys.(seq)) ~seq) toks.(seq)
+    Wheel.push t.queue (pack ~at:(key_at keys.(seq)) ~seq) toks.(seq)
   done;
   t.seq <- !live
 
@@ -185,7 +148,7 @@ let schedule_at t ~at f =
          at max_at);
   if t.seq >= seq_limit then renumber t;
   let tok = slab_alloc t f in
-  q_push t (pack ~at ~seq:t.seq) tok;
+  Wheel.push t.queue (pack ~at ~seq:t.seq) tok;
   t.seq <- t.seq + 1;
   tok
 
@@ -214,21 +177,13 @@ let exec t key tok =
   else slab_release t idx ~flag:flag_cancelled
 
 let step t =
-  match t.queue with
-  | Q_heap h -> (
-    match Int_heap.pop h with
-    | exception Not_found -> false
-    | key, tok ->
-      exec t key tok;
-      true)
-  | Q_wheel w -> (
-    (* [pop_min] parks the binding in scratch fields: the drain loop
-       allocates nothing per event. *)
-    match Wheel.pop_min w with
-    | exception Not_found -> false
-    | () ->
-      exec t (Wheel.popped_key w) (Wheel.popped_value w);
-      true)
+  (* [pop_min] parks the binding in scratch fields: the drain loop
+     allocates nothing per event. *)
+  match Wheel.pop_min t.queue with
+  | exception Not_found -> false
+  | () ->
+    exec t (Wheel.popped_key t.queue) (Wheel.popped_value t.queue);
+    true
 
 let run ?until ?max_events t =
   match until with
@@ -246,7 +201,7 @@ let run ?until ?max_events t =
     let budget = ref (match max_events with None -> max_int | Some n -> n) in
     let continue = ref true in
     while !continue && !budget > 0 do
-      match q_peek_key t with
+      match Wheel.peek_key t.queue with
       | exception Not_found -> continue := false
       | key ->
         if key_at key > limit then continue := false
@@ -261,7 +216,7 @@ let run ?until ?max_events t =
        events left.  Only an exhausted budget with work still due before
        [limit] leaves the clock at the last executed event. *)
     if t.clock < limit then (
-      match q_peek_key t with
+      match Wheel.peek_key t.queue with
       | exception Not_found -> t.clock <- limit
       | key when key_at key > limit -> t.clock <- limit
       | _ -> ())

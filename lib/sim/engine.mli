@@ -17,35 +17,26 @@
     The hot path allocates nothing in steady state: event keys are
     packed immediate ints, handles are packed ints into a pooled slab of
     per-event slots (recycled through a freelist, with generation
-    counters guarding stale cancels), and the default {!Wheel} calendar
-    keeps its buckets in flat integer arrays.  The only per-event
-    allocation left is the caller's closure. *)
+    counters guarding stale cancels), and the {!Wheel} calendar keeps
+    its buckets in flat integer arrays.  The only per-event allocation
+    left is the caller's closure.
+
+    {2 Calendar}
+
+    The event queue is a hierarchical timing wheel ({!Wheel}) with O(1)
+    steady-state operations, backed by {!Int_heap} tiers for far-future
+    and behind-the-cursor events.  The calendar property tests pin its
+    execution order, event by event, to a plain binary-heap reference
+    scheduler. *)
 
 type t
-
-(** Event-queue implementation.  [Wheel] (the default) is a hierarchical
-    timing wheel with O(1) steady-state operations, backed by an
-    {!Int_heap} overflow tier for far-future events; [Heap] is the plain
-    binary heap.  Both execute the exact same event order, so runs are
-    bit-for-bit reproducible across calendars — set [DRACONIS_CALENDAR]
-    to [heap] or [wheel] to cross-check. *)
-type calendar = Heap | Wheel
-
-val calendar_name : calendar -> string
 
 (** Cancellable handle for a scheduled event — an immediate int, so
     scheduling never allocates a handle record. *)
 type handle
 
-(** [create ?calendar ()] — [calendar] defaults to the
-    [DRACONIS_CALENDAR] environment variable ([heap] or [wheel]), or
-    {!Wheel} when unset.
-    @raise Invalid_argument if the environment variable is set to
-    anything else. *)
-val create : ?calendar:calendar -> unit -> t
-
-(** The calendar this engine was created with. *)
-val calendar : t -> calendar
+(** [create ()] — an empty engine at time 0. *)
+val create : unit -> t
 
 (** [now t] is the current virtual time. *)
 val now : t -> Time.t

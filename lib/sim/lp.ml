@@ -24,11 +24,11 @@ let derive_seed seed id =
   let z = (z lxor (z lsr 30)) * 0xBF58476D1CE4E5B in
   z lxor (z lsr 27)
 
-let create ?calendar ~id ~seed () =
+let create ~id ~seed () =
   if id < 0 then invalid_arg "Lp.create: negative id";
   {
     lp_id = id;
-    engine = Engine.create ?calendar ();
+    engine = Engine.create ();
     rng = Rng.create ~seed:(derive_seed seed id);
     mutex = Mutex.create ();
     inbox = [];

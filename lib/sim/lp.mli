@@ -20,12 +20,12 @@
 
 type t
 
-(** [create ?calendar ~id ~seed ()] — a fresh LP with an empty engine.
+(** [create ~id ~seed ()] — a fresh LP with an empty engine.
     The LP's {!rng} stream is derived from [(seed, id)], so re-seating
     an LP on a different domain (or re-partitioning entities across
     LPs of the same ids) never perturbs its draws.
     @raise Invalid_argument if [id] is negative. *)
-val create : ?calendar:Engine.calendar -> id:int -> seed:int -> unit -> t
+val create : id:int -> seed:int -> unit -> t
 
 val id : t -> int
 val engine : t -> Engine.t

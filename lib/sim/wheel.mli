@@ -1,18 +1,20 @@
 (** Hierarchical timing wheel keyed on packed [int] event keys.
 
-    A drop-in calendar for the engine's event queue, tuned for the
-    near-future schedules that dominate microsecond-scale simulation
-    (host-switch hops of ~1.5 us, service times of a few us): push, pop
-    and peek are O(1) in steady state, against O(log n) for the binary
-    heap, and touch no GC-managed memory — buckets are intrusive lists
-    over a pooled slab of parallel [int] arrays.
+    The engine's event calendar, tuned for the near-future schedules
+    that dominate microsecond-scale simulation (host-switch hops of
+    ~1.5 us, service times of a few us): push, pop and peek are O(1) in
+    steady state, against O(log n) for a binary heap, and touch no
+    GC-managed memory — buckets are intrusive lists over a pooled slab
+    of parallel [int] arrays.
 
     Keys order events exactly as {!Int_heap} does: the upper bits
     ([key asr shift]) are the timestamp tick that selects a bucket, the
     low [shift] bits (the engine's tie-breaking sequence number) select
     nothing but keep keys unique; FIFO bucket order plus
     window-aligned placement reproduces the heap's total key order
-    bit-for-bit, which the calendar cross-check property tests pin.
+    bit-for-bit, which the heap-oracle property tests pin (the wheel
+    against {!Int_heap} directly, and the engine against a heap-ordered
+    reference scheduler).
 
     Geometry: 5 levels x 32 slots, so the wheel proper covers [2^25]
     ticks (~33 ms at 1 ns/tick) ahead of the cursor.  Two {!Int_heap}

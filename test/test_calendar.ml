@@ -1,21 +1,112 @@
-(* Property tests pinning the two Engine calendars to each other: heap
-   and wheel must execute the exact same events, in the same order, at
-   the same virtual times — including cancels, nested scheduling, the
-   wheel's overdue/overflow tiers, and the sequence-counter renumbering
-   path. *)
+(* Property tests pinning the Engine's wheel calendar to a heap oracle:
+   a small reference scheduler, defined here and used nowhere else, that
+   orders events with a plain binary heap.  The wheel must execute the
+   exact same events, in the same order, at the same virtual times —
+   including cancels, nested scheduling, the wheel's overdue/overflow
+   tiers, and the sequence-counter renumbering path. *)
 
 open Draconis_sim
 
+(* The operations the workloads below drive, so each one runs unchanged
+   against the engine and against the oracle. *)
+module type SCHED = sig
+  type t
+  type handle
+
+  val create : unit -> t
+  val now : t -> Time.t
+  val executed : t -> int
+  val schedule : t -> after:Time.t -> (unit -> unit) -> handle
+  val cancel : t -> handle -> unit
+  val run : ?until:Time.t -> t -> unit
+end
+
+module Wheel_engine : SCHED = struct
+  type t = Engine.t
+  type handle = Engine.handle
+
+  let create = Engine.create
+  let now = Engine.now
+  let executed = Engine.executed
+  let schedule = Engine.schedule
+  let cancel = Engine.cancel
+  let run ?until t = Engine.run ?until t
+end
+
+(* The oracle: an [Int_heap] on packed [(at, seq)] keys, the handle is
+   the event's sequence number, and a cancel just records it in a set
+   that the pop consults.  The sequence field is wide enough for every
+   workload here, so unlike the engine the oracle never renumbers — the
+   renumbering crossing below is checked against an order that never
+   went through it. *)
+module Heap_oracle : SCHED = struct
+  let seq_bits = 30
+
+  type t = {
+    heap : (unit -> unit) Int_heap.t;
+    cancelled : (int, unit) Hashtbl.t;
+    mutable now : Time.t;
+    mutable seq : int;
+    mutable executed : int;
+  }
+
+  type handle = int
+
+  let create () =
+    {
+      heap = Int_heap.create ();
+      cancelled = Hashtbl.create 64;
+      now = 0;
+      seq = 0;
+      executed = 0;
+    }
+
+  let now t = t.now
+  let executed t = t.executed
+
+  let schedule t ~after fn =
+    assert (after >= 0 && t.seq < 1 lsl seq_bits);
+    let seq = t.seq in
+    t.seq <- seq + 1;
+    Int_heap.push t.heap (((t.now + after) lsl seq_bits) lor seq) fn;
+    seq
+
+  (* Cancelling a handle that already fired leaves a stale entry no pop
+     will ever match: sequence numbers are never reused. *)
+  let cancel t h = Hashtbl.replace t.cancelled h ()
+
+  let run ?until t =
+    let limit = Option.value until ~default:max_int in
+    let rec loop () =
+      match Int_heap.peek_key t.heap with
+      | exception Not_found -> ()
+      | key when key asr seq_bits > limit -> ()
+      | _ ->
+        let key, fn = Int_heap.pop t.heap in
+        let seq = key land ((1 lsl seq_bits) - 1) in
+        t.now <- key asr seq_bits;
+        if Hashtbl.mem t.cancelled seq then Hashtbl.remove t.cancelled seq
+        else begin
+          t.executed <- t.executed + 1;
+          fn ()
+        end;
+        loop ()
+    in
+    loop ();
+    (* Every event at or before the horizon has run: the clock reaches it. *)
+    match until with Some limit when t.now < limit -> t.now <- limit | _ -> ()
+end
+
 (* One randomized workload, fully determined by [seed]: the execution
    log is (event id, virtual time) in firing order.  All rng draws
-   happen either before the run or inside handlers; since both calendars
-   must execute handlers in the same order, the draw streams coincide
-   and the two runs see byte-identical schedules. *)
-let exec_log ~calendar ~seed ~n =
-  let engine = Engine.create ~calendar () in
+   happen either before the run or inside handlers; since both
+   schedulers must execute handlers in the same order, the draw streams
+   coincide and the two runs see byte-identical schedules. *)
+let exec_log (module S : SCHED) ~seed ~n =
+  let sched = S.create () in
   let rng = Rng.create ~seed in
   let log = ref [] in
-  let note i () = log := (i, Engine.now engine) :: !log in
+  let note i () = log := (i, S.now sched) :: !log in
   let delay () =
     match Rng.int rng 10 with
     | 0 -> Rng.int rng 5 (* near-ties at the same instants *)
@@ -28,70 +119,61 @@ let exec_log ~calendar ~seed ~n =
     let h =
       if i mod 7 = 0 then
         (* Nested: this handler schedules a child with a fresh draw. *)
-        Engine.schedule engine ~after:(delay ()) (fun () ->
+        S.schedule sched ~after:(delay ()) (fun () ->
             note i ();
-            ignore (Engine.schedule engine ~after:(1 + delay ()) (note (n + i))))
-      else Engine.schedule engine ~after:(delay ()) (note i)
+            ignore (S.schedule sched ~after:(1 + delay ()) (note (n + i))))
+      else S.schedule sched ~after:(delay ()) (note i)
     in
     if Rng.int rng 4 = 0 then cancelable := h :: !cancelable
   done;
-  List.iteri
-    (fun j h -> if j mod 2 = 0 then Engine.cancel engine h)
-    !cancelable;
+  List.iteri (fun j h -> if j mod 2 = 0 then S.cancel sched h) !cancelable;
   (* Stop mid-horizon, then schedule closer than anything still queued:
      on the wheel these land behind the cursor (the overdue tier). *)
-  Engine.run ~until:50_000 engine;
+  S.run ~until:50_000 sched;
   for i = 2 * n to (2 * n) + 19 do
-    ignore (Engine.schedule engine ~after:(1 + Rng.int rng 50) (note i))
+    ignore (S.schedule sched ~after:(1 + Rng.int rng 50) (note i))
   done;
-  Engine.run engine;
-  (List.rev !log, Engine.executed engine, Engine.now engine)
+  S.run sched;
+  (List.rev !log, S.executed sched, S.now sched)
 
 let prop_calendars_agree =
   QCheck.Test.make ~name:"heap and wheel calendars execute identical orders"
     ~count:25
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
-      exec_log ~calendar:Engine.Heap ~seed ~n:400
-      = exec_log ~calendar:Engine.Wheel ~seed ~n:400)
+      exec_log (module Heap_oracle) ~seed ~n:400
+      = exec_log (module Wheel_engine) ~seed ~n:400)
 
-(* Enough schedule/cancel churn to overflow the 21-bit sequence counter
-   while ties are pending, forcing the renumbering path; FIFO order of
-   the ties must survive on both calendars. *)
-let renumber_log calendar =
-  let engine = Engine.create ~calendar () in
+(* Enough schedule/cancel churn to overflow the engine's 21-bit sequence
+   counter while ties are pending, forcing the renumbering path; FIFO
+   order of the ties must survive it. *)
+let renumber_log (module S : SCHED) =
+  let sched = S.create () in
   let order = ref [] in
-  ignore (Engine.schedule engine ~after:1_000_000 (fun () -> order := 1 :: !order));
-  ignore (Engine.schedule engine ~after:1_000_000 (fun () -> order := 2 :: !order));
+  ignore (S.schedule sched ~after:1_000_000 (fun () -> order := 1 :: !order));
+  ignore (S.schedule sched ~after:1_000_000 (fun () -> order := 2 :: !order));
   let churn = (1 lsl 21) + 100_000 in
   for _ = 1 to churn / 500 do
-    let hs = List.init 500 (fun _ -> Engine.schedule engine ~after:10 ignore) in
-    List.iter (Engine.cancel engine) hs;
-    Engine.run ~until:(Engine.now engine + 10) engine
+    let hs = List.init 500 (fun _ -> S.schedule sched ~after:10 ignore) in
+    List.iter (S.cancel sched) hs;
+    S.run ~until:(S.now sched + 10) sched
   done;
-  ignore (Engine.schedule engine ~after:1_000_000 (fun () -> order := 3 :: !order));
-  ignore (Engine.schedule engine ~after:1_000_000 (fun () -> order := 4 :: !order));
-  Engine.run engine;
-  (List.rev !order, Engine.executed engine, Engine.now engine)
+  ignore (S.schedule sched ~after:1_000_000 (fun () -> order := 3 :: !order));
+  ignore (S.schedule sched ~after:1_000_000 (fun () -> order := 4 :: !order));
+  S.run sched;
+  (List.rev !order, S.executed sched, S.now sched)
 
 let test_renumber_crossing () =
-  let heap = renumber_log Engine.Heap in
-  let wheel = renumber_log Engine.Wheel in
-  let order, _, _ = heap in
+  let heap = renumber_log (module Heap_oracle) in
+  let wheel = renumber_log (module Wheel_engine) in
+  let order, _, _ = wheel in
   Alcotest.(check (list int)) "FIFO ties survive renumbering" [ 1; 2; 3; 4 ] order;
   let pp = Alcotest.(triple (list int) int int) in
-  Alcotest.check pp "calendars agree across renumbering" heap wheel
-
-let test_env_selection () =
-  Alcotest.(check string) "heap name" "heap" (Engine.calendar_name Engine.Heap);
-  Alcotest.(check string) "wheel name" "wheel" (Engine.calendar_name Engine.Wheel);
-  let e = Engine.create ~calendar:Engine.Heap () in
-  Alcotest.(check bool) "explicit calendar wins" true (Engine.calendar e = Engine.Heap)
+  Alcotest.check pp "wheel agrees with the heap oracle across renumbering" heap wheel
 
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_calendars_agree;
     Alcotest.test_case "renumbering crossing, both calendars" `Quick
       test_renumber_crossing;
-    Alcotest.test_case "calendar selection" `Quick test_env_selection;
   ]

@@ -1,6 +1,7 @@
-(* Unit and property tests for the two calendar structures behind the
-   engine's event queue: the monomorphic binary heap and the
-   hierarchical timing wheel. *)
+(* Unit and property tests for the two priority structures behind the
+   engine's event queue: the hierarchical timing wheel and the
+   monomorphic binary heap (its side tiers, and the reference order the
+   wheel is checked against). *)
 
 open Draconis_sim
 

@@ -37,6 +37,19 @@ let run_sharded ?faults shards =
   let system = H.Systems.draconis ~racks:2 ~shards ?faults spec in
   H.Runner.run system ~driver ~load_tps:rate_tps ~horizon ()
 
+(* Tasks of [kind] offered at the same utilization as [rate_tps] puts on
+   100 us tasks (~56%); [seed] drives both the cluster and the workload. *)
+let run_seeded ~kind ~seed shards =
+  let executors = spec.workers * spec.executors_per_worker in
+  let utilization =
+    rate_tps /. H.Exp_common.capacity_tps Synthetic.Fixed_100us ~executors
+  in
+  let rate_tps = utilization *. H.Exp_common.capacity_tps kind ~executors in
+  let system = H.Systems.draconis ~racks:2 ~shards { spec with seed } in
+  H.Runner.run system
+    ~driver:(H.Exp_common.synthetic_driver kind ~rate_tps ~horizon)
+    ~load_tps:rate_tps ~horizon ~workload_seed:seed ()
+
 let check_digests name reference other =
   Alcotest.(check (list (pair string int))) name (digest reference) (digest other)
 
@@ -49,7 +62,24 @@ let test_outcome_equality () =
       check_digests
         (Printf.sprintf "shards=%d == shards=1" shards)
         reference (run_sharded shards))
-    [ 2; 4 ]
+    [ 2; 4 ];
+  (* The contract must hold for arbitrary seeds and for a fig6-shaped
+     bimodal service mix (short tasks with a heavy tail), not just the
+     one workload above. *)
+  List.iter
+    (fun (kind, name) ->
+      List.iter
+        (fun seed ->
+          let reference = run_seeded ~kind ~seed 1 in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s seed=%d drained" name seed)
+            true
+            (reference.drained && reference.completed > 100);
+          check_digests
+            (Printf.sprintf "%s seed=%d: shards=3 == shards=1" name seed)
+            reference (run_seeded ~kind ~seed 3))
+        [ 11; 4242; 1000003 ])
+    [ (Synthetic.Fixed_100us, "fixed 100us"); (Synthetic.Bimodal, "bimodal") ]
 
 let faults =
   {
