@@ -138,13 +138,12 @@ let micro_tests () =
            key := (!key + 1) land 255;
            ignore (Draconis_p4.Table.lookup table ~key:!key)))
   in
-  let trace_emit_test =
-    Test.make ~name:"trace emit (disabled)"
-      (Staged.stage (fun () ->
-           Draconis_sim.Trace.emit ~at:0 Draconis_sim.Trace.Host (lazy "x")))
+  let mark_test =
+    Test.make ~name:"obs mark (no recorder)"
+      (Staged.stage (fun () -> Draconis_obs.Recorder.mark ~at:0 ~track:"host" "x"))
   in
   [ wheel_test; int_heap_test; engine_test; rng_test; codec_test; queue_test;
-    swap_test; table_lookup_test; trace_emit_test ]
+    swap_test; table_lookup_test; mark_test ]
 
 let run_micro ?quick:_ () =
   print_endline "\n== Micro-benchmarks (core data structures) ==";

@@ -196,9 +196,6 @@ let fail_over_server t =
   Queue.clear t.queue;
   Queue.clear t.idle;
   Hashtbl.reset t.parked;
-  if Trace.enabled () then
-    Trace.emit ~at:(Engine.now t.engine) Trace.Host
-      (lazy (Printf.sprintf "server FAIL-OVER: %d queued task(s) lost" lost));
   lost
 
 let stagger t = max 1 (Time.us 1 / max 1 t.config.executors_per_worker)

@@ -395,11 +395,6 @@ let fail_over_switch t =
     Register.poke sw.idle_mask slot ((1 lsl sw.window) - 1)
   done;
   Pipeline.flush_in_flight t.pipeline;
-  if Trace.enabled () then
-    Trace.emit ~at:(Engine.now t.engine) Trace.Pipeline
-      (lazy
-        (Printf.sprintf "r2p2 switch FAIL-OVER: %d believed-occupancy slot(s) reset"
-           !believed));
   !believed
 
 let client t i =

@@ -220,9 +220,6 @@ let fail_over_switch t =
      until completions re-balance them. *)
   Array.iter (fun reg -> Register.poke reg 0 0) t.switch.qlen;
   Pipeline.flush_in_flight t.pipeline;
-  if Trace.enabled () then
-    Trace.emit ~at:(Engine.now t.engine) Trace.Pipeline
-      (lazy "racksched switch FAIL-OVER: qlen counters reset");
   0
 
 let client t i =

@@ -74,8 +74,7 @@ let arm_timeout t (task : Task.t) =
           t.resubmitted <- t.resubmitted + 1;
           Metrics.note_resubmit t.metrics task.id;
           Obs.Recorder.count "client.resubmitted" 1;
-          if Obs.Recorder.active () then
-            Obs.Recorder.mark ~at:(Engine.now t.engine) ~track:t.obs_track "resubmit";
+          Obs.Recorder.mark ~at:(Engine.now t.engine) ~track:t.obs_track "resubmit";
           Causal.flag_resubmit task.id;
           send_chunks t ~jid:task.id.jid [ task ];
           ignore (Engine.schedule t.engine ~after:timeout check)
@@ -90,14 +89,7 @@ let arm_timeout t (task : Task.t) =
           t.abandoned <- t.abandoned + 1;
           Metrics.note_abandon t.metrics task.id;
           Obs.Recorder.count "client.abandoned" 1;
-          if Obs.Recorder.active () then
-            Obs.Recorder.mark ~at:(Engine.now t.engine) ~track:t.obs_track "abandon";
-          if Trace.enabled () then
-            Trace.emit ~at:(Engine.now t.engine) Trace.Host
-              (lazy
-                (Printf.sprintf
-                   "client %d ABANDONS task %d.%d.%d after %d resubmissions"
-                   t.config.uid task.id.uid task.id.jid task.id.tid tries))
+          Obs.Recorder.mark ~at:(Engine.now t.engine) ~track:t.obs_track "abandon"
         end
       end
     in

@@ -338,9 +338,6 @@ let fail_over_switch t =
   (* The dead switch's in-flight and recirculating packets (repairs,
      swaps, submissions mid-pipeline) never reach the standby. *)
   Pipeline.flush_in_flight t.pipeline;
-  if Trace.enabled () then
-    Trace.emit ~at:(Engine.now t.engine) Trace.Pipeline
-      (lazy (Printf.sprintf "switch FAIL-OVER: %d queued task(s) lost" lost));
   lost
 
 let stagger t = max 1 (Time.us 1 / max 1 t.config.executors_per_worker)

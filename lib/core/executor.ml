@@ -91,11 +91,6 @@ let slowdown t = t.slowdown
 
 let crash t =
   if not t.stopped then begin
-    if Trace.enabled () then
-      Trace.emit ~at:(Engine.now t.engine) Trace.Host
-        (lazy
-          (Printf.sprintf "executor %d:%d CRASH%s" t.config.node t.config.port
-             (if t.busy then " (task in flight lost)" else "")));
     if Obs.Recorder.active () then begin
       let now = Engine.now t.engine in
       (* Close the in-flight task span so every B has a matching E. *)
@@ -111,9 +106,7 @@ let crash t =
 
 let restart t =
   if t.stopped then begin
-    if Trace.enabled () then
-      Trace.emit ~at:(Engine.now t.engine) Trace.Host
-        (lazy (Printf.sprintf "executor %d:%d RESTART" t.config.node t.config.port));
+    Obs.Recorder.mark ~at:(Engine.now t.engine) ~track:t.obs_track "restart";
     t.stopped <- false;
     t.generation <- t.generation + 1;
     send_request t

@@ -55,11 +55,12 @@ val stop : t -> unit
 (** [crash t] kills the executor: the request loop stops, any task in
     flight vanishes without a completion (it is not counted as
     executed), and incoming messages are dropped until {!restart}.
-    Emits a {!Draconis_sim.Trace} [Host] record. *)
+    Marks ["crash"] on the executor's recorder track. *)
 val crash : t -> unit
 
 (** [restart t] revives a stopped or crashed executor: it immediately
-    pulls for work again.  No-op if the executor is running. *)
+    pulls for work again and marks ["restart"] on its recorder track.
+    No-op if the executor is running. *)
 val restart : t -> unit
 
 (** [set_slowdown t f] makes every subsequently started task take [f]

@@ -163,9 +163,6 @@ let retrieve_repair_output t ~level = function
     t.repairs_launched <- t.repairs_launched + 1;
     repair_flag_tripped t Instrument.Retrieve_flag ~level;
     Obs.Recorder.count "switch.repairs_launched" 1;
-    if Trace.enabled () then
-      Trace.emit ~at:(Engine.now t.engine) Trace.Queue
-        (lazy (Printf.sprintf "retrieve repair level=%d target=%d" level target));
     [ recirc t ~kind:"repair-retrieve" (Switch_packet.Repair_retrieve { level; target }) ]
 
 (* Enqueue one entry; shared by job submissions and task resubmission. *)

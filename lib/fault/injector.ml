@@ -15,7 +15,7 @@ let rec remove_one x = function
 let note t what =
   let at = Engine.now t.target.Target.engine in
   t.fired <- (at, what) :: t.fired;
-  if Trace.enabled () then Trace.emit ~at Trace.Host (lazy ("fault: " ^ what))
+  Draconis_obs.Recorder.mark ~at ~track:"fault" what
 
 let apply_bursts t =
   match t.bursts with

@@ -20,7 +20,8 @@ val arm : Plan.t -> Target.t -> t
 val target : t -> Target.t
 
 (** Fired events, chronological: time and a human-readable description.
-    Also emitted as [Trace.Host] records prefixed ["fault: "]. *)
+    Each is also marked on the ambient {!Draconis_obs.Recorder}'s
+    ["fault"] track. *)
 val fired : t -> (Time.t * string) list
 
 (** Fail-overs fired so far: time and queued tasks lost. *)

@@ -251,11 +251,7 @@ let deliver t ?int_ ~src ~dst ~now payload =
            t.undeliverable <- t.undeliverable + 1;
            Obs.Recorder.count "fabric.undeliverable" 1;
            Option.iter Obs.Int_telemetry.drop_stack env.int_;
-           if Trace.enabled () then
-             Trace.emit ~at:(Engine.now t.engine) Trace.Fabric
-               (lazy
-                 (Printf.sprintf "DROP (no handler) %s -> %s" (Addr.to_string src)
-                    (Addr.to_string dst)))))
+           Obs.Recorder.mark ~at:(Engine.now t.engine) ~track:"fabric" "drop: no handler"))
 
 (* Drop decisions, off the lossless fast path.  The evaluation order
    (partition check, then the loss model's rng draws) is load-bearing
@@ -265,13 +261,7 @@ let send_lossy t ?int_ ~src ~dst ~now payload =
     Option.iter Obs.Int_telemetry.drop_stack int_;
     t.partition_dropped <- t.partition_dropped + 1;
     Obs.Recorder.count "fabric.partition_dropped" 1;
-    if Obs.Recorder.active () then
-      Obs.Recorder.mark ~at:now ~track:"fabric" "drop: partition";
-    if Trace.enabled () then
-      Trace.emit ~at:now Trace.Fabric
-        (lazy
-          (Printf.sprintf "DROP (partition) %s -> %s" (Addr.to_string src)
-             (Addr.to_string dst)))
+    Obs.Recorder.mark ~at:now ~track:"fabric" "drop: partition"
   end
   else begin
     let p = loss_probability t in
@@ -279,15 +269,8 @@ let send_lossy t ?int_ ~src ~dst ~now payload =
       Option.iter Obs.Int_telemetry.drop_stack int_;
       t.lost <- t.lost + 1;
       Obs.Recorder.count "fabric.lost" 1;
-      if Obs.Recorder.active () then
-        Obs.Recorder.mark ~at:now ~track:"fabric"
-          (if t.bad then "drop: loss (burst)" else "drop: loss");
-      if Trace.enabled () then
-        Trace.emit ~at:now Trace.Fabric
-          (lazy
-            (Printf.sprintf "DROP (loss p=%.3f%s) %s -> %s" p
-               (if t.bad then ", burst" else "")
-               (Addr.to_string src) (Addr.to_string dst)))
+      Obs.Recorder.mark ~at:now ~track:"fabric"
+        (if t.bad then "drop: loss (burst)" else "drop: loss")
     end
     else deliver t ?int_ ~src ~dst ~now payload
   end
@@ -314,7 +297,7 @@ let lp_of_addr s = function
    but every draw comes from the sender entity's own stream and every
    fault check is a pure function of simulated time, so the draw
    sequence is identical under any partitioning.  Ambient observability
-   (Recorder/Trace/INT) is skipped: it is domain-local state that helper
+   (Recorder/INT) is skipped: it is domain-local state that helper
    domains do not carry. *)
 let send_sharded t (s, _) ?int_ ~src ~dst payload =
   let now = Engine.now t.engine in
@@ -361,9 +344,6 @@ let send t ?int_ ~src ~dst payload =
   | None ->
     let now = Engine.now t.engine in
     Obs.Recorder.count "fabric.sent" 1;
-    if Trace.enabled () then
-      Trace.emit ~at:now Trace.Fabric
-        (lazy (Printf.sprintf "send %s -> %s" (Addr.to_string src) (Addr.to_string dst)));
     if t.lossless then deliver t ?int_ ~src ~dst ~now payload
     else send_lossy t ?int_ ~src ~dst ~now payload
 

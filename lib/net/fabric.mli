@@ -16,8 +16,9 @@
       fault injector for timed partition and loss-burst windows.
 
     All randomness comes from the [rng] supplied at creation, keeping
-    runs deterministic.  Every drop path emits a {!Draconis_sim.Trace}
-    record, so [Trace.recent] shows fault activity. *)
+    runs deterministic.  Every drop path counts on the ambient
+    {!Draconis_obs.Recorder} and marks its ["fabric"] track, so a
+    recorded timeline shows fault activity. *)
 
 open Draconis_sim
 

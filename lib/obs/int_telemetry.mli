@@ -13,7 +13,7 @@
     (the enqueue occupancy comes from the add/retrieve pointers the
     pointer stage just fetched; the PIFO bank id from the probe that
     just claimed it).  The whole channel is gated on {!enabled} — the
-    disabled path is one ref read per site, like [Trace.enabled].
+    disabled path is one ref read per site.
 
     Host side, a {!Collector} drains stacks at reply delivery into
     per-queue/per-bank windowed depth series and per-stage latency

@@ -105,14 +105,10 @@ and recirculate ?int_ t pkt =
     else (t.recirc_free_at - now) / max 1 t.config.recirc_slot
   in
   if backlog >= t.config.recirc_queue_limit then begin
-    if Trace.enabled () then
-      Trace.emit ~at:now Trace.Pipeline
-        (lazy (Printf.sprintf "recirculation DROP (backlog %d)" backlog));
     Option.iter Obs.Int_telemetry.drop_stack int_;
     t.recirc_dropped <- t.recirc_dropped + 1;
     Obs.Recorder.count "pipeline.recirc_dropped" 1;
-    if Obs.Recorder.active () then
-      Obs.Recorder.mark ~at:now ~track:"pipeline" "recirc drop"
+    Obs.Recorder.mark ~at:now ~track:"pipeline" "recirc drop"
   end
   else begin
     t.recirculated <- t.recirculated + 1;
@@ -164,10 +160,7 @@ let set_program t program = t.program <- program
 
 let flush_in_flight t =
   let now = Engine.now t.engine in
-  if Trace.enabled () then
-    Trace.emit ~at:now Trace.Pipeline (lazy "pipeline flushed (fail-over)");
-  if Obs.Recorder.active () then
-    Obs.Recorder.mark ~at:now ~track:"pipeline" "flush (fail-over)";
+  Obs.Recorder.mark ~at:now ~track:"pipeline" "flush (fail-over)";
   t.epoch <- t.epoch + 1;
   (* The standby's ports start idle. *)
   t.ingress_free_at <- now;

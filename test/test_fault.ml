@@ -9,6 +9,7 @@ open Draconis_proto
 open Draconis
 open Draconis_fault
 module B = Draconis_baselines
+module Obs = Draconis_obs
 
 let busy_task ~us n =
   Task.make ~uid:0 ~jid:0 ~tid:n ~fn_id:Task.Fn.busy_loop ~fn_par:(Time.us us) ()
@@ -128,9 +129,15 @@ let test_burst_losses_and_determinism () =
   Alcotest.(check bool) "different seed, different channel walk" true
     (Fabric.lost a <> Fabric.lost c || Fabric.delivered a <> Fabric.delivered c)
 
+(* [(track, name)] of every instant mark [f] leaves on a fresh recorder. *)
+let marks_of f =
+  let recorder = Obs.Recorder.create ~label:"faults" () in
+  let result = Obs.Recorder.with_recorder recorder f in
+  (result, Test_trace.marks recorder)
+
 let test_drops_are_traced () =
-  let (), records =
-    Trace.with_capture (fun () ->
+  let (), marks =
+    marks_of (fun () ->
         let engine = Engine.create () in
         let fabric = Fabric.create engine (Rng.create ~seed:1) in
         Fabric.register fabric (Addr.Host 1) (fun _ -> ());
@@ -139,20 +146,14 @@ let test_drops_are_traced () =
         Fabric.set_loss_override fabric None;
         Fabric.partition fabric [ 1 ];
         Fabric.send fabric ~src:(Addr.Host 0) ~dst:(Addr.Host 1) ();
+        Fabric.heal fabric [ 1 ];
+        Fabric.send fabric ~src:(Addr.Host 0) ~dst:(Addr.Host 2) ();
         Engine.run engine)
   in
-  let drops =
-    List.filter
-      (fun r ->
-        r.Trace.category = Trace.Fabric
-        && Astring.String.is_infix ~affix:"DROP" r.Trace.message)
-      records
-  in
-  Alcotest.(check int) "both drop paths traced" 2 (List.length drops);
-  Alcotest.(check bool) "partition drop labelled" true
-    (List.exists
-       (fun r -> Astring.String.is_infix ~affix:"partition" r.Trace.message)
-       drops)
+  Alcotest.(check (list (pair string string))) "every drop path marked"
+    [ ("fabric", "drop: loss"); ("fabric", "drop: partition");
+      ("fabric", "drop: no handler") ]
+    marks
 
 (* -- Partitions ------------------------------------------------------------- *)
 
@@ -211,8 +212,8 @@ let test_crash_restart_recovery () =
   let target = Target.of_cluster cluster in
   let plan = Plan.of_string "crash@300us:node=0,down=1ms" in
   let injector = Injector.arm plan target in
-  let (drained, m), records =
-    Trace.with_capture (fun () ->
+  let (drained, m), marks =
+    marks_of (fun () ->
         ignore
           (Client.submit_job (Cluster.client cluster 0)
              (List.init 8 (busy_task ~us:200)));
@@ -226,11 +227,9 @@ let test_crash_restart_recovery () =
     (Metrics.resubmitted m > 0);
   Alcotest.(check int) "crash and restart both fired" 2
     (List.length (Injector.fired injector));
-  let has affix =
-    List.exists (fun r -> Astring.String.is_infix ~affix r.Trace.message) records
-  in
-  Alcotest.(check bool) "executor crash traced" true (has "CRASH");
-  Alcotest.(check bool) "executor restart traced" true (has "RESTART")
+  let has mark = List.mem mark marks in
+  Alcotest.(check bool) "executor crash traced" true (has ("exec 0:0", "crash"));
+  Alcotest.(check bool) "executor restart traced" true (has ("exec 0:0", "restart"))
 
 let test_straggler_window () =
   let cluster = faulted_cluster () in

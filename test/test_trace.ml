@@ -1,103 +1,100 @@
-(* Tests for the tracing facility and its integration points. *)
+(* Tests for the event-mark channel: components mark cold-path
+   occurrences (drops, fail-overs, crashes, fault windows) on the
+   ambient Obs.Recorder, which costs nothing until a recorder is
+   installed and stays private to the installing domain. *)
 
 open Draconis_sim
 open Draconis_proto
 open Draconis
+open Draconis_fault
+module Obs = Draconis_obs
+
+(* [(track, name)] of every instant mark in [recorder], in order. *)
+let marks recorder =
+  List.filter_map
+    (fun (e : Obs.Event.t) ->
+      match e.phase with Obs.Event.Instant -> Some (e.track, e.name) | _ -> None)
+    (Obs.Recorder.events recorder)
 
 let test_disabled_by_default () =
-  Trace.disable ();
-  Trace.emit ~at:1 Trace.Host (lazy (Alcotest.fail "must not force when disabled"));
-  Alcotest.(check bool) "off" false (Trace.enabled ())
-
-let test_ring_buffer_bounds () =
-  let (), captured =
-    Trace.with_capture ~capacity:4 (fun () ->
-        for i = 1 to 10 do
-          Trace.emit ~at:i Trace.Host (lazy (Printf.sprintf "event %d" i))
-        done)
-  in
-  Alcotest.(check int) "bounded to capacity" 4 (List.length captured);
-  (match captured with
-  | { Trace.message = "event 7"; _ } :: _ -> ()
-  | _ -> Alcotest.fail "oldest surviving record should be event 7");
-  Alcotest.(check bool) "off after capture" false (Trace.enabled ())
-
-let test_recent_and_counts () =
-  Trace.enable ~capacity:16 ();
-  for i = 1 to 5 do
-    Trace.emit ~at:i Trace.Queue (lazy (string_of_int i))
+  Alcotest.(check bool) "no recorder installed" false (Obs.Recorder.active ());
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    Obs.Recorder.mark ~at:i ~track:"host" "x"
   done;
-  Alcotest.(check int) "emitted" 5 (Trace.emitted ());
-  (match Trace.recent 2 with
-  | [ { Trace.message = "4"; _ }; { Trace.message = "5"; _ } ] -> ()
-  | _ -> Alcotest.fail "recent 2 wrong");
-  Trace.clear ();
-  Alcotest.(check int) "cleared" 0 (List.length (Trace.records ()));
-  Trace.disable ()
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "disabled marks allocate nothing" true (words < 100.0)
 
 let test_cluster_emits_traces () =
-  let (), captured =
-    Trace.with_capture ~capacity:65536 (fun () ->
-        let cluster =
-          Cluster.create
-            { Cluster.default_config with workers = 2; executors_per_worker = 2; clients = 1 }
-        in
-        Cluster.start cluster;
-        ignore
-          (Client.submit_job (Cluster.client cluster 0)
-             [ Task.make ~uid:0 ~jid:0 ~tid:0 ~fn_id:Task.Fn.busy_loop ~fn_par:(Time.us 50) () ]);
-        ignore (Cluster.run_until_drained cluster ~deadline:(Time.s 1)))
-  in
-  let fabric_events =
-    List.filter (fun r -> r.Trace.category = Trace.Fabric) captured
-  in
-  Alcotest.(check bool) "fabric sends traced" true (List.length fabric_events > 3);
-  let rendered = Format.asprintf "%a" Trace.dump () in
-  ignore rendered;
-  (* Timestamps are monotone within the ring. *)
+  let recorder = Obs.Recorder.create ~label:"faulted" () in
+  Obs.Recorder.with_recorder recorder (fun () ->
+      let cluster =
+        Cluster.create
+          {
+            Cluster.default_config with
+            workers = 2;
+            executors_per_worker = 2;
+            clients = 1;
+            client_timeout = Some (Time.ms 1);
+          }
+      in
+      Cluster.start cluster;
+      ignore
+        (Injector.arm
+           (Plan.of_string "crash@300us:node=0,down=1ms; failover@2ms")
+           (Target.of_cluster cluster));
+      ignore
+        (Client.submit_job (Cluster.client cluster 0)
+           (List.init 8 (fun tid ->
+                Task.make ~uid:0 ~jid:0 ~tid ~fn_id:Task.Fn.busy_loop
+                  ~fn_par:(Time.us 200) ())));
+      Cluster.run cluster ~until:(Time.ms 4));
+  let marks = marks recorder in
+  let has track name = List.mem (track, name) marks in
+  Alcotest.(check bool) "injector marks the crash" true (has "fault" "crash node 0 (down 1000 us)");
+  Alcotest.(check bool) "injector marks the restart" true (has "fault" "restart node 0");
+  Alcotest.(check bool) "executor crash marked" true (has "exec 0:0" "crash");
+  Alcotest.(check bool) "executor restart marked" true (has "exec 0:0" "restart");
+  Alcotest.(check bool) "pipeline flush marked" true (has "pipeline" "flush (fail-over)");
+  Alcotest.(check bool) "fail-over marked" true
+    (List.exists
+       (fun (track, name) ->
+         track = "fault" && Astring.String.is_prefix ~affix:"failover" name)
+       marks);
   let rec monotone = function
-    | a :: (b :: _ as rest) -> a.Trace.at <= b.Trace.at && monotone rest
+    | (a : Obs.Event.t) :: (b :: _ as rest) -> a.at <= b.at && monotone rest
     | _ -> true
   in
-  Alcotest.(check bool) "timestamps ordered" true (monotone captured)
+  Alcotest.(check bool) "timestamps ordered" true
+    (monotone (Obs.Recorder.events recorder))
 
 let test_dump_format () =
-  let (), _ =
-    Trace.with_capture (fun () ->
-        Trace.emit ~at:(Time.us 3) Trace.Pipeline (lazy "hello"))
-  in
-  Trace.enable ();
-  Trace.emit ~at:(Time.us 3) Trace.Pipeline (lazy "hello");
-  let out = Format.asprintf "%a" Trace.dump () in
-  Trace.disable ();
-  Alcotest.(check bool) "category in dump" true
-    (Astring.String.is_infix ~affix:"pipeline" out);
-  Alcotest.(check bool) "message in dump" true
-    (Astring.String.is_infix ~affix:"hello" out)
+  let recorder = Obs.Recorder.create ~label:"pp" () in
+  Obs.Recorder.with_recorder recorder (fun () ->
+      Obs.Recorder.mark ~at:(Time.us 3) ~track:"pipeline" "hello");
+  let out = Format.asprintf "%a" Obs.Event.pp (List.hd (Obs.Recorder.events recorder)) in
+  Alcotest.(check string) "time, phase, track and name" "[3.00us] i pipeline/hello" out
 
 let test_domain_isolation () =
-  Trace.enable ~capacity:16 ();
-  Trace.emit ~at:1 Trace.Host (lazy "main");
-  let spawned =
-    Domain.spawn (fun () ->
-        (* Trace state is domain-local: a fresh domain starts disabled
-           with an empty ring, and nothing it emits reaches ours. *)
-        let started_off = not (Trace.enabled ()) in
-        Trace.emit ~at:2 Trace.Host (lazy "other");
-        (started_off, List.length (Trace.records ())))
-  in
-  let started_off, spawned_records = Domain.join spawned in
-  Alcotest.(check bool) "fresh domain starts disabled" true started_off;
-  Alcotest.(check int) "disabled emit records nothing" 0 spawned_records;
-  Alcotest.(check int) "main ring unaffected" 1 (List.length (Trace.records ()));
-  Trace.disable ()
+  let recorder = Obs.Recorder.create ~label:"main" () in
+  Obs.Recorder.with_recorder recorder (fun () ->
+      Obs.Recorder.mark ~at:1 ~track:"host" "main";
+      let spawned =
+        Domain.spawn (fun () ->
+            (* The ambient slot is domain-local: a fresh domain starts
+               with no recorder, and nothing it marks reaches ours. *)
+            let started_off = not (Obs.Recorder.active ()) in
+            Obs.Recorder.mark ~at:2 ~track:"host" "other";
+            started_off)
+      in
+      Alcotest.(check bool) "fresh domain has no recorder" true (Domain.join spawned));
+  Alcotest.(check (list (pair string string))) "main recorder unaffected"
+    [ ("host", "main") ] (marks recorder)
 
 let suite =
   [
     Alcotest.test_case "disabled by default" `Quick test_disabled_by_default;
     Alcotest.test_case "per-domain isolation" `Quick test_domain_isolation;
-    Alcotest.test_case "ring buffer bounds" `Quick test_ring_buffer_bounds;
-    Alcotest.test_case "recent and counters" `Quick test_recent_and_counts;
     Alcotest.test_case "cluster emits traces" `Quick test_cluster_emits_traces;
     Alcotest.test_case "dump format" `Quick test_dump_format;
   ]
