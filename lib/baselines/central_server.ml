@@ -221,6 +221,7 @@ let client t i =
   t.clients.(i)
 
 let clients t = t.clients
+let workers t = t.workers
 let queue_length t = Queue.length t.queue
 let idle_executors t = Queue.length t.idle
 let packets_processed t = Cpu.completed t.cpu

@@ -57,6 +57,7 @@ val fabric : t -> Draconis_proto.Message.t Fabric.t
 val metrics : t -> Metrics.t
 val client : t -> int -> Client.t
 val clients : t -> Client.t array
+val workers : t -> Worker.t array
 
 (** {2 Fault injection} *)
 

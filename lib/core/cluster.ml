@@ -2,17 +2,6 @@ open Draconis_sim
 open Draconis_net
 open Draconis_p4
 
-(* Faults a sharded run can express: pure functions of simulated time
-   (and endpoint), precompiled to windows, so every LP evaluates them
-   identically without runtime mutation of shared fabric state. *)
-type static_faults = {
-  loss_windows : (Time.t * Time.t * float) array;
-  cut_windows : (Time.t * Time.t * int list) array;
-  slow_windows : (Time.t * Time.t * int * float) array;
-}
-
-let no_faults = { loss_windows = [||]; cut_windows = [||]; slow_windows = [||] }
-
 type config = {
   seed : int;
   workers : int;
@@ -27,7 +16,6 @@ type config = {
   rsrc_of_node : int -> int;
   client_timeout : Time.t option;
   shards : int option;
-  static_faults : static_faults;
 }
 
 let default_config =
@@ -45,7 +33,6 @@ let default_config =
     rsrc_of_node = (fun _ -> 0xFFFFFFFF);
     client_timeout = None;
     shards = None;
-    static_faults = no_faults;
   }
 
 type t = {
@@ -111,10 +98,6 @@ let make_client (config : config) ~fabric ~metrics i =
     ~fabric ~metrics ()
 
 let create_legacy (config : config) =
-  if config.static_faults <> no_faults then
-    invalid_arg
-      "Cluster.create: static fault windows require sharded mode (shards = Some n); \
-       the classic cluster takes faults from the runtime injector";
   let engine = Engine.create () in
   let rng = Rng.create ~seed:config.seed in
   let fabric = Fabric.create ~config:config.fabric_config engine rng in
@@ -141,56 +124,7 @@ let create_legacy (config : config) =
 
 (* -- sharded construction ------------------------------------------------- *)
 
-(* Window evaluators over the precompiled fault arrays: pure functions
-   of (time, endpoint), so every LP agrees without shared mutable
-   state.  Loss windows compose with each other (and the config's base
-   loss, in Fabric) by max; straggler windows by max factor. *)
-let loss_evaluator (f : static_faults) now =
-  Array.fold_left
-    (fun acc (a, b, p) -> if now >= a && now < b then Float.max acc p else acc)
-    0.0 f.loss_windows
-
-let cut_evaluator (f : static_faults) now host =
-  Array.exists (fun (a, b, hosts) -> now >= a && now < b && List.mem host hosts) f.cut_windows
-
-let slow_evaluator (f : static_faults) node now =
-  Array.fold_left
-    (fun acc (a, b, n, factor) ->
-      if n = node && now >= a && now < b then Float.max acc factor else acc)
-    1.0 f.slow_windows
-
-let check_faults (config : config) =
-  let f = config.static_faults in
-  let hosts = config.workers + config.clients in
-  Array.iter
-    (fun (a, b, p) ->
-      if a > b then invalid_arg "Cluster.create: loss window ends before it starts";
-      if p < 0.0 || p > 1.0 || Float.is_nan p then
-        invalid_arg "Cluster.create: loss window probability outside [0,1]")
-    f.loss_windows;
-  Array.iter
-    (fun (a, b, hs) ->
-      if a > b then invalid_arg "Cluster.create: cut window ends before it starts";
-      List.iter
-        (fun h ->
-          if h < 0 || h >= hosts then
-            invalid_arg
-              (Printf.sprintf "Cluster.create: cut window host %d outside [0, %d)" h hosts))
-        hs)
-    f.cut_windows;
-  Array.iter
-    (fun (a, b, n, factor) ->
-      if a > b then invalid_arg "Cluster.create: straggler window ends before it starts";
-      if n < 0 || n >= config.workers then
-        invalid_arg
-          (Printf.sprintf "Cluster.create: straggler window node %d outside [0, %d)" n
-             config.workers);
-      if factor < 1.0 || Float.is_nan factor then
-        invalid_arg "Cluster.create: straggler factor must be >= 1.0")
-    f.slow_windows
-
 let create_sharded (config : config) shards =
-  check_faults config;
   let hosts = config.workers + config.clients in
   if shards < 1 then invalid_arg "Cluster.create: shards must be >= 1";
   (* LP 0 holds the whole switch pipeline (shared program state, queue,
@@ -219,10 +153,7 @@ let create_sharded (config : config) shards =
   let lps = Array.init shards (fun id -> Lp.create ~id ~seed:config.seed ()) in
   let sync = Sync.create ~lookahead:(Fabric.lookahead config.fabric_config) lps in
   let instances =
-    Fabric.router ~config:config.fabric_config
-      ~loss_at:(loss_evaluator config.static_faults)
-      ~cut_at:(cut_evaluator config.static_faults)
-      ~lps ~switch_lp:0
+    Fabric.router ~config:config.fabric_config ~lps ~switch_lp:0
       ~lp_of_host:(fun h -> lp_of_host.(h))
       ~hosts ~seed:config.seed ()
   in
@@ -258,23 +189,6 @@ let create_sharded (config : config) shards =
       Worker.set_on_task_start worker (fun task ~node ->
           Metrics.note_exec_start facade task ~node))
     workers;
-  (* Straggler windows become boundary events pre-scheduled on the
-     worker's own LP (its executors live there): at every window edge
-     the node's current factor is recomputed from the full window set,
-     so overlapping windows compose by max.  Pre-run insertion keeps the
-     same-time order of these events ahead of any task event, for every
-     partitioning. *)
-  Array.iter
-    (fun (a, b, node, _) ->
-      let e = Fabric.engine instances.(lp_of_host.(node)) in
-      List.iter
-        (fun edge ->
-          ignore
-            (Engine.schedule_at e ~at:edge (fun () ->
-                 Worker.set_slowdown workers.(node)
-                   (slow_evaluator config.static_faults node edge))))
-        [ a; b ])
-    config.static_faults.slow_windows;
   t
 
 let create (config : config) =

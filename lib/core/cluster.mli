@@ -12,23 +12,6 @@ open Draconis_sim
 open Draconis_net
 open Draconis_p4
 
-(** Faults a {e sharded} cluster can express: static time windows,
-    evaluated as pure functions of (simulated time, endpoint) so every
-    logical process agrees without runtime mutation of shared state.
-    Intervals are half-open [\[start, stop)].  Overlapping loss windows
-    (and the fabric config's base loss) compose by max probability;
-    overlapping straggler windows by max factor. *)
-type static_faults = {
-  loss_windows : (Time.t * Time.t * float) array;
-      (** (start, stop, drop probability) *)
-  cut_windows : (Time.t * Time.t * int list) array;
-      (** (start, stop, hosts cut off) *)
-  slow_windows : (Time.t * Time.t * int * float) array;
-      (** (start, stop, worker node, slowdown factor >= 1.0) *)
-}
-
-val no_faults : static_faults
-
 type config = {
   seed : int;
   workers : int;
@@ -50,25 +33,22 @@ type config = {
           groups ({!Draconis_net.Topology.partition}) — with all
           entity-to-entity traffic stamped through the sharded
           {!Draconis_net.Fabric.router}.  Outcomes are bit-identical for
-          every valid [n].  [None]: the classic single-engine cluster. *)
-  static_faults : static_faults;
-      (** sharded mode only; {!create} rejects a non-empty value with
-          [shards = None] (the classic cluster takes faults from the
-          runtime {!Draconis_fault.Injector} instead) *)
+          every valid [n].  [None]: the classic single-engine cluster.
+          Either way, faults come from a {!Draconis_fault.Plan} armed
+          through {!Draconis_fault.Injector}. *)
 }
 
 (** The paper's testbed shape: 10 workers x 16 executors, 2 clients,
     1 rack, FCFS, 164K-entry queue, calibrated fabric/pipeline, 4 us
     no-op retry, all resources on every node, no client timeout,
-    unsharded, no static faults. *)
+    unsharded. *)
 val default_config : config
 
 type t
 
-(** @raise Invalid_argument on a config with no workers or clients, more
-    shards than [1 + workers + clients] (the switch LP plus one LP per
-    host — the cap on useful LP groups for the topology), static faults
-    without [shards], or an out-of-range fault window. *)
+(** @raise Invalid_argument on a config with no workers or clients, or
+    more shards than [1 + workers + clients] (the switch LP plus one LP
+    per host — the cap on useful LP groups for the topology). *)
 val create : config -> t
 
 (** [start t] launches all executors (staggered within ~1 us). *)
@@ -124,7 +104,10 @@ val outstanding : t -> int
 val fail_over_switch : t -> int
 
 (** {2 Fault injection} — the hooks the fault injector
-    ({!Draconis_fault.Injector}) arms against a cluster. *)
+    ({!Draconis_fault.Injector}) arms against a cluster.  Each must run
+    on the engine that owns its state: {!fail_over_switch} on {!engine}
+    (the switch LP's when sharded), the node hooks on the engine of
+    worker [i] ({!Worker.engine}). *)
 
 (** [crash_worker t i] crashes every executor on worker [i]; its
     in-flight tasks vanish and are recovered by client timeouts. *)

@@ -47,6 +47,7 @@ let restart t ~stagger =
 let crashed t = Array.for_all Executor.stopped t.executors
 let set_slowdown t factor = Array.iter (fun e -> Executor.set_slowdown e factor) t.executors
 let node t = t.node
+let engine t = t.engine
 
 let executor t i =
   if i < 0 || i >= Array.length t.executors then invalid_arg "Worker.executor: bad index";

@@ -44,6 +44,10 @@ val crashed : t -> bool
 val set_slowdown : t -> float -> unit
 
 val node : t -> int
+
+(** The engine the node's executors run on (its LP's, when sharded). *)
+val engine : t -> Engine.t
+
 val executor : t -> int -> Executor.t
 val executor_count : t -> int
 val iter_executors : t -> (Executor.t -> unit) -> unit

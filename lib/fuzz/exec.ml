@@ -73,19 +73,23 @@ let fingerprint_registers regs =
     regs;
   !h
 
-let fuzz_target ~engine ~fabric ~slowdown =
+(* The rig as a fault target: loss and cut windows on the fabric, and
+   straggler edges on the engine the executors live on, writing the
+   per-executor slowdown their service times read.  Executors cannot
+   crash and the switch never fails over (the schedule grammar has no
+   such ops). *)
+let fuzz_target ~engine ~node_engine ~fabric ~executors ~slowdown =
   {
     Draconis_fault.Target.name = "fuzz-rig";
     engine;
+    node_engine = (fun _ -> node_engine);
+    nodes = executors;
+    hosts = 100 + executors;
+    set_windows = Fabric.set_windows fabric;
     failover = (fun () -> 0);
     crash_node = (fun _ -> invalid_arg "fuzz rig: executors cannot crash");
     restart_node = (fun _ -> ());
-    set_loss_override = Fabric.set_loss_override fabric;
-    partition = Fabric.partition fabric;
-    heal = Fabric.heal fabric;
-    set_slowdown =
-      (fun node factor ->
-        if node >= 0 && node < Array.length slowdown then slowdown.(node) <- factor);
+    set_slowdown = (fun node factor -> slowdown.(node) <- factor);
     supports_crash = false;
     supports_straggler = true;
   }
@@ -161,9 +165,9 @@ let set_wrap_offset program (schedule : Schedule.t) =
    drained runs can still end with queued work.  [engine_of]/[fabric_of]
    pick the engine and fabric instance a host lives on (the shared ones
    for the single-engine rig, the owning LP's for the sharded rig);
-   [slow_at e now] is the executor's current straggler factor. *)
+   [slowdown.(e)] is executor [e]'s current straggler factor. *)
 let wire_hosts ~record ~(schedule : Schedule.t) ~register ~engine_of ~fabric_of
-    ~slow_at =
+    ~slowdown =
   for c = 0 to schedule.clients - 1 do
     register (Addr.Host c) (fun env ->
         match env.Fabric.payload with
@@ -183,8 +187,7 @@ let wire_hosts ~record ~(schedule : Schedule.t) ~register ~engine_of ~fabric_of
             let engine = engine_of addr in
             let service =
               max 1
-                (int_of_float
-                   (float_of_int schedule.service *. slow_at e (Engine.now engine)))
+                (int_of_float (float_of_int schedule.service *. slowdown.(e)))
             in
             ignore @@ Engine.schedule engine ~after:service (fun () ->
                 Fabric.send (fabric_of addr) ~src:addr ~dst:Addr.Switch
@@ -303,15 +306,15 @@ let run ?bug (schedule : Schedule.t) =
   wire_hosts ~record ~schedule ~register:(Fabric.register fabric)
     ~engine_of:(fun _ -> engine)
     ~fabric_of:(fun _ -> fabric)
-    ~slow_at:(fun e _now -> slowdown.(e));
+    ~slowdown;
   (* Workload ops become engine events; fault ops become a fault plan. *)
   inject_workload ~record ~schedule
     ~engine_of:(fun _ -> engine)
     ~fabric_of:(fun _ -> fabric);
-  let plan = plan_of_ops schedule.ops in
-  if not (Draconis_fault.Plan.is_empty plan) then
-    ignore
-      (Draconis_fault.Injector.arm plan (fuzz_target ~engine ~fabric ~slowdown));
+  ignore
+    (Draconis_fault.Injector.arm (plan_of_ops schedule.ops)
+       (fuzz_target ~engine ~node_engine:engine ~fabric ~executors:schedule.executors
+          ~slowdown));
   (* Scoped bug injection: flip the queue's hidden kill switch for this
      run only. *)
   let set_bug v =
@@ -338,45 +341,6 @@ let run ?bug (schedule : Schedule.t) =
   }
 
 (* -- the sharded rig ------------------------------------------------------ *)
-
-(* The sharded fabric forbids runtime fault controls (they would step
-   fabric-global state), so the schedule's fault ops compile to pure
-   window evaluators instead — functions of time (and host) only,
-   max-composed over overlapping windows, which keeps every draw and
-   drop independent of how entities were grouped onto LPs. *)
-let compile_faults (schedule : Schedule.t) =
-  let windows f = List.filter_map f schedule.Schedule.ops in
-  let losses =
-    windows (function
-      | Op.Loss { at; duration; loss } -> Some (at, at + duration, loss)
-      | _ -> None)
-  in
-  let cuts =
-    windows (function
-      | Op.Partition { at; hosts; duration } -> Some (at, at + duration, hosts)
-      | _ -> None)
-  in
-  let slows =
-    windows (function
-      | Op.Straggler { at; executor; factor; duration } ->
-        Some (at, at + duration, executor, factor)
-      | _ -> None)
-  in
-  let loss_at now =
-    List.fold_left
-      (fun acc (a, b, p) -> if now >= a && now < b then Float.max acc p else acc)
-      0.0 losses
-  in
-  let cut_at now host =
-    List.exists (fun (a, b, hs) -> now >= a && now < b && List.mem host hs) cuts
-  in
-  let slow_at e now =
-    List.fold_left
-      (fun acc (a, b, x, f) ->
-        if x = e && now >= a && now < b then Float.max acc f else acc)
-      1.0 slows
-  in
-  (loss_at, cut_at, slow_at)
 
 (* Time backstop for [Sync.run]: the barrier loop has no event budget,
    so a wedged run must be cut off by the clock instead.  A healthy
@@ -415,14 +379,13 @@ let run_sharded ~shards (schedule : Schedule.t) =
   let record ev = events := ev :: !events in
   let lps = Array.init shards (fun id -> Lp.create ~id ~seed:schedule.seed ()) in
   let sync = Sync.create ~lookahead:(Fabric.lookahead Fabric.default_config) lps in
-  let loss_at, cut_at, slow_at = compile_faults schedule in
   (* LP 0 owns the switch; with two shards every host (clients at
      [Host 0..], executors at [Host 100..]) moves to LP 1, so all
      client/executor <-> switch traffic crosses the LP boundary through
      stamped mailboxes. *)
   let host_lp = shards - 1 in
   let instances =
-    Fabric.router ~loss_at ~cut_at ~lps ~switch_lp:0
+    Fabric.router ~lps ~switch_lp:0
       ~lp_of_host:(fun _ -> host_lp)
       ~hosts:(100 + schedule.executors) ~seed:schedule.seed ()
   in
@@ -442,13 +405,20 @@ let run_sharded ~shards (schedule : Schedule.t) =
       (Switch_program.program program)
   in
   set_wrap_offset program schedule;
+  let slowdown = Array.make schedule.executors 1.0 in
   wire_hosts ~record ~schedule ~register:(Fabric.register host_fabric)
     ~engine_of:(fun _ -> host_engine)
     ~fabric_of:(fun _ -> host_fabric)
-    ~slow_at;
+    ~slowdown;
   inject_workload ~record ~schedule
     ~engine_of:(fun _ -> host_engine)
     ~fabric_of:(fun _ -> host_fabric);
+  (* The same plan as the single-engine rig: windows on the shared
+     router context, straggler edges on the executors' LP. *)
+  ignore
+    (Draconis_fault.Injector.arm (plan_of_ops schedule.ops)
+       (fuzz_target ~engine:(Lp.engine lps.(0)) ~node_engine:host_engine
+          ~fabric:switch_fabric ~executors:schedule.executors ~slowdown));
   let access_violation = ref None in
   (try Sync.run ~until:(sharded_horizon schedule) sync
    with Draconis_p4.Packet_ctx.Access_violation name ->

@@ -35,12 +35,12 @@ val run : ?bug:bug -> Schedule.t -> Checker.run
     host <-> switch message stamped through the
     {!Draconis_net.Fabric.router} mailboxes.  [shards] is 1 (every
     entity on one LP) or 2 (switch LP + host LP — all traffic crosses
-    the LP boundary).  The schedule's fault ops compile to the static
-    [loss_at]/[cut_at]/straggler window evaluators the sharded fabric
-    requires, so the recorded run is a pure function of the schedule —
-    and, by the determinism contract, identical for both [shards]
-    values up to host-side event interleaving (checked by the
-    sharded-consistency invariant).
+    the LP boundary).  The schedule's fault ops arm through
+    {!Draconis_fault.Injector} exactly as in {!run} — fabric windows on
+    the router, straggler edges on the executors' LP — so the recorded
+    run is a pure function of the schedule and, by the determinism
+    contract, identical for both [shards] values up to host-side event
+    interleaving (checked by the sharded-consistency invariant).
     @raise Invalid_argument if [shards] is not 1 or 2. *)
 val run_sharded : shards:int -> Schedule.t -> Checker.run
 

@@ -13,8 +13,9 @@
     A sharded run must produce {e exactly} the outcomes of the
     [DRACONIS_SHARDS=1] run.  The real sharded cluster
     ({!Draconis.Cluster} with [shards]) carries that contract; its
-    property tests compare every outcome field across shard counts,
-    lane counts and static fault windows. *)
+    property tests compare every outcome field across shard counts and
+    lane counts, unfaulted and under a fault plan armed through
+    {!Draconis_fault.Injector}. *)
 
 open Draconis_sim
 

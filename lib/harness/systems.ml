@@ -128,7 +128,7 @@ let sharded_control cluster sync =
 let draconis_cluster ?(policy_of = fun _ -> Policy.Fcfs) ?(racks = 1)
     ?(queue_capacity = 164_000) ?(rsrc_of_node = fun _ -> 0xFFFFFFFF) ?client_timeout
     ?(noop_retry = Time.us 4) ?(pipeline_config = Draconis_p4.Pipeline.default_config)
-    ?shards ?(faults = Cluster.no_faults) spec =
+    ?shards spec =
   let cluster =
     Cluster.create
       {
@@ -145,7 +145,6 @@ let draconis_cluster ?(policy_of = fun _ -> Policy.Fcfs) ?(racks = 1)
         client_timeout;
         pipeline_config;
         shards;
-        static_faults = faults;
       }
   in
   Cluster.start cluster;
@@ -196,10 +195,10 @@ let draconis_cluster ?(policy_of = fun _ -> Policy.Fcfs) ?(racks = 1)
   (cluster, running)
 
 let draconis ?policy_of ?racks ?queue_capacity ?rsrc_of_node ?client_timeout
-    ?noop_retry ?pipeline_config ?shards ?faults spec =
+    ?noop_retry ?pipeline_config ?shards spec =
   snd
     (draconis_cluster ?policy_of ?racks ?queue_capacity ?rsrc_of_node ?client_timeout
-       ?noop_retry ?pipeline_config ?shards ?faults spec)
+       ?noop_retry ?pipeline_config ?shards spec)
 
 let r2p2_system ~k ?client_timeout
     ?(pipeline_config = Draconis_p4.Pipeline.default_config)

@@ -83,9 +83,10 @@ type running = {
     [?shards] routes the cluster through [n] logical processes (see
     {!Draconis.Cluster.config}); the returned control then runs barrier
     windows on a work-stealing team sized [min n (Pool.jobs ())] and
-    requires staged submission.  [?faults] supplies the static fault
-    windows a sharded run can express.  Outcomes are bit-identical
-    across shard counts. *)
+    requires staged submission.  Outcomes are bit-identical across shard
+    counts, faulted ones included: arm a {!Draconis_fault.Plan} on the
+    raw cluster ({!draconis_cluster}) through
+    {!Draconis_fault.Injector}. *)
 val draconis :
   ?policy_of:(Topology.t -> Policy.t) ->
   ?racks:int ->
@@ -95,7 +96,6 @@ val draconis :
   ?noop_retry:Time.t ->
   ?pipeline_config:Draconis_p4.Pipeline.config ->
   ?shards:int ->
-  ?faults:Cluster.static_faults ->
   spec ->
   running
 
@@ -110,7 +110,6 @@ val draconis_cluster :
   ?noop_retry:Time.t ->
   ?pipeline_config:Draconis_p4.Pipeline.config ->
   ?shards:int ->
-  ?faults:Cluster.static_faults ->
   spec ->
   Cluster.t * running
 

@@ -33,14 +33,16 @@ let default_config =
     detour_extra = 0;
   }
 
+type fault = Loss of float | Cut of int list
+type window = { start : Time.t; stop : Time.t; fault : fault }
+
 (* Sharded routing context, shared by the per-LP instances of a
    [router].  Every send stamps its delivery into the destination LP's
    inbox with [(arrival, entity, seq)], drawing latency jitter and loss
    from the {e sender entity}'s own stream — so neither the LP
    partitioning nor the domain schedule can shift a draw or reorder two
-   same-time deliveries.  Faults are static time windows ([win_loss],
-   [win_cut]) instead of the mutable runtime controls, for the same
-   reason. *)
+   same-time deliveries.  Fault windows are pure data over simulated
+   time, so every LP agrees on them without shared mutable state. *)
 type 'msg shard = {
   s_lookahead : Time.t;
   lps : Lp.t array;
@@ -48,8 +50,6 @@ type 'msg shard = {
   lp_of_host : int array;  (* host id -> LP index *)
   eid_rng : Rng.t array;  (* entity id (switch 0, host h -> h+1) -> stream *)
   eid_seq : int array;  (* entity id -> monotone mailbox-stamp counter *)
-  win_loss : Time.t -> float;
-  win_cut : Time.t -> int -> bool;
   instances : 'msg t option array;  (* per-LP instance, same index as [lps] *)
 }
 
@@ -68,15 +68,12 @@ and 'msg t = {
   (* Gilbert-Elliott channel state: [bad] flips per send according to the
      configured transition probabilities. *)
   mutable bad : bool;
-  (* Fault-injection override: when set, replaces the configured loss
-     probability (and suspends the burst model) until cleared. *)
-  mutable loss_override : float option;
-  (* Partitioned hosts, refcounted so overlapping fault windows compose:
-     a host is cut off while its count is positive. *)
-  partitioned : (int, int) Hashtbl.t;
-  (* Precomputed: no configured loss, no burst model, no injected
-     override, no active partition — the common case, where [send] skips
-     every drop branch with a single flag test. *)
+  (* Timed loss and cut windows ([set_windows]), checked on every send;
+     every instance of a router holds the same value. *)
+  mutable windows : window array;
+  (* Precomputed: no configured loss, no burst model, no fault window —
+     the common case, where [send] skips every drop branch with a single
+     flag test. *)
   mutable lossless : bool;
   mutable delivered : int;
   mutable lost : int;
@@ -86,14 +83,13 @@ and 'msg t = {
 
 let check_probability ~what p =
   if p < 0.0 || p > 1.0 || Float.is_nan p then
-    invalid_arg (Printf.sprintf "Fabric.create: %s must be in [0,1]" what)
+    invalid_arg (Printf.sprintf "Fabric: %s must be in [0,1]" what)
 
 let recompute_lossless t =
   t.lossless <-
-    t.loss_override = None
-    && t.config.loss = 0.0
+    t.config.loss = 0.0
     && t.config.burst = None
-    && Hashtbl.length t.partitioned = 0
+    && Array.length t.windows = 0
 
 let create ?(config = default_config) engine rng =
   check_probability ~what:"loss" config.loss;
@@ -111,8 +107,7 @@ let create ?(config = default_config) engine rng =
     invalid_arg "Fabric.create: detour_extra must be non-negative";
   let t =
     { engine; rng; config; shard = None; host_handlers = Array.make 64 None;
-      switch_handler = None; bad = false;
-      loss_override = None; partitioned = Hashtbl.create 8; lossless = false;
+      switch_handler = None; bad = false; windows = [||]; lossless = false;
       delivered = 0; lost = 0; partition_dropped = 0; undeliverable = 0 }
   in
   recompute_lossless t;
@@ -144,51 +139,24 @@ let handler_of t = function
       Array.unsafe_get t.host_handlers h
     else None
 
-(* The runtime fault controls mutate fabric-global state mid-run, which
-   a sharded router cannot honour deterministically (an LP may already
-   have simulated past the change).  Sharded runs express faults as
-   static windows instead ([router ~loss_at ~cut_at]). *)
-let require_unsharded t what =
+let set_windows t ws =
+  List.iter
+    (fun w ->
+      if w.stop < w.start then invalid_arg "Fabric.set_windows: window ends before it starts";
+      match w.fault with
+      | Loss p -> check_probability ~what:"window loss" p
+      | Cut hosts ->
+        if List.exists (fun h -> h < 0) hosts then
+          invalid_arg "Fabric.set_windows: negative host id")
+    ws;
+  let windows = Array.of_list ws in
+  let apply t =
+    t.windows <- windows;
+    recompute_lossless t
+  in
   match t.shard with
-  | None -> ()
-  | Some _ ->
-    invalid_arg
-      (Printf.sprintf
-         "Fabric.%s: runtime fault controls are not available on a sharded \
-          router instance; compile the fault plan to static windows \
-          (router ~loss_at ~cut_at) instead"
-         what)
-
-let set_loss_override t p =
-  require_unsharded t "set_loss_override";
-  Option.iter (check_probability ~what:"loss override") p;
-  t.loss_override <- p;
-  recompute_lossless t
-
-let loss_override t = t.loss_override
-
-let partition t hosts =
-  require_unsharded t "partition";
-  List.iter
-    (fun host ->
-      let n = Option.value ~default:0 (Hashtbl.find_opt t.partitioned host) in
-      Hashtbl.replace t.partitioned host (n + 1))
-    hosts;
-  recompute_lossless t
-
-let heal t hosts =
-  require_unsharded t "heal";
-  List.iter
-    (fun host ->
-      match Hashtbl.find_opt t.partitioned host with
-      | None | Some 1 -> Hashtbl.remove t.partitioned host
-      | Some n -> Hashtbl.replace t.partitioned host (n - 1))
-    hosts;
-  recompute_lossless t
-
-let partitioned t = function
-  | Addr.Switch -> false
-  | Addr.Host h -> Hashtbl.mem t.partitioned h
+  | None -> apply t
+  | Some (s, _) -> Array.iter (Option.iter apply) s.instances
 
 (* Deterministic membership in the detour set: hash the host id into
    [0,1) and compare with the configured fraction. *)
@@ -221,20 +189,53 @@ let latency_sample t src dst =
   let jitter = if t.config.jitter > 0 then Rng.int t.rng (t.config.jitter + 1) else 0 in
   base_latency t src dst + jitter
 
-(* Per-send loss probability.  An injector override wins; otherwise the
-   Gilbert-Elliott channel (when configured) steps its two-state chain
-   once per packet and picks the state's loss rate; otherwise the plain
-   i.i.d. knob. *)
-let loss_probability t =
-  match t.loss_override with
-  | Some p -> p
-  | None -> (
-    match t.config.burst with
-    | None -> t.config.loss
-    | Some { p_enter; p_exit; loss_bad } ->
-      let flip_p = if t.bad then p_exit else p_enter in
-      if flip_p > 0.0 && Rng.float t.rng < flip_p then t.bad <- not t.bad;
-      if t.bad then loss_bad else t.config.loss)
+(* Is host [h] inside an active cut window?  Top-level and closure-free,
+   like the loss scan below: the sharded send path runs them on every
+   packet. *)
+let rec cut_host ws i ~now h =
+  i < Array.length ws
+  && ((let w = Array.unsafe_get ws i in
+       now >= w.start && now < w.stop
+       && match w.fault with Cut hosts -> List.mem h hosts | Loss _ -> false)
+     || cut_host ws (i + 1) ~now h)
+
+(* The switch is never cut: its failure is modeled by fail-over. *)
+let cut_off ws ~now = function Addr.Switch -> false | Addr.Host h -> cut_host ws 0 ~now h
+
+let rec window_loss ws i ~now p =
+  if i = Array.length ws then p
+  else
+    let w = Array.unsafe_get ws i in
+    match w.fault with
+    | Loss q when now >= w.start && now < w.stop -> window_loss ws (i + 1) ~now (Float.max p q)
+    | Loss _ | Cut _ -> window_loss ws (i + 1) ~now p
+
+(* The configured loss model's per-packet probability: the i.i.d. knob,
+   or — with [burst] — the loss rate of the Gilbert-Elliott state after
+   stepping the chain once. *)
+let[@inline] model_loss t rng =
+  match t.config.burst with
+  | None -> t.config.loss
+  | Some { p_enter; p_exit; loss_bad } ->
+    let flip_p = if t.bad then p_exit else p_enter in
+    if flip_p > 0.0 && Rng.float rng < flip_p then t.bad <- not t.bad;
+    if t.bad then loss_bad else t.config.loss
+
+type verdict = Deliver | Cut_off | Lost
+
+(* The one drop rule, shared by the classic and the sharded send path: a
+   packet to or from a cut host drops without a draw; any other packet
+   drops with probability max(active window losses, configured model
+   loss).  Windows compose by max among themselves and with the model.
+   The evaluation order (cut check, chain step, loss draw) is
+   load-bearing for reproducibility of seeded runs. *)
+let verdict t rng ~now src dst =
+  let ws = t.windows in
+  if Array.length ws > 0 && (cut_off ws ~now src || cut_off ws ~now dst) then Cut_off
+  else
+    let p = model_loss t rng in
+    let p = if Array.length ws = 0 then p else window_loss ws 0 ~now p in
+    if p > 0.0 && Rng.float rng < p then Lost else Deliver
 
 let deliver t ?int_ ~src ~dst ~now payload =
   let env = { src; dst; sent_at = now; payload; int_ } in
@@ -253,27 +254,21 @@ let deliver t ?int_ ~src ~dst ~now payload =
            Option.iter Obs.Int_telemetry.drop_stack env.int_;
            Obs.Recorder.mark ~at:(Engine.now t.engine) ~track:"fabric" "drop: no handler"))
 
-(* Drop decisions, off the lossless fast path.  The evaluation order
-   (partition check, then the loss model's rng draws) is load-bearing
-   for reproducibility of seeded runs. *)
+(* Drop decisions, off the lossless fast path. *)
 let send_lossy t ?int_ ~src ~dst ~now payload =
-  if partitioned t src || partitioned t dst then begin
+  match verdict t t.rng ~now src dst with
+  | Deliver -> deliver t ?int_ ~src ~dst ~now payload
+  | Cut_off ->
     Option.iter Obs.Int_telemetry.drop_stack int_;
     t.partition_dropped <- t.partition_dropped + 1;
     Obs.Recorder.count "fabric.partition_dropped" 1;
     Obs.Recorder.mark ~at:now ~track:"fabric" "drop: partition"
-  end
-  else begin
-    let p = loss_probability t in
-    if p > 0.0 && Rng.float t.rng < p then begin
-      Option.iter Obs.Int_telemetry.drop_stack int_;
-      t.lost <- t.lost + 1;
-      Obs.Recorder.count "fabric.lost" 1;
-      Obs.Recorder.mark ~at:now ~track:"fabric"
-        (if t.bad then "drop: loss (burst)" else "drop: loss")
-    end
-    else deliver t ?int_ ~src ~dst ~now payload
-  end
+  | Lost ->
+    Option.iter Obs.Int_telemetry.drop_stack int_;
+    t.lost <- t.lost + 1;
+    Obs.Recorder.count "fabric.lost" 1;
+    Obs.Recorder.mark ~at:now ~track:"fabric"
+      (if t.bad then "drop: loss (burst)" else "drop: loss")
 
 (* -- sharded send path --------------------------------------------------- *)
 
@@ -292,50 +287,45 @@ let lp_of_addr s = function
   | Addr.Switch -> s.switch_lp
   | Addr.Host h -> s.lp_of_host.(h)
 
-(* Same decision order as the legacy [send_lossy]/[deliver] pair —
-   partition check (no draw), then the loss draw, then the jitter draw —
-   but every draw comes from the sender entity's own stream and every
-   fault check is a pure function of simulated time, so the draw
-   sequence is identical under any partitioning.  Ambient observability
-   (Recorder/INT) is skipped: it is domain-local state that helper
-   domains do not carry. *)
+(* The classic path's drop rule and draw order — cut check, loss draw,
+   jitter draw — but every draw comes from the sender entity's own
+   stream, and the windows are pure data over simulated time, so the
+   draw sequence is identical under any partitioning.  Ambient
+   observability (Recorder/INT) is skipped: it is domain-local state
+   that helper domains do not carry. *)
 let send_sharded t (s, _) ?int_ ~src ~dst payload =
   let now = Engine.now t.engine in
   let se = check_entity s src "src" in
   ignore (check_entity s dst "dst");
-  let cut = function Addr.Switch -> false | Addr.Host h -> s.win_cut now h in
-  if cut src || cut dst then t.partition_dropped <- t.partition_dropped + 1
-  else begin
-    let rng = s.eid_rng.(se) in
-    let p = Float.max t.config.loss (s.win_loss now) in
-    if p > 0.0 && Rng.float rng < p then t.lost <- t.lost + 1
-    else begin
-      let jitter = if t.config.jitter > 0 then Rng.int rng (t.config.jitter + 1) else 0 in
-      let latency = base_latency t src dst + jitter in
-      (* [base_latency] is at least one host<->switch hop for any
-         src <> dst pair, which is exactly the lookahead — the guard only
-         fires if the latency model drifts out from under the contract. *)
-      if latency < s.s_lookahead then
-        invalid_arg
-          (Printf.sprintf
-             "Fabric.send: sharded latency %d below the lookahead %d (conservative \
-              window violation)"
-             latency s.s_lookahead);
-      let seq = s.eid_seq.(se) in
-      s.eid_seq.(se) <- seq + 1;
-      let dlp = lp_of_addr s dst in
-      let env = { src; dst; sent_at = now; payload; int_ } in
-      Lp.post s.lps.(dlp) ~at:(now + latency) ~src:se ~seq (fun () ->
-          match s.instances.(dlp) with
-          | None -> assert false (* filled before the router is returned *)
-          | Some inst -> (
-            match handler_of inst dst with
-            | Some handler ->
-              inst.delivered <- inst.delivered + 1;
-              handler env
-            | None -> inst.undeliverable <- inst.undeliverable + 1))
-    end
-  end
+  let rng = s.eid_rng.(se) in
+  match verdict t rng ~now src dst with
+  | Cut_off -> t.partition_dropped <- t.partition_dropped + 1
+  | Lost -> t.lost <- t.lost + 1
+  | Deliver ->
+    let jitter = if t.config.jitter > 0 then Rng.int rng (t.config.jitter + 1) else 0 in
+    let latency = base_latency t src dst + jitter in
+    (* [base_latency] is at least one host<->switch hop for any
+       src <> dst pair, which is exactly the lookahead — the guard only
+       fires if the latency model drifts out from under the contract. *)
+    if latency < s.s_lookahead then
+      invalid_arg
+        (Printf.sprintf
+           "Fabric.send: sharded latency %d below the lookahead %d (conservative \
+            window violation)"
+           latency s.s_lookahead);
+    let seq = s.eid_seq.(se) in
+    s.eid_seq.(se) <- seq + 1;
+    let dlp = lp_of_addr s dst in
+    let env = { src; dst; sent_at = now; payload; int_ } in
+    Lp.post s.lps.(dlp) ~at:(now + latency) ~src:se ~seq (fun () ->
+        match s.instances.(dlp) with
+        | None -> assert false (* filled before the router is returned *)
+        | Some inst -> (
+          match handler_of inst dst with
+          | Some handler ->
+            inst.delivered <- inst.delivered + 1;
+            handler env
+          | None -> inst.undeliverable <- inst.undeliverable + 1))
 
 let send t ?int_ ~src ~dst payload =
   if Addr.equal src dst then invalid_arg "Fabric.send: src = dst";
@@ -396,14 +386,13 @@ let mix seed eid =
   h := (!h lxor (!h lsr 27)) * 0x94D049BB133111E;
   (!h lxor (!h lsr 31)) land max_int
 
-let router ?(config = default_config) ?(loss_at = fun _ -> 0.0)
-    ?(cut_at = fun _ _ -> false) ~lps ~switch_lp ~lp_of_host ~hosts ~seed () =
+let router ?(config = default_config) ~lps ~switch_lp ~lp_of_host ~hosts ~seed () =
   let la = lookahead config in
   if config.burst <> None then
     invalid_arg
       "Fabric.router: burst loss steps a fabric-global channel per packet and \
-       cannot be sharded deterministically; compile it to static loss windows \
-       (loss_at) instead";
+       cannot be sharded deterministically; use timed loss windows \
+       (set_windows) instead";
   check_probability ~what:"loss" config.loss;
   check_probability ~what:"detour_fraction" config.detour_fraction;
   if config.jitter < 0 then invalid_arg "Fabric.router: jitter must be non-negative";
@@ -429,8 +418,6 @@ let router ?(config = default_config) ?(loss_at = fun _ -> 0.0)
       lp_of_host = map;
       eid_rng = Array.init (hosts + 1) (fun e -> Rng.create ~seed:(mix seed e));
       eid_seq = Array.make (hosts + 1) 0;
-      win_loss = loss_at;
-      win_cut = cut_at;
       instances = Array.make n None;
     }
   in
@@ -445,8 +432,7 @@ let router ?(config = default_config) ?(loss_at = fun _ -> 0.0)
           host_handlers = Array.make (max 64 hosts) None;
           switch_handler = None;
           bad = false;
-          loss_override = None;
-          partitioned = Hashtbl.create 1;
+          windows = [||];
           lossless = true;
           delivered = 0;
           lost = 0;

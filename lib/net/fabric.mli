@@ -6,14 +6,21 @@
     jitter).  Host-to-host traffic transits the switch, so its latency
     is twice the host-to-switch latency.
 
-    The fabric is reliable by default; three fault knobs inject loss:
+    The fabric is reliable by default; three fault inputs inject loss:
     - [loss]: i.i.d. per-packet drop probability;
     - [burst]: a Gilbert-Elliott two-state channel that alternates
       between a good state (drops at [loss]) and a bad state (drops at
       [loss_bad]), stepping the chain once per packet — correlated loss
       bursts rather than independent drops;
-    - {!partition} / {!set_loss_override}: runtime controls used by the
-      fault injector for timed partition and loss-burst windows.
+    - {!set_windows}: timed loss and cut windows, the fabric side of a
+      fault plan ({!Draconis_fault.Injector}), checked on every send.
+
+    One drop rule holds on the classic fabric and the sharded
+    {!router} alike: a packet to or from a host inside an active cut
+    window is dropped without a draw; any other packet drops with
+    probability [max (active window losses) (configured loss)], where
+    the configured loss is [loss] or, with [burst], the loss rate of the
+    Gilbert-Elliott state after stepping the chain once.
 
     All randomness comes from the [rng] supplied at creation, keeping
     runs deterministic.  Every drop path counts on the ambient
@@ -97,29 +104,27 @@ val send :
 (** One-way latency sample between two endpoints (includes jitter). *)
 val latency_sample : 'msg t -> Addr.t -> Addr.t -> Time.t
 
-(** {2 Runtime fault controls} — used by the fault injector
-    ({!Draconis_fault.Injector}) for timed fault windows. *)
+(** {2 Fault windows} *)
 
-(** [set_loss_override t (Some p)] makes every packet drop with
-    probability [p], replacing the configured loss model until
-    [set_loss_override t None].
-    @raise Invalid_argument if [p] is outside [\[0,1\]]. *)
-val set_loss_override : 'msg t -> float option -> unit
+(** What a window does while active. *)
+type fault =
+  | Loss of float  (** every packet drops with this probability *)
+  | Cut of int list
+      (** all traffic to or from these hosts is dropped (and counted in
+          {!partition_dropped}); the switch is never cut — its failure
+          is modeled by fail-over instead *)
 
-val loss_override : 'msg t -> float option
+(** A fault active over the half-open interval [\[start, stop)]. *)
+type window = { start : Time.t; stop : Time.t; fault : fault }
 
-(** [partition t hosts] cuts the listed hosts off: every packet to or
-    from them is dropped (and counted) until healed.  Partitions are
-    refcounted, so overlapping windows compose; {!heal} undoes one
-    [partition] of each listed host. *)
-val partition : 'msg t -> int list -> unit
-
-val heal : 'msg t -> int list -> unit
-
-(** [partitioned t addr] — is this endpoint currently cut off?  The
-    switch itself is never partitioned (its failure is modeled by
-    fail-over instead). *)
-val partitioned : 'msg t -> Addr.t -> bool
+(** [set_windows t ws] replaces the fabric's fault windows.  They are
+    data, not mutable controls: every send checks them against its own
+    simulated time, so the sharded router's LPs agree on them without
+    any runtime mutation.  On a router instance the call sets the
+    windows of every instance of that router.  Set them before the run.
+    @raise Invalid_argument on a window that ends before it starts, a
+    loss outside [\[0,1\]], or a negative host id. *)
+val set_windows : 'msg t -> window list -> unit
 
 (** True while the Gilbert-Elliott channel is in the bad state. *)
 val in_burst : 'msg t -> bool
@@ -129,10 +134,10 @@ val in_burst : 'msg t -> bool
 (** Messages delivered so far. *)
 val delivered : 'msg t -> int
 
-(** Messages lost to injected loss (i.i.d., burst, or override). *)
+(** Messages lost to injected loss (i.i.d., burst, or a loss window). *)
 val lost : 'msg t -> int
 
-(** Messages dropped because an endpoint was partitioned. *)
+(** Messages dropped because an endpoint was inside a cut window. *)
 val partition_dropped : 'msg t -> int
 
 (** Messages dropped for lack of a registered handler. *)
@@ -181,31 +186,25 @@ end
     stamped into the destination LP's inbox ({!Draconis_sim.Lp.post})
     with [(arrival, entity id, seq)].  Latency jitter and loss are drawn
     from the {e sender entity}'s private stream (seeded from
-    [(seed, entity)]), and faults are static time windows, so the
-    outcome of a sharded run is independent of both the partitioning and
-    the domain schedule.  Entity ids: the switch is 0, host [h] is
-    [h + 1].
+    [(seed, entity)]), and the fault windows ({!set_windows}) are data
+    over simulated time, so the outcome of a sharded run is independent
+    of both the partitioning and the domain schedule.  Entity ids: the
+    switch is 0, host [h] is [h + 1].
 
-    Restrictions compared to the classic fabric: [config.burst] is
+    Restriction compared to the classic fabric: [config.burst] is
     rejected (the Gilbert-Elliott chain steps fabric-global state per
-    packet), and the runtime fault controls ({!set_loss_override},
-    {!partition}, {!heal}) raise — fault plans must compile to
-    [loss_at]/[cut_at] windows.  Ambient observability (Recorder, Trace,
-    INT stamp draining) is skipped on the sharded path: it lives in
+    packet).  Ambient observability (Recorder marks and counters, INT
+    stamp draining) is skipped on the sharded path: it lives in
     domain-local storage that helper domains do not carry. *)
 
 (** [router ~lps ~switch_lp ~lp_of_host ~hosts ~seed ()] returns one
     instance per LP (same index as [lps]).  [lp_of_host] maps each host
     id in [\[0, hosts)] to its LP index; the switch lives on
-    [switch_lp].  [loss_at now] is an extra i.i.d. drop probability
-    (composed with [config.loss] by max) and [cut_at now host] cuts a
-    host off — both must be pure functions of their arguments.
+    [switch_lp].
     @raise Invalid_argument on an empty [lps], out-of-range LP indexes,
     a [burst] config, or any invalid latency/probability parameter. *)
 val router :
   ?config:config ->
-  ?loss_at:(Time.t -> float) ->
-  ?cut_at:(Time.t -> int -> bool) ->
   lps:Draconis_sim.Lp.t array ->
   switch_lp:int ->
   lp_of_host:(int -> int) ->

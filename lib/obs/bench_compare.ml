@@ -52,8 +52,17 @@ let outcome_key ~experiment outcome =
     (string_field "system" outcome ~default:"?")
     (Option.value (number "load_tps" outcome) ~default:0.0)
 
-(* (key, outcome) pairs in file order. *)
+(* (key, outcome) pairs in file order.  A report may repeat a key (figf
+   lists every system@load once per fault plan), so from its second
+   occurrence on a key carries its occurrence number: the n-th
+   occurrence in one report pairs with the n-th in the other. *)
 let outcomes json =
+  let seen = Hashtbl.create 64 in
+  let numbered key =
+    let n = 1 + Option.value (Hashtbl.find_opt seen key) ~default:0 in
+    Hashtbl.replace seen key n;
+    if n = 1 then key else Printf.sprintf "%s#%d" key n
+  in
   match Json.member "experiments" json with
   | Some (Json.List experiments) ->
     List.concat_map
@@ -61,7 +70,7 @@ let outcomes json =
         let name = string_field "name" e ~default:"?" in
         match Json.member "outcomes" e with
         | Some (Json.List outcomes) ->
-          List.map (fun o -> (outcome_key ~experiment:name o, o)) outcomes
+          List.map (fun o -> (numbered (outcome_key ~experiment:name o), o)) outcomes
         | _ -> [])
       experiments
   | _ -> []

@@ -1,7 +1,10 @@
 (** Bench-report regression guard behind [draconis-trace compare].
 
     Diffs two [draconis-bench/1] JSON reports ({!Draconis_harness.Report}).
-    Outcomes are matched by (experiment, system, load); each
+    Outcomes are matched by (experiment, system, load); a key a report
+    repeats (figf runs each system and load once per fault plan) is
+    matched by occurrence — the n-th with the n-th, shown as
+    ["key#n"] from the second on.  Each
     deterministic field is checked symmetrically against
     [|cur - base| <= max(floor, tol_pct * |base|)] where [floor] is a
     per-field absolute slack (1 us for latency fields, a few tasks for
@@ -17,7 +20,7 @@
     compared with the latency tolerance when both sides have them. *)
 
 type check = {
-  key : string;  (** ["experiment/system\@load"] *)
+  key : string;  (** ["experiment/system\@load"], ["#n"]-suffixed on repeats *)
   field : string;
   base : float;
   cur : float;

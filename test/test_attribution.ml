@@ -264,6 +264,34 @@ let test_compare_missing_and_extra_outcomes () =
   Alcotest.(check (list string)) "extra key noted" [ "fig5a/R2P2@96000" ]
     t.Obs.Bench_compare.extra
 
+(* figf-shaped: one system@load key per fault plan, in plan order. *)
+let repeated_key_report p99s =
+  Printf.sprintf
+    {|{"schema":"draconis-bench/1","jobs":1,"quick":true,"experiments":[
+  {"name":"figf","outcomes":[%s]}]}|}
+    (String.concat ","
+       (List.map
+          (fun p99 ->
+            Printf.sprintf
+              {|{"system":"Draconis","load_tps":256000,"sched_p99_ns":%d,"completed":2603,"drained":true}|}
+              p99)
+          p99s))
+
+let test_compare_repeated_keys () =
+  let base = repeated_key_report [ 10_300; 1_166_900 ] in
+  Alcotest.(check bool) "self-compare passes" true
+    (Obs.Bench_compare.passed (compare_reports base base));
+  let t = compare_reports base (repeated_key_report [ 10_300; 2_000_000 ]) in
+  Alcotest.(check bool) "a change in the second occurrence fails" false
+    (Obs.Bench_compare.passed t);
+  Alcotest.(check bool) "failure names the second occurrence" true
+    (Astring.String.is_infix
+       ~affix:"FAIL figf/Draconis@256000#2 sched_p99_ns: base 1166900, current 2000000"
+       (Obs.Bench_compare.render t));
+  let t = compare_reports base (repeated_key_report [ 10_300 ]) in
+  Alcotest.(check (list string)) "a dropped repeat is missing" [ "figf/Draconis@256000#2" ]
+    t.Obs.Bench_compare.missing
+
 let test_compare_rejects_wrong_schema () =
   with_temp_file {|{"schema":"draconis-obs/2","runs":[]}|} (fun path ->
       match Obs.Bench_compare.compare_files ~base_path:path ~cur_path:path () with
@@ -308,4 +336,6 @@ let suite =
       test_compare_missing_and_extra_outcomes;
     Alcotest.test_case "compare: wrong schema rejected" `Quick
       test_compare_rejects_wrong_schema;
+    Alcotest.test_case "compare: repeated keys pair by occurrence" `Quick
+      test_compare_repeated_keys;
   ]

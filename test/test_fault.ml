@@ -1,7 +1,8 @@
 (* Fault-plan subsystem tests: plan parsing/validation, fabric fault
-   knobs (Gilbert-Elliott bursts, partitions, config validation),
-   executor crash/restart and straggler injection, the client
-   resubmission cap, and end-to-end determinism of injected runs. *)
+   inputs (Gilbert-Elliott bursts, loss and cut windows, config
+   validation), arm-time range checks, executor crash/restart and
+   straggler injection, the client resubmission cap, and end-to-end
+   determinism of injected runs. *)
 
 open Draconis_sim
 open Draconis_net
@@ -141,13 +142,19 @@ let test_drops_are_traced () =
         let engine = Engine.create () in
         let fabric = Fabric.create engine (Rng.create ~seed:1) in
         Fabric.register fabric (Addr.Host 1) (fun _ -> ());
-        Fabric.set_loss_override fabric (Some 1.0);
-        Fabric.send fabric ~src:(Addr.Host 0) ~dst:(Addr.Host 1) ();
-        Fabric.set_loss_override fabric None;
-        Fabric.partition fabric [ 1 ];
-        Fabric.send fabric ~src:(Addr.Host 0) ~dst:(Addr.Host 1) ();
-        Fabric.heal fabric [ 1 ];
-        Fabric.send fabric ~src:(Addr.Host 0) ~dst:(Addr.Host 2) ();
+        Fabric.set_windows fabric
+          [
+            { Fabric.start = 0; stop = Time.us 1; fault = Fabric.Loss 1.0 };
+            { Fabric.start = Time.us 1; stop = Time.us 2; fault = Fabric.Cut [ 1 ] };
+          ];
+        let send_at at dst =
+          ignore
+            (Engine.schedule_at engine ~at (fun () ->
+                 Fabric.send fabric ~src:(Addr.Host 0) ~dst ()))
+        in
+        send_at 0 (Addr.Host 1);
+        send_at (Time.us 1) (Addr.Host 1);
+        send_at (Time.us 2) (Addr.Host 2);
         Engine.run engine)
   in
   Alcotest.(check (list (pair string string))) "every drop path marked"
@@ -155,31 +162,45 @@ let test_drops_are_traced () =
       ("fabric", "drop: no handler") ]
     marks
 
-(* -- Partitions ------------------------------------------------------------- *)
+(* -- Cut windows ------------------------------------------------------------ *)
 
+(* Two overlapping cut windows on host 1, [0, 2us) and [1us, 3us), plus
+   host 0 cut over the whole run: host 1 stays cut until the last of its
+   windows closes, and no window ever cuts the switch. *)
 let test_partition_and_heal () =
   let engine = Engine.create () in
   let fabric = Fabric.create engine (Rng.create ~seed:1) in
-  let delivered = ref 0 in
-  Fabric.register fabric (Addr.Host 1) (fun _ -> incr delivered);
-  Fabric.partition fabric [ 1 ];
-  Fabric.partition fabric [ 1 ];
-  Alcotest.(check bool) "partitioned" true (Fabric.partitioned fabric (Addr.Host 1));
-  Fabric.send fabric ~src:(Addr.Host 0) ~dst:(Addr.Host 1) ();
+  let delivered = ref [] in
+  List.iter
+    (fun h ->
+      Fabric.register fabric (Addr.Host h) (fun env ->
+          delivered := (env.Fabric.src, env.Fabric.dst) :: !delivered))
+    [ 1; 2 ];
+  Fabric.register fabric Addr.Switch (fun env ->
+      delivered := (env.Fabric.src, env.Fabric.dst) :: !delivered);
+  Fabric.set_windows fabric
+    [
+      { Fabric.start = 0; stop = Time.us 2; fault = Fabric.Cut [ 1 ] };
+      { Fabric.start = Time.us 1; stop = Time.us 3; fault = Fabric.Cut [ 1 ] };
+      { Fabric.start = 0; stop = Time.ms 1; fault = Fabric.Cut [ 0 ] };
+    ];
+  let send_at at ~src ~dst =
+    ignore (Engine.schedule_at engine ~at (fun () -> Fabric.send fabric ~src ~dst ()))
+  in
+  send_at (Time.ns 500) ~src:(Addr.Host 2) ~dst:(Addr.Host 1);
+  send_at (Time.ns 2500) ~src:(Addr.Host 2) ~dst:(Addr.Host 1);
+  send_at (Time.ns 2500) ~src:(Addr.Host 1) ~dst:Addr.Switch;
+  send_at (Time.us 3) ~src:(Addr.Host 2) ~dst:(Addr.Host 1);
+  send_at (Time.us 4) ~src:Addr.Switch ~dst:(Addr.Host 2);
+  send_at (Time.us 4) ~src:(Addr.Host 2) ~dst:Addr.Switch;
   Engine.run engine;
-  Alcotest.(check int) "dropped while partitioned" 0 !delivered;
-  Alcotest.(check int) "counted as partition drop" 1 (Fabric.partition_dropped fabric);
-  (* Refcounted: one heal is not enough after two partitions. *)
-  Fabric.heal fabric [ 1 ];
-  Alcotest.(check bool) "still partitioned after one heal" true
-    (Fabric.partitioned fabric (Addr.Host 1));
-  Fabric.heal fabric [ 1 ];
-  Alcotest.(check bool) "healed" false (Fabric.partitioned fabric (Addr.Host 1));
-  Fabric.send fabric ~src:(Addr.Host 0) ~dst:(Addr.Host 1) ();
-  Engine.run engine;
-  Alcotest.(check int) "delivers after heal" 1 !delivered;
-  Alcotest.(check bool) "switch never partitioned" false
-    (Fabric.partitioned fabric Addr.Switch)
+  Alcotest.(check int) "dropped while any window cuts host 1" 3
+    (Fabric.partition_dropped fabric);
+  Alcotest.(check (list (pair string string)))
+    "delivers once the last window closes; the switch is never cut"
+    [ ("host-2", "host-1"); ("host-2", "switch"); ("switch", "host-2") ]
+    (List.sort compare
+       (List.map (fun (src, dst) -> (Addr.to_string src, Addr.to_string dst)) !delivered))
 
 (* -- Straggler slowdown ------------------------------------------------------ *)
 
@@ -265,27 +286,76 @@ let test_arm_rejects_unsupported () =
 
 (* -- Overlapping burst windows compose by max -------------------------------- *)
 
+(* Bursts of p=0.5 over [0, 2ms) and p=1 over [1ms, 3ms), armed through
+   the injector; 200 probe packets per millisecond show which loss the
+   fabric applied in each phase. *)
 let test_burst_overlap_max () =
   let cluster = faulted_cluster () in
   let fabric = Cluster.fabric cluster in
-  let target = Target.of_cluster cluster in
+  let engine = Cluster.engine cluster in
   ignore
     (Injector.arm
-       (Plan.of_string "burst@0ns:dur=2ms,loss=0.5;burst@1ms:dur=2ms,loss=0.9")
-       target);
-  let engine = Cluster.engine cluster in
-  Engine.run engine ~until:(Time.us 500);
-  Alcotest.(check (option (float 0.0))) "first window alone" (Some 0.5)
-    (Fabric.loss_override fabric);
-  Engine.run engine ~until:(Time.us 1500);
-  Alcotest.(check (option (float 0.0))) "overlap takes the max" (Some 0.9)
-    (Fabric.loss_override fabric);
-  Engine.run engine ~until:(Time.us 2500);
-  Alcotest.(check (option (float 0.0))) "survivor wins after first ends" (Some 0.9)
-    (Fabric.loss_override fabric);
-  Engine.run engine ~until:(Time.us 3500);
-  Alcotest.(check (option (float 0.0))) "cleared after both end" None
-    (Fabric.loss_override fabric)
+       (Plan.of_string "burst@0ns:dur=2ms,loss=0.5;burst@1ms:dur=2ms,loss=1")
+       (Target.of_cluster cluster));
+  let received = Array.make 4 0 in
+  Fabric.register fabric (Addr.Host 50) (fun env ->
+      let phase = env.Fabric.sent_at / Time.ms 1 in
+      received.(phase) <- received.(phase) + 1);
+  for phase = 0 to 3 do
+    for i = 0 to 199 do
+      ignore
+        (Engine.schedule_at engine
+           ~at:(Time.ms phase + Time.us ((2 * i) + 1))
+           (fun () ->
+             Fabric.send fabric ~src:(Addr.Host 51) ~dst:(Addr.Host 50)
+               (Message.Job_ack { uid = 0; jid = i })))
+    done
+  done;
+  Engine.run engine;
+  Alcotest.(check bool) "first window alone drops about half" true
+    (received.(0) > 60 && received.(0) < 140);
+  Alcotest.(check int) "overlap takes the max" 0 received.(1);
+  Alcotest.(check int) "survivor wins after first ends" 0 received.(2);
+  Alcotest.(check int) "cleared after both end" 200 received.(3)
+
+(* -- Arm-time range checks ----------------------------------------------------- *)
+
+(* Out-of-range nodes and hosts are rejected before anything is armed:
+   a valid fail-over earlier in the same plan must never fire, and no
+   fabric window may be installed. *)
+let test_arm_checks_ranges () =
+  let small = { Cluster.default_config with workers = 2; executors_per_worker = 2; clients = 1 } in
+  List.iter
+    (fun (label, shards) ->
+      let cluster = Cluster.create { small with shards } in
+      let target = Target.of_cluster cluster in
+      Alcotest.(check (pair int int)) (label ^ ": nodes and hosts") (2, 3)
+        (target.Target.nodes, target.Target.hosts);
+      List.iter
+        (fun plan ->
+          check_invalid (label ^ ": " ^ plan) (fun () ->
+              Injector.arm (Plan.of_string ("failover@1ms;burst@0ns:dur=1ms,loss=1;" ^ plan))
+                target))
+        [ "crash@2ms:node=2"; "straggler@2ms:node=99,factor=2,dur=1ms";
+          "partition@2ms:hosts=0+3,dur=1ms" ];
+      let program = Cluster.program cluster in
+      Cluster.start cluster;
+      Cluster.run cluster ~until:(Time.ms 3);
+      Alcotest.(check bool) (label ^ ": the rejected fail-over never fired") true
+        (Cluster.program cluster == program);
+      Alcotest.(check int) (label ^ ": no window installed") 0
+        (Fabric.lost (Cluster.fabric cluster));
+      ignore
+        (Injector.arm
+           (Plan.of_string "crash@4ms:node=1;partition@4ms:hosts=2,dur=1ms")
+           target))
+    [ ("single-engine", None); ("sharded", Some 2) ];
+  let r2p2 =
+    B.R2p2.create
+      { B.R2p2.default_config with workers = 2; executors_per_worker = 2; clients = 1 }
+  in
+  check_invalid "r2p2: partition host past the clients" (fun () ->
+      Injector.arm (Plan.of_string "partition@1ms:hosts=3,dur=1ms") (Target.of_r2p2 r2p2))
 
 (* -- Client resubmission cap (satellite) ------------------------------------- *)
 
@@ -426,6 +496,7 @@ let suite =
       test_arm_rejects_unsupported;
     Alcotest.test_case "injector: overlapping bursts take max" `Quick
       test_burst_overlap_max;
+    Alcotest.test_case "injector: arm-time range checks" `Quick test_arm_checks_ranges;
     Alcotest.test_case "client: resubmission cap" `Quick test_resubmission_cap;
     Alcotest.test_case "fail-over: recovery bounded by timeout" `Quick
       test_failover_recovery_bounded;

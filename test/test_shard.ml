@@ -2,7 +2,7 @@
    Lp/Sync conservative-window protocol, the cross-LP mailbox, the
    DRACONIS_SHARDS knob, and the determinism contract on the real
    sharded cluster — identical outcomes across shard counts, seeds,
-   service mixes, worker domains and static faults (the cluster's own
+   service mixes, worker domains and fault plans (the cluster's own
    guards live in test_sharded_cluster.ml). *)
 
 open Draconis_sim
@@ -10,6 +10,7 @@ module H = Draconis_harness
 module Synthetic = Draconis_workload.Synthetic
 module Fabric = Draconis_net.Fabric
 module Topology = Draconis_net.Topology
+module F = Draconis_fault
 
 (* -- topology partitioning ------------------------------------------------- *)
 
@@ -147,16 +148,13 @@ let test_sync_ties_survive_renumber () =
 let cluster_spec = { H.Systems.workers = 4; executors_per_worker = 4; clients = 2; seed = 7 }
 let horizon = Time.ms 10
 
-let run_cluster ?faults ?client_timeout ?(kind = Synthetic.Fixed_100us) ~seed shards =
+let run_cluster ?(kind = Synthetic.Fixed_100us) ~seed shards =
   let executors = cluster_spec.workers * cluster_spec.executors_per_worker in
   let utilization =
     90_000.0 /. H.Exp_common.capacity_tps Synthetic.Fixed_100us ~executors
   in
   let rate_tps = utilization *. H.Exp_common.capacity_tps kind ~executors in
-  let system =
-    H.Systems.draconis ~racks:2 ~shards ?faults ?client_timeout
-      { cluster_spec with seed }
-  in
+  let system = H.Systems.draconis ~racks:2 ~shards { cluster_spec with seed } in
   H.Runner.run system
     ~driver:(H.Exp_common.synthetic_driver kind ~rate_tps ~horizon)
     ~load_tps:rate_tps ~horizon ~workload_seed:seed ()
@@ -222,23 +220,56 @@ let test_workers_equality () =
     (digest (with_jobs 1))
     (digest (with_jobs 2))
 
-(* Static faults compose with the window protocol: a straggler, a cut
-   of two hosts and a loss burst give the same (degraded) outcome at
-   every shard count. *)
+(* One plan with all five event kinds, armed through the injector:
+   fail-over on the switch LP, crash + restart and a straggler on their
+   workers' LPs, a loss burst and a two-host cut as fabric windows.
+   Outcome digest, fired log and recovery report are identical at every
+   shard count and lane count. *)
+let fault_plan =
+  F.Plan.of_string
+    "straggler@1ms:node=1,factor=4,dur=4ms; failover@2ms; crash@3ms:node=2,down=1ms; \
+     partition@4ms:hosts=0+5,dur=1ms; burst@6ms:dur=500us,loss=0.1"
+
+let run_faulted shards =
+  let cluster, system =
+    H.Systems.draconis_cluster ~racks:2 ~shards ~client_timeout:(Time.ms 2)
+      { cluster_spec with seed = 42 }
+  in
+  let injector = F.Injector.arm fault_plan (F.Target.of_cluster cluster) in
+  let rate_tps = 90_000.0 in
+  let outcome =
+    H.Runner.run system
+      ~driver:(H.Exp_common.synthetic_driver Synthetic.Fixed_100us ~rate_tps ~horizon)
+      ~load_tps:rate_tps ~horizon ~workload_seed:42 ()
+  in
+  ( digest outcome,
+    F.Injector.fired injector,
+    F.Recovery.measure ~metrics:system.H.Systems.metrics ~injector ~until:horizon () )
+
 let test_fault_plan_equality () =
-  let faults =
-    {
-      Draconis.Cluster.slow_windows = [| (Time.ms 1, Time.ms 5, 1, 4.0) |];
-      cut_windows = [| (Time.ms 2, Time.ms 3, [ 0; 3 ]) |];
-      loss_windows = [| (Time.ms 4, Time.ms 5, 0.5) |];
-    }
+  let with_jobs n f =
+    let saved = H.Pool.jobs () in
+    H.Pool.set_jobs n;
+    Fun.protect ~finally:(fun () -> H.Pool.set_jobs saved) f
   in
-  let r =
-    check_equal_across_shards
-      (run_cluster ~faults ~client_timeout:(Time.ms 2) ~seed:42)
+  let digest_1, fired_1, report_1 = with_jobs 1 (fun () -> run_faulted 1) in
+  let check name (digest, fired, report) =
+    Alcotest.(check (list (pair string int))) (name ^ ": outcome") digest_1 digest;
+    Alcotest.(check (list (pair int string))) (name ^ ": fired") fired_1 fired;
+    Alcotest.(check bool) (name ^ ": recovery report") true (report = report_1)
   in
-  Alcotest.(check bool) "drops become timeouts" true (r.timeouts > 0);
-  Alcotest.(check bool) "the rest completed" true (r.completed > 100)
+  List.iter
+    (fun (jobs, shards) ->
+      check
+        (Printf.sprintf "jobs=%d shards=%d" jobs shards)
+        (with_jobs jobs (fun () -> run_faulted shards)))
+    [ (1, 2); (1, 4); (2, 4) ];
+  Alcotest.(check int) "every edge fired" 9 (List.length fired_1);
+  Alcotest.(check int) "one fail-over" 1 report_1.F.Recovery.failovers;
+  Alcotest.(check bool) "the standby assigned again" true
+    (report_1.F.Recovery.recovery <> None);
+  Alcotest.(check bool) "drops become timeouts" true (report_1.F.Recovery.timeouts > 0);
+  Alcotest.(check bool) "the rest completed" true (List.assoc "completed" digest_1 > 800)
 
 (* -- the DRACONIS_SHARDS knob ---------------------------------------------- *)
 

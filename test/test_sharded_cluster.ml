@@ -1,11 +1,15 @@
 (* The sharded Draconis cluster: outcome equality across shard counts
    (the tentpole guarantee — partitioning the data path over logical
    processes must not change a single metric), work-stealing executor
-   neutrality, static fault windows, and the fail-loud guards. *)
+   neutrality, window faults armed from a plan, and the fail-loud
+   guards.  The all-kinds faulted equality (fail-over and crash
+   included, across lane counts) lives with the determinism contract in
+   test_shard.ml. *)
 
 open Draconis_sim
 open Draconis_workload
 module H = Draconis_harness
+module F = Draconis_fault
 
 let spec = { H.Systems.workers = 4; executors_per_worker = 4; clients = 2; seed = 7 }
 let kind = Synthetic.Fixed_100us
@@ -33,8 +37,8 @@ let digest (o : H.Runner.outcome) =
     ("drained", if o.drained then 1 else 0);
   ]
 
-let run_sharded ?faults shards =
-  let system = H.Systems.draconis ~racks:2 ~shards ?faults spec in
+let run_sharded shards =
+  let system = H.Systems.draconis ~racks:2 ~shards spec in
   H.Runner.run system ~driver ~load_tps:rate_tps ~horizon ()
 
 (* Tasks of [kind] offered at the same utilization as [rate_tps] puts on
@@ -81,18 +85,24 @@ let test_outcome_equality () =
         [ 11; 4242; 1000003 ])
     [ (Synthetic.Fixed_100us, "fixed 100us"); (Synthetic.Bimodal, "bimodal") ]
 
-let faults =
-  {
-    Draconis.Cluster.loss_windows = [| (Time.ms 2, Time.ms 4, 0.05) |];
-    cut_windows = [| (Time.ms 3, Time.ms 4, [ 1 ]) |];
-    slow_windows = [| (Time.ms 1, Time.ms 6, 2, 3.0) |];
-  }
+(* The static fault kinds — a loss burst, a one-host cut and a
+   straggler, all fixed windows known before the run — armed through
+   the injector: the loss and cut windows go to the fabric as send-time
+   data, the straggler edges onto the owning worker's LP.  The degraded
+   outcome is bit-identical at every shard count. *)
+let static_faults =
+  F.Plan.of_string
+    "straggler@1ms:node=2,factor=3,dur=5ms; burst@2ms:dur=2ms,loss=0.05; \
+     partition@3ms:hosts=1,dur=1ms"
 
 let test_fault_equality () =
-  let system shards =
-    H.Systems.draconis ~racks:2 ~shards ~faults ~client_timeout:(Time.ms 2) spec
+  let run shards =
+    let cluster, system =
+      H.Systems.draconis_cluster ~racks:2 ~shards ~client_timeout:(Time.ms 2) spec
+    in
+    ignore (F.Injector.arm static_faults (F.Target.of_cluster cluster));
+    H.Runner.run system ~driver ~load_tps:rate_tps ~horizon ()
   in
-  let run shards = H.Runner.run (system shards) ~driver ~load_tps:rate_tps ~horizon () in
   let reference = run 1 in
   Alcotest.(check bool) "faults bit (losses recovered)" true
     (reference.timeouts > 0 && reference.completed > 100);
@@ -171,13 +181,6 @@ let test_shards_exceed_lp_groups () =
         (1 switch LP + 6 hosts: 4 workers + 2 clients); lower --shards")
     (fun () -> ignore (run_sharded 8))
 
-let test_static_faults_require_shards () =
-  Alcotest.(check bool) "legacy cluster rejects static faults" true
-    (try
-       ignore (H.Systems.draconis ~racks:2 ~faults spec);
-       false
-     with Invalid_argument _ -> true)
-
 let test_feed_noop_rejects_staged () =
   let system = H.Systems.draconis ~racks:2 ~shards:2 spec in
   Fun.protect
@@ -199,8 +202,6 @@ let suite =
       test_executor_neutrality;
     Alcotest.test_case "shards > LP groups fails loud" `Quick
       test_shards_exceed_lp_groups;
-    Alcotest.test_case "static faults require sharding" `Quick
-      test_static_faults_require_shards;
     Alcotest.test_case "feed_noop rejects staged systems" `Quick
       test_feed_noop_rejects_staged;
   ]
