@@ -40,9 +40,7 @@ let create ~name ~capacity () =
   in
   (* Stamps are initialised to the free sentinel from the control plane,
      as the switch CPU would do before enabling the pipeline. *)
-  for i = 0 to capacity - 1 do
-    Register.poke stamps i (free_stamp t)
-  done;
+  Register.fill stamps (free_stamp t);
   t
 
 let capacity t = t.capacity
@@ -74,8 +72,7 @@ type enqueue_outcome =
   | Enqueued of { index : int; retrieve_repair : int option }
   | Rejected of { add_repair : int option; retrieve_repair : int option }
 
-let read_and_advance t reg ctx =
-  Register.read_modify_write reg ctx 0 (fun v -> next_index t v)
+let read_and_advance t reg ctx = Register.read_and_advance reg ctx 0 ~modulus:t.wrap
 
 let enqueue t ctx entry =
   (* (1) pointer stage: optimistic read-and-increment (§4.2). *)
@@ -169,7 +166,7 @@ let dequeue t ctx =
        it fails when the queue is empty (the optimistic increment was a
        mistake, to be lazily repaired) and in pointer-repair windows. *)
     let slot = r mod t.capacity in
-    let stamp = Register.read_modify_write t.stamps ctx slot (fun _ -> free_stamp t) in
+    let stamp = Register.exchange t.stamps ctx slot (free_stamp t) in
     if stamp <> r && not !debug_skip_stamp_check then Empty
     else begin
       let image =
@@ -199,7 +196,7 @@ let swap t ctx ~index entry =
   let slot = index mod t.capacity in
   (* The stamp RMW both validates the slot and claims it for the
      incoming task in a single access. *)
-  let old_stamp = Register.read_modify_write t.stamps ctx slot (fun _ -> index) in
+  let old_stamp = Register.exchange t.stamps ctx slot index in
   if old_stamp <> index then begin
     (* Not a pending task: restore the stamp we clobbered.  On hardware
        the stamp RMW would be conditional on the predicate computed in
@@ -211,9 +208,7 @@ let swap t ctx ~index entry =
   else begin
     let image = Entry.to_words entry in
     let old_image =
-      Array.mapi
-        (fun i word -> Register.read_modify_write t.words.(i) ctx slot (fun _ -> word))
-        image
+      Array.mapi (fun i word -> Register.exchange t.words.(i) ctx slot word) image
     in
     Swapped (Entry.of_words old_image)
   end

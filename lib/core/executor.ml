@@ -18,6 +18,8 @@ type t = {
   fabric : Message.t Fabric.t;
   engine : Engine.t;
   addr : Addr.t;
+  info : Message.executor_info;  (* rides every request and completion *)
+  request : Message.t;  (* the pull request, built once: it never changes *)
   obs_track : string;  (* cached so the disabled path never formats *)
   mutable on_task_start : Task.t -> node:int -> unit;
   mutable busy : bool;
@@ -32,52 +34,76 @@ type t = {
   mutable slowdown : float;  (* straggler degradation factor, >= 1 *)
   mutable tasks_executed : int;
   mutable busy_time : Time.t;
+  (* Watchdogs all share one window, so they fire in arming order, and
+     each arm follows a generation bump: only the last one armed can
+     still find the generation it was armed at.  So a count of armed,
+     unfired watchdogs and the generation at the last arm decide exactly
+     what a per-arm captured generation would. *)
+  mutable armed : int;
+  mutable armed_generation : int;
+  (* Preallocated engine thunks, set once by [create]: the no-op retry
+     (and staggered start), and the watchdog expiry. *)
+  mutable retry : unit -> unit;
+  mutable expire : unit -> unit;
 }
-
-let create ~config ~fabric () =
-  {
-    config;
-    fabric;
-    engine = Fabric.engine fabric;
-    addr = Addr.Host config.node;
-    obs_track = Printf.sprintf "exec %d:%d" config.node config.port;
-    on_task_start = (fun _ ~node:_ -> ());
-    busy = false;
-    pending_fetch = None;
-    stopped = false;
-    generation = 0;
-    epoch = 0;
-    slowdown = 1.0;
-    tasks_executed = 0;
-    busy_time = 0;
-  }
-
-let info t : Message.executor_info =
-  {
-    exec_addr = t.addr;
-    exec_port = t.config.port;
-    exec_rsrc = t.config.rsrc;
-    exec_node = t.config.node;
-  }
 
 let rec send_request t =
   if not t.stopped then begin
     t.generation <- t.generation + 1;
-    Fabric.send t.fabric ~src:t.addr ~dst:t.config.scheduler
-      (Message.Task_request { info = info t; rtrv_prio = 1 });
+    Fabric.send t.fabric ~src:t.addr ~dst:t.config.scheduler t.request;
     match t.config.watchdog with
     | None -> ()
     | Some window ->
-      let generation = t.generation in
-      ignore
-        (Engine.schedule t.engine ~after:window (fun () ->
-             if (not t.stopped) && (not t.busy) && t.generation = generation then
-               send_request t))
+      t.armed <- t.armed + 1;
+      t.armed_generation <- t.generation;
+      ignore (Engine.schedule t.engine ~after:window t.expire)
   end
 
+and watchdog_expired t =
+  t.armed <- t.armed - 1;
+  if t.armed = 0 && (not t.stopped) && (not t.busy) && t.generation = t.armed_generation
+  then send_request t
+
+let create ~config ~fabric () =
+  let addr = Addr.Host config.node in
+  let info : Message.executor_info =
+    {
+      exec_addr = addr;
+      exec_port = config.port;
+      exec_rsrc = config.rsrc;
+      exec_node = config.node;
+    }
+  in
+  let t =
+    {
+      config;
+      fabric;
+      engine = Fabric.engine fabric;
+      addr;
+      info;
+      request = Message.Task_request { info; rtrv_prio = 1 };
+      obs_track = Printf.sprintf "exec %d:%d" config.node config.port;
+      on_task_start = (fun _ ~node:_ -> ());
+      busy = false;
+      pending_fetch = None;
+      stopped = false;
+      generation = 0;
+      epoch = 0;
+      slowdown = 1.0;
+      tasks_executed = 0;
+      busy_time = 0;
+      armed = 0;
+      armed_generation = 0;
+      retry = ignore;
+      expire = ignore;
+    }
+  in
+  t.retry <- (fun () -> send_request t);
+  t.expire <- (fun () -> watchdog_expired t);
+  t
+
 let start ?(after = 0) t =
-  if after = 0 then send_request t
-  else ignore (Engine.schedule t.engine ~after (fun () -> send_request t))
+  if after = 0 then send_request t else ignore (Engine.schedule t.engine ~after t.retry)
 
 let set_on_task_start t f = t.on_task_start <- f
 let stop t = t.stopped <- true
@@ -152,7 +178,7 @@ and run t (task : Task.t) ~client =
              task request piggybacked (§3.1). *)
           Fabric.send t.fabric ~src:t.addr ~dst:t.config.scheduler
             (Message.Task_completion
-               { task_id = task.id; client; info = info t; rtrv_prio = 1 })
+               { task_id = task.id; client; info = t.info; rtrv_prio = 1 })
       end
     end
   in
@@ -168,7 +194,7 @@ let deliver t (msg : Message.t) =
     match msg with
     | Task_assignment { task; client; port = _ } -> execute t task ~client
     | Noop_assignment _ ->
-      ignore (Engine.schedule t.engine ~after:t.config.noop_retry (fun () -> send_request t))
+      ignore (Engine.schedule t.engine ~after:t.config.noop_retry t.retry)
     | Param_data { task_id; size; port = _ } -> (
       match t.pending_fetch with
       | Some (task, client) when Task.equal_id task.id task_id ->

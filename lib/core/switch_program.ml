@@ -16,6 +16,10 @@ type t = {
   policy : Policy.t;
   backend : backend;
   instrument : Instrument.t;
+  (* Each executor's no-op reply, indexed by node then port, built on
+     its first use: outputs are immutable, and an idle executor polls
+     every few microseconds. *)
+  mutable noop_replies : (Message.t, Switch_packet.t) Pipeline.output list array array;
   mutable assignments : int;
   mutable noops : int;
   mutable rejected_tasks : int;
@@ -78,6 +82,7 @@ let create ~engine ?(instrument = Instrument.default) ~policy ~queue_capacity ()
     policy;
     backend;
     instrument;
+    noop_replies = [||];
     assignments = 0;
     noops = 0;
     rejected_tasks = 0;
@@ -141,11 +146,39 @@ let repair_flag_tripped t flag ~level =
     Obs.Recorder.mark ~at:(Engine.now t.engine) ~track:"queue"
       (Printf.sprintf "repair-%s L%d" (Instrument.repair_flag_name flag) level)
 
+let grown a len fill =
+  let b = Array.make (max len (2 * Array.length a)) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* The one-element output list answering [info]'s request with a no-op;
+   the counters and hooks run on every reply, the list is built once per
+   executor port. *)
 let noop_to t (info : Message.executor_info) =
   t.noops <- t.noops + 1;
   t.instrument.on_noop ();
   Obs.Recorder.count "switch.noops" 1;
-  Pipeline.Emit (info.exec_addr, Message.Noop_assignment { port = info.exec_port })
+  let node = info.exec_node and port = info.exec_port in
+  if node < 0 || port < 0 then
+    invalid_arg "Switch_program: negative executor node or port";
+  if node >= Array.length t.noop_replies then
+    t.noop_replies <- grown t.noop_replies (node + 1) [||];
+  let row = t.noop_replies.(node) in
+  let row =
+    if port < Array.length row then row
+    else begin
+      let row = grown row (port + 1) [] in
+      t.noop_replies.(node) <- row;
+      row
+    end
+  in
+  match row.(port) with
+  | Pipeline.Emit (dst, _) :: _ as reply when Draconis_net.Addr.equal dst info.exec_addr ->
+    reply
+  | _ ->
+    let reply = [ Pipeline.Emit (info.exec_addr, Message.Noop_assignment { port }) ] in
+    row.(port) <- reply;
+    reply
 
 let assign_to t (info : Message.executor_info) (entry : Entry.t) ~requested_at =
   t.assignments <- t.assignments + 1;
@@ -248,12 +281,12 @@ let start_swap t ~level ~(entry : Entry.t) ~index ~info ~requested_at =
 let handle_request t ctx (info : Message.executor_info) ~rtrv_prio ~requested_at =
   let queues = queues_exn t in
   let levels = Array.length queues in
-  if rtrv_prio < 1 || rtrv_prio > levels then [ noop_to t info ]
+  if rtrv_prio < 1 || rtrv_prio > levels then noop_to t info
   else begin
     let level = rtrv_prio - 1 in
     if Obs.Int_telemetry.enabled () then Obs.Int_telemetry.note_level level;
     match Circular_queue.dequeue queues.(level) ctx with
-    | Circular_queue.Repair_pending -> [ noop_to t info ]
+    | Circular_queue.Repair_pending -> noop_to t info
     | Circular_queue.Empty ->
       (* Priority policy: scan the next-lower priority level via
          recirculation (§6.1); otherwise report no work. *)
@@ -261,7 +294,7 @@ let handle_request t ctx (info : Message.executor_info) ~rtrv_prio ~requested_at
         [ recirc t ~kind:"prio-request"
             (Switch_packet.Prio_request { info; rtrv_prio = rtrv_prio + 1; requested_at });
         ]
-      else [ noop_to t info ]
+      else noop_to t info
     | Circular_queue.Dequeued { index; entry } ->
       t.instrument.on_dequeue entry.task.id ~level;
       Causal.dequeue entry.task.id ~at:(Engine.now t.engine);
@@ -281,7 +314,8 @@ let resubmit_and_noop t ~level ~(entry : Entry.t) ~info =
   t.resubmissions <- t.resubmissions + 1;
   Causal.spin entry.task.id ~at:(Engine.now t.engine);
   Obs.Recorder.count "switch.resubmissions" 1;
-  [ recirc t ~kind:"resubmit" (Switch_packet.Resubmit { level; entry }); noop_to t info ]
+  let noop = noop_to t info in
+  recirc t ~kind:"resubmit" (Switch_packet.Resubmit { level; entry }) :: noop
 
 let handle_swap t ctx ~level ~entry ~swap_indx ~info ~pkt_retrieve_ptr ~attempts
     ~requested_at =
@@ -472,7 +506,7 @@ let pifo_pop_next t ~info ~requested_at ~restarts = function
   | Pifo.Empty | Pifo.Drained ->
     (* Nothing claimable (drained scans race in-flight admissions): the
        executor gets a no-op and polls again. *)
-    [ noop_to t info ]
+    noop_to t info
   | Pifo.Scanning s ->
     [ recirc t ~kind:"pifo-scan"
         (Switch_packet.Pifo_pop
@@ -502,7 +536,7 @@ let handle_pifo_pop t ctx pifo ~info ~requested_at ~restarts step =
       [ assign_to t info entry ~requested_at ]
     | Pifo.Lost ->
       (* Raced by another claimer or invalidated by a renumber. *)
-      if restarts >= max_pop_restarts then [ noop_to t info ]
+      if restarts >= max_pop_restarts then noop_to t info
       else
         [ recirc t ~kind:"pifo-restart"
             (Switch_packet.Pifo_pop
@@ -572,7 +606,7 @@ let program t : (Message.t, Switch_packet.t) Pipeline.program =
     match t.backend with
     | Rank_store { pifo; _ } ->
       handle_pifo_pop t ctx pifo ~info ~requested_at ~restarts step
-    | Queues _ -> [ noop_to t info ])
+    | Queues _ -> noop_to t info)
   | Switch_packet.Repair_add { level; target } ->
     if Obs.Int_telemetry.enabled () then Obs.Int_telemetry.note_level level;
     Circular_queue.apply_repair_add (queues_exn t).(level) ctx ~target;

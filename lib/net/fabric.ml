@@ -237,12 +237,15 @@ let verdict t rng ~now src dst =
     let p = if Array.length ws = 0 then p else window_loss ws 0 ~now p in
     if p > 0.0 && Rng.float rng < p then Lost else Deliver
 
+(* The delivery closures below capture only the instance and the
+   envelope (which carries [dst]): one event per message is the one
+   allocation besides the envelope that the engine's thunk API forces. *)
 let deliver t ?int_ ~src ~dst ~now payload =
   let env = { src; dst; sent_at = now; payload; int_ } in
   let delay = latency_sample t src dst in
   ignore
     (Engine.schedule t.engine ~after:delay (fun () ->
-         match handler_of t dst with
+         match handler_of t env.dst with
          | Some handler ->
            t.delivered <- t.delivered + 1;
            Obs.Recorder.count "fabric.delivered" 1;
@@ -316,16 +319,18 @@ let send_sharded t (s, _) ?int_ ~src ~dst payload =
     let seq = s.eid_seq.(se) in
     s.eid_seq.(se) <- seq + 1;
     let dlp = lp_of_addr s dst in
+    let inst =
+      match s.instances.(dlp) with
+      | None -> assert false (* filled before the router is returned *)
+      | Some inst -> inst
+    in
     let env = { src; dst; sent_at = now; payload; int_ } in
     Lp.post s.lps.(dlp) ~at:(now + latency) ~src:se ~seq (fun () ->
-        match s.instances.(dlp) with
-        | None -> assert false (* filled before the router is returned *)
-        | Some inst -> (
-          match handler_of inst dst with
-          | Some handler ->
-            inst.delivered <- inst.delivered + 1;
-            handler env
-          | None -> inst.undeliverable <- inst.undeliverable + 1))
+        match handler_of inst env.dst with
+        | Some handler ->
+          inst.delivered <- inst.delivered + 1;
+          handler env
+        | None -> inst.undeliverable <- inst.undeliverable + 1)
 
 let send t ?int_ ~src ~dst payload =
   if Addr.equal src dst then invalid_arg "Fabric.send: src = dst";

@@ -2,20 +2,16 @@ exception Access_violation of string
 
 (* A traversal touches at most a few dozen registers; a flat array with
    linear scan beats a hash table on this hot path. *)
-type t = { id : int; mutable accessed : int array; mutable count : int }
+type t = { mutable accessed : int array; mutable count : int }
 
-(* Atomic: packet contexts are allocated by simulations that may run in
-   parallel worker domains (see Draconis_harness.Pool). *)
-let counter = Atomic.make 0
+let create () = { accessed = Array.make 16 0; count = 0 }
+let reset t = t.count <- 0
 
-let create () =
-  { id = 1 + Atomic.fetch_and_add counter 1; accessed = Array.make 16 0; count = 0 }
+(* Top-level, so a lookup allocates no closure. *)
+let rec scan (accessed : int array) count (reg_id : int) i =
+  i < count && (Array.unsafe_get accessed i = reg_id || scan accessed count reg_id (i + 1))
 
-let id t = t.id
-
-let mem t reg_id =
-  let rec scan i = i < t.count && (t.accessed.(i) = reg_id || scan (i + 1)) in
-  scan 0
+let mem t reg_id = scan t.accessed t.count reg_id 0
 
 let mark_access t ~reg_id ~reg_name =
   if mem t reg_id then raise (Access_violation reg_name);

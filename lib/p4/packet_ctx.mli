@@ -8,8 +8,10 @@
     the rule — an illegal "P4 program" fails loudly instead of silently
     computing something no switch could.
 
-    A recirculated packet re-enters the pipeline as a {e new} packet and
-    therefore gets a fresh context. *)
+    A recirculated packet re-enters the pipeline as a {e new} packet, so
+    its traversal starts from an empty access set.  The {!Pipeline}
+    owns one context and {!reset}s it at the start of every traversal,
+    recirculations included, instead of allocating a fresh one. *)
 
 type t
 
@@ -19,8 +21,9 @@ exception Access_violation of string
 
 val create : unit -> t
 
-(** Unique id of the traversal (diagnostics). *)
-val id : t -> int
+(** [reset t] empties the access set: [t] is now as good as a fresh
+    context for the next traversal. *)
+val reset : t -> unit
 
 (** [mark_access t ~reg_id ~reg_name] records an access.
     @raise Access_violation if [reg_id] was already accessed. *)

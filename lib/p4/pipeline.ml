@@ -27,6 +27,9 @@ type ('wire, 'pkt) t = {
   fabric : 'wire Fabric.t;
   config : config;
   mutable program : ('wire, 'pkt) program;
+  (* The one packet context, reset at the start of every traversal:
+     traversals never overlap, and no program keeps its context. *)
+  ctx : Packet_ctx.t;
   mutable ingress_free_at : Time.t;
   mutable recirc_free_at : Time.t;
   (* Bumped by [flush_in_flight]; packets scheduled under an older epoch
@@ -39,6 +42,17 @@ type ('wire, 'pkt) t = {
   mutable flushed : int;
   mutable emitted : int;
 }
+
+(* Output scans, top-level so a traversal allocates no closure. *)
+let rec has_recirc = function
+  | [] -> false
+  | Recirculate _ :: _ -> true
+  | (Emit _ | Drop) :: rest -> has_recirc rest
+
+let rec count_emits n = function
+  | [] -> n
+  | Emit _ :: rest -> count_emits (n + 1) rest
+  | (Recirculate _ | Drop) :: rest -> count_emits n rest
 
 let rec admit ?int_ t pkt =
   let now = Engine.now t.engine in
@@ -63,38 +77,36 @@ and traverse ?int_ t pkt =
      stamp rides whichever outputs continue the packet's chain. *)
   let stamping = int_ <> None && Obs.Int_telemetry.enabled () in
   if stamping then Obs.Int_telemetry.begin_traversal ();
-  let ctx = Packet_ctx.create () in
-  let outputs = t.program ctx pkt in
+  Packet_ctx.reset t.ctx;
+  let outputs = t.program t.ctx pkt in
   let int_ =
     if stamping then
       Option.map (Obs.Int_telemetry.commit_traversal ~at:(Engine.now t.engine)) int_
     else int_
   in
-  let has_recirc =
-    List.exists (function Recirculate _ -> true | Emit _ | Drop -> false) outputs
-  in
-  let emits =
-    List.fold_left
-      (fun n -> function Emit _ -> n + 1 | Recirculate _ | Drop -> n)
-      0 outputs
-  in
   (* The stamp stack follows the chain: recirculated packets inherit it;
      otherwise the traversal is terminal and the stack leaves on the last
      emitted message (or drains at the switch when nothing is emitted,
      e.g. a repair application). *)
-  (if (not has_recirc) && emits = 0 then Option.iter Obs.Int_telemetry.deliver_stack int_);
-  let seen_emits = ref 0 in
-  List.iter
-    (fun output ->
-      match output with
-      | Drop -> ()
-      | Emit (dst, wire) ->
-        incr seen_emits;
-        t.emitted <- t.emitted + 1;
-        let int_ = if (not has_recirc) && !seen_emits = emits then int_ else None in
-        Fabric.send t.fabric ?int_ ~src:Addr.Switch ~dst wire
-      | Recirculate out_pkt -> recirculate ?int_ t out_pkt)
-    outputs
+  let recirc = has_recirc outputs in
+  let carrier = if recirc then 0 else count_emits 0 outputs in
+  if (not recirc) && carrier = 0 then Option.iter Obs.Int_telemetry.deliver_stack int_;
+  dispatch ?int_ t ~carrier ~seen:0 outputs
+
+(* Act on the outputs in order; the [carrier]-th emit (counting from 1;
+   0 = none) takes the stamp stack. *)
+and dispatch ?int_ t ~carrier ~seen = function
+  | [] -> ()
+  | Drop :: rest -> dispatch ?int_ t ~carrier ~seen rest
+  | Emit (dst, wire) :: rest ->
+    let seen = seen + 1 in
+    t.emitted <- t.emitted + 1;
+    let stack = if seen = carrier then int_ else None in
+    Fabric.send t.fabric ?int_:stack ~src:Addr.Switch ~dst wire;
+    dispatch ?int_ t ~carrier ~seen rest
+  | Recirculate out_pkt :: rest ->
+    recirculate ?int_ t out_pkt;
+    dispatch ?int_ t ~carrier ~seen rest
 
 and recirculate ?int_ t pkt =
   (* The loop-back port serves at [recirc_slot] intervals with a bounded
@@ -134,6 +146,7 @@ let attach ?(config = default_config) ?on_ingress fabric ~wrap program =
       fabric;
       config;
       program;
+      ctx = Packet_ctx.create ();
       ingress_free_at = 0;
       recirc_free_at = 0;
       epoch = 0;

@@ -11,9 +11,10 @@
 
     Packets are admitted one at a time (a hardware pipeline starts one
     packet per clock; the per-packet admission slot models the inverse
-    packet rate).  Each traversal runs the installed program under a
-    fresh {!Packet_ctx.t} and produces outputs: emit to an endpoint,
-    recirculate, or drop.
+    packet rate).  Each traversal runs the installed program under the
+    pipeline's one {!Packet_ctx.t}, reset to an empty access set first,
+    and produces outputs: emit to an endpoint, recirculate, or drop.  A
+    program must not keep the context past its return.
 
     Recirculation re-submits a packet from egress to ingress as a new
     packet (paper §4.3).  The recirculation port has far less bandwidth

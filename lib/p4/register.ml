@@ -55,7 +55,28 @@ let read_modify_write t ctx i f =
   t.cells.(i) <- f old;
   old
 
-let read_and_increment t ctx i = read_modify_write t ctx i (fun v -> v + 1)
+(* The fixed-function RMWs below are what the hot paths use: each is
+   the same single access as [read_modify_write], without a closure. *)
+let exchange t ctx i v =
+  check_bounds t i;
+  access t ctx;
+  let old = t.cells.(i) in
+  t.cells.(i) <- v;
+  old
+
+let read_and_increment t ctx i =
+  check_bounds t i;
+  access t ctx;
+  let old = t.cells.(i) in
+  t.cells.(i) <- old + 1;
+  old
+
+let read_and_advance t ctx i ~modulus =
+  check_bounds t i;
+  access t ctx;
+  let old = t.cells.(i) in
+  t.cells.(i) <- (if old + 1 >= modulus then 0 else old + 1);
+  old
 
 let peek t i =
   check_bounds t i;
@@ -64,5 +85,7 @@ let peek t i =
 let poke t i v =
   check_bounds t i;
   t.cells.(i) <- v
+
+let fill t v = Array.fill t.cells 0 (Array.length t.cells) v
 
 let access_count t = t.accesses

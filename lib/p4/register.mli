@@ -44,6 +44,16 @@ val read_and_increment : t -> Packet_ctx.t -> int -> int
     stores [f old].  Models a stateful ALU operation. *)
 val read_modify_write : t -> Packet_ctx.t -> int -> (int -> int) -> int
 
+(** [exchange t ctx i v] atomically returns the old value of cell [i]
+    and stores [v] — [read_modify_write] with a constant, as one access
+    and without a closure. *)
+val exchange : t -> Packet_ctx.t -> int -> int -> int
+
+(** [read_and_advance t ctx i ~modulus] atomically returns the old value
+    [v] of cell [i] and stores [v + 1], wrapping to [0] once [v + 1]
+    reaches [modulus] — a wrap-around pointer increment in one access. *)
+val read_and_advance : t -> Packet_ctx.t -> int -> modulus:int -> int
+
 (** [peek t i] reads without a context — control-plane access, not
     usable from the data path (tests and invariant checks only). *)
 val peek : t -> int -> int
@@ -51,6 +61,10 @@ val peek : t -> int -> int
 (** [poke t i v] control-plane write (initialisation from the switch
     CPU, as a real deployment would do via the driver). *)
 val poke : t -> int -> int -> unit
+
+(** [fill t v] control-plane write of [v] to every cell: the switch
+    CPU's bulk initialisation of a whole array. *)
+val fill : t -> int -> unit
 
 (** Number of data-path operations performed over the array's lifetime. *)
 val access_count : t -> int

@@ -82,18 +82,25 @@ let put_tprops b off = function
     put_u8 b off 5;
     put_u64 b (off + 1) id
 
+(* Decoded values are held to the encoder's own limits, so every message
+   [decode] accepts re-encodes. *)
+let get_bounded b off name ~lo ~hi =
+  let v = get_u64 b off in
+  if v < lo || v > hi then raise (Decode (Bad_field name));
+  v
+
 let get_tprops b off =
   let tag_byte = get_u8 b off in
   match tag_byte land 0x0F with
   | 0 -> Task.No_props
-  | 1 -> Task.Resources (get_u64 b (off + 1))
+  | 1 -> Task.Resources (get_bounded b (off + 1) "resource bitmap" ~lo:0 ~hi:0xFFFFFFFF)
   | 2 ->
     let n = (tag_byte lsr 4) land 0x0F in
     if n > max_locality_nodes then raise (Decode (Bad_field "locality count"));
     Task.Locality (List.init n (fun i -> get_u16 b (off + 1 + (2 * i))))
-  | 3 -> Task.Priority (get_u64 b (off + 1))
-  | 4 -> Task.Deadline (get_u64 b (off + 1))
-  | 5 -> Task.Tenant (get_u64 b (off + 1))
+  | 3 -> Task.Priority (get_bounded b (off + 1) "priority" ~lo:1 ~hi:0xFF)
+  | 4 -> Task.Deadline (get_bounded b (off + 1) "deadline" ~lo:0 ~hi:0xFFFFFFFF)
+  | 5 -> Task.Tenant (get_bounded b (off + 1) "tenant id" ~lo:0 ~hi:0xFFFFFFFF)
   | _ -> raise (Decode (Bad_field "tprops tag"))
 
 let put_task b off (t : Task.t) =
@@ -114,7 +121,7 @@ let get_task b off : Task.t =
   {
     id = { uid = get_u32 b off; jid = get_u32 b (off + 4); tid = get_u32 b (off + 8) };
     fn_id = get_u16 b (off + 12);
-    fn_par = get_u64 b (off + 14);
+    fn_par = get_bounded b (off + 14) "fn_par" ~lo:0 ~hi:max_int;
     tprops = get_tprops b (off + 22);
   }
 
@@ -194,6 +201,13 @@ let encode (msg : Message.t) =
 
 let need b n = if Bytes.length b < n then raise (Decode Truncated)
 
+(* A task list the encoder would refuse as over-MTU is refused here too. *)
+let get_task_count b off ~header =
+  let n = get_u16 b off in
+  if header + (task_info_size * n) > mtu_payload then
+    raise (Decode (Bad_field "task count"));
+  n
+
 let decode_exn b : Message.t =
   need b 1;
   match get_u8 b 0 with
@@ -201,7 +215,7 @@ let decode_exn b : Message.t =
     need b 13;
     let client = addr_of_wire (get_u16 b 1) in
     let uid = get_u32 b 3 and jid = get_u32 b 7 in
-    let n = get_u16 b 11 in
+    let n = get_task_count b 11 ~header:13 in
     need b (13 + (task_info_size * n));
     let tasks = List.init n (fun i -> get_task b (13 + (task_info_size * i))) in
     Job_submission { client; uid; jid; tasks }
@@ -211,7 +225,7 @@ let decode_exn b : Message.t =
   | 3 ->
     need b 11;
     let uid = get_u32 b 1 and jid = get_u32 b 5 in
-    let n = get_u16 b 9 in
+    let n = get_task_count b 9 ~header:11 in
     need b (11 + (task_info_size * n));
     let tasks = List.init n (fun i -> get_task b (11 + (task_info_size * i))) in
     Queue_full { uid; jid; tasks }

@@ -36,7 +36,9 @@ val max_tasks_per_packet : int
     overflow). *)
 val encode : Message.t -> bytes
 
-(** [decode b] parses a wire image. *)
+(** [decode b] parses a wire image.  It holds every field to the limits
+    {!encode} enforces and answers [Error (Bad_field _)] otherwise, so
+    every message it returns re-encodes. *)
 val decode : bytes -> (Message.t, error) result
 
 (** [encoded_size msg] is [Bytes.length (encode msg)] without building

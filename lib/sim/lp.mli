@@ -16,7 +16,15 @@
     cross-LP events enter an engine depends only on the stamps — never
     on which domain ran which LP first, and never on how the model was
     partitioned.  This is what makes sharded runs reproduce the
-    sequential ([DRACONIS_SHARDS=1]) outcomes exactly. *)
+    sequential ([DRACONIS_SHARDS=1]) outcomes exactly.
+
+    {2 Allocation}
+
+    The inbox is a set of parallel arrays that grow by doubling: a
+    {!post} stores the stamp and the closure and allocates nothing
+    else, and {!inject} heapsorts the due slots in place, then compacts
+    the rest, so the mailbox adds no per-message garbage to the
+    caller's closure. *)
 
 type t
 

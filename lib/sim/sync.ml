@@ -2,6 +2,10 @@ type t = {
   lps : Lp.t array;
   lookahead : Time.t;
   mutable windows : int;
+  (* The current window's horizon, read by [thunks] when they run. *)
+  mutable horizon : Time.t;
+  (* One per LP, built once: run the LP's engine up to [horizon]. *)
+  mutable thunks : (unit -> unit) array;
 }
 
 type executor = (unit -> unit) array -> unit
@@ -19,7 +23,10 @@ let create ~lookahead lps =
         invalid_arg (Printf.sprintf "Sync.create: duplicate LP id %d" id);
       Hashtbl.add seen id ())
     lps;
-  { lps = Array.copy lps; lookahead; windows = 0 }
+  let t = { lps = Array.copy lps; lookahead; windows = 0; horizon = 0; thunks = [||] } in
+  t.thunks <-
+    Array.map (fun lp () -> Engine.run ~until:t.horizon (Lp.engine lp)) t.lps;
+  t
 
 let lookahead t = t.lookahead
 let lps t = Array.copy t.lps
@@ -35,12 +42,14 @@ let drained t =
 
 (* Global floor: the earliest instant any LP still owes work at. *)
 let floor t =
-  Array.fold_left
-    (fun acc lp ->
-      match Lp.next_at lp with
-      | None -> acc
-      | Some a -> ( match acc with Some b when b <= a -> acc | _ -> Some a))
-    None t.lps
+  let floor = ref None in
+  for i = 0 to Array.length t.lps - 1 do
+    match (Lp.next_at t.lps.(i), !floor) with
+    | Some a, Some b when b <= a -> ()
+    | (Some _ as next), _ -> floor := next
+    | None, _ -> ()
+  done;
+  !floor
 
 let run ?until ?(executor = sequential) t =
   (* Everything at or before [u] has run; park every clock at [u],
@@ -62,12 +71,14 @@ let run ?until ?(executor = sequential) t =
           let h = f + t.lookahead - 1 in
           match until with Some u -> min h u | None -> h
         in
-        Array.iter (fun lp -> Lp.inject lp ~upto:horizon) t.lps;
-        Array.iter (fun lp -> Lp.set_floor lp horizon) t.lps;
-        executor
-          (Array.map
-             (fun lp () -> Engine.run ~until:horizon (Lp.engine lp))
-             t.lps);
+        for i = 0 to Array.length t.lps - 1 do
+          Lp.inject t.lps.(i) ~upto:horizon
+        done;
+        for i = 0 to Array.length t.lps - 1 do
+          Lp.set_floor t.lps.(i) horizon
+        done;
+        t.horizon <- horizon;
+        executor t.thunks;
         t.windows <- t.windows + 1;
         loop ())
   in

@@ -169,18 +169,53 @@ let test_executor_noop_backoff () =
   | _ -> Alcotest.fail "unreachable");
   Alcotest.(check int) "nothing executed" 0 (Executor.tasks_executed exec)
 
-let test_executor_watchdog_resends () =
+(* A scheduler that records when each pull request was sent and answers
+   the first [noops] of them with a no-op, then falls silent; the
+   executor has a 50 us watchdog. *)
+let watchdog_env ~noops =
   let engine, fabric, _ = make_env () in
-  let requests = ref 0 in
-  (* A scheduler that never answers. *)
-  Fabric.register fabric Addr.Switch (fun _ -> incr requests);
+  let sent = ref [] in
+  Fabric.register fabric Addr.Switch (fun env ->
+      match env.Fabric.payload with
+      | Message.Task_request _ ->
+        sent := env.Fabric.sent_at :: !sent;
+        if List.length !sent <= noops then
+          Fabric.send fabric ~src:Addr.Switch ~dst:(Addr.Host 0)
+            (Message.Noop_assignment { port = 2 })
+      | _ -> ());
   let exec =
     Executor.create ~config:(exec_config ~watchdog:(Some (Time.us 50)) ()) ~fabric ()
   in
   Fabric.register fabric (Addr.Host 0) (fun env -> Executor.deliver exec env.Fabric.payload);
+  (engine, exec, fun () -> List.rev_map (fun t -> t / Time.us 1) !sent)
+
+let test_executor_watchdog_resends () =
+  let engine, exec, sent_us = watchdog_env ~noops:0 in
   Executor.start exec;
   Engine.run ~until:(Time.us 220) engine;
-  Alcotest.(check bool) "watchdog re-sent the pull" true (!requests >= 4)
+  Alcotest.(check (list int)) "one re-send per window" [ 0; 50; 100; 150; 200 ] (sent_us ())
+
+(* The first request is answered: the no-op lands at 2 us and the
+   executor re-polls 4 us later.  The first request's watchdog (due at
+   50 us) must stay silent; only the re-poll's (due at 56 us) fires. *)
+let test_executor_watchdog_quiet_after_reply () =
+  let engine, exec, sent_us = watchdog_env ~noops:1 in
+  Executor.start exec;
+  Engine.run ~until:(Time.us 220) engine;
+  Alcotest.(check (list int)) "windows restart at the re-poll" [ 0; 6; 56; 106; 156; 206 ]
+    (sent_us ())
+
+(* Crash at 60 us with the 50 us re-send's watchdog pending, restart at
+   80 us: the stale watchdog (due at 100 us) stays silent, the restart's
+   own pull arms the next window. *)
+let test_executor_watchdog_crash_restart () =
+  let engine, exec, sent_us = watchdog_env ~noops:0 in
+  Executor.start exec;
+  ignore (Engine.schedule engine ~after:(Time.us 60) (fun () -> Executor.crash exec));
+  ignore (Engine.schedule engine ~after:(Time.us 80) (fun () -> Executor.restart exec));
+  Engine.run ~until:(Time.us 240) engine;
+  Alcotest.(check (list int)) "no re-send while down or from a stale window"
+    [ 0; 50; 80; 130; 180; 230 ] (sent_us ())
 
 let test_executor_stop () =
   let engine, fabric, _ = make_env () in
@@ -258,6 +293,10 @@ let suite =
     Alcotest.test_case "executor pull loop" `Quick test_executor_pull_loop;
     Alcotest.test_case "executor no-op backoff" `Quick test_executor_noop_backoff;
     Alcotest.test_case "executor watchdog" `Quick test_executor_watchdog_resends;
+    Alcotest.test_case "executor watchdog quiet after a reply" `Quick
+      test_executor_watchdog_quiet_after_reply;
+    Alcotest.test_case "executor watchdog across crash and restart" `Quick
+      test_executor_watchdog_crash_restart;
     Alcotest.test_case "executor stop" `Quick test_executor_stop;
     Alcotest.test_case "worker routes by port" `Quick test_worker_routes_by_port;
     Alcotest.test_case "metrics correlation" `Quick test_metrics_correlation;

@@ -33,4 +33,5 @@ let () =
       ("int-telemetry", Test_int_telemetry.suite);
       ("attribution", Test_attribution.suite);
       ("fuzz", Test_fuzz.suite);
+      ("alloc", Test_alloc.suite);
     ]

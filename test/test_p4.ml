@@ -15,9 +15,12 @@ let test_single_access_enforced () =
   (match Register.read reg ctx 1 with
   | exception Packet_ctx.Access_violation "r" -> ()
   | _ -> Alcotest.fail "second access to the same register must raise");
-  (* A different packet may access it again. *)
+  (* A different packet may access it again, and so may a reset context. *)
   let ctx2 = Packet_ctx.create () in
-  ignore (Register.read reg ctx2 0)
+  ignore (Register.read reg ctx2 0);
+  Packet_ctx.reset ctx;
+  Alcotest.(check int) "reset empties the access set" 0 (Packet_ctx.access_count ctx);
+  ignore (Register.read reg ctx 0)
 
 let test_distinct_registers_ok () =
   let a = Register.create ~name:"a" ~size:1 () in
@@ -40,7 +43,27 @@ let test_rmw_and_write () =
   Register.write reg (Packet_ctx.create ()) 1 42;
   let old = Register.read_modify_write reg (Packet_ctx.create ()) 1 (fun v -> v * 2) in
   Alcotest.(check int) "rmw returns old" 42 old;
-  Alcotest.(check int) "rmw applied" 84 (Register.peek reg 1)
+  Alcotest.(check int) "rmw applied" 84 (Register.peek reg 1);
+  Register.fill reg 5;
+  Alcotest.(check (list int)) "fill sets every cell" [ 5; 5 ]
+    [ Register.peek reg 0; Register.peek reg 1 ]
+
+(* The closure-free RMWs are single accesses like read_modify_write:
+   they return the old value and a second access raises. *)
+let test_exchange_and_advance () =
+  let reg = Register.create ~name:"ptr" ~size:2 () in
+  let ctx = Packet_ctx.create () in
+  Alcotest.(check int) "exchange returns old" 0 (Register.exchange reg ctx 1 7);
+  Alcotest.(check int) "exchange stored" 7 (Register.peek reg 1);
+  (match Register.read_and_advance reg ctx 0 ~modulus:3 with
+  | exception Packet_ctx.Access_violation "ptr" -> ()
+  | _ -> Alcotest.fail "a second access to the same register must raise");
+  Alcotest.(check int) "a refused access changes nothing" 0 (Register.peek reg 0);
+  let olds =
+    List.init 4 (fun _ -> Register.read_and_advance reg (Packet_ctx.create ()) 0 ~modulus:3)
+  in
+  Alcotest.(check (list int)) "advance wraps at the modulus" [ 0; 1; 2; 0 ] olds;
+  Alcotest.(check int) "pointer after four advances" 1 (Register.peek reg 0)
 
 let test_register_bounds () =
   let reg = Register.create ~name:"b" ~size:2 () in
@@ -148,7 +171,7 @@ let test_pipeline_recirc_drops_when_saturated () =
 
 let test_pipeline_fresh_ctx_per_traversal () =
   (* A recirculated packet must be able to access the same register
-     again: it is a new packet. *)
+     again: it is a new packet, and the pipeline resets its context. *)
   let reg = Register.create ~name:"shared" ~size:1 () in
   let engine, _fabric, pipeline =
     make_pipeline (fun ctx pkt ->
@@ -200,6 +223,7 @@ let suite =
     Alcotest.test_case "distinct registers allowed" `Quick test_distinct_registers_ok;
     Alcotest.test_case "read_and_increment" `Quick test_read_and_increment;
     Alcotest.test_case "rmw and write" `Quick test_rmw_and_write;
+    Alcotest.test_case "exchange and read_and_advance" `Quick test_exchange_and_advance;
     Alcotest.test_case "register bounds" `Quick test_register_bounds;
     Alcotest.test_case "register metadata" `Quick test_register_metadata;
     QCheck_alcotest.to_alcotest prop_one_access_per_packet;

@@ -38,6 +38,8 @@ let tprops_gen =
         map (fun r -> Task.Resources r) (int_range 0 0xFFFFFFFF);
         map (fun nodes -> Task.Locality nodes) (list_size (int_range 0 4) (int_range 0 0xFFFF));
         map (fun p -> Task.Priority p) (int_range 1 255);
+        map (fun d -> Task.Deadline d) (int_range 0 0xFFFFFFFF);
+        map (fun id -> Task.Tenant id) (int_range 0 0xFFFFFFFF);
       ])
 
 let task_gen =
@@ -170,11 +172,75 @@ let prop_codec_roundtrip =
     (QCheck.make ~print:(Format.asprintf "%a" Message.pp) message_gen)
     roundtrip
 
+(* A wire image of a valid message with 1-4 bytes overwritten: it gets
+   past the opcode and length checks that stop most random noise. *)
+let mutated_frame_gen =
+  QCheck.Gen.(
+    message_gen >>= fun msg ->
+    let frame = Codec.encode msg in
+    let len = Bytes.length frame in
+    list_size (int_range 1 4) (pair (int_range 0 (len - 1)) (int_range 0 255))
+    >|= fun edits ->
+    List.iter (fun (off, v) -> Bytes.set_uint8 frame off v) edits;
+    Bytes.to_string frame)
+
+let hex s =
+  String.concat " " (List.of_seq (Seq.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (String.to_seq s)))
+
+(* Decoding raw bytes never raises, and whatever it accepts is a message
+   the encoder accepts too. *)
 let prop_codec_never_crashes_on_noise =
-  QCheck.Test.make ~name:"decode never raises on random bytes" ~count:500
-    QCheck.(string_of_size (Gen.int_range 0 64))
+  QCheck.Test.make ~name:"decode never raises on random bytes" ~count:1000
+    (QCheck.make ~print:hex
+       QCheck.Gen.(
+         oneof [ string_size ~gen:char (int_range 0 64); mutated_frame_gen ]))
     (fun s ->
-      match Codec.decode (Bytes.of_string s) with Ok _ | Error _ -> true)
+      match Codec.decode (Bytes.of_string s) with
+      | Error _ -> true
+      | Ok msg -> (
+        match Codec.encode msg with
+        | _ -> true
+        | exception Invalid_argument e ->
+          QCheck.Test.fail_reportf "decoded %a, which encode rejects: %s" Message.pp msg e))
+
+(* The encoder's field limits, each broken in an otherwise valid
+   Task_assignment image: TPROPS at byte 5 + 22, fn_par at 5 + 14. *)
+let test_codec_decode_holds_encode_limits () =
+  let task = Task.make ~uid:1 ~jid:2 ~tid:3 ~fn_id:1 ~fn_par:10 () in
+  let frame tprops =
+    Codec.encode
+      (Message.Task_assignment
+         { task = { task with tprops }; client = Addr.Host 3; port = 0 })
+  in
+  let with_u64 b off v =
+    let b = Bytes.copy b in
+    Bytes.set_int64_be b off (Int64.of_int v);
+    b
+  in
+  let tprops_value = 5 + 22 + 1 and fn_par = 5 + 14 in
+  List.iter
+    (fun (name, b, field) ->
+      match Codec.decode b with
+      | Error (Codec.Bad_field f) -> Alcotest.(check string) name field f
+      | Ok msg -> Alcotest.failf "%s: decoded %a" name Message.pp msg
+      | Error e -> Alcotest.failf "%s: %a" name Codec.pp_error e)
+    [
+      ("priority 0", with_u64 (frame (Task.Priority 1)) tprops_value 0, "priority");
+      ("priority 256", with_u64 (frame (Task.Priority 1)) tprops_value 256, "priority");
+      ( "resources all ones",
+        with_u64 (frame (Task.Resources 1)) tprops_value (-1),
+        "resource bitmap" );
+      ("deadline 2^32", with_u64 (frame (Task.Deadline 1)) tprops_value (1 lsl 32), "deadline");
+      ("tenant 2^32", with_u64 (frame (Task.Tenant 1)) tprops_value (1 lsl 32), "tenant id");
+      ("fn_par -5", with_u64 (frame Task.No_props) fn_par (-5), "fn_par");
+    ];
+  (* A task count past the MTU, in a buffer long enough to hold it. *)
+  let big = Bytes.make (13 + (Codec.task_info_size * 46)) '\000' in
+  Bytes.set_uint8 big 0 1;
+  Bytes.set_uint16_be big 11 46;
+  match Codec.decode big with
+  | Error (Codec.Bad_field "task count") -> ()
+  | _ -> Alcotest.fail "an over-MTU task count must be refused"
 
 (* -- Entry packing ----------------------------------------------------------------- *)
 
@@ -209,6 +275,8 @@ let suite =
     Alcotest.test_case "codec MTU guard" `Quick test_codec_mtu_guard;
     Alcotest.test_case "codec locality limit" `Quick test_codec_locality_limit;
     Alcotest.test_case "codec decode errors" `Quick test_codec_decode_errors;
+    Alcotest.test_case "codec decode holds encode's limits" `Quick
+      test_codec_decode_holds_encode_limits;
     QCheck_alcotest.to_alcotest prop_codec_roundtrip;
     QCheck_alcotest.to_alcotest prop_codec_never_crashes_on_noise;
     QCheck_alcotest.to_alcotest prop_entry_roundtrip;

@@ -98,6 +98,57 @@ let test_injection_sorted_by_stamp () =
   Engine.run (Lp.engine lp);
   Alcotest.(check (list int)) "stamp order" [ 1; 2; 3; 4 ] (List.rev !order)
 
+(* Random stamped posts, each made before the window that injects it,
+   run in (at, src, seq) order across ten windows.  A post not yet due
+   must survive each window's compaction, and the 80-300 posts push the
+   inbox well past its initial capacity. *)
+let prop_inbox_windows =
+  let window = 100 and windows = 10 in
+  let post_gen =
+    (* (at, src, window it is posted in): posted no later than the
+       window whose horizon covers [at]. *)
+    QCheck.Gen.(
+      int_range 1 (window * windows) >>= fun at ->
+      pair (int_range 0 7) (int_range 0 ((at - 1) / window)) >|= fun (src, w) ->
+      (at, src, w))
+  in
+  QCheck.Test.make ~name:"Lp inbox injects random posts in stamp order" ~count:100
+    QCheck.(make Gen.(list_size (int_range 80 300) post_gen))
+    (fun posts ->
+      let lp = Lp.create ~id:0 ~seed:1 () in
+      let seqs = Array.make 8 0 in
+      (* Per-source monotone seq numbers, in post order. *)
+      let posts =
+        List.map
+          (fun (at, src, w) ->
+            seqs.(src) <- seqs.(src) + 1;
+            (at, src, seqs.(src), w))
+          posts
+      in
+      let ran = ref [] in
+      let pending = ref 0 in
+      for w = 0 to windows - 1 do
+        let upto = (w + 1) * window in
+        List.iter
+          (fun (at, src, seq, pw) ->
+            if pw = w then begin
+              incr pending;
+              Lp.post lp ~at ~src ~seq (fun () -> ran := (at, src, seq) :: !ran)
+            end)
+          posts;
+        Lp.inject lp ~upto;
+        Lp.set_floor lp upto;
+        Engine.run ~until:upto (Lp.engine lp);
+        let later = List.filter (fun (at, _, _, pw) -> pw <= w && at > upto) posts in
+        if Lp.inbox_length lp <> List.length later then
+          QCheck.Test.fail_reportf "window %d: %d left in the inbox, %d not yet due" w
+            (Lp.inbox_length lp) (List.length later)
+      done;
+      let expected = List.sort compare (List.map (fun (at, src, seq, _) -> (at, src, seq)) posts) in
+      List.rev !ran = expected
+      && Lp.injected lp = List.length posts
+      && Lp.posted lp = !pending)
+
 (* -- Sync across a seq-counter renumber ------------------------------------ *)
 
 (* Mirror test_pool's FIFO-ties-across-renumber, but with the churn
@@ -318,6 +369,7 @@ let suite =
       test_mailbox_lookahead_enforced;
     Alcotest.test_case "injection sorts by (at, src, seq)" `Quick
       test_injection_sorted_by_stamp;
+    QCheck_alcotest.to_alcotest prop_inbox_windows;
     Alcotest.test_case "ties + injection survive renumber" `Slow
       test_sync_ties_survive_renumber;
     Alcotest.test_case "sharded = sequential outcomes" `Quick
