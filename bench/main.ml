@@ -44,17 +44,6 @@ module H = Draconis_harness
 let micro_tests () =
   let open Draconis_sim in
   let open Draconis_proto in
-  let wheel_test =
-    Test.make ~name:"wheel push+pop x100"
-      (Staged.stage (fun () ->
-           let wheel = Wheel.create () in
-           for i = 0 to 99 do
-             Wheel.push wheel ((i * 7919) mod 100) i
-           done;
-           while not (Wheel.is_empty wheel) do
-             ignore (Wheel.pop wheel)
-           done))
-  in
   let int_heap_test =
     Test.make ~name:"int_heap push+pop x100"
       (Staged.stage (fun () ->
@@ -67,13 +56,25 @@ let micro_tests () =
            done))
   in
   let engine_test =
-    Test.make ~name:"engine schedule+run x100"
-      (Staged.stage (fun () ->
-           let engine = Engine.create () in
-           for i = 1 to 100 do
-             ignore (Engine.schedule engine ~after:i (fun () -> ()))
-           done;
-           Engine.run engine))
+    (* The calendar in place, at idle-poll's standing population: ~3k
+       self-re-arming timers cycling through one poll round trip's
+       delays (request hop, admission, reply hop, retry, watchdog), so
+       the 200 us watchdogs make up most of what is pending.  Each
+       iteration steps one event, which re-arms itself: one schedule and
+       one step on a full calendar, with nothing created in the loop. *)
+    let engine = Engine.create () in
+    let mix = [| 1_350; 400; 1_650; 4_000; 200_000; 1_500; 400; 1_500; 4_000; 200_000 |] in
+    let next = ref 0 in
+    let rec timer () =
+      next := if !next + 1 = Array.length mix then 0 else !next + 1;
+      ignore (Engine.schedule engine ~after:mix.(!next) timer)
+    in
+    for _ = 1 to 3_000 do
+      timer ()
+    done;
+    Engine.run ~max_events:1_000_000 engine;
+    Test.make ~name:"engine schedule+step, 3k pending (idle-poll mix)"
+      (Staged.stage (fun () -> ignore (Engine.step engine)))
   in
   let rng = Rng.create ~seed:1 in
   let rng_test =
@@ -142,7 +143,7 @@ let micro_tests () =
     Test.make ~name:"obs mark (no recorder)"
       (Staged.stage (fun () -> Draconis_obs.Recorder.mark ~at:0 ~track:"host" "x"))
   in
-  [ wheel_test; int_heap_test; engine_test; rng_test; codec_test; queue_test;
+  [ engine_test; int_heap_test; rng_test; codec_test; queue_test;
     swap_test; table_lookup_test; mark_test ]
 
 let run_micro ?quick:_ () =

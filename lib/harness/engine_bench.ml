@@ -3,12 +3,15 @@ open Draconis_stats
 
 (* Self-propagating event storm: each fired event schedules its
    successor, so schedule/step/release churn through the engine's pooled
-   slots at steady state.  The delay mix covers every calendar tier —
-   mostly near-future ticks that stay in the wheel's low levels, a mid
-   band that exercises cascading, and a far tail beyond the 2^25-tick
-   window that lands in the overflow heap.  Every 8th event also parks a
-   no-op victim in a small ring and cancels the victim it evicts, so the
-   cancel path and the generation-counter guard see traffic too.
+   nodes at steady state.  The delay mix: mostly near-future ticks in the
+   wheel's low levels, a mid band that exercises cascading, and a far
+   tail of 33-101 ms.  The far tail sits inside the wheel's 2^30-tick
+   span, so it cascades down from the top level and never reaches the
+   side tier (the calendar tests cover that); the delays stay fixed
+   because BENCH_engine.json pins the counts they produce.  Every 8th
+   event also parks a no-op victim in a small ring and cancels the
+   victim it evicts, so the cancel path and the generation-counter guard
+   see traffic too.
 
    All randomness comes from one seeded splitmix stream drawn inside the
    handlers, so every count below is a deterministic function of the
@@ -38,9 +41,9 @@ let storm ~total ~seed =
   let ring_pos = ref 0 in
   let delay () =
     let r = Rng.int rng 100 in
-    if r < 90 then 1 + Rng.int rng 50_000 (* near: wheel levels 0-3 *)
+    if r < 90 then 1 + Rng.int rng 50_000 (* near: wheel levels 0-1 *)
     else if r < 98 then 1 + Rng.int rng (1 lsl 22) (* mid: cascades *)
-    else (1 lsl 25) + Rng.int rng (1 lsl 26) (* far: overflow tier *)
+    else (1 lsl 25) + Rng.int rng (1 lsl 26) (* far: top level *)
   in
   let rec fire () =
     if !scheduled < total then begin

@@ -48,6 +48,40 @@ let test_legacy_budget () =
 let test_lp_budget () =
   check_budget "LP path at shards = 1" ~budget:80.0 (words_per_traversal (Some 1))
 
+(* The calendar in place: with idle-poll's standing population of ~3k
+   self-re-arming 200 us watchdogs pending, scheduling a preallocated
+   thunk at the poll loop's near delays and stepping allocates nothing.
+   Every 8th round also arms one more watchdog, so the population grows
+   past 4096 and the node pool grows once inside the measured loop; the
+   grown arrays are too large for the minor heap. *)
+let test_calendar_in_place () =
+  let e = Engine.create () in
+  let rec watchdog () = ignore (Engine.schedule e ~after:(Time.us 200) watchdog) in
+  for i = 0 to 2_999 do
+    ignore (Engine.schedule e ~after:(Time.us 200 + (i * 67)) watchdog)
+  done;
+  let hops = ref 0 in
+  let hop () = incr hops in
+  let near = [| 400; 1_350; 1_650; 4_000 |] in
+  let round i =
+    ignore (Engine.schedule e ~after:near.(i land 3) hop);
+    if i land 7 = 0 then watchdog ();
+    ignore (Engine.step e)
+  in
+  for i = 1 to 1_000 do
+    round i
+  done;
+  let pending0 = Engine.pending e in
+  let w0 = Gc.minor_words () in
+  for i = 1 to 30_000 do
+    round i
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "the population crossed a pool growth" true
+    (pending0 < 4096 && Engine.pending e > 4096);
+  Alcotest.(check bool) "events ran" true (!hops > 20_000);
+  Alcotest.(check (float 0.0)) "minor words over 30k schedule+step rounds" 0.0 words
+
 (* A draw that returns an immediate allocates nothing; [float] pays only
    for boxing its result, which a non-inlined float return always does. *)
 let test_rng_draws () =
@@ -79,4 +113,6 @@ let suite =
     Alcotest.test_case "idle poll: legacy words/traversal" `Quick test_legacy_budget;
     Alcotest.test_case "idle poll: LP words/traversal" `Quick test_lp_budget;
     Alcotest.test_case "rng draws allocate only a float result" `Quick test_rng_draws;
+    Alcotest.test_case "calendar: schedule+step in place, 3k pending" `Quick
+      test_calendar_in_place;
   ]

@@ -2,8 +2,9 @@
    a small reference scheduler, defined here and used nowhere else, that
    orders events with a plain binary heap.  The wheel must execute the
    exact same events, in the same order, at the same virtual times —
-   including cancels, nested scheduling, the wheel's overdue/overflow
-   tiers, and the sequence-counter renumbering path. *)
+   including cancels, nested scheduling, the simulation's own delays,
+   every level's window edge, the side tier (behind the cursor and
+   beyond the span), and the sequence-counter renumbering path. *)
 
 open Draconis_sim
 
@@ -18,6 +19,7 @@ module type SCHED = sig
   val executed : t -> int
   val schedule : t -> after:Time.t -> (unit -> unit) -> handle
   val cancel : t -> handle -> unit
+  val next_at : t -> Time.t option
   val run : ?until:Time.t -> t -> unit
 end
 
@@ -30,6 +32,7 @@ module Wheel_engine : SCHED = struct
   let executed = Engine.executed
   let schedule = Engine.schedule
   let cancel = Engine.cancel
+  let next_at = Engine.next_at
   let run ?until t = Engine.run ?until t
 end
 
@@ -40,7 +43,7 @@ end
    renumbering crossing below is checked against an order that never
    went through it. *)
 module Heap_oracle : SCHED = struct
-  let seq_bits = 30
+  let seq_bits = 24
 
   type t = {
     heap : (unit -> unit) Int_heap.t;
@@ -75,6 +78,12 @@ module Heap_oracle : SCHED = struct
      will ever match: sequence numbers are never reused. *)
   let cancel t h = Hashtbl.replace t.cancelled h ()
 
+  (* Cancelled entries stay queued until popped, as on the engine. *)
+  let next_at t =
+    match Int_heap.peek_key t.heap with
+    | exception Not_found -> None
+    | key -> Some (key asr seq_bits)
+
   let run ?until t =
     let limit = Option.value until ~default:max_int in
     let rec loop () =
@@ -97,6 +106,20 @@ module Heap_oracle : SCHED = struct
     match until with Some limit when t.now < limit -> t.now <- limit | _ -> ()
 end
 
+(* The simulation's own delays: pipeline admission, recirculation, a
+   host-switch hop of 1.5 us +/- 150 ns, the 4 us no-op retry, the 200 us
+   executor watchdog and the longest service time. *)
+let sim_delays = [| 400; 600; 1_350; 1_500; 1_650; 4_000; 200_000; 500_000 |]
+
+(* Every level's window width, and the span, +/- 1 tick. *)
+let edge_delays =
+  Array.of_list
+    (List.concat_map
+       (fun l ->
+         let w = 1 lsl (Engine.slot_bits * l) in
+         [ w - 1; w; w + 1 ])
+       (List.init Engine.levels (fun l -> l + 1)))
+
 (* One randomized workload, fully determined by [seed]: the execution
    log is (event id, virtual time) in firing order.  All rng draws
    happen either before the run or inside handlers; since both
@@ -108,10 +131,16 @@ let exec_log (module S : SCHED) ~seed ~n =
   let log = ref [] in
   let note i () = log := (i, S.now sched) :: !log in
   let delay () =
-    match Rng.int rng 10 with
+    match Rng.int rng 12 with
     | 0 -> Rng.int rng 5 (* near-ties at the same instants *)
     | 1 | 2 -> 1 + Rng.int rng 100
-    | 3 -> (1 lsl 25) + Rng.int rng (1 lsl 26) (* wheel overflow tier *)
+    | 3 -> Engine.span + Rng.int rng Engine.span (* beyond the span: side tier *)
+    | 4 | 5 -> sim_delays.(Rng.int rng (Array.length sim_delays))
+    | 6 -> edge_delays.(Rng.int rng (Array.length edge_delays))
+    | 7 ->
+      (* Up to the next aligned edge of a level's window, +/- 1 tick. *)
+      let w = 1 lsl (Engine.slot_bits * (1 + Rng.int rng Engine.levels)) in
+      w - (S.now sched mod w) + Rng.int rng 3 - 1
     | _ -> 1 + Rng.int rng 100_000
   in
   let cancelable = ref [] in
@@ -127,14 +156,16 @@ let exec_log (module S : SCHED) ~seed ~n =
     if Rng.int rng 4 = 0 then cancelable := h :: !cancelable
   done;
   List.iteri (fun j h -> if j mod 2 = 0 then S.cancel sched h) !cancelable;
-  (* Stop mid-horizon, then schedule closer than anything still queued:
-     on the wheel these land behind the cursor (the overdue tier). *)
+  (* Stop mid-horizon and peek, then schedule closer than anything still
+     queued: the peek moved the wheel's cursor to the next event, so
+     these land behind it (the side tier). *)
   S.run ~until:50_000 sched;
+  let peeked = S.next_at sched in
   for i = 2 * n to (2 * n) + 19 do
     ignore (S.schedule sched ~after:(1 + Rng.int rng 50) (note i))
   done;
   S.run sched;
-  (List.rev !log, S.executed sched, S.now sched)
+  (List.rev !log, peeked, S.executed sched, S.now sched)
 
 let prop_calendars_agree =
   QCheck.Test.make ~name:"heap and wheel calendars execute identical orders"
@@ -146,20 +177,24 @@ let prop_calendars_agree =
 
 (* Enough schedule/cancel churn to overflow the engine's 21-bit sequence
    counter while ties are pending, forcing the renumbering path; FIFO
-   order of the ties must survive it. *)
+   order of the ties must survive it, and a handle issued before it must
+   still cancel its own event after it. *)
 let renumber_log (module S : SCHED) =
   let sched = S.create () in
   let order = ref [] in
-  ignore (S.schedule sched ~after:1_000_000 (fun () -> order := 1 :: !order));
-  ignore (S.schedule sched ~after:1_000_000 (fun () -> order := 2 :: !order));
+  let at_tie k = S.schedule sched ~after:1_000_000 (fun () -> order := k :: !order) in
+  ignore (at_tie 1);
+  let early = at_tie 0 in
+  ignore (at_tie 2);
   let churn = (1 lsl 21) + 100_000 in
   for _ = 1 to churn / 500 do
     let hs = List.init 500 (fun _ -> S.schedule sched ~after:10 ignore) in
     List.iter (S.cancel sched) hs;
     S.run ~until:(S.now sched + 10) sched
   done;
-  ignore (S.schedule sched ~after:1_000_000 (fun () -> order := 3 :: !order));
-  ignore (S.schedule sched ~after:1_000_000 (fun () -> order := 4 :: !order));
+  S.cancel sched early;
+  ignore (at_tie 3);
+  ignore (at_tie 4);
   S.run sched;
   (List.rev !order, S.executed sched, S.now sched)
 
@@ -171,9 +206,39 @@ let test_renumber_crossing () =
   let pp = Alcotest.(triple (list int) int int) in
   Alcotest.check pp "wheel agrees with the heap oracle across renumbering" heap wheel
 
+(* A handle outlives its event: once the event has fired (or its
+   cancelled entry was consumed), its node is recycled for a newer event,
+   and the stale handle must neither cancel nor report on that event. *)
+let test_stale_handle_recycled () =
+  let e = Engine.create () in
+  let fired = ref [] in
+  let note k () = fired := k :: !fired in
+  let old_fired = Engine.schedule e ~after:1 (note 0) in
+  let old_cancelled = Engine.schedule e ~after:1 (note 1) in
+  Engine.cancel e old_cancelled;
+  Engine.run e;
+  Alcotest.(check bool) "cancelled before its node recycles" true
+    (Engine.cancelled e old_cancelled);
+  (* More new events than the pool held, so both nodes are reused
+     whatever the free-list order. *)
+  let fresh = List.init 1_000 (fun k -> Engine.schedule e ~after:5 (note (10 + k))) in
+  Engine.cancel e old_fired;
+  Engine.cancel e old_cancelled;
+  Alcotest.(check bool) "a recycled node forgets the old cancel" false
+    (Engine.cancelled e old_cancelled);
+  List.iter
+    (fun h -> Alcotest.(check bool) "new event not cancelled" false (Engine.cancelled e h))
+    fresh;
+  Engine.run e;
+  Alcotest.(check (list int)) "every new event fires"
+    (0 :: List.init 1_000 (fun k -> 10 + k))
+    (List.rev !fired)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_calendars_agree;
     Alcotest.test_case "renumbering crossing, both calendars" `Quick
       test_renumber_crossing;
+    Alcotest.test_case "stale handle on a recycled node cancels nothing" `Quick
+      test_stale_handle_recycled;
   ]

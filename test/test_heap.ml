@@ -1,7 +1,7 @@
 (* Unit and property tests for the two priority structures behind the
-   engine's event queue: the hierarchical timing wheel and the
-   monomorphic binary heap (its side tiers, and the reference order the
-   wheel is checked against). *)
+   engine's event queue: the monomorphic binary heap (the calendar's side
+   tier, and the reference order it is checked against) and the
+   engine's own timing-wheel calendar, driven through [Engine]. *)
 
 open Draconis_sim
 
@@ -67,125 +67,156 @@ let prop_int_heap_sorts =
       Int_heap.drain heap (fun k _ -> out := k :: !out);
       List.rev !out = List.sort compare keys)
 
-(* -- Wheel ------------------------------------------------------------------- *)
+(* -- Engine calendar (timing wheel) ------------------------------------------- *)
 
-(* [shift:0] makes every key its own tick, so plain ints exercise the
-   bucket machinery directly. *)
-let make_wheel () = Wheel.create ~shift:0 ()
+(* Schedules one event per time in [times] (absolute, from a fresh
+   engine) and returns the [(time, index)] log in firing order.  Each
+   event checks that it fires at its own time, so a node that lost its
+   key shows up as a wrong clock. *)
+let fire_log times =
+  let e = Engine.create () in
+  let log = ref [] in
+  List.iteri
+    (fun i at ->
+      ignore
+        (Engine.schedule_at e ~at (fun () ->
+             Alcotest.(check int) "fires at its own time" at (Engine.now e);
+             log := (at, i) :: !log)))
+    times;
+  Engine.run e;
+  Alcotest.(check int) "nothing left" 0 (Engine.pending e);
+  List.rev !log
+
+(* Level [l]'s window edge, [2^(slot_bits * l)], for every level and the
+   span itself. *)
+let level_edges = List.init (Engine.levels + 1) (fun l -> 1 lsl (Engine.slot_bits * l))
 
 let test_wheel_empty () =
-  let w = make_wheel () in
-  Alcotest.(check int) "length" 0 (Wheel.length w);
-  Alcotest.(check bool) "is_empty" true (Wheel.is_empty w);
-  Alcotest.check_raises "pop raises" Not_found (fun () -> ignore (Wheel.pop w));
-  Alcotest.check_raises "peek raises" Not_found (fun () ->
-      ignore (Wheel.peek_key w))
+  let e = Engine.create () in
+  Alcotest.(check int) "pending" 0 (Engine.pending e);
+  Alcotest.(check (option int)) "next_at" None (Engine.next_at e);
+  Alcotest.(check bool) "step on empty" false (Engine.step e);
+  Engine.run e;
+  Alcotest.(check int) "clock stays" 0 (Engine.now e);
+  Engine.run ~until:10 e;
+  Alcotest.(check int) "an empty horizon still advances the clock" 10 (Engine.now e)
 
 let test_wheel_ordering () =
-  let w = make_wheel () in
-  List.iter (fun k -> Wheel.push w k (10 * k)) [ 5; 1; 4; 8; 3; 9; 2 ];
-  Alcotest.(check int) "length" 7 (Wheel.length w);
-  Alcotest.(check int) "peek min key" 1 (Wheel.peek_key w);
-  let keys = ref [] in
-  Wheel.drain w (fun k _ -> keys := k :: !keys);
-  Alcotest.(check (list int)) "sorted drain" [ 1; 2; 3; 4; 5; 8; 9 ] (List.rev !keys);
-  Alcotest.(check bool) "empty after drain" true (Wheel.is_empty w)
+  let e = Engine.create () in
+  let out = ref [] in
+  List.iter
+    (fun k -> ignore (Engine.schedule e ~after:k (fun () -> out := k :: !out)))
+    [ 5; 1; 4; 8; 3; 9; 2 ];
+  Alcotest.(check int) "pending" 7 (Engine.pending e);
+  Alcotest.(check (option int)) "next_at" (Some 1) (Engine.next_at e);
+  Engine.run e;
+  Alcotest.(check (list int)) "sorted firing" [ 1; 2; 3; 4; 5; 8; 9 ] (List.rev !out);
+  Alcotest.(check int) "empty after run" 0 (Engine.pending e)
 
 let test_wheel_cascade () =
-  (* Keys spanning several levels force cascading as the cursor sweeps
-     forward; values must stay attached to their keys. *)
-  let w = make_wheel () in
-  let keys = [ 3; 40; 1_100; 33_000; 1_050_000; 20_000_000 ] in
-  List.iter (fun k -> Wheel.push w k (k * 2)) keys;
-  let out = ref [] in
-  Wheel.drain w (fun k v ->
-      Alcotest.(check int) "value rides its key" (k * 2) v;
-      out := k :: !out);
-  Alcotest.(check (list int)) "cross-level order" keys (List.rev !out)
+  (* Times spanning every level, and each level's edge +/- 1, scheduled
+     in ascending order so the cursor anchors at the first and the rest
+     land on the levels; they cascade as the cursor sweeps forward. *)
+  let edges = List.concat_map (fun w -> [ w - 1; w; w + 1 ]) level_edges in
+  let times =
+    List.sort_uniq compare ([ 3; 40; 1_100; 33_000; 1_050_000; 20_000_000 ] @ edges)
+  in
+  Alcotest.(check (list int)) "cross-level order" times (List.map fst (fire_log times))
 
 let test_wheel_overflow_tier () =
-  let w = make_wheel () in
-  let far = 1 lsl 30 in
-  (* Near key first: an empty wheel snaps its cursor to the first push,
-     so pushing [far] first would just re-anchor the window around it. *)
-  Wheel.push w 5 2;
-  Wheel.push w far 1;
-  Alcotest.(check int) "far key parked in overflow" 1 (Wheel.overflow_length w);
-  Alcotest.(check (pair int int)) "near key first" (5, 2) (Wheel.pop w);
-  Alcotest.(check (pair int int)) "overflow key still pops" (far, 1) (Wheel.pop w);
-  Alcotest.(check bool) "empty" true (Wheel.is_empty w)
+  (* Near event first: an empty wheel snaps its cursor to the first
+     schedule, so scheduling the far one first would just anchor the
+     window around it. *)
+  let far = Engine.span + 5 in
+  Alcotest.(check (list (pair int int)))
+    "near first, far still fires"
+    [ (5, 0); (far, 1) ]
+    (fire_log [ 5; far ]);
+  let e = Engine.create () in
+  ignore (Engine.schedule e ~after:5 ignore);
+  ignore (Engine.schedule e ~after:far ignore);
+  Alcotest.(check int) "far event parked in the side tier" 1 (Engine.parked e);
+  ignore (Engine.schedule e ~after:(Engine.span - 1) ignore);
+  Alcotest.(check int) "span - 1 stays in the wheel" 1 (Engine.parked e)
 
 let test_wheel_overdue_tier () =
-  let w = make_wheel () in
-  Wheel.push w 100 1;
-  Alcotest.(check (pair int int)) "advance cursor" (100, 1) (Wheel.pop w);
-  Wheel.push w 200 2;
-  (* The cursor sits at 100 now; a push behind it lands overdue but must
-     still pop first. *)
-  Wheel.push w 50 3;
-  Alcotest.(check int) "behind-cursor key parked overdue" 1 (Wheel.overdue_length w);
-  Alcotest.(check (pair int int)) "overdue pops first" (50, 3) (Wheel.pop w);
-  Alcotest.(check (pair int int)) "then the wheel" (200, 2) (Wheel.pop w)
+  let e = Engine.create () in
+  let out = ref [] in
+  let at k = ignore (Engine.schedule_at e ~at:k (fun () -> out := k :: !out)) in
+  at 100;
+  at 300;
+  Engine.run ~until:200 e;
+  Alcotest.(check int) "clock at the horizon" 200 (Engine.now e);
+  (* Peeking moves the cursor to the next event, past the clock; an
+     event scheduled between the two lands behind the cursor but must
+     still fire first. *)
+  Alcotest.(check (option int)) "next_at" (Some 300) (Engine.next_at e);
+  at 250;
+  Alcotest.(check int) "behind-cursor event parked" 1 (Engine.parked e);
+  Engine.run e;
+  Alcotest.(check (list int)) "overdue fires first" [ 100; 250; 300 ] (List.rev !out)
 
 let test_wheel_fifo_within_tick () =
-  (* Same tick, distinct pushes: bucket order is FIFO, so values come
-     back in insertion order. *)
-  let w = make_wheel () in
-  List.iter (fun v -> Wheel.push w 7 v) [ 1; 2; 3; 4 ];
-  let out = ref [] in
-  Wheel.drain w (fun _ v -> out := v :: !out);
-  Alcotest.(check (list int)) "insertion order" [ 1; 2; 3; 4 ] (List.rev !out)
+  (* Same instant, distinct schedules: firing order is scheduling order. *)
+  Alcotest.(check (list (pair int int)))
+    "insertion order"
+    [ (7, 0); (7, 1); (7, 2); (7, 3) ]
+    (fire_log [ 7; 7; 7; 7 ])
 
 let test_wheel_clear () =
-  let w = make_wheel () in
-  List.iter (fun k -> Wheel.push w k k) [ 1; 2; 1 lsl 28 ];
-  Wheel.clear w;
-  Alcotest.(check int) "cleared" 0 (Wheel.length w);
-  Alcotest.(check bool) "empty" true (Wheel.is_empty w);
-  Wheel.push w 9 9;
-  Alcotest.(check (pair int int)) "usable after clear" (9, 9) (Wheel.pop w)
+  (* Cancelling every entry empties the calendar for good, whichever
+     tier holds it, and leaves it usable. *)
+  let e = Engine.create () in
+  let fired = ref 0 in
+  let hs =
+    List.map
+      (fun k -> Engine.schedule e ~after:k (fun () -> incr fired))
+      [ 1; 2; Engine.span + 1 ]
+  in
+  List.iter (Engine.cancel e) hs;
+  Engine.run e;
+  Alcotest.(check int) "nothing fired" 0 !fired;
+  Alcotest.(check int) "cleared" 0 (Engine.pending e);
+  ignore (Engine.schedule e ~after:9 (fun () -> incr fired));
+  Engine.run e;
+  Alcotest.(check int) "usable after clearing" 1 !fired
 
 let prop_wheel_sorts =
   QCheck.Test.make ~name:"wheel pops any key list in sorted order" ~count:200
-    QCheck.(list (int_range 0 (1 lsl 28)))
-    (fun keys ->
-      let w = make_wheel () in
-      List.iteri (fun i k -> Wheel.push w k i) keys;
-      let out = ref [] in
-      Wheel.drain w (fun k _ -> out := k :: !out);
-      List.rev !out = List.sort compare keys)
+    QCheck.(list (int_range 0 (2 * Engine.span)))
+    (fun times ->
+      let expected =
+        List.stable_sort (fun (a, _) (b, _) -> compare a b) (List.mapi (fun i k -> (k, i)) times)
+      in
+      fire_log times = expected)
 
 let prop_wheel_matches_int_heap =
-  (* Interleaved pushes and pops against the reference heap, including
-     pushes behind the cursor (the overdue tier) and far beyond the
-     window (the overflow tier). *)
+  (* Interleaved schedules and steps against the reference heap on the
+     same packed (time, sequence) keys, including delays past the span
+     (the side tier).  Keys are unique, so the fired event ids must
+     match exactly. *)
   QCheck.Test.make ~name:"wheel and int_heap agree under interleaved push/pop"
     ~count:200
-    QCheck.(list (int_range 0 (1 lsl 28)))
-    (fun keys ->
-      let w = make_wheel () in
+    QCheck.(list (int_range 0 (2 * Engine.span)))
+    (fun delays ->
+      let e = Engine.create () in
       let h = Int_heap.create () in
+      let fired = ref (-1) in
       let ok = ref true in
+      let step () =
+        let _, id = Int_heap.pop h in
+        ok := !ok && Engine.step e && !fired = id
+      in
       List.iteri
-        (fun i k ->
-          Wheel.push w k i;
-          Int_heap.push h k i;
-          if i mod 3 = 0 && not (Int_heap.is_empty h) then begin
-            let wk, wv = Wheel.pop w in
-            let hk, _ = Int_heap.pop h in
-            (* Equal keys are possible here (unlike engine keys), and
-               the two structures may break such ties differently, so
-               compare keys only. *)
-            ignore wv;
-            if wk <> hk then ok := false
-          end)
-        keys;
+        (fun i d ->
+          ignore (Engine.schedule e ~after:d (fun () -> fired := i));
+          Int_heap.push h (((Engine.now e + d) lsl 20) lor i) i;
+          if i mod 3 = 0 then step ())
+        delays;
       while not (Int_heap.is_empty h) do
-        let wk, _ = Wheel.pop w in
-        let hk, _ = Int_heap.pop h in
-        if wk <> hk then ok := false
+        step ()
       done;
-      !ok && Wheel.is_empty w)
+      !ok && Engine.pending e = 0)
 
 let suite =
   [
