@@ -44,7 +44,7 @@ let () =
   let m = Cluster.metrics cluster in
   Printf.printf "switch failed over at t=10ms, losing %d queued tasks\n" !lost;
   Printf.printf "client timeouts fired: %d (each resubmits the lost task)\n"
-    (Metrics.timeouts m);
+    (Client.resubmitted client + Client.abandoned client);
   Printf.printf "final: %d/%d tasks completed, drained=%b\n" (Metrics.completed m)
     (Metrics.submitted m) drained;
   let delays = Metrics.scheduling_delay m in

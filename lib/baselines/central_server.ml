@@ -57,6 +57,7 @@ type t = {
   parked : (Addr.t * int, unit) Hashtbl.t;
   workers : Worker.t array;
   clients : Client.t array;
+  mutable rejected : int;
 }
 
 let cost t = per_packet_cost t.config.variant
@@ -100,7 +101,7 @@ let enqueue_tasks t ~client ~uid ~jid tasks =
       Queue.add { task; client } t.queue)
     accepted;
   if bounced <> [] then begin
-    Metrics.note_reject t.metrics (List.length bounced);
+    t.rejected <- t.rejected + List.length bounced;
     send_costed t ~dst:client (Message.Queue_full { uid; jid; tasks = bounced })
   end
   else send_costed t ~dst:client (Message.Job_ack { uid; jid });
@@ -165,7 +166,8 @@ let create (config : config) =
   in
   let t =
     { config; engine; fabric; metrics; server_addr; cpu; queue = Queue.create ();
-      idle = Queue.create (); parked = Hashtbl.create 256; workers; clients }
+      idle = Queue.create (); parked = Hashtbl.create 256; workers; clients;
+      rejected = 0 }
   in
   Array.iter
     (fun worker ->
@@ -222,6 +224,7 @@ let client t i =
 
 let clients t = t.clients
 let workers t = t.workers
+let rejected t = t.rejected
 let queue_length t = Queue.length t.queue
 let idle_executors t = Queue.length t.idle
 let packets_processed t = Cpu.completed t.cpu

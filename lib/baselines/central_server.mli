@@ -75,6 +75,9 @@ val restart_worker : t -> int -> unit
 (** [set_node_slowdown t i f] straggler degradation (f >= 1.0). *)
 val set_node_slowdown : t -> int -> float -> unit
 
+(** Tasks bounced by a full server queue. *)
+val rejected : t -> int
+
 (** Tasks currently queued at the server. *)
 val queue_length : t -> int
 

@@ -266,6 +266,7 @@ let submit_job t ~client tasks =
     (Submit { client = cs.client_addr; tasks })
 
 let engine t = t.engine
+let fabric t = t.fabric
 let metrics t = t.metrics
 let run t ~until = Engine.run ~until t.engine
 

@@ -35,9 +35,13 @@ val default_config : config
 
 type t
 
+(** Sparrow's own wire messages (submissions, probes, callbacks). *)
+type msg
+
 val create : config -> t
 
 val engine : t -> Engine.t
+val fabric : t -> msg Fabric.t
 val metrics : t -> Metrics.t
 
 (** [submit_job t ~client tasks] submits a job from client index

@@ -35,6 +35,7 @@ type t = {
   resubmissions : (Task.id, int) Hashtbl.t;
   mutable next_jid : int;
   mutable jobs_submitted : int;
+  mutable tasks_submitted : int;
   mutable completions : int;
   mutable resubmitted : int;
   mutable abandoned : int;
@@ -67,13 +68,10 @@ let arm_timeout t (task : Task.t) =
   | Some timeout ->
     let rec check () =
       if Hashtbl.mem t.outstanding task.id then begin
-        Metrics.note_timeout t.metrics task.id;
         let tries = Option.value ~default:0 (Hashtbl.find_opt t.resubmissions task.id) in
         if tries < t.config.max_resubmissions then begin
           Hashtbl.replace t.resubmissions task.id (tries + 1);
           t.resubmitted <- t.resubmitted + 1;
-          Metrics.note_resubmit t.metrics task.id;
-          Obs.Recorder.count "client.resubmitted" 1;
           Obs.Recorder.mark ~at:(Engine.now t.engine) ~track:t.obs_track "resubmit";
           Causal.flag_resubmit task.id;
           send_chunks t ~jid:task.id.jid [ task ];
@@ -87,8 +85,6 @@ let arm_timeout t (task : Task.t) =
           Hashtbl.remove t.outstanding task.id;
           Hashtbl.remove t.resubmissions task.id;
           t.abandoned <- t.abandoned + 1;
-          Metrics.note_abandon t.metrics task.id;
-          Obs.Recorder.count "client.abandoned" 1;
           Obs.Recorder.mark ~at:(Engine.now t.engine) ~track:t.obs_track "abandon"
         end
       end
@@ -97,7 +93,6 @@ let arm_timeout t (task : Task.t) =
 
 let handle_queue_full t tasks =
   t.queue_full_bounces <- t.queue_full_bounces + List.length tasks;
-  Obs.Recorder.count "client.queue_full_bounces" (List.length tasks);
   ignore
     (Engine.schedule t.engine ~after:t.config.retry_delay (fun () ->
          (* Retry only tasks still outstanding (a timeout resubmission
@@ -113,8 +108,7 @@ let handle_completion t (task_id : Task.id) =
     Hashtbl.remove t.resubmissions task_id;
     t.completions <- t.completions + 1;
     Metrics.note_complete t.metrics task_id;
-    Causal.complete task_id ~at:(Engine.now t.engine);
-    Obs.Recorder.count "client.completed" 1
+    Causal.complete task_id ~at:(Engine.now t.engine)
   end
 
 let create ~config ~fabric ~metrics () =
@@ -130,6 +124,7 @@ let create ~config ~fabric ~metrics () =
       resubmissions = Hashtbl.create 64;
       next_jid = 0;
       jobs_submitted = 0;
+      tasks_submitted = 0;
       completions = 0;
       resubmitted = 0;
       abandoned = 0;
@@ -162,7 +157,7 @@ let submit_job t tasks =
         { task with id = { uid = t.config.uid; jid; tid } })
       tasks
   in
-  Obs.Recorder.count "client.submitted" (List.length tasks);
+  t.tasks_submitted <- t.tasks_submitted + List.length tasks;
   List.iter
     (fun (task : Task.t) ->
       Hashtbl.replace t.outstanding task.id task;
@@ -178,6 +173,7 @@ let addr t = t.addr
 let engine t = t.engine
 let outstanding t = Hashtbl.length t.outstanding
 let jobs_submitted t = t.jobs_submitted
+let tasks_submitted t = t.tasks_submitted
 let completions t = t.completions
 let resubmitted t = t.resubmitted
 let abandoned t = t.abandoned

@@ -5,7 +5,7 @@
     packets, §4.3), retries tasks bounced by a full queue after a short
     wait, and — like the paper's fault model — exposes task failures by
     resubmitting tasks that time out.  Completion and submission events
-    feed the shared {!Metrics}. *)
+    feed the shared {!Metrics}'s samples; the counts are the client's. *)
 
 open Draconis_sim
 open Draconis_net
@@ -51,9 +51,11 @@ val engine : t -> Draconis_sim.Engine.t
 val outstanding : t -> int
 
 val jobs_submitted : t -> int
+val tasks_submitted : t -> int
 val completions : t -> int
 
-(** Timeout-driven resubmissions sent by this client. *)
+(** Timeout-driven resubmissions sent by this client; each timeout
+    resubmits its task or abandons it. *)
 val resubmitted : t -> int
 
 (** Tasks given up on after [max_resubmissions] straight timeouts; an

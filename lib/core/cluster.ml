@@ -38,7 +38,7 @@ let default_config =
 type t = {
   config : config;
   engine : Engine.t;  (* the switch LP's engine in sharded mode *)
-  fabric : Draconis_proto.Message.t Fabric.t;
+  fabrics : Draconis_proto.Message.t Fabric.t array;  (* one per LP, the switch's first *)
   pipeline : (Draconis_proto.Message.t, Switch_packet.t) Pipeline.t;
   mutable program : Switch_program.t;
   topology : Topology.t;
@@ -112,8 +112,8 @@ let create_legacy (config : config) =
     Array.init config.clients (fun i -> make_client config ~fabric ~metrics i)
   in
   let t =
-    { config; engine; fabric; pipeline; program; topology; metrics; workers; clients;
-      sync = None }
+    { config; engine; fabrics = [| fabric |]; pipeline; program; topology; metrics;
+      workers; clients; sync = None }
   in
   Array.iter
     (fun worker ->
@@ -180,7 +180,7 @@ let create_sharded (config : config) shards =
           i)
   in
   let t =
-    { config; engine = Fabric.engine switch_fabric; fabric = switch_fabric; pipeline;
+    { config; engine = Fabric.engine switch_fabric; fabrics = instances; pipeline;
       program; topology; metrics; workers; clients; sync = Some sync }
   in
   Array.iteri
@@ -228,7 +228,8 @@ let run_until_drained ?executor t ~deadline =
   go ()
 
 let engine t = t.engine
-let fabric t = t.fabric
+let fabric t = t.fabrics.(0)
+let fabrics t = t.fabrics
 let pipeline t = t.pipeline
 let program t = t.program
 let topology t = t.topology
@@ -241,12 +242,7 @@ let events t =
 
 let fail_over_switch t =
   let lost = Switch_program.total_occupancy t.program in
-  let policy = t.config.policy_of t.topology in
-  let fresh =
-    Switch_program.create ~engine:t.engine
-      ~instrument:(Metrics.instrument t.metrics)
-      ~policy ~queue_capacity:t.config.queue_capacity ()
-  in
+  let fresh = Switch_program.standby t.program in
   t.program <- fresh;
   Pipeline.set_program t.pipeline (Switch_program.program fresh);
   (* The dead switch's in-flight and recirculating packets (repairs,

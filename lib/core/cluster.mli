@@ -79,6 +79,10 @@ val sync : t -> Sync.t option
 val events : t -> int
 
 val fabric : t -> Draconis_proto.Message.t Fabric.t
+
+(** Every fabric instance, one per LP when sharded. *)
+val fabrics : t -> Draconis_proto.Message.t Fabric.t array
+
 val pipeline : t -> (Draconis_proto.Message.t, Switch_packet.t) Pipeline.t
 val program : t -> Switch_program.t
 val topology : t -> Topology.t
@@ -98,9 +102,10 @@ val outstanding : t -> int
 
 (** [fail_over_switch t] models the paper's fault story (sec 3.3): the
     switch dies and a standby takes over with a {e fresh} scheduling
-    pipeline — every queued task is lost and must be recovered by client
-    timeouts.  Returns the number of tasks that were queued (and lost)
-    at the moment of fail-over. *)
+    pipeline ({!Switch_program.standby}) — every queued task is lost and
+    must be recovered by client timeouts; the switch counters carry on.
+    Returns the number of tasks that were
+    queued (and lost) at the moment of fail-over. *)
 val fail_over_switch : t -> int
 
 (** {2 Fault injection} — the hooks the fault injector

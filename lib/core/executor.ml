@@ -20,7 +20,7 @@ type t = {
   addr : Addr.t;
   info : Message.executor_info;  (* rides every request and completion *)
   request : Message.t;  (* the pull request, built once: it never changes *)
-  obs_track : string;  (* cached so the disabled path never formats *)
+  mutable obs_track : string;  (* see [track] *)
   mutable on_task_start : Task.t -> node:int -> unit;
   mutable busy : bool;
   mutable pending_fetch : (Task.t * Addr.t) option;
@@ -82,7 +82,7 @@ let create ~config ~fabric () =
       addr;
       info;
       request = Message.Task_request { info; rtrv_prio = 1 };
-      obs_track = Printf.sprintf "exec %d:%d" config.node config.port;
+      obs_track = "";
       on_task_start = (fun _ ~node:_ -> ());
       busy = false;
       pending_fetch = None;
@@ -102,6 +102,13 @@ let create ~config ~fabric () =
   t.expire <- (fun () -> watchdog_expired t);
   t
 
+(* The executor's recorder track, formatted on first use: only an
+   installed recorder reads it, so building a cluster formats none. *)
+let track t =
+  if String.length t.obs_track = 0 then
+    t.obs_track <- Printf.sprintf "exec %d:%d" t.config.node t.config.port;
+  t.obs_track
+
 let start ?(after = 0) t =
   if after = 0 then send_request t else ignore (Engine.schedule t.engine ~after t.retry)
 
@@ -120,8 +127,8 @@ let crash t =
     if Obs.Recorder.active () then begin
       let now = Engine.now t.engine in
       (* Close the in-flight task span so every B has a matching E. *)
-      if t.busy then Obs.Recorder.end_span ~at:now ~track:t.obs_track "task";
-      Obs.Recorder.mark ~at:now ~track:t.obs_track "crash"
+      if t.busy then Obs.Recorder.end_span ~at:now ~track:(track t) "task";
+      Obs.Recorder.mark ~at:now ~track:(track t) "crash"
     end
   end;
   t.stopped <- true;
@@ -132,7 +139,8 @@ let crash t =
 
 let restart t =
   if t.stopped then begin
-    Obs.Recorder.mark ~at:(Engine.now t.engine) ~track:t.obs_track "restart";
+    if Obs.Recorder.active () then
+      Obs.Recorder.mark ~at:(Engine.now t.engine) ~track:(track t) "restart";
     t.stopped <- false;
     t.generation <- t.generation + 1;
     send_request t
@@ -152,7 +160,8 @@ let rec execute t (task : Task.t) ~client =
 and run t (task : Task.t) ~client =
   t.on_task_start task ~node:t.config.node;
   Causal.exec_start task.id ~at:(Engine.now t.engine);
-  Obs.Recorder.begin_span ~at:(Engine.now t.engine) ~track:t.obs_track "task";
+  if Obs.Recorder.active () then
+    Obs.Recorder.begin_span ~at:(Engine.now t.engine) ~track:(track t) "task";
   let service = Fn_model.service_time t.config.fn_model task ~node:t.config.node in
   let service =
     if t.slowdown = 1.0 then service
@@ -165,8 +174,8 @@ and run t (task : Task.t) ~client =
       t.tasks_executed <- t.tasks_executed + 1;
       t.busy_time <- t.busy_time + service;
       Causal.exec_done task.id ~at:(Engine.now t.engine);
-      Obs.Recorder.end_span ~at:(Engine.now t.engine) ~track:t.obs_track "task";
-      Obs.Recorder.count "exec.tasks" 1;
+      if Obs.Recorder.active () then
+        Obs.Recorder.end_span ~at:(Engine.now t.engine) ~track:(track t) "task";
       Obs.Recorder.record "exec.service_ns" service;
       if not t.stopped then begin
         if task.fn_id = Task.Fn.noop then

@@ -1,9 +1,10 @@
-(** Measurement hooks into the switch program.
+(** Per-event hooks into the switch program.
 
-    The experiment harness observes scheduler-internal events (enqueue,
-    dequeue, assignment, rejection, swapping, recirculation, repair-flag
-    trips) through these callbacks; a real deployment would gather the
-    same numbers from switch counters.  All hooks default to no-ops. *)
+    The hooks carry scheduler-internal events (enqueue, dequeue,
+    assignment, rejection, swapping, recirculation, repair-flag trips)
+    with their task ids to the fuzz checker's event log and to
+    {!Metrics}' samples; how often each happened is the switch program's
+    own counter.  All hooks default to no-ops. *)
 
 open Draconis_sim
 open Draconis_proto

@@ -26,13 +26,6 @@ type core = {
   mutable submitted : int;
   mutable started : int;
   mutable completed : int;
-  mutable timeouts : int;
-  mutable resubmitted : int;
-  mutable abandoned : int;
-  mutable rejected : int;
-  mutable swaps : int;
-  mutable recirculations : int;
-  mutable repair_flags : int;
   mutable deadline_tracked : int;
   mutable deadline_misses : int;
 }
@@ -65,13 +58,6 @@ let create ?topology engine =
         submitted = 0;
         started = 0;
         completed = 0;
-        timeouts = 0;
-        resubmitted = 0;
-        abandoned = 0;
-        rejected = 0;
-        swaps = 0;
-        recirculations = 0;
-        repair_flags = 0;
         deadline_tracked = 0;
         deadline_misses = 0;
       };
@@ -113,14 +99,6 @@ let note_complete t id =
       match Hashtbl.find_opt c.submit_times id with
       | None -> ()
       | Some submit -> Sampler.record c.end_to_end_delay (now - submit))
-
-let counter t bump =
-  let now = Engine.now t.engine in
-  dispatch t ~now (fun () -> bump t.core)
-
-let note_timeout t _id = counter t (fun c -> c.timeouts <- c.timeouts + 1)
-let note_resubmit t _id = counter t (fun c -> c.resubmitted <- c.resubmitted + 1)
-let note_abandon t _id = counter t (fun c -> c.abandoned <- c.abandoned + 1)
 
 let classify_placement c (task : Task.t) ~node =
   match (Task.locality_nodes task, c.topology) with
@@ -174,23 +152,11 @@ let note_assign t id ~requested_at =
         Sampler.record (level_sampler c.queueing_by_level level) (now - enqueued);
         Sampler.record (level_sampler c.get_task_by_level level) (now - requested_at))
 
-let note_reject t n = counter t (fun c -> c.rejected <- c.rejected + n)
-let note_swap t = counter t (fun c -> c.swaps <- c.swaps + 1)
-let note_recirculate t = counter t (fun c -> c.recirculations <- c.recirculations + 1)
-let note_repair_flag t = counter t (fun c -> c.repair_flags <- c.repair_flags + 1)
-
 let instrument t : Instrument.t =
   {
-    Instrument.on_enqueue = (fun id ~level -> note_enqueue t id ~level);
-    on_dequeue = (fun _ ~level:_ -> ());
+    Instrument.default with
+    on_enqueue = (fun id ~level -> note_enqueue t id ~level);
     on_assign = (fun id ~node:_ ~requested_at -> note_assign t id ~requested_at);
-    on_reject = (fun n -> note_reject t n);
-    on_noop = (fun () -> ());
-    on_swap = (fun ~swapped_in:_ ~swapped_out:_ ~level:_ -> note_swap t);
-    on_recirculate = (fun ~kind:_ -> note_recirculate t);
-    on_repair_flag = (fun _ ~level:_ -> note_repair_flag t);
-    on_rank = (fun _ ~rank:_ -> ());
-    on_pop_scan = (fun () -> ());
   }
 
 let scheduling_delay t = t.core.scheduling_delay
@@ -209,13 +175,6 @@ let placement t = t.core.placement
 let submitted t = t.core.submitted
 let started t = t.core.started
 let completed t = t.core.completed
-let timeouts t = t.core.timeouts
-let resubmitted t = t.core.resubmitted
-let abandoned t = t.core.abandoned
-let rejected t = t.core.rejected
-let swaps t = t.core.swaps
-let recirculations t = t.core.recirculations
-let repair_flags t = t.core.repair_flags
 
 (* [started] counts assignment events, so a task that is lost and
    resubmitted starts more than once; clamp so duplicated starts under

@@ -1,9 +1,9 @@
 (** Experiment metrics, shared by Draconis and every baseline scheduler.
 
-    Correlates client-side events (submission, completion), executor
-    events (task start), and switch/scheduler events (enqueue,
-    assignment) by task id, and exposes the samplers behind each figure
-    of the paper's evaluation:
+    Metrics records samples.  It correlates client-side events
+    (submission, completion), executor events (task start), and
+    switch/scheduler events (enqueue, assignment) by task id, and
+    exposes the samplers behind each figure of the paper's evaluation:
 
     - {e scheduling delay} (Figs. 5a, 6, 8, 9): first submission of a
       task to the moment an executor starts running it;
@@ -48,14 +48,6 @@ val remote : t -> engine:Engine.t -> post:(at:Time.t -> (unit -> unit) -> unit) 
 val note_submit : t -> Task.id -> unit
 
 val note_complete : t -> Task.id -> unit
-val note_timeout : t -> Task.id -> unit
-
-(** [note_resubmit t id] counts one timeout-driven resubmission. *)
-val note_resubmit : t -> Task.id -> unit
-
-(** [note_abandon t id] counts a task given up on after exhausting its
-    resubmission budget (see {!Client.config.max_resubmissions}). *)
-val note_abandon : t -> Task.id -> unit
 
 (** {2 Executor-side events} *)
 
@@ -68,13 +60,9 @@ val note_exec_start : t -> Task.t -> node:int -> unit
 
 val note_enqueue : t -> Task.id -> level:int -> unit
 val note_assign : t -> Task.id -> requested_at:Time.t -> unit
-val note_reject : t -> int -> unit
 
-(** Switch-mechanism events (Draconis only; baselines have none). *)
-val note_swap : t -> unit
-
-val note_recirculate : t -> unit
-val note_repair_flag : t -> unit
+(** The switch program's hooks into these samples: [on_enqueue] and
+    [on_assign]; every other hook is a no-op. *)
 val instrument : t -> Instrument.t
 
 (** {2 Results} *)
@@ -104,26 +92,6 @@ val placement : t -> placement
 val submitted : t -> int
 val started : t -> int
 val completed : t -> int
-val timeouts : t -> int
-
-(** Timeout-driven resubmissions sent (fault recovery in flight). *)
-val resubmitted : t -> int
-
-(** Tasks abandoned after [max_resubmissions] straight timeouts. *)
-val abandoned : t -> int
-
-val rejected : t -> int
-
-(** Task swaps performed by the switch program (§5.1). *)
-val swaps : t -> int
-
-(** Recirculations the switch program produced (swap hops, repairs,
-    resubmissions, multi-task submissions, priority escalation) —
-    scheduler-side, unlike the pipeline's port-level count. *)
-val recirculations : t -> int
-
-(** Circular-queue repair-flag trips (§4.7), both pointers. *)
-val repair_flags : t -> int
 
 (** Tasks submitted but never started (lost or still queued at the end
     of the run), clamped at 0: starts are counted per assignment, so

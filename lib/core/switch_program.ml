@@ -11,21 +11,31 @@ type backend =
   | Queues of Circular_queue.t array
   | Rank_store of { pifo : Pifo.t; vft : Register.t option }
 
+(* The deployment's counters, one per fact: a fail-over [standby] starts
+   from a copy of its predecessor's. *)
+type counts = {
+  mutable assignments : int;
+  mutable noops : int;
+  mutable rejected_tasks : int;
+  mutable swaps : int;
+  mutable swap_exchanges : int;
+  mutable resubmissions : int;
+  mutable repairs_launched : int;
+  mutable recirculations : int;
+  retired_renumbers : int;  (* by the dead programs' rank stores *)
+}
+
 type t = {
   engine : Engine.t;
   policy : Policy.t;
+  queue_capacity : int;
   backend : backend;
   instrument : Instrument.t;
   (* Each executor's no-op reply, indexed by node then port, built on
      its first use: outputs are immutable, and an idle executor polls
      every few microseconds. *)
   mutable noop_replies : (Message.t, Switch_packet.t) Pipeline.output list array array;
-  mutable assignments : int;
-  mutable noops : int;
-  mutable rejected_tasks : int;
-  mutable swaps : int;
-  mutable resubmissions : int;
-  mutable repairs_launched : int;
+  counts : counts;
 }
 
 (* An in-switch PIFO cannot be deep: every pop spends one recirculation
@@ -80,15 +90,22 @@ let create ~engine ?(instrument = Instrument.default) ~policy ~queue_capacity ()
   {
     engine;
     policy;
+    queue_capacity;
     backend;
     instrument;
     noop_replies = [||];
-    assignments = 0;
-    noops = 0;
-    rejected_tasks = 0;
-    swaps = 0;
-    resubmissions = 0;
-    repairs_launched = 0;
+    counts =
+      {
+        assignments = 0;
+        noops = 0;
+        rejected_tasks = 0;
+        swaps = 0;
+        swap_exchanges = 0;
+        resubmissions = 0;
+        repairs_launched = 0;
+        recirculations = 0;
+        retired_renumbers = 0;
+      };
   }
 
 let policy t = t.policy
@@ -120,31 +137,54 @@ let registers t =
   | Rank_store { pifo; vft } ->
     Pifo.registers pifo @ (match vft with Some r -> [ r ] | None -> [])
 
-let assignments t = t.assignments
-let noops t = t.noops
-let rejected_tasks t = t.rejected_tasks
-let swaps t = t.swaps
-let resubmissions t = t.resubmissions
-let repairs_launched t = t.repairs_launched
+let assignments t = t.counts.assignments
+let noops t = t.counts.noops
+let rejected_tasks t = t.counts.rejected_tasks
+let swaps t = t.counts.swaps
+let swap_exchanges t = t.counts.swap_exchanges
+let resubmissions t = t.counts.resubmissions
+let repairs_launched t = t.counts.repairs_launched
+let recirculations t = t.counts.recirculations
+
+let renumbers t =
+  match t.backend with
+  | Rank_store { pifo; _ } -> t.counts.retired_renumbers + Pifo.renumbers pifo
+  | Queues _ -> t.counts.retired_renumbers
+
+let standby t =
+  let fresh =
+    create ~engine:t.engine ~instrument:t.instrument ~policy:t.policy
+      ~queue_capacity:t.queue_capacity ()
+  in
+  { fresh with counts = { t.counts with retired_renumbers = renumbers t } }
 
 (* -- helpers -------------------------------------------------------------- *)
 
-(* Every recirculation the program produces flows through here so the
-   instrument hook and the observability counter cannot drift apart. *)
+(* Every recirculation the program produces flows through here, so the
+   instrument hook and the counter cannot drift apart. *)
 let recirc t ~kind pkt =
+  t.counts.recirculations <- t.counts.recirculations + 1;
   t.instrument.on_recirculate ~kind;
-  Obs.Recorder.count "switch.recirculations" 1;
   Pipeline.Recirculate pkt
 
-(* A pointer-repair flag tripped (§4.7): the queue is in its degraded
-   window until the repair packet lands. *)
-let repair_flag_tripped t flag ~level =
+(* A pointer-repair flag tripped (§4.7) and its repair packet launched:
+   the queue is in its degraded window until the packet lands. *)
+let launch_repair t flag ~level ~kind pkt =
+  t.counts.repairs_launched <- t.counts.repairs_launched + 1;
   t.instrument.on_repair_flag flag ~level;
   Causal.repair_window ~level;
-  Obs.Recorder.count "queue.repair_flags" 1;
   if Obs.Recorder.active () then
     Obs.Recorder.mark ~at:(Engine.now t.engine) ~track:"queue"
-      (Printf.sprintf "repair-%s L%d" (Instrument.repair_flag_name flag) level)
+      (Printf.sprintf "repair-%s L%d" (Instrument.repair_flag_name flag) level);
+  recirc t ~kind pkt
+
+(* Bounce [tasks] to [client]'s retry path in one Queue_full (§4.3). *)
+let reject t ~client ~uid ~jid (tasks : Task.t list) =
+  let n = List.length tasks in
+  t.counts.rejected_tasks <- t.counts.rejected_tasks + n;
+  t.instrument.on_reject n;
+  List.iter (fun (task : Task.t) -> Causal.reject task.id ~at:(Engine.now t.engine)) tasks;
+  Pipeline.Emit (client, Message.Queue_full { uid; jid; tasks })
 
 let grown a len fill =
   let b = Array.make (max len (2 * Array.length a)) fill in
@@ -155,9 +195,8 @@ let grown a len fill =
    the counters and hooks run on every reply, the list is built once per
    executor port. *)
 let noop_to t (info : Message.executor_info) =
-  t.noops <- t.noops + 1;
+  t.counts.noops <- t.counts.noops + 1;
   t.instrument.on_noop ();
-  Obs.Recorder.count "switch.noops" 1;
   let node = info.exec_node and port = info.exec_port in
   if node < 0 || port < 0 then
     invalid_arg "Switch_program: negative executor node or port";
@@ -181,10 +220,9 @@ let noop_to t (info : Message.executor_info) =
     reply
 
 let assign_to t (info : Message.executor_info) (entry : Entry.t) ~requested_at =
-  t.assignments <- t.assignments + 1;
+  t.counts.assignments <- t.counts.assignments + 1;
   t.instrument.on_assign entry.task.id ~node:info.exec_node ~requested_at;
   Causal.assign entry.task.id ~at:(Engine.now t.engine);
-  Obs.Recorder.count "switch.assignments" 1;
   Pipeline.Emit
     ( info.exec_addr,
       Message.Task_assignment
@@ -193,10 +231,23 @@ let assign_to t (info : Message.executor_info) (entry : Entry.t) ~requested_at =
 let retrieve_repair_output t ~level = function
   | None -> []
   | Some target ->
-    t.repairs_launched <- t.repairs_launched + 1;
-    repair_flag_tripped t Instrument.Retrieve_flag ~level;
-    Obs.Recorder.count "switch.repairs_launched" 1;
-    [ recirc t ~kind:"repair-retrieve" (Switch_packet.Repair_retrieve { level; target }) ]
+    [ launch_repair t Instrument.Retrieve_flag ~level ~kind:"repair-retrieve"
+        (Switch_packet.Repair_retrieve { level; target });
+    ]
+
+(* A full circular queue bounces [tasks] and launches the repairs the
+   rejected enqueue tripped, add pointer first. *)
+let reject_enqueue t ~level ~add_repair ~retrieve_repair ~client ~uid ~jid tasks =
+  let bounce = reject t ~client ~uid ~jid tasks in
+  let repairs =
+    match add_repair with
+    | None -> []
+    | Some target ->
+      [ launch_repair t Instrument.Add_flag ~level ~kind:"repair-add"
+          (Switch_packet.Repair_add { level; target });
+      ]
+  in
+  repairs @ retrieve_repair_output t ~level retrieve_repair @ [ bounce ]
 
 (* Enqueue one entry; shared by job submissions and task resubmission. *)
 let enqueue_entry t ctx ~level (entry : Entry.t) =
@@ -235,24 +286,8 @@ let handle_submission t ctx ~client ~uid ~jid ~tasks =
       in
       repairs @ continuation
     | Circular_queue.Rejected { add_repair; retrieve_repair } ->
-      (* Bounce every not-yet-enqueued task back to the client (§4.3). *)
-      t.rejected_tasks <- t.rejected_tasks + List.length tasks;
-      t.instrument.on_reject (List.length tasks);
-      List.iter
-        (fun (task : Task.t) -> Causal.reject task.id ~at:(Engine.now t.engine))
-        tasks;
-      Obs.Recorder.count "switch.rejected_tasks" (List.length tasks);
-      let repairs =
-        match add_repair with
-        | None -> []
-        | Some target ->
-          t.repairs_launched <- t.repairs_launched + 1;
-          repair_flag_tripped t Instrument.Add_flag ~level;
-          Obs.Recorder.count "switch.repairs_launched" 1;
-          [ recirc t ~kind:"repair-add" (Switch_packet.Repair_add { level; target }) ]
-      in
-      let repairs = repairs @ retrieve_repair_output t ~level retrieve_repair in
-      repairs @ [ Pipeline.Emit (client, Message.Queue_full { uid; jid; tasks }) ])
+      (* Bounce every not-yet-enqueued task back to the client. *)
+      reject_enqueue t ~level ~add_repair ~retrieve_repair ~client ~uid ~jid tasks)
 
 (* -- task retrieval (§4.6, §5.1, §6.1) ------------------------------------ *)
 
@@ -261,10 +296,9 @@ let handle_submission t ctx ~client ~uid ~jid ~tasks =
 let bump_skip (entry : Entry.t) = { entry with skip = entry.skip + 1 }
 
 let start_swap t ~level ~(entry : Entry.t) ~index ~info ~requested_at =
-  t.swaps <- t.swaps + 1;
+  t.counts.swaps <- t.counts.swaps + 1;
   Causal.flag_swap entry.task.id;
   Causal.spin entry.task.id ~at:(Engine.now t.engine);
-  Obs.Recorder.count "switch.swaps" 1;
   let next = Circular_queue.next_index (queues_exn t).(level) index in
   recirc t ~kind:"swap"
     (Switch_packet.Swap
@@ -311,9 +345,8 @@ let handle_request t ctx (info : Message.executor_info) ~rtrv_prio ~requested_at
 (* -- task swapping (§5.1) -------------------------------------------------- *)
 
 let resubmit_and_noop t ~level ~(entry : Entry.t) ~info =
-  t.resubmissions <- t.resubmissions + 1;
+  t.counts.resubmissions <- t.counts.resubmissions + 1;
   Causal.spin entry.task.id ~at:(Engine.now t.engine);
-  Obs.Recorder.count "switch.resubmissions" 1;
   let noop = noop_to t info in
   recirc t ~kind:"resubmit" (Switch_packet.Resubmit { level; entry }) :: noop
 
@@ -344,6 +377,7 @@ let handle_swap t ctx ~level ~entry ~swap_indx ~info ~pkt_retrieve_ptr ~attempts
     match Circular_queue.swap q ctx ~index:target entry with
     | Circular_queue.Slot_invalid -> resubmit_and_noop t ~level ~entry ~info
     | Circular_queue.Swapped popped ->
+      t.counts.swap_exchanges <- t.counts.swap_exchanges + 1;
       t.instrument.on_dequeue popped.task.id ~level;
       t.instrument.on_enqueue entry.task.id ~level;
       t.instrument.on_swap ~swapped_in:entry.task.id ~swapped_out:popped.task.id ~level;
@@ -355,9 +389,8 @@ let handle_swap t ctx ~level ~entry ~swap_indx ~info ~pkt_retrieve_ptr ~attempts
       if Policy.satisfies t.policy ~entry:popped ~info then
         [ assign_to t info popped ~requested_at ]
       else begin
-        t.swaps <- t.swaps + 1;
+        t.counts.swaps <- t.counts.swaps + 1;
         Causal.spin popped.task.id ~at:now;
-        Obs.Recorder.count "switch.swaps" 1;
         [ recirc t ~kind:"swap"
             (Switch_packet.Swap
                {
@@ -382,27 +415,9 @@ let handle_resubmit t ctx ~level (entry : Entry.t) =
   | Circular_queue.Rejected { add_repair; retrieve_repair } ->
     (* The queue filled while the task was travelling; bounce it to its
        client like any full-queue submission. *)
-    t.rejected_tasks <- t.rejected_tasks + 1;
-    t.instrument.on_reject 1;
-    Causal.reject entry.task.id ~at:(Engine.now t.engine);
-    Obs.Recorder.count "switch.rejected_tasks" 1;
-    let repairs =
-      match add_repair with
-      | None -> []
-      | Some target ->
-        t.repairs_launched <- t.repairs_launched + 1;
-        repair_flag_tripped t Instrument.Add_flag ~level;
-        Obs.Recorder.count "switch.repairs_launched" 1;
-        [ recirc t ~kind:"repair-add" (Switch_packet.Repair_add { level; target }) ]
-    in
-    let repairs = repairs @ retrieve_repair_output t ~level retrieve_repair in
     let task = entry.task in
-    repairs
-    @ [ Pipeline.Emit
-          ( entry.client,
-            Message.Queue_full { uid = task.id.uid; jid = task.id.jid; tasks = [ task ] }
-          );
-      ]
+    reject_enqueue t ~level ~add_repair ~retrieve_repair ~client:entry.client
+      ~uid:task.id.uid ~jid:task.id.jid [ task ]
 
 (* -- PIFO-backed disciplines (admission, multi-traversal pops) ------------- *)
 
@@ -450,21 +465,9 @@ let pifo_admitted t pifo (task : Task.t) ~packed =
   t.instrument.on_rank task.id ~rank:(Pifo.rank_of_packed packed);
   t.instrument.on_enqueue task.id ~level:0;
   Causal.enqueue task.id ~at:(Engine.now t.engine) ~level:0;
-  if Pifo.needs_renumber pifo then begin
-    (* Switch-CPU stamp compaction; in-flight scans lose their claims
-       through the epoch bump and restart. *)
-    Pifo.renumber pifo;
-    Obs.Recorder.count "pifo.renumbers" 1
-  end
-
-let pifo_reject t ~client ~uid ~jid tasks =
-  t.rejected_tasks <- t.rejected_tasks + List.length tasks;
-  t.instrument.on_reject (List.length tasks);
-  List.iter
-    (fun (task : Task.t) -> Causal.reject task.id ~at:(Engine.now t.engine))
-    tasks;
-  Obs.Recorder.count "switch.rejected_tasks" (List.length tasks);
-  [ Pipeline.Emit (client, Message.Queue_full { uid; jid; tasks }) ]
+  (* Switch-CPU stamp compaction; in-flight scans lose their claims
+     through the epoch bump and restart. *)
+  if Pifo.needs_renumber pifo then Pifo.renumber pifo
 
 let pifo_continue t ~client ~uid ~jid rest =
   if rest = [] then [ Pipeline.Emit (client, Message.Job_ack { uid; jid }) ]
@@ -491,7 +494,7 @@ let pifo_admit_outcome t pifo ~client ~uid ~jid ~(task : Task.t) ~rest = functio
   | Pifo.Full ->
     (* Occupancy gate (or probe budget): bounce every not-yet-admitted
        task back to the client, like a full circular queue (§4.3). *)
-    pifo_reject t ~client ~uid ~jid (task :: rest)
+    [ reject t ~client ~uid ~jid (task :: rest) ]
 
 let handle_pifo_submission t ctx pifo vft ~client ~uid ~jid ~tasks =
   match tasks with

@@ -60,11 +60,26 @@ val total_occupancy : t -> int
     structural stage placement ({!Draconis_p4.Layout}). *)
 val registers : t -> Draconis_p4.Register.t list
 
-(** Counters (control-plane view). *)
-val assignments : t -> int
+(** [standby t] is [t]'s fail-over standby: a fresh program (empty
+    queues or rank store) with [t]'s settings, whose counters start from
+    [t]'s, so they count for the whole deployment. *)
+val standby : t -> t
 
+(** {2 Counters} — the deployment's; nothing else counts these facts.
+    There are two swap facts (§5.1): {!swaps} counts swap packets
+    launched, {!swap_exchanges} the exchanges swap packets make with
+    queue slots.  {!repairs_launched} counts repair packets, one per
+    repair flag tripped (§4.7); {!recirculations} every recirculation
+    the program produces, whether the loop-back port accepts it or not;
+    {!renumbers} sums {!Draconis_pifo.Pifo.renumbers} over the
+    deployment's rank stores. *)
+
+val assignments : t -> int
 val noops : t -> int
 val rejected_tasks : t -> int
 val swaps : t -> int
+val swap_exchanges : t -> int
 val resubmissions : t -> int
 val repairs_launched : t -> int
+val recirculations : t -> int
+val renumbers : t -> int

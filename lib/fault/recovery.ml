@@ -19,6 +19,9 @@ type report = {
 let default_bucket = Time.us 100
 
 let measure ?(bucket = default_bucket) ~metrics ~injector ~until () =
+  let target = Injector.target injector in
+  let sum count = Array.fold_left (fun acc c -> acc + count c) 0 target.Target.clients in
+  let resubmitted = sum Client.resubmitted and abandoned = sum Client.abandoned in
   let decisions = Metrics.decisions metrics in
   let recovery =
     match Injector.first_failover injector with
@@ -42,13 +45,13 @@ let measure ?(bucket = default_bucket) ~metrics ~injector ~until () =
     end
   in
   {
-    system = (Injector.target injector).Target.name;
+    system = target.Target.name;
     failovers = List.length (Injector.failovers injector);
     queued_lost = Injector.queued_lost injector;
     recovery;
-    timeouts = Metrics.timeouts metrics;
-    resubmitted = Metrics.resubmitted metrics;
-    abandoned = Metrics.abandoned metrics;
+    timeouts = resubmitted + abandoned;
+    resubmitted;
+    abandoned;
     submitted = Metrics.submitted metrics;
     completed = Metrics.completed metrics;
     unstarted = Metrics.unstarted metrics;

@@ -21,8 +21,8 @@ type report = {
   recovery : Time.t option;
       (** first fail-over to the standby's first scheduling decision;
           [None] if no fail-over fired or nothing was assigned after *)
-  timeouts : int;
-  resubmitted : int;
+  timeouts : int;  (** [resubmitted + abandoned]: each timeout does one *)
+  resubmitted : int;  (** summed over the target's clients *)
   abandoned : int;
   submitted : int;
   completed : int;
@@ -37,7 +37,8 @@ val default_bucket : Time.t
 
 (** [measure ?bucket ~metrics ~injector ~until ()] builds the report
     for a run observed through [metrics] over the window
-    [\[0, until)]. *)
+    [\[0, until)]; the timeout counts come from the injector's target's
+    clients ({!Target.t.clients}). *)
 val measure :
   ?bucket:Time.t ->
   metrics:Draconis.Metrics.t ->

@@ -9,6 +9,7 @@ type t = {
   node_engine : int -> Engine.t;
   nodes : int;
   hosts : int;
+  clients : Client.t array;
   set_windows : Fabric.window list -> unit;
   failover : unit -> int;
   crash_node : int -> unit;
@@ -36,6 +37,7 @@ let of_cluster ?(name = "draconis") cluster =
     node_engine = (fun i -> Worker.engine workers.(i));
     nodes = Array.length workers;
     hosts = hosts_through (Cluster.clients cluster);
+    clients = Cluster.clients cluster;
     set_windows = Fabric.set_windows (Cluster.fabric cluster);
     failover = (fun () -> Cluster.fail_over_switch cluster);
     crash_node = Cluster.crash_worker cluster;
@@ -53,6 +55,7 @@ let of_central_server ?(name = "central-server") server =
     node_engine = (fun _ -> engine);
     nodes = Array.length (Central_server.workers server);
     hosts = hosts_through (Central_server.clients server);
+    clients = Central_server.clients server;
     set_windows = Fabric.set_windows (Central_server.fabric server);
     failover = (fun () -> Central_server.fail_over_server server);
     crash_node = Central_server.crash_worker server;
@@ -70,6 +73,7 @@ let fabric_only ~name ~engine ~fabric ~clients ~failover =
     node_engine = (fun _ -> engine);
     nodes = 0;
     hosts = hosts_through clients;
+    clients;
     set_windows = Fabric.set_windows fabric;
     failover;
     crash_node = unsupported name "crash";

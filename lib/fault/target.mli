@@ -24,6 +24,7 @@ type t = {
   node_engine : int -> Engine.t;  (** owns worker node [i]'s executors *)
   nodes : int;  (** crash/straggler node ids lie in [\[0, nodes)] *)
   hosts : int;  (** partition host ids lie in [\[0, hosts)] *)
+  clients : Draconis.Client.t array;  (** their timeouts recover lost work *)
   set_windows : Fabric.window list -> unit;
       (** installs the plan's loss and cut windows on the fabric *)
   failover : unit -> int;

@@ -85,6 +85,7 @@ let fuzz_target ~engine ~node_engine ~fabric ~executors ~slowdown =
     node_engine = (fun _ -> node_engine);
     nodes = executors;
     hosts = 100 + executors;
+    clients = [||];
     set_windows = Fabric.set_windows fabric;
     failover = (fun () -> 0);
     crash_node = (fun _ -> invalid_arg "fuzz rig: executors cannot crash");

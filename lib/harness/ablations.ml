@@ -1,7 +1,6 @@
 open Draconis_sim
 open Draconis_stats
 open Draconis_workload
-open Draconis
 
 let kind = Synthetic.Fixed_500us
 
@@ -74,23 +73,18 @@ let correction_cost ~quick =
           "recirculated (% pkts)" ]
   in
   let rows =
-    Pool.map
-      (List.map
-         (fun load () ->
-           let cluster, system = Systems.draconis_cluster spec in
-           let o = measure system ~load ~quick in
-           (o, Switch_program.repairs_launched (Cluster.program cluster)))
-         loads)
+    Pool.map (List.map (fun load () -> measure (Systems.draconis spec) ~load ~quick) loads)
   in
-  Report.add_outcomes (List.map fst rows);
+  Report.add_outcomes rows;
   List.iter2
-    (fun util ((o : Runner.outcome), repairs) ->
+    (fun util (o : Runner.outcome) ->
       Table.add_row table
         [
           Printf.sprintf "%.0f%%" (100.0 *. util);
           Exp_common.us o.sched_p99;
-          string_of_int repairs;
-          Printf.sprintf "%.5f" (float_of_int repairs /. float_of_int (max 1 o.submitted));
+          string_of_int o.repair_flags;
+          Printf.sprintf "%.5f"
+            (float_of_int o.repair_flags /. float_of_int (max 1 o.submitted));
           Exp_common.pct o.recirc_fraction;
         ])
     utilizations rows;
@@ -201,44 +195,16 @@ let work_stealing ~quick =
       (fun () -> (Systems.draconis spec, fun () -> 0));
       (fun () -> (Systems.r2p2 ~k:3 ~client_timeout:(Time.ms 2) spec, fun () -> 0));
       (fun () ->
-        let sys =
-          Draconis_baselines.R2p2.create
-            {
-              Draconis_baselines.R2p2.default_config with
-              seed = spec.seed;
-              workers = spec.workers;
-              executors_per_worker = spec.executors_per_worker;
-              clients = spec.clients;
-              jbsq_k = 3;
-              work_stealing = true;
-              client_timeout = Some (Time.ms 2);
-            }
+        (* Every job from one client; no probes. *)
+        let sys, running =
+          Systems.r2p2_system ~k:3 ~work_stealing:true ~client_timeout:(Time.ms 2) spec
         in
+        let client = Draconis_baselines.R2p2.client sys 0 in
         let running =
           {
-            Systems.name = "R2P2-3+WS";
-            engine = Draconis_baselines.R2p2.engine sys;
-            metrics = Draconis_baselines.R2p2.metrics sys;
-            submit =
-              (fun tasks ->
-                ignore
-                  (Draconis.Client.submit_job (Draconis_baselines.R2p2.client sys 0) tasks));
-            outstanding = (fun () -> Draconis_baselines.R2p2.outstanding sys);
-            extras =
-              (fun () ->
-                {
-                  Systems.recirc_fraction =
-                    Draconis_p4.Pipeline.recirculation_fraction
-                      (Draconis_baselines.R2p2.pipeline sys);
-                  recirc_drops =
-                    Draconis_p4.Pipeline.recirc_dropped (Draconis_baselines.R2p2.pipeline sys);
-                  pipeline_processed =
-                    Draconis_p4.Pipeline.processed (Draconis_baselines.R2p2.pipeline sys);
-                  queue_rejections = 0;
-                });
+            running with
+            Systems.submit = (fun tasks -> ignore (Draconis.Client.submit_job client tasks));
             probes = (fun () -> []);
-            phase_attribution = false;
-            control = Systems.engine_control (Draconis_baselines.R2p2.engine sys);
           }
         in
         (running, fun () -> Draconis_baselines.R2p2.steals sys));

@@ -49,12 +49,13 @@ let drain_system (system : Systems.running) ~deadline =
   in
   go ()
 
+(* The run's end: the components' counters are read here, once. *)
 let collect (system : Systems.running) ~load_tps ~horizon ~drained =
   let metrics = system.metrics in
   let delays = Metrics.scheduling_delay metrics in
   let has_samples = Sampler.count delays > 0 in
-  let extras = system.extras () in
-  {
+  let (c : Systems.counts) = system.counts () in
+  ( {
     system = system.name;
     load_tps;
     sched_p50 = (if has_samples then Sampler.percentile delays 50.0 else 0);
@@ -64,13 +65,16 @@ let collect (system : Systems.running) ~load_tps ~horizon ~drained =
     submitted = Metrics.submitted metrics;
     started = Metrics.started metrics;
     completed = Metrics.completed metrics;
-    timeouts = Metrics.timeouts metrics;
-    rejected = Metrics.rejected metrics;
-    recirc_fraction = extras.Systems.recirc_fraction;
-    recirc_drops = extras.Systems.recirc_drops;
-    swaps = Metrics.swaps metrics;
-    recirculations = Metrics.recirculations metrics;
-    repair_flags = Metrics.repair_flags metrics;
+    (* Every timeout resubmits its task or abandons it. *)
+    timeouts = c.resubmitted + c.abandoned;
+    rejected = c.rejected_tasks + c.server_rejected;
+    recirc_fraction =
+      (if c.processed = 0 then 0.0
+       else float_of_int c.recirculated /. float_of_int c.processed);
+    recirc_drops = c.recirc_dropped;
+    swaps = c.swap_exchanges;
+    recirculations = c.recirculations;
+    repair_flags = c.repairs_launched;
     events = system.control.Systems.events ();
     events_per_sec = 0.0;
     drained;
@@ -81,16 +85,51 @@ let collect (system : Systems.running) ~load_tps ~horizon ~drained =
       (match Obs.Trace_ctx.current () with
       | Some ctx -> Obs.Attribution.phase_percentiles (Obs.Trace_ctx.collector ctx)
       | None -> []);
-  }
+  },
+    c )
+
+(* The recorder's name for each counter.  The repair count goes under
+   both of its historical names. *)
+let counter_names (c : Systems.counts) =
+  [
+    ("fabric.sent", c.sent);
+    ("fabric.delivered", c.delivered);
+    ("fabric.lost", c.lost);
+    ("fabric.partition_dropped", c.partition_dropped);
+    ("fabric.undeliverable", c.undeliverable);
+    ("pipeline.processed", c.processed);
+    ("pipeline.recirculated", c.recirculated);
+    ("pipeline.recirc_dropped", c.recirc_dropped);
+    ("pipeline.flushed", c.flushed);
+    ("switch.assignments", c.assignments);
+    ("switch.noops", c.noops);
+    ("switch.rejected_tasks", c.rejected_tasks);
+    ("switch.swaps", c.swaps);
+    ("switch.resubmissions", c.resubmissions);
+    ("switch.repairs_launched", c.repairs_launched);
+    ("queue.repair_flags", c.repairs_launched);
+    ("switch.recirculations", c.recirculations);
+    ("pifo.renumbers", c.renumbers);
+    ("client.submitted", c.submitted);
+    ("client.completed", c.completed);
+    ("client.resubmitted", c.resubmitted);
+    ("client.abandoned", c.abandoned);
+    ("client.queue_full_bounces", c.queue_full_bounces);
+    ("exec.tasks", c.executed);
+  ]
 
 (* When the sink is enabled, the whole run executes under an ambient
    recorder (each run is single-domain, so pool workers never share
-   one), with probes sampling the system's instantaneous state.  With
-   the sink disabled this adds nothing but the [config] check. *)
+   one), with probes sampling the system's instantaneous state, and the
+   counters that moved while it was installed go to its registry: the
+   counts read at installation exclude set-up (each worker's first pull
+   request).  With the sink disabled this adds nothing but the [config]
+   check. *)
 let observed (system : Systems.running) ~label ~until f =
   match Obs.Sink.config () with
-  | None -> f ()
+  | None -> fst (f ())
   | Some { Obs.Sink.probe_interval; capacity } ->
+    let installed = system.counts () in
     let recorder = Obs.Recorder.create ~capacity ~label () in
     (* Phase attribution only where the whole milestone sequence exists
        (the Draconis data path); a baseline's partial stream would
@@ -122,12 +161,16 @@ let observed (system : Systems.running) ~label ~until f =
       | None -> body ()
       | Some ctx -> Obs.Trace_ctx.with_ctx ctx body
     in
-    let outcome =
+    let outcome, counts =
       Obs.Recorder.with_recorder recorder (fun () ->
           match own_int with
           | None -> body ()
           | Some c -> Obs.Int_telemetry.with_collector c body)
     in
+    List.iter2
+      (fun (name, before) (_, after) ->
+        if after <> before then Obs.Recorder.add recorder name (after - before))
+      (counter_names installed) (counter_names counts);
     (match ctx with
     | None -> ()
     | Some ctx ->

@@ -1,7 +1,9 @@
 open Draconis_sim
+open Draconis_net
 open Draconis_proto
 open Draconis
 module B = Draconis_baselines
+module Obs = Draconis_obs
 
 type spec = {
   workers : int;
@@ -12,12 +14,68 @@ type spec = {
 
 let default_spec = { workers = 10; executors_per_worker = 16; clients = 2; seed = 42 }
 
-type extras = {
-  recirc_fraction : float;
-  recirc_drops : int;
-  pipeline_processed : int;
-  queue_rejections : int;
+type counts = {
+  sent : int;
+  delivered : int;
+  lost : int;
+  partition_dropped : int;
+  undeliverable : int;
+  processed : int;
+  recirculated : int;
+  recirc_dropped : int;
+  flushed : int;
+  assignments : int;
+  noops : int;
+  rejected_tasks : int;
+  swaps : int;
+  swap_exchanges : int;
+  resubmissions : int;
+  repairs_launched : int;
+  recirculations : int;
+  renumbers : int;
+  submitted : int;
+  completed : int;
+  resubmitted : int;
+  abandoned : int;
+  queue_full_bounces : int;
+  executed : int;
+  server_rejected : int;
 }
+
+(* A system's counts: its components' own counters, summed over
+   [fabrics], [clients] and [workers]; a component it lacks counts 0. *)
+let read_counts ?(fabrics = [||]) ?pipeline ?program ?(clients = [||]) ?(workers = [||])
+    ?(server_rejected = 0) () =
+  let sum count items = Array.fold_left (fun n x -> n + count x) 0 items in
+  let of_pipeline count = Option.fold ~none:0 ~some:count pipeline in
+  let of_program count = Option.fold ~none:0 ~some:count program in
+  {
+    sent = sum Fabric.sent fabrics;
+    delivered = sum Fabric.delivered fabrics;
+    lost = sum Fabric.lost fabrics;
+    partition_dropped = sum Fabric.partition_dropped fabrics;
+    undeliverable = sum Fabric.undeliverable fabrics;
+    processed = of_pipeline Draconis_p4.Pipeline.processed;
+    recirculated = of_pipeline Draconis_p4.Pipeline.recirculated;
+    recirc_dropped = of_pipeline Draconis_p4.Pipeline.recirc_dropped;
+    flushed = of_pipeline Draconis_p4.Pipeline.flushed;
+    assignments = of_program Switch_program.assignments;
+    noops = of_program Switch_program.noops;
+    rejected_tasks = of_program Switch_program.rejected_tasks;
+    swaps = of_program Switch_program.swaps;
+    swap_exchanges = of_program Switch_program.swap_exchanges;
+    resubmissions = of_program Switch_program.resubmissions;
+    repairs_launched = of_program Switch_program.repairs_launched;
+    recirculations = of_program Switch_program.recirculations;
+    renumbers = of_program Switch_program.renumbers;
+    submitted = sum Client.tasks_submitted clients;
+    completed = sum Client.completions clients;
+    resubmitted = sum Client.resubmitted clients;
+    abandoned = sum Client.abandoned clients;
+    queue_full_bounces = sum Client.queue_full_bounces clients;
+    executed = sum Worker.tasks_executed workers;
+    server_rejected;
+  }
 
 (* How the runner drives a system's virtual time.  Single-engine systems
    get [engine_control]; the sharded cluster supplies window-protocol
@@ -44,7 +102,7 @@ type running = {
   metrics : Metrics.t;
   submit : Task.t list -> unit;
   outstanding : unit -> int;
-  extras : unit -> extras;
+  counts : unit -> counts;
   probes : unit -> (string * (unit -> int)) list;
   phase_attribution : bool;
   control : control;
@@ -68,12 +126,9 @@ let pipeline_probes pipeline =
   ]
 
 let fabric_probes fabric =
-  [ ("fabric.delivered", fun () -> Draconis_net.Fabric.delivered fabric);
-    ("fabric.lost", fun () -> Draconis_net.Fabric.lost fabric);
+  [ ("fabric.delivered", fun () -> Fabric.delivered fabric);
+    ("fabric.lost", fun () -> Fabric.lost fabric);
   ]
-
-let no_extras =
-  { recirc_fraction = 0.0; recirc_drops = 0; pipeline_processed = 0; queue_rejections = 0 }
 
 (* Jobs round-robin across a system's clients, like the paper's multiple
    load generators. *)
@@ -98,7 +153,14 @@ let sharded_control cluster sync =
       (fun acc lp -> max acc (Engine.now (Lp.engine lp)))
       Time.zero (Sync.lps sync)
   in
-  let run_until until = Cluster.run ?executor cluster ~until in
+  (* An installed recorder is domain-local, so an observed run keeps
+     its windows on the caller's domain: every LP's marks, spans and
+     samples then reach the recorder, in the same order on every run.
+     Any executor gives the same outcome (DESIGN §16). *)
+  let run_until until =
+    if Obs.Recorder.active () then Cluster.run cluster ~until
+    else Cluster.run ?executor cluster ~until
+  in
   let cursor = ref 0 in
   let clients = Cluster.clients cluster in
   {
@@ -163,15 +225,11 @@ let draconis_cluster ?(policy_of = fun _ -> Policy.Fcfs) ?(racks = 1)
         round_robin_submit (Cluster.clients cluster) (fun client tasks ->
             ignore (Client.submit_job client tasks));
       outstanding = (fun () -> Cluster.outstanding cluster);
-      extras =
+      counts =
         (fun () ->
-          let pipeline = Cluster.pipeline cluster in
-          {
-            recirc_fraction = Draconis_p4.Pipeline.recirculation_fraction pipeline;
-            recirc_drops = Draconis_p4.Pipeline.recirc_dropped pipeline;
-            pipeline_processed = Draconis_p4.Pipeline.processed pipeline;
-            queue_rejections = Switch_program.rejected_tasks (Cluster.program cluster);
-          });
+          read_counts ~fabrics:(Cluster.fabrics cluster) ~pipeline:(Cluster.pipeline cluster)
+            ~program:(Cluster.program cluster) ~clients:(Cluster.clients cluster)
+            ~workers:(Cluster.workers cluster) ());
       probes =
         (fun () ->
           if Option.is_some sharded then
@@ -226,15 +284,10 @@ let r2p2_system ~k ?client_timeout
       round_robin_submit (B.R2p2.clients system) (fun client tasks ->
           ignore (Client.submit_job client tasks));
     outstanding = (fun () -> B.R2p2.outstanding system);
-      extras =
+      counts =
         (fun () ->
-          let pipeline = B.R2p2.pipeline system in
-          {
-            recirc_fraction = Draconis_p4.Pipeline.recirculation_fraction pipeline;
-            recirc_drops = Draconis_p4.Pipeline.recirc_dropped pipeline;
-            pipeline_processed = Draconis_p4.Pipeline.processed pipeline;
-            queue_rejections = 0;
-          });
+          read_counts ~fabrics:[| B.R2p2.fabric system |] ~pipeline:(B.R2p2.pipeline system)
+            ~clients:(B.R2p2.clients system) ());
       probes = (fun () -> pipeline_probes (B.R2p2.pipeline system));
       phase_attribution = false;
       control = engine_control (B.R2p2.engine system);
@@ -273,15 +326,10 @@ let racksched_system ?client_timeout ?(samples = 2) ?(intra = B.Node_worker.Fcfs
         round_robin_submit (B.Racksched.clients system) (fun client tasks ->
             ignore (Client.submit_job client tasks));
       outstanding = (fun () -> B.Racksched.outstanding system);
-      extras =
+      counts =
         (fun () ->
-          let pipeline = B.Racksched.pipeline system in
-          {
-            recirc_fraction = Draconis_p4.Pipeline.recirculation_fraction pipeline;
-            recirc_drops = Draconis_p4.Pipeline.recirc_dropped pipeline;
-            pipeline_processed = Draconis_p4.Pipeline.processed pipeline;
-            queue_rejections = 0;
-          });
+          read_counts ~fabrics:[| B.Racksched.fabric system |]
+            ~pipeline:(B.Racksched.pipeline system) ~clients:(B.Racksched.clients system) ());
       probes = (fun () -> pipeline_probes (B.Racksched.pipeline system));
       phase_attribution = false;
       control = engine_control (B.Racksched.engine system);
@@ -313,7 +361,7 @@ let sparrow ~schedulers spec =
         cursor := (client + 1) mod spec.clients;
         B.Sparrow.submit_job system ~client tasks);
     outstanding = (fun () -> B.Sparrow.outstanding system);
-    extras = (fun () -> no_extras);
+    counts = (fun () -> read_counts ~fabrics:[| B.Sparrow.fabric system |] ());
     probes = (fun () -> []);
     phase_attribution = false;
     control = engine_control (B.Sparrow.engine system);
@@ -347,12 +395,12 @@ let central_server_system ?client_timeout variant spec =
         round_robin_submit (B.Central_server.clients system) (fun client tasks ->
             ignore (Client.submit_job client tasks));
       outstanding = (fun () -> B.Central_server.outstanding system);
-      extras =
+      counts =
         (fun () ->
-          {
-            no_extras with
-            queue_rejections = Metrics.rejected (B.Central_server.metrics system);
-          });
+          read_counts ~fabrics:[| B.Central_server.fabric system |]
+            ~clients:(B.Central_server.clients system)
+            ~workers:(B.Central_server.workers system)
+            ~server_rejected:(B.Central_server.rejected system) ());
       probes = (fun () -> []);
       phase_attribution = false;
       control = engine_control (B.Central_server.engine system);

@@ -4,7 +4,7 @@
     (any JBSQ bound), RackSched, Sparrow (1-2 schedulers), or a
     centralized server — and returns a {!running} handle exposing
     exactly what the experiment runner needs: a submit entry point, the
-    engine, the shared metrics, and switch-side counters. *)
+    engine, the shared metrics, and the components' counters. *)
 
 open Draconis_sim
 open Draconis_net
@@ -21,12 +21,37 @@ type spec = {
 (** The paper's testbed: 10 workers x 16 executors, 2 clients. *)
 val default_spec : spec
 
-(** Switch-side counters sampled at the end of a run. *)
-type extras = {
-  recirc_fraction : float;  (** recirculated / processed traversals *)
-  recirc_drops : int;  (** packets lost at the recirculation port *)
-  pipeline_processed : int;
-  queue_rejections : int;  (** tasks bounced by a full queue *)
+(** A system's counters, read once when a run ends ({!running.counts}):
+    each field is a component's own counter of the same name (fabric,
+    pipeline, switch program, clients, workers, central server), summed
+    over a system's fabric instances, clients and workers; 0 for the
+    components a system lacks. *)
+type counts = {
+  sent : int;
+  delivered : int;
+  lost : int;
+  partition_dropped : int;
+  undeliverable : int;
+  processed : int;
+  recirculated : int;
+  recirc_dropped : int;
+  flushed : int;
+  assignments : int;
+  noops : int;
+  rejected_tasks : int;
+  swaps : int;
+  swap_exchanges : int;
+  resubmissions : int;
+  repairs_launched : int;
+  recirculations : int;
+  renumbers : int;
+  submitted : int;
+  completed : int;
+  resubmitted : int;
+  abandoned : int;
+  queue_full_bounces : int;
+  executed : int;
+  server_rejected : int;
 }
 
 (** How the runner drives a system's virtual time.  Single-engine
@@ -61,7 +86,7 @@ type running = {
   metrics : Metrics.t;
   submit : Task.t list -> unit;  (** round-robins jobs across clients *)
   outstanding : unit -> int;
-  extras : unit -> extras;
+  counts : unit -> counts;
   probes : unit -> (string * (unit -> int)) list;
       (** instantaneous-state sources for {!Draconis_obs.Probe} — each
           [(name, read)] pair is sampled on the probe interval when
@@ -83,7 +108,10 @@ type running = {
     [?shards] routes the cluster through [n] logical processes (see
     {!Draconis.Cluster.config}); the returned control then runs barrier
     windows on a work-stealing team sized [min n (Pool.jobs ())] and
-    requires staged submission.  Outcomes are bit-identical across shard
+    requires staged submission.  While a {!Draconis_obs.Recorder} is
+    installed (an observed run) the windows run inline on the caller's
+    domain instead, so the recorder's timeline is the same on every
+    run.  Outcomes are bit-identical across shard
     counts, faulted ones included: arm a {!Draconis_fault.Plan} on the
     raw cluster ({!draconis_cluster}) through
     {!Draconis_fault.Injector}. *)

@@ -12,13 +12,10 @@ type 'msg envelope = {
   int_ : Obs.Int_telemetry.stack option;
 }
 
-type burst = { p_enter : float; p_exit : float; loss_bad : float }
-
 type config = {
   host_to_switch : Time.t;
   jitter : Time.t;
   loss : float;
-  burst : burst option;
   detour_fraction : float;
   detour_extra : Time.t;
 }
@@ -28,7 +25,6 @@ let default_config =
     host_to_switch = Time.ns 1_500;
     jitter = Time.ns 150;
     loss = 0.0;
-    burst = None;
     detour_fraction = 0.0;
     detour_extra = 0;
   }
@@ -65,16 +61,14 @@ and 'msg t = {
      Hashtbl probe. *)
   mutable host_handlers : ('msg envelope -> unit) option array;
   mutable switch_handler : ('msg envelope -> unit) option;
-  (* Gilbert-Elliott channel state: [bad] flips per send according to the
-     configured transition probabilities. *)
-  mutable bad : bool;
   (* Timed loss and cut windows ([set_windows]), checked on every send;
      every instance of a router holds the same value. *)
   mutable windows : window array;
-  (* Precomputed: no configured loss, no burst model, no fault window —
-     the common case, where [send] skips every drop branch with a single
-     flag test. *)
+  (* Precomputed: no configured loss and no fault window — the common
+     case, where [send] skips every drop branch with a single flag
+     test. *)
   mutable lossless : bool;
+  mutable sent : int;
   mutable delivered : int;
   mutable lost : int;
   mutable partition_dropped : int;
@@ -86,20 +80,11 @@ let check_probability ~what p =
     invalid_arg (Printf.sprintf "Fabric: %s must be in [0,1]" what)
 
 let recompute_lossless t =
-  t.lossless <-
-    t.config.loss = 0.0
-    && t.config.burst = None
-    && Array.length t.windows = 0
+  t.lossless <- t.config.loss = 0.0 && Array.length t.windows = 0
 
 let create ?(config = default_config) engine rng =
   check_probability ~what:"loss" config.loss;
   check_probability ~what:"detour_fraction" config.detour_fraction;
-  (match config.burst with
-  | None -> ()
-  | Some { p_enter; p_exit; loss_bad } ->
-    check_probability ~what:"burst.p_enter" p_enter;
-    check_probability ~what:"burst.p_exit" p_exit;
-    check_probability ~what:"burst.loss_bad" loss_bad);
   if config.host_to_switch < 0 then
     invalid_arg "Fabric.create: host_to_switch must be non-negative";
   if config.jitter < 0 then invalid_arg "Fabric.create: jitter must be non-negative";
@@ -107,7 +92,7 @@ let create ?(config = default_config) engine rng =
     invalid_arg "Fabric.create: detour_extra must be non-negative";
   let t =
     { engine; rng; config; shard = None; host_handlers = Array.make 64 None;
-      switch_handler = None; bad = false; windows = [||]; lossless = false;
+      switch_handler = None; windows = [||]; lossless = false; sent = 0;
       delivered = 0; lost = 0; partition_dropped = 0; undeliverable = 0 }
   in
   recompute_lossless t;
@@ -210,30 +195,19 @@ let rec window_loss ws i ~now p =
     | Loss q when now >= w.start && now < w.stop -> window_loss ws (i + 1) ~now (Float.max p q)
     | Loss _ | Cut _ -> window_loss ws (i + 1) ~now p
 
-(* The configured loss model's per-packet probability: the i.i.d. knob,
-   or — with [burst] — the loss rate of the Gilbert-Elliott state after
-   stepping the chain once. *)
-let[@inline] model_loss t rng =
-  match t.config.burst with
-  | None -> t.config.loss
-  | Some { p_enter; p_exit; loss_bad } ->
-    let flip_p = if t.bad then p_exit else p_enter in
-    if flip_p > 0.0 && Rng.float rng < flip_p then t.bad <- not t.bad;
-    if t.bad then loss_bad else t.config.loss
-
 type verdict = Deliver | Cut_off | Lost
 
 (* The one drop rule, shared by the classic and the sharded send path: a
    packet to or from a cut host drops without a draw; any other packet
-   drops with probability max(active window losses, configured model
-   loss).  Windows compose by max among themselves and with the model.
-   The evaluation order (cut check, chain step, loss draw) is
-   load-bearing for reproducibility of seeded runs. *)
+   drops with probability max(active window losses, configured loss).
+   Windows compose by max among themselves and with the configured loss.
+   The evaluation order (cut check, loss draw) is load-bearing for
+   reproducibility of seeded runs. *)
 let verdict t rng ~now src dst =
   let ws = t.windows in
   if Array.length ws > 0 && (cut_off ws ~now src || cut_off ws ~now dst) then Cut_off
   else
-    let p = model_loss t rng in
+    let p = t.config.loss in
     let p = if Array.length ws = 0 then p else window_loss ws 0 ~now p in
     if p > 0.0 && Rng.float rng < p then Lost else Deliver
 
@@ -248,12 +222,10 @@ let deliver t ?int_ ~src ~dst ~now payload =
          match handler_of t env.dst with
          | Some handler ->
            t.delivered <- t.delivered + 1;
-           Obs.Recorder.count "fabric.delivered" 1;
            Option.iter Obs.Int_telemetry.deliver_stack env.int_;
            handler env
          | None ->
            t.undeliverable <- t.undeliverable + 1;
-           Obs.Recorder.count "fabric.undeliverable" 1;
            Option.iter Obs.Int_telemetry.drop_stack env.int_;
            Obs.Recorder.mark ~at:(Engine.now t.engine) ~track:"fabric" "drop: no handler"))
 
@@ -264,14 +236,11 @@ let send_lossy t ?int_ ~src ~dst ~now payload =
   | Cut_off ->
     Option.iter Obs.Int_telemetry.drop_stack int_;
     t.partition_dropped <- t.partition_dropped + 1;
-    Obs.Recorder.count "fabric.partition_dropped" 1;
     Obs.Recorder.mark ~at:now ~track:"fabric" "drop: partition"
   | Lost ->
     Option.iter Obs.Int_telemetry.drop_stack int_;
     t.lost <- t.lost + 1;
-    Obs.Recorder.count "fabric.lost" 1;
-    Obs.Recorder.mark ~at:now ~track:"fabric"
-      (if t.bad then "drop: loss (burst)" else "drop: loss")
+    Obs.Recorder.mark ~at:now ~track:"fabric" "drop: loss"
 
 (* -- sharded send path --------------------------------------------------- *)
 
@@ -334,15 +303,15 @@ let send_sharded t (s, _) ?int_ ~src ~dst payload =
 
 let send t ?int_ ~src ~dst payload =
   if Addr.equal src dst then invalid_arg "Fabric.send: src = dst";
+  t.sent <- t.sent + 1;
   match t.shard with
   | Some ctx -> send_sharded t ctx ?int_ ~src ~dst payload
   | None ->
     let now = Engine.now t.engine in
-    Obs.Recorder.count "fabric.sent" 1;
     if t.lossless then deliver t ?int_ ~src ~dst ~now payload
     else send_lossy t ?int_ ~src ~dst ~now payload
 
-let in_burst t = t.bad
+let sent t = t.sent
 let delivered t = t.delivered
 let lost t = t.lost
 let partition_dropped t = t.partition_dropped
@@ -393,11 +362,6 @@ let mix seed eid =
 
 let router ?(config = default_config) ~lps ~switch_lp ~lp_of_host ~hosts ~seed () =
   let la = lookahead config in
-  if config.burst <> None then
-    invalid_arg
-      "Fabric.router: burst loss steps a fabric-global channel per packet and \
-       cannot be sharded deterministically; use timed loss windows \
-       (set_windows) instead";
   check_probability ~what:"loss" config.loss;
   check_probability ~what:"detour_fraction" config.detour_fraction;
   if config.jitter < 0 then invalid_arg "Fabric.router: jitter must be non-negative";
@@ -436,9 +400,9 @@ let router ?(config = default_config) ~lps ~switch_lp ~lp_of_host ~hosts ~seed (
           shard = Some (s, i);
           host_handlers = Array.make (max 64 hosts) None;
           switch_handler = None;
-          bad = false;
           windows = [||];
           lossless = true;
+          sent = 0;
           delivered = 0;
           lost = 0;
           partition_dropped = 0;

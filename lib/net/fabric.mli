@@ -6,26 +6,22 @@
     jitter).  Host-to-host traffic transits the switch, so its latency
     is twice the host-to-switch latency.
 
-    The fabric is reliable by default; three fault inputs inject loss:
+    The fabric is reliable by default; two fault inputs inject loss:
     - [loss]: i.i.d. per-packet drop probability;
-    - [burst]: a Gilbert-Elliott two-state channel that alternates
-      between a good state (drops at [loss]) and a bad state (drops at
-      [loss_bad]), stepping the chain once per packet — correlated loss
-      bursts rather than independent drops;
     - {!set_windows}: timed loss and cut windows, the fabric side of a
       fault plan ({!Draconis_fault.Injector}), checked on every send.
+      Correlated loss bursts are loss windows.
 
     One drop rule holds on the classic fabric and the sharded
     {!router} alike: a packet to or from a host inside an active cut
     window is dropped without a draw; any other packet drops with
-    probability [max (active window losses) (configured loss)], where
-    the configured loss is [loss] or, with [burst], the loss rate of the
-    Gilbert-Elliott state after stepping the chain once.
+    probability [max (active window losses) loss].
 
     All randomness comes from the [rng] supplied at creation, keeping
-    runs deterministic.  Every drop path counts on the ambient
-    {!Draconis_obs.Recorder} and marks its ["fabric"] track, so a
-    recorded timeline shows fault activity. *)
+    runs deterministic.  The fabric counts every send and every
+    outcome of a send itself ({!sent} .. {!undeliverable}); every drop
+    path also marks the ambient {!Draconis_obs.Recorder}'s ["fabric"]
+    track, so a recorded timeline shows fault activity. *)
 
 open Draconis_sim
 
@@ -42,16 +38,10 @@ type 'msg envelope = {
 
 type 'msg t
 
-(** Gilbert-Elliott channel parameters: per-packet transition
-    probabilities between the good and bad state, and the bad-state
-    loss rate (the good state drops at the base [loss]). *)
-type burst = { p_enter : float; p_exit : float; loss_bad : float }
-
 type config = {
   host_to_switch : Time.t;  (** one-way host <-> switch latency *)
   jitter : Time.t;  (** uniform extra delay in [\[0, jitter\]] *)
-  loss : float;  (** i.i.d. drop probability in [\[0, 1\]] (good state) *)
-  burst : burst option;  (** Gilbert-Elliott burst loss; [None] = i.i.d. only *)
+  loss : float;  (** i.i.d. drop probability in [\[0, 1\]] *)
   detour_fraction : float;
       (** multi-rack deployments (paper §3.2) route scheduler traffic
           through a common ancestor switch, lengthening the path for a
@@ -61,7 +51,7 @@ type config = {
 }
 
 (** Calibrated default: 1.5 us one-way, 150 ns jitter, no loss, no
-    bursts, no detours (single-rack deployment). *)
+    detours (single-rack deployment). *)
 val default_config : config
 
 (** [detoured t host] is true when the host's scheduler path takes the
@@ -77,8 +67,8 @@ val detoured : 'msg t -> int -> bool
     ([host_to_switch = 0]), which admits no conservative window. *)
 val lookahead : config -> Time.t
 
-(** @raise Invalid_argument if any probability ([loss], [detour_fraction],
-    burst parameters) is outside [\[0,1\]], or any latency
+(** @raise Invalid_argument if any probability ([loss], [detour_fraction])
+    is outside [\[0,1\]], or any latency
     ([host_to_switch], [jitter], [detour_extra]) is negative. *)
 val create : ?config:config -> Engine.t -> Rng.t -> 'msg t
 
@@ -126,15 +116,19 @@ type window = { start : Time.t; stop : Time.t; fault : fault }
     loss outside [\[0,1\]], or a negative host id. *)
 val set_windows : 'msg t -> window list -> unit
 
-(** True while the Gilbert-Elliott channel is in the bad state. *)
-val in_burst : 'msg t -> bool
+(** {2 Counters} — each the one count of its fact.  On a sharded
+    {!router} a send counts on the sender's instance and a delivery on
+    the destination's, so a deployment's totals are the sums over its
+    instances. *)
 
-(** {2 Counters} *)
+(** Messages sent: the sum of the four outcomes below plus the messages
+    still in flight. *)
+val sent : 'msg t -> int
 
 (** Messages delivered so far. *)
 val delivered : 'msg t -> int
 
-(** Messages lost to injected loss (i.i.d., burst, or a loss window). *)
+(** Messages lost to injected loss (i.i.d. or a loss window). *)
 val lost : 'msg t -> int
 
 (** Messages dropped because an endpoint was inside a cut window. *)
@@ -191,18 +185,16 @@ end
     of both the partitioning and the domain schedule.  Entity ids: the
     switch is 0, host [h] is [h + 1].
 
-    Restriction compared to the classic fabric: [config.burst] is
-    rejected (the Gilbert-Elliott chain steps fabric-global state per
-    packet).  Ambient observability (Recorder marks and counters, INT
-    stamp draining) is skipped on the sharded path: it lives in
-    domain-local storage that helper domains do not carry. *)
+    Ambient observability (Recorder marks, INT stamp draining) is
+    skipped on the sharded path: it lives in domain-local storage that
+    helper domains do not carry. *)
 
 (** [router ~lps ~switch_lp ~lp_of_host ~hosts ~seed ()] returns one
     instance per LP (same index as [lps]).  [lp_of_host] maps each host
     id in [\[0, hosts)] to its LP index; the switch lives on
     [switch_lp].
     @raise Invalid_argument on an empty [lps], out-of-range LP indexes,
-    a [burst] config, or any invalid latency/probability parameter. *)
+    or any invalid latency/probability parameter. *)
 val router :
   ?config:config ->
   lps:Draconis_sim.Lp.t array ->

@@ -70,17 +70,10 @@ let iter_events t f =
 
 (* -- registry -------------------------------------------------------------- *)
 
-let counter_ref t name =
-  match Hashtbl.find_opt t.counters name with
-  | Some r -> r
-  | None ->
-    let r = ref 0 in
-    Hashtbl.replace t.counters name r;
-    r
-
 let add t name n =
-  let r = counter_ref t name in
-  r := !r + n
+  match Hashtbl.find_opt t.counters name with
+  | Some r -> r := !r + n
+  | None -> Hashtbl.replace t.counters name (ref n)
 
 let counter_value t name =
   match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
@@ -140,19 +133,11 @@ let key : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let current () = Domain.DLS.get key
 let active () = Domain.DLS.get key <> None
-let install t = Domain.DLS.set key (Some t)
-let uninstall () = Domain.DLS.set key None
 
 let with_recorder t f =
   let previous = Domain.DLS.get key in
   Domain.DLS.set key (Some t);
   Fun.protect ~finally:(fun () -> Domain.DLS.set key previous) f
-
-let count name n =
-  match current () with None -> () | Some t -> add t name n
-
-let gauge name v =
-  match current () with None -> () | Some t -> set_gauge t name v
 
 let record name v =
   match current () with None -> () | Some t -> observe t name v

@@ -9,10 +9,12 @@
     {2 Ambient installation}
 
     Components (fabric, pipeline, switch program, executors, clients)
-    emit through the {e ambient} recorder: a domain-local slot set with
-    {!install} / {!with_recorder}.  When no recorder is installed every
-    ambient call is one domain-local read and a branch — O(1), no
-    allocation — so instrumentation stays in hot paths.  Parallel
+    emit marks, spans and histogram samples through the {e ambient}
+    recorder: a domain-local slot set with {!with_recorder}.  When no
+    recorder is installed every ambient call is one domain-local read
+    and a branch — O(1), no allocation.  The hot path keeps only marks
+    and spans: components keep their own counters, and the runner
+    {!add}s them to the registry when a run ends.  Parallel
     {!Draconis_harness.Pool} workers each install their own recorder in
     their own domain and never race.
 
@@ -102,8 +104,6 @@ val sample : t -> at:Time.t -> string -> int -> unit
 
 val current : unit -> t option
 val active : unit -> bool
-val install : t -> unit
-val uninstall : unit -> unit
 
 (** [with_recorder t f] installs [t] for the duration of [f] in the
     calling domain, restoring the previous installation after. *)
@@ -113,8 +113,6 @@ val with_recorder : t -> (unit -> 'a) -> 'a
     Callers that must format a track or name should guard with
     {!active} (or cache the string) so the disabled path stays free. *)
 
-val count : string -> int -> unit
-val gauge : string -> int -> unit
 val record : string -> int -> unit
 val begin_span : at:Time.t -> track:string -> string -> unit
 val end_span : at:Time.t -> track:string -> string -> unit

@@ -40,7 +40,6 @@ type ('wire, 'pkt) t = {
   mutable recirculated : int;
   mutable recirc_dropped : int;
   mutable flushed : int;
-  mutable emitted : int;
 }
 
 (* Output scans, top-level so a traversal allocates no closure. *)
@@ -65,13 +64,11 @@ let rec admit ?int_ t pkt =
          if epoch = t.epoch then traverse ?int_ t pkt
          else begin
            Option.iter Obs.Int_telemetry.drop_stack int_;
-           t.flushed <- t.flushed + 1;
-           Obs.Recorder.count "pipeline.flushed" 1
+           t.flushed <- t.flushed + 1
          end))
 
 and traverse ?int_ t pkt =
   t.processed <- t.processed + 1;
-  Obs.Recorder.count "pipeline.processed" 1;
   (* Arm the per-traversal stamp builder so the program's queue/bank
      accesses can contribute the values they already hold; the committed
      stamp rides whichever outputs continue the packet's chain. *)
@@ -100,7 +97,6 @@ and dispatch ?int_ t ~carrier ~seen = function
   | Drop :: rest -> dispatch ?int_ t ~carrier ~seen rest
   | Emit (dst, wire) :: rest ->
     let seen = seen + 1 in
-    t.emitted <- t.emitted + 1;
     let stack = if seen = carrier then int_ else None in
     Fabric.send t.fabric ?int_:stack ~src:Addr.Switch ~dst wire;
     dispatch ?int_ t ~carrier ~seen rest
@@ -119,12 +115,10 @@ and recirculate ?int_ t pkt =
   if backlog >= t.config.recirc_queue_limit then begin
     Option.iter Obs.Int_telemetry.drop_stack int_;
     t.recirc_dropped <- t.recirc_dropped + 1;
-    Obs.Recorder.count "pipeline.recirc_dropped" 1;
     Obs.Recorder.mark ~at:now ~track:"pipeline" "recirc drop"
   end
   else begin
     t.recirculated <- t.recirculated + 1;
-    Obs.Recorder.count "pipeline.recirculated" 1;
     let start = max now t.recirc_free_at in
     t.recirc_free_at <- start + t.config.recirc_slot;
     let reentry = start + t.config.recirc_latency in
@@ -134,8 +128,7 @@ and recirculate ?int_ t pkt =
            if epoch = t.epoch then admit ?int_ t pkt
            else begin
              Option.iter Obs.Int_telemetry.drop_stack int_;
-             t.flushed <- t.flushed + 1;
-             Obs.Recorder.count "pipeline.flushed" 1
+             t.flushed <- t.flushed + 1
            end))
   end
 
@@ -154,7 +147,6 @@ let attach ?(config = default_config) ?on_ingress fabric ~wrap program =
       recirculated = 0;
       recirc_dropped = 0;
       flushed = 0;
-      emitted = 0;
     }
   in
   Fabric.register fabric Addr.Switch (fun env ->
@@ -190,7 +182,6 @@ let processed t = t.processed
 let recirculated t = t.recirculated
 let recirc_dropped t = t.recirc_dropped
 let flushed t = t.flushed
-let emitted t = t.emitted
 
 let recirculation_fraction t =
   if t.processed = 0 then 0.0

@@ -77,7 +77,9 @@ val flush_in_flight : ('wire, 'pkt) t -> unit
     fabric); used by unit tests. *)
 val inject : ('wire, 'pkt) t -> 'pkt -> unit
 
-(** Counters. *)
+(** Counters, the one count of each fact.  Every [Recirculate] output
+    counts once: in {!recirculated} if the loop-back port accepts it, in
+    {!recirc_dropped} if its full queue drops it. *)
 val processed : ('wire, 'pkt) t -> int
 
 val recirculated : ('wire, 'pkt) t -> int
@@ -85,8 +87,6 @@ val recirc_dropped : ('wire, 'pkt) t -> int
 
 (** Packets discarded by {!flush_in_flight} fail-overs. *)
 val flushed : ('wire, 'pkt) t -> int
-
-val emitted : ('wire, 'pkt) t -> int
 
 (** [recirculation_fraction t] is recirculated over total traversals —
     the paper's Fig. 7 metric. *)

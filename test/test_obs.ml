@@ -1,14 +1,17 @@
 (* Tests for the observability subsystem: the JSON validator, the typed
-   recorder and registry, Chrome trace-export round-trips, agreement
-   between ambient counters and the experiment metrics on a real run,
-   probe time series, and determinism under the domain pool. *)
+   recorder and registry, Chrome trace-export round-trips, identities
+   between the counters different components keep on real runs (one
+   engine, two shards, a fail-over), probe time series, and determinism
+   under the domain pool, sharded runs included. *)
 
 open Draconis_sim
+open Draconis_net
 open Draconis_proto
 open Draconis
 open Draconis_workload
 module H = Draconis_harness
 module Obs = Draconis_obs
+module F = Draconis_fault
 
 (* -- JSON reader ----------------------------------------------------------- *)
 
@@ -69,16 +72,24 @@ let test_recorder_capacity () =
 let test_ambient_noop_when_uninstalled () =
   Alcotest.(check bool) "inactive" false (Obs.Recorder.active ());
   (* Must not raise or record anywhere. *)
-  Obs.Recorder.count "c" 1;
+  Obs.Recorder.record "h" 1;
   Obs.Recorder.mark ~at:0 ~track:"t" "e";
   let r = Obs.Recorder.create ~label:"t" () in
-  Obs.Recorder.with_recorder r (fun () -> Obs.Recorder.count "c" 1);
+  Obs.Recorder.with_recorder r (fun () ->
+      Obs.Recorder.record "h" 1;
+      Obs.Recorder.mark ~at:0 ~track:"t" "e");
   Alcotest.(check bool) "restored" false (Obs.Recorder.active ());
-  Alcotest.(check int) "only installed emission counted" 1
-    (Obs.Recorder.counter_value r "c")
+  Alcotest.(check int) "only the installed mark stored" 1 (Obs.Recorder.event_count r);
+  match Obs.Recorder.histograms r with
+  | [ ("h", s) ] ->
+    Alcotest.(check int) "only the installed sample recorded" 1
+      (Draconis_stats.Sampler.count s)
+  | _ -> Alcotest.fail "histogram listing"
 
 (* -- chrome trace round-trip on a real cluster run -------------------------- *)
 
+(* A bare cluster run under [recorder]: marks and spans reach it; the
+   counters stay with the components (no runner writes them). *)
 let small_cluster_run recorder =
   Obs.Recorder.with_recorder recorder (fun () ->
       let cluster =
@@ -100,11 +111,12 @@ let small_cluster_run recorder =
                  ~fn_par:(Time.us 50) ();
              ])
       done;
-      ignore (Cluster.run_until_drained cluster ~deadline:(Time.s 1)))
+      ignore (Cluster.run_until_drained cluster ~deadline:(Time.s 1));
+      cluster)
 
 let test_chrome_trace_round_trip () =
   let recorder = Obs.Recorder.create ~label:"unit" () in
-  small_cluster_run recorder;
+  let cluster = small_cluster_run recorder in
   Alcotest.(check bool) "events recorded" true (Obs.Recorder.event_count recorder > 0);
   let out = Obs.Chrome_trace.to_string [ recorder ] in
   match Obs.Json.parse out with
@@ -138,68 +150,204 @@ let test_chrome_trace_round_trip () =
           Hashtbl.replace last (pid, tid) ts
         | _ -> Alcotest.fail "event missing pid/tid/ts")
       events;
-    (* Executor spans land on the timeline; the other layers report
-       through the registry (probes replay them onto bench timelines). *)
+    (* Executor spans land on the timeline; the counters stay with their
+       components, and nothing writes them into this recorder. *)
     if not (Hashtbl.mem names "task") then Alcotest.fail "no executor task span";
-    List.iter
-      (fun counter ->
-        if Obs.Recorder.counter_value recorder counter <= 0 then
-          Alcotest.failf "counter %S not bumped" counter)
-      [ "fabric.sent"; "fabric.delivered"; "pipeline.processed";
-        "switch.assignments"; "client.submitted"; "exec.tasks" ]
+    Alcotest.(check (list (pair string int))) "no counters" []
+      (Obs.Recorder.counters recorder);
+    let program = Cluster.program cluster in
+    Alcotest.(check int) "20 tasks submitted" 20
+      (Client.tasks_submitted (Cluster.client cluster 0));
+    Alcotest.(check int) "each assigned once" 20 (Switch_program.assignments program);
+    Alcotest.(check bool) "traffic counted" true
+      (Fabric.sent (Cluster.fabric cluster) > 0
+      && Draconis_p4.Pipeline.processed (Cluster.pipeline cluster) > 0)
 
-(* -- registry agrees with the experiment metrics ---------------------------- *)
+(* -- counters checked against each other ------------------------------------ *)
 
 let small_spec =
   { H.Systems.workers = 4; executors_per_worker = 4; clients = 1; seed = 7 }
 
-let sweep_once ~loads () =
-  List.map
-    (fun load ->
-      let system = H.Systems.draconis small_spec in
-      let horizon = Time.ms 10 in
-      let driver =
-        H.Exp_common.synthetic_driver Synthetic.Fixed_100us ~rate_tps:load ~horizon
-      in
-      H.Runner.run system ~driver ~load_tps:load ~horizon ())
-    loads
+let horizon = Time.ms 10
 
-let test_registry_matches_metrics () =
+let run_at system ~load =
+  H.Runner.run system
+    ~driver:(H.Exp_common.synthetic_driver Synthetic.Fixed_100us ~rate_tps:load ~horizon)
+    ~load_tps:load ~horizon ()
+
+let sweep_once ~loads () =
+  List.map (fun load -> run_at (H.Systems.draconis small_spec) ~load) loads
+
+(* [observe f] runs [f] with the sink enabled: [f]'s value and the
+   recorders its runs put. *)
+let observe f =
   Obs.Sink.enable ();
   Fun.protect
     ~finally:(fun () -> Obs.Sink.disable ())
     (fun () ->
-      let outcomes = sweep_once ~loads:[ 40_000.0 ] () in
-      let o = List.hd outcomes in
-      match Obs.Sink.drain () with
-      | [ r ] ->
-        Alcotest.(check string) "label" "Draconis@40000tps" (Obs.Recorder.label r);
-        let counter = Obs.Recorder.counter_value r in
-        Alcotest.(check int) "submitted" o.H.Runner.submitted (counter "client.submitted");
-        Alcotest.(check int) "completed" o.H.Runner.completed (counter "client.completed");
-        Alcotest.(check int) "assignments = started" o.H.Runner.started
-          (counter "switch.assignments");
-        Alcotest.(check int) "recirculations" o.H.Runner.recirculations
-          (counter "switch.recirculations");
-        Alcotest.(check int) "repair flags" o.H.Runner.repair_flags
-          (counter "queue.repair_flags");
-        (* Probes sampled the queue and executors over the whole run. *)
-        let series = Obs.Recorder.series r in
-        Alcotest.(check bool) "occupancy series present" true
-          (List.mem_assoc "queue.occupancy" series);
-        (match List.assoc_opt "executors.busy" series with
-        | Some ((_ :: _ :: _) as points) ->
-          let rec chrono = function
-            | (a, _) :: ((b, _) :: _ as rest) -> a <= b && chrono rest
-            | _ -> true
-          in
-          Alcotest.(check bool) "series chronological" true (chrono points)
-        | _ -> Alcotest.fail "executors.busy series too short");
-        (* The metrics dump over this run must itself re-parse. *)
-        (match Obs.Json.parse (Obs.Dump.metrics_json [ r ]) with
-        | Ok _ -> ()
-        | Error msg -> Alcotest.failf "metrics dump invalid: %s" msg)
-      | runs -> Alcotest.failf "expected 1 recorder, got %d" (List.length runs))
+      let v = f () in
+      (v, Obs.Sink.drain ()))
+
+let with_jobs n f =
+  let previous = H.Pool.jobs () in
+  H.Pool.set_jobs n;
+  Fun.protect ~finally:(fun () -> H.Pool.set_jobs previous) f
+
+let recorder_of recorders (o : H.Runner.outcome) =
+  let label = Printf.sprintf "%s@%.0ftps" o.system o.load_tps in
+  match List.filter (fun r -> Obs.Recorder.label r = label) recorders with
+  | [ r ] -> r
+  | _ -> Alcotest.failf "expected one recorder labelled %s" label
+
+(* Identities between different components' counters of a lossless run:
+   every rejected task went back to its client in a Queue_full message.
+   [all_done]: no fault, drained — every submitted task was assigned,
+   executed and completed exactly once. *)
+let check_identities ?(all_done = true) r (o : H.Runner.outcome) =
+  let c = Obs.Recorder.counter_value r in
+  let check what a b = Alcotest.(check int) (Obs.Recorder.label r ^ ": " ^ what) a b in
+  check "client.completed = outcome" o.completed (c "client.completed");
+  check "switch.rejected_tasks = outcome" o.rejected (c "switch.rejected_tasks");
+  check "switch.recirculations = outcome" o.recirculations (c "switch.recirculations");
+  check "queue.repair_flags = outcome" o.repair_flags (c "queue.repair_flags");
+  check "pipeline.recirc_dropped = outcome" o.recirc_drops (c "pipeline.recirc_dropped");
+  (* Every Recirculate output is accepted or dropped by the port. *)
+  check "switch.recirculations = recirculated + recirc_dropped"
+    (c "switch.recirculations")
+    (c "pipeline.recirculated" + c "pipeline.recirc_dropped");
+  if all_done then begin
+    check "switch.assignments = exec.tasks" (c "switch.assignments") (c "exec.tasks");
+    check "exec.tasks = client.completed" (c "exec.tasks") (c "client.completed");
+    check "client.completed = client.submitted" (c "client.completed")
+      (c "client.submitted")
+  end;
+  check "switch.rejected_tasks = client.queue_full_bounces" (c "switch.rejected_tasks")
+    (c "client.queue_full_bounces")
+
+(* Three fault-free runs: plain FCFS; a 16-slot queue past capacity
+   (rejections, bounces, repairs); two priority levels on a slow
+   loop-back port, where idle requests scan the levels by recirculation
+   and some scans drop at the port (the executor's watchdog re-sends). *)
+let identity_runs ?shards () =
+  [
+    run_at (H.Systems.draconis ?shards small_spec) ~load:100_000.0;
+    run_at (H.Systems.draconis ?shards ~queue_capacity:16 small_spec) ~load:180_000.0;
+    run_at
+      (H.Systems.draconis ?shards
+         ~policy_of:(fun _ -> Policy.Priority { levels = 2 })
+         ~pipeline_config:
+           {
+             Draconis_p4.Pipeline.default_config with
+             recirc_slot = Time.ns 300;
+             recirc_queue_limit = 4;
+           }
+         small_spec)
+      ~load:60_000.0;
+  ]
+
+let check_identity_runs (outcomes, recorders) =
+  List.iter
+    (fun (o : H.Runner.outcome) ->
+      Alcotest.(check bool) (o.system ^ " drained") true o.drained;
+      check_identities (recorder_of recorders o) o)
+    outcomes;
+  let total name =
+    List.fold_left (fun acc r -> acc + Obs.Recorder.counter_value r name) 0 recorders
+  in
+  Alcotest.(check bool) "tasks bounced" true (total "client.queue_full_bounces" > 0);
+  Alcotest.(check bool) "repairs launched" true (total "switch.repairs_launched" > 0);
+  Alcotest.(check bool) "recirculations dropped" true (total "pipeline.recirc_dropped" > 0)
+
+let test_identities_one_engine () =
+  let ((outcomes, recorders) as runs) = observe (fun () -> identity_runs ()) in
+  check_identity_runs runs;
+  let r = recorder_of recorders (List.hd outcomes) in
+  (* Probes sampled the queue and executors over the whole run. *)
+  let series = Obs.Recorder.series r in
+  Alcotest.(check bool) "occupancy series present" true
+    (List.mem_assoc "queue.occupancy" series);
+  (match List.assoc_opt "executors.busy" series with
+  | Some ((_ :: _ :: _) as points) ->
+    let rec chrono = function
+      | (a, _) :: ((b, _) :: _ as rest) -> a <= b && chrono rest
+      | _ -> true
+    in
+    Alcotest.(check bool) "series chronological" true (chrono points)
+  | _ -> Alcotest.fail "executors.busy series too short");
+  (* The metrics dump over this run must itself re-parse. *)
+  match Obs.Json.parse (Obs.Dump.metrics_json [ r ]) with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "metrics dump invalid: %s" msg
+
+let test_identities_two_shards () =
+  check_identity_runs (with_jobs 2 (fun () -> observe (fun () -> identity_runs ~shards:2 ())))
+
+(* A fail-over mid-run: the standby carries on the dead program's
+   counts.  Counts restarted at the fail-over would miss the dead
+   program's share and break the pipeline and client identities. *)
+let test_identities_across_failover () =
+  let cluster, system =
+    H.Systems.draconis_cluster ~queue_capacity:16 ~client_timeout:(Time.ms 1) small_spec
+  in
+  let dead = Cluster.program cluster in
+  ignore
+    (F.Injector.arm
+       (F.Plan.create [ { F.Plan.at = Time.ms 5; event = F.Plan.Switch_failover } ])
+       (F.Target.of_cluster cluster));
+  let o, recorders = observe (fun () -> run_at system ~load:180_000.0) in
+  let r = recorder_of recorders o in
+  let live = Cluster.program cluster in
+  let counts p = Switch_program.[ rejected_tasks p; repairs_launched p; recirculations p ] in
+  Alcotest.(check bool) "the standby took over" true (live != dead);
+  Alcotest.(check bool) "the dead program rejected, repaired and recirculated" true
+    (List.for_all (fun n -> n > 0) (counts dead));
+  check_identities ~all_done:false r o;
+  Alcotest.(check (list int)) "the outcome counts for the deployment"
+    [ o.rejected; o.repair_flags; o.recirculations ]
+    (counts live);
+  List.iter2
+    (fun before after -> Alcotest.(check bool) "the standby counted on" true (after > before))
+    (counts dead) (counts live)
+
+(* The counter names no figure sweep reaches: a message to a host with
+   no handler, and PIFO stamp renumbers, forced by starting the stamp
+   counter just short of its renumber threshold. *)
+let test_rare_counters () =
+  let capacity = 32 in
+  let cluster, system =
+    H.Systems.draconis_cluster
+      ~policy_of:(fun _ -> Policy.Edf { default_deadline = Time.us 500 })
+      ~queue_capacity:capacity small_spec
+  in
+  let pifo = Option.get (Switch_program.pifo (Cluster.program cluster)) in
+  let seq =
+    List.find
+      (fun r -> Draconis_p4.Register.name r = "pifo.seq")
+      (Draconis_pifo.Pifo.registers pifo)
+  in
+  Draconis_p4.Register.poke seq 0 (Draconis_pifo.Pifo.seq_limit - (2 * capacity) - 8);
+  let load = 60_000.0 in
+  let workload = H.Exp_common.synthetic_driver Synthetic.Fixed_100us ~rate_tps:load ~horizon in
+  let driver engine rng ~submit =
+    ignore
+      (Engine.schedule engine ~after:(Time.ms 1) (fun () ->
+           Fabric.send (Cluster.fabric cluster) ~src:(Addr.Host 0) ~dst:(Addr.Host 99)
+             (Message.Job_ack { uid = 0; jid = 0 })));
+    workload engine rng ~submit
+  in
+  let o, recorders =
+    observe (fun () -> H.Runner.run system ~driver ~load_tps:load ~horizon ())
+  in
+  let r = recorder_of recorders o in
+  check_identities r o;
+  let c = Obs.Recorder.counter_value r in
+  Alcotest.(check int) "fabric.undeliverable" 1 (c "fabric.undeliverable");
+  let renumbers = Switch_program.renumbers (Cluster.program cluster) in
+  Alcotest.(check bool) "the rank store renumbered" true (renumbers > 0);
+  Alcotest.(check int) "pifo.renumbers" renumbers (c "pifo.renumbers");
+  ignore (Cluster.fail_over_switch cluster);
+  Alcotest.(check int) "the standby carries the renumbers" renumbers
+    (Switch_program.renumbers (Cluster.program cluster))
 
 (* -- determinism under the domain pool -------------------------------------- *)
 
@@ -218,6 +366,26 @@ let pooled_sweep () =
                  Obs.Recorder.event_count r,
                  Obs.Recorder.counters r,
                  Obs.Recorder.events r )))
+
+(* An observed sharded run keeps its windows on the caller's domain, so
+   the recorder gets every LP's marks, spans and samples in one order:
+   two runs at 2 shards on a 2-lane pool dump the same bytes and the
+   same events, and their counters equal those at 1 shard. *)
+let sharded_observed shards =
+  with_jobs 2 (fun () ->
+      match observe (fun () -> run_at (H.Systems.draconis ~shards small_spec) ~load:100_000.0) with
+      | _, [ r ] -> r
+      | _, runs -> Alcotest.failf "expected 1 recorder, got %d" (List.length runs))
+
+let test_sharded_observed_determinism () =
+  let a = sharded_observed 2 in
+  let b = sharded_observed 2 in
+  Alcotest.(check bool) "spans recorded" true (Obs.Recorder.event_count a > 0);
+  Alcotest.(check string) "same dump" (Obs.Dump.metrics_json [ a ]) (Obs.Dump.metrics_json [ b ]);
+  if Obs.Recorder.events a <> Obs.Recorder.events b then Alcotest.fail "event lists differ";
+  Alcotest.(check (list (pair string int))) "1 shard counts the same"
+    (Obs.Recorder.counters (sharded_observed 1))
+    (Obs.Recorder.counters a)
 
 let test_pool_determinism () =
   let a = pooled_sweep () in
@@ -285,8 +453,13 @@ let suite =
     Alcotest.test_case "ambient no-op when uninstalled" `Quick
       test_ambient_noop_when_uninstalled;
     Alcotest.test_case "chrome trace round-trip" `Quick test_chrome_trace_round_trip;
-    Alcotest.test_case "registry matches metrics" `Quick test_registry_matches_metrics;
+    Alcotest.test_case "identities: one engine" `Quick test_identities_one_engine;
+    Alcotest.test_case "identities: two shards" `Quick test_identities_two_shards;
+    Alcotest.test_case "identities: fail-over" `Quick test_identities_across_failover;
+    Alcotest.test_case "rare counters reach the dump" `Quick test_rare_counters;
     Alcotest.test_case "pool determinism" `Quick test_pool_determinism;
+    Alcotest.test_case "sharded observed runs repeat" `Quick
+      test_sharded_observed_determinism;
     Alcotest.test_case "probe sampling" `Quick test_probe_sampling;
     Alcotest.test_case "probe rejects bad interval" `Quick test_probe_rejects_bad_interval;
     Alcotest.test_case "probe expired until" `Quick test_probe_expired_until;
