@@ -85,19 +85,21 @@ let enqueue t ctx entry =
   (* Lazy retrieve-pointer repair: r overran past the slot we would
      fill, so a repair must point it back (§4.5). *)
   let overrun = is_ahead t r a && not !debug_drop_retrieve_repair in
-  (* (3) flag stage: one RMW per flag; each condition uses only
-     pointer-stage metadata and the flag's own previous value, as the
-     per-stage ALUs of the hardware require.  The retrieve flag word
-     doubles as the in-flight repair target ([0] = clear,
-     [target + 1] otherwise): while the repair is in flight the
-     retrieve pointer is inflated and [occupancy] above is only a
-     lower bound — trusting it let a store overwrite a live slot whose
-     write-index maps to the same physical slot (found by lib/fuzz).
-     The target in the flag word is the true retrieve position, so the
-     true occupancy stays computable in this stage. *)
+  (* (3) flag stage: one access per flag — a compare-and-swap from
+     clear when the flag's condition holds, a plain read otherwise;
+     each condition uses only pointer-stage metadata and the flag's own
+     previous value, as the per-stage ALUs of the hardware require.
+     The retrieve flag word doubles as the in-flight repair target
+     ([0] = clear, [target + 1] otherwise): while the repair is in
+     flight the retrieve pointer is inflated and [occupancy] above is
+     only a lower bound — trusting it let a store overwrite a live slot
+     whose write-index maps to the same physical slot (found by
+     lib/fuzz).  The target in the flag word is the true retrieve
+     position, so the true occupancy stays computable in this stage. *)
   let old_retrieve_flag =
-    Register.read_modify_write t.retrieve_repair_flag ctx 0 (fun f ->
-        if overrun && f = 0 then a + 1 else f)
+    if overrun then
+      Register.compare_and_swap t.retrieve_repair_flag ctx 0 ~expected:0 ~desired:(a + 1)
+    else Register.read t.retrieve_repair_flag ctx 0
   in
   let retrieve_pending = old_retrieve_flag <> 0 in
   let retrieve_launch = overrun && not retrieve_pending in
@@ -115,8 +117,8 @@ let enqueue t ctx entry =
     else pointer_full
   in
   let old_add_flag =
-    Register.read_modify_write t.add_repair_flag ctx 0 (fun f ->
-        if full && f = 0 then 1 else f)
+    if full then Register.compare_and_swap t.add_repair_flag ctx 0 ~expected:0 ~desired:1
+    else Register.read t.add_repair_flag ctx 0
   in
   if full || old_add_flag = 1 then
     (* [retrieve_repair] is non-None only in the rare case where this

@@ -1,27 +1,32 @@
 exception Access_violation of string
 
-(* A traversal touches at most a few dozen registers; a flat array with
-   linear scan beats a hash table on this hot path. *)
-type t = { mutable accessed : int array; mutable count : int }
+type touched = { mutable ids : int array; mutable count : int }
+type t = { mutable stamp : int; touched : touched }
 
-let create () = { accessed = Array.make 16 0; count = 0 }
-let reset t = t.count <- 0
+(* 30 bits of context id over 32 of traversal number fill the 62-bit
+   non-negative int range.  [bench micro]'s queue rows create a context
+   per operation, millions per row, against ~10^9 ids.  A pipeline
+   admits at most one packet per simulated ns (recirculations add one
+   per 100 ns), so its one context needs over 4 simulated seconds at
+   line rate to reach 2^32 traversals; the longest experiment horizon
+   is 2 s. *)
+let traversal_bits = 32
+let last_traversal = (1 lsl traversal_bits) - 1
+let id_limit = 1 lsl (62 - traversal_bits)
 
-(* Top-level, so a lookup allocates no closure. *)
-let rec scan (accessed : int array) count (reg_id : int) i =
-  i < count && (Array.unsafe_get accessed i = reg_id || scan accessed count reg_id (i + 1))
+(* Atomic: contexts are created from whichever domain runs a pipeline,
+   and stamps must stay unique across all of them. *)
+let next_id = Atomic.make 1
 
-let mem t reg_id = scan t.accessed t.count reg_id 0
+let create () =
+  let id = Atomic.fetch_and_add next_id 1 in
+  if id >= id_limit then failwith "Packet_ctx.create: context ids exhausted";
+  { stamp = id lsl traversal_bits; touched = { ids = Array.make 16 0; count = 0 } }
 
-let mark_access t ~reg_id ~reg_name =
-  if mem t reg_id then raise (Access_violation reg_name);
-  if t.count >= Array.length t.accessed then begin
-    let bigger = Array.make (2 * Array.length t.accessed) 0 in
-    Array.blit t.accessed 0 bigger 0 t.count;
-    t.accessed <- bigger
-  end;
-  t.accessed.(t.count) <- reg_id;
-  t.count <- t.count + 1
+let reset t =
+  if t.stamp land last_traversal = last_traversal then
+    failwith "Packet_ctx.reset: traversal numbers exhausted";
+  t.stamp <- t.stamp + 1;
+  t.touched.count <- 0
 
-let accessed t ~reg_id = mem t reg_id
-let access_count t = t.count
+let access_count t = t.touched.count

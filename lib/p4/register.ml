@@ -3,7 +3,7 @@ type t = {
   name : string;
   cell_bits : int;
   cells : int array;
-  mutable accesses : int;
+  mutable last : int;  (* stamp of the last data-path access; 0 = none *)
 }
 
 (* Atomic: registers are created from whichever domain builds the
@@ -21,7 +21,7 @@ let create ~name ~size ?(cell_bits = 32) () =
     name;
     cell_bits;
     cells = Array.make size 0;
-    accesses = 0;
+    last = 0;
   }
 
 let name t = t.name
@@ -29,15 +29,59 @@ let size t = Array.length t.cells
 let cell_bits t = t.cell_bits
 let bits t = t.cell_bits * Array.length t.cells
 
-let check_bounds t i =
-  if i < 0 || i >= Array.length t.cells then
-    invalid_arg (Printf.sprintf "Register %s: index %d out of bounds [0,%d)"
-                   t.name i (Array.length t.cells))
+(* Out of line, so the in-range test inlines into every access; it
+   returns the exception, so nothing stays live across the call. *)
+let[@inline never] out_of_bounds t i =
+  Invalid_argument
+    (Printf.sprintf "Register %s: index %d out of bounds [0,%d)" t.name i (Array.length t.cells))
 
-let access t ctx =
-  Packet_ctx.mark_access ctx ~reg_id:t.id ~reg_name:t.name;
-  t.accesses <- t.accesses + 1
+let[@inline] check_bounds t i =
+  if i < 0 || i >= Array.length t.cells then raise (out_of_bounds t i)
 
+(* Top-level and annotated, so a lookup allocates no closure and
+   compares ints inline. *)
+let rec listed (ids : int array) count (id : int) i =
+  i < count && (Array.unsafe_get ids i = id || listed ids count id (i + 1))
+
+let[@inline] same_context stamp stamp' =
+  stamp lsr Packet_ctx.traversal_bits = stamp' lsr Packet_ctx.traversal_bits
+
+(* Record an access: append to the traversal's list (which has room),
+   then stamp the array. *)
+let[@inline] record t (ctx : Packet_ctx.t) =
+  let l = ctx.touched in
+  Array.unsafe_set l.ids l.count t.id;
+  l.count <- l.count + 1;
+  t.last <- ctx.stamp
+
+(* The cases the fast path leaves.  [last] equal to the stamp is this
+   traversal's own earlier access.  [last] from another context (or 0)
+   proves nothing: another context may have overwritten this
+   traversal's stamp since its access, so only the traversal's list can
+   tell.  And the list may need to grow. *)
+let[@inline never] access_slow t (ctx : Packet_ctx.t) =
+  let l = ctx.touched in
+  if t.last = ctx.stamp
+     || ((not (same_context t.last ctx.stamp)) && listed l.ids l.count t.id 0)
+  then raise (Packet_ctx.Access_violation t.name);
+  if l.count = Array.length l.ids then begin
+    let bigger = Array.make (2 * Array.length l.ids) 0 in
+    Array.blit l.ids 0 bigger 0 l.count;
+    l.ids <- bigger
+  end;
+  record t ctx
+
+(* The one-access rule (see the interface).  The fast path is the
+   pipeline's: [last] is an older stamp of the same context, which
+   proves this traversal has not touched the array. *)
+let[@inline] access t (ctx : Packet_ctx.t) =
+  if t.last <> ctx.stamp && same_context t.last ctx.stamp
+     && ctx.touched.count < Array.length ctx.touched.ids
+  then record t ctx
+  else access_slow t ctx
+
+(* Every data-path operation below is one access: bounds, then the
+   rule, then the cell. *)
 let read t ctx i =
   check_bounds t i;
   access t ctx;
@@ -78,6 +122,27 @@ let read_and_advance t ctx i ~modulus =
   t.cells.(i) <- (if old + 1 >= modulus then 0 else old + 1);
   old
 
+let compare_and_swap t ctx i ~expected ~desired =
+  check_bounds t i;
+  access t ctx;
+  let old = t.cells.(i) in
+  if old = expected then t.cells.(i) <- desired;
+  old
+
+let read_and_increment_below t ctx i ~limit =
+  check_bounds t i;
+  access t ctx;
+  let old = t.cells.(i) in
+  if old < limit then t.cells.(i) <- old + 1;
+  old
+
+let read_and_decrement_above t ctx i ~floor =
+  check_bounds t i;
+  access t ctx;
+  let old = t.cells.(i) in
+  if old > floor then t.cells.(i) <- old - 1;
+  old
+
 let peek t i =
   check_bounds t i;
   t.cells.(i)
@@ -87,5 +152,3 @@ let poke t i v =
   t.cells.(i) <- v
 
 let fill t v = Array.fill t.cells 0 (Array.length t.cells) v
-
-let access_count t = t.accesses

@@ -4,11 +4,22 @@
     traversal (identified by its {!Packet_ctx.t}) may perform exactly
     one operation on a given array: a read, a write, or one atomic
     read-modify-write (e.g. [read_and_increment]).  A second operation
-    raises {!Packet_ctx.Access_violation}.
+    raises {!Packet_ctx.Access_violation} and leaves the array as it
+    was.
 
     This is the constraint that makes naive queues impossible on real
     switches (check-then-increment needs two accesses) and that
-    Draconis' delayed-pointer-correction design exists to satisfy. *)
+    Draconis' delayed-pointer-correction design exists to satisfy.
+
+    The check is exact and O(1) per access on the pipeline path.  Each
+    array keeps the {!Packet_ctx} stamp of its last data-path access;
+    stamps are unique across every traversal of every context in the
+    process.  Finding the current traversal's stamp there means a
+    second access; an older stamp of the same context means a first
+    one; any other (never touched, or last touched by another context)
+    defers to the context's list of the arrays this traversal touched,
+    which a pipeline's one context consults about once per array per
+    run. *)
 
 type t
 
@@ -54,6 +65,19 @@ val exchange : t -> Packet_ctx.t -> int -> int -> int
     reaches [modulus] — a wrap-around pointer increment in one access. *)
 val read_and_advance : t -> Packet_ctx.t -> int -> modulus:int -> int
 
+(** [compare_and_swap t ctx i ~expected ~desired] atomically returns the
+    old value [v] of cell [i] and stores [desired] iff [v = expected]. *)
+val compare_and_swap : t -> Packet_ctx.t -> int -> expected:int -> desired:int -> int
+
+(** [read_and_increment_below t ctx i ~limit] atomically returns the old
+    value [v] of cell [i] and stores [v + 1] iff [v < limit] — a
+    bounded counter increment in one access. *)
+val read_and_increment_below : t -> Packet_ctx.t -> int -> limit:int -> int
+
+(** [read_and_decrement_above t ctx i ~floor] atomically returns the old
+    value [v] of cell [i] and stores [v - 1] iff [v > floor]. *)
+val read_and_decrement_above : t -> Packet_ctx.t -> int -> floor:int -> int
+
 (** [peek t i] reads without a context — control-plane access, not
     usable from the data path (tests and invariant checks only). *)
 val peek : t -> int -> int
@@ -65,6 +89,3 @@ val poke : t -> int -> int -> unit
 (** [fill t v] control-plane write of [v] to every cell: the switch
     CPU's bulk initialisation of a whole array. *)
 val fill : t -> int -> unit
-
-(** Number of data-path operations performed over the array's lifetime. *)
-val access_count : t -> int

@@ -89,10 +89,7 @@ let probe_row t ctx ~row ~packed ~payload =
   let claimed = ref (-1) in
   let k = ref 0 in
   while !claimed < 0 && !k < t.scan_width do
-    let old =
-      Register.read_modify_write t.banks.(!k) ctx row (fun v ->
-          if v = 0 then packed else v)
-    in
+    let old = Register.compare_and_swap t.banks.(!k) ctx row ~expected:0 ~desired:packed in
     if old = 0 then claimed := !k;
     incr k
   done;
@@ -109,7 +106,9 @@ let probe_row t ctx ~row ~packed ~payload =
     end;
     let slot = slot_of ~cells_per_bank:t.cells_per_bank ~bank:!claimed ~row in
     (* The payload rides later stages: one write per word array. *)
-    Array.iteri (fun j w -> Register.write t.words.(j) ctx slot w) payload;
+    for j = 0 to t.word_count - 1 do
+      Register.write t.words.(j) ctx slot payload.(j)
+    done;
     Some slot
   end
 
@@ -129,10 +128,7 @@ let admit t ctx ~rank ~words =
   in
   (* Occupancy gate: an atomic bounded increment.  Success guarantees a
      free cell exists somewhere, so a gated probe always lands. *)
-  let occ_old =
-    Register.read_modify_write t.occ ctx 0 (fun o ->
-        if o < t.capacity then o + 1 else o)
-  in
+  let occ_old = Register.read_and_increment_below t.occ ctx 0 ~limit:t.capacity in
   if occ_old >= t.capacity then Full
   else begin
     (* INT: [occ_old] is the gate's own read — occupancy before this
@@ -154,8 +150,7 @@ let probe t ctx p =
   if p.attempts >= probe_budget t then begin
     (* Budget exhausted (possible only under sustained claim races):
        release the occupancy gate and reject. *)
-    ignore
-      (Register.read_modify_write t.occ ctx 0 (fun o -> if o > 0 then o - 1 else o));
+    ignore (Register.read_and_decrement_above t.occ ctx 0 ~floor:0);
     Full
   end
   else begin
@@ -238,8 +233,7 @@ let claim t ctx c =
     (* Compare-and-free: succeeds only if the cell still holds exactly
        the scanned stamp (another claimer or a renumber loses us). *)
     let old =
-      Register.read_modify_write t.banks.(bank) ctx row (fun v ->
-          if v = c.cand_packed then 0 else v)
+      Register.compare_and_swap t.banks.(bank) ctx row ~expected:c.cand_packed ~desired:0
     in
     if old <> c.cand_packed then begin
       if Obs.Int_telemetry.enabled () then
@@ -249,11 +243,11 @@ let claim t ctx c =
     else begin
       if Obs.Int_telemetry.enabled () then
         Obs.Int_telemetry.note_probe Obs.Int_telemetry.Claim_won;
-      ignore
-        (Register.read_modify_write t.occ ctx 0 (fun o -> if o > 0 then o - 1 else o));
-      let words =
-        Array.init t.word_count (fun j -> Register.read t.words.(j) ctx c.cand_slot)
-      in
+      ignore (Register.read_and_decrement_above t.occ ctx 0 ~floor:0);
+      let words = Array.make t.word_count 0 in
+      for j = 0 to t.word_count - 1 do
+        words.(j) <- Register.read t.words.(j) ctx c.cand_slot
+      done;
       Claimed { slot = c.cand_slot; packed = c.cand_packed; words }
     end
   end

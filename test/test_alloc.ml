@@ -108,6 +108,65 @@ let test_rng_draws () =
   Alcotest.(check bool) "Rng.float allocates at most its result box" true
     (w3 -. w2 <= float_of_int (2 * n))
 
+(* Every data-path register primitive, the rule's check included,
+   allocates nothing.  Two contexts share the registers: [a]'s accesses
+   mostly meet its own older stamps, and after each of [b]'s rounds
+   they meet a foreign one, so both sides of the check run. *)
+let test_register_primitives () =
+  let regs = Array.init 9 (fun i -> Register.create ~name:(string_of_int i) ~size:4 ()) in
+  let a = Packet_ctx.create () and b = Packet_ctx.create () in
+  let acc = ref 0 in
+  let round i =
+    let ctx = if i land 3 = 0 then b else a in
+    Packet_ctx.reset ctx;
+    let k = i land 3 in
+    acc := !acc + Register.read regs.(0) ctx k;
+    Register.write regs.(1) ctx k i;
+    acc := !acc + Register.read_modify_write regs.(2) ctx k succ;
+    acc := !acc + Register.exchange regs.(3) ctx k i;
+    acc := !acc + Register.read_and_increment regs.(4) ctx k;
+    acc := !acc + Register.read_and_advance regs.(5) ctx k ~modulus:7;
+    acc := !acc + Register.compare_and_swap regs.(6) ctx k ~expected:0 ~desired:i;
+    acc := !acc + Register.read_and_increment_below regs.(7) ctx k ~limit:5;
+    acc := !acc + Register.read_and_decrement_above regs.(8) ctx k ~floor:0
+  in
+  for i = 1 to 100 do
+    round i
+  done;
+  let w0 = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    round i
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "cells were used" true (!acc > 0);
+  Alcotest.(check (float 0.0)) "minor words over 10k rounds of 9 primitives" 0.0 words
+
+(* [Circular_queue.enqueue] on a non-full queue allocates its entry
+   image, the closure that writes it and the outcome, and nothing per
+   repair flag: each flag is one compare-and-swap or read (measured 22
+   words; 31 with a closure per flag). *)
+let test_enqueue_budget () =
+  let q = Circular_queue.create ~name:"q" ~capacity:4096 () in
+  let ctx = Packet_ctx.create () in
+  let entry =
+    Entry.make
+      ~task:(Draconis_proto.Task.make ~uid:0 ~jid:0 ~tid:1 ~fn_id:1 ~fn_par:1000 ())
+      ~client:(Draconis_net.Addr.Host 1) ()
+  in
+  let n = 4_000 in
+  let rejected = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    Packet_ctx.reset ctx;
+    match Circular_queue.enqueue q ctx entry with
+    | Circular_queue.Enqueued _ -> ()
+    | Circular_queue.Rejected _ -> incr rejected
+  done;
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check int) "every enqueue landed" 0 !rejected;
+  if per_call > 24.0 then
+    Alcotest.failf "%.1f minor words per enqueue, budget 24" per_call
+
 let suite =
   [
     Alcotest.test_case "idle poll: legacy words/traversal" `Quick test_legacy_budget;
@@ -115,4 +174,7 @@ let suite =
     Alcotest.test_case "rng draws allocate only a float result" `Quick test_rng_draws;
     Alcotest.test_case "calendar: schedule+step in place, 3k pending" `Quick
       test_calendar_in_place;
+    Alcotest.test_case "register primitives allocate nothing" `Quick
+      test_register_primitives;
+    Alcotest.test_case "queue enqueue words per call" `Quick test_enqueue_budget;
   ]

@@ -63,7 +63,33 @@ let test_exchange_and_advance () =
     List.init 4 (fun _ -> Register.read_and_advance reg (Packet_ctx.create ()) 0 ~modulus:3)
   in
   Alcotest.(check (list int)) "advance wraps at the modulus" [ 0; 1; 2; 0 ] olds;
-  Alcotest.(check int) "pointer after four advances" 1 (Register.peek reg 0)
+  Alcotest.(check int) "pointer after four advances" 1 (Register.peek reg 0);
+  (* The conditional RMWs store only when their condition holds. *)
+  let run op = List.init 3 (fun _ -> op reg (Packet_ctx.create ()) 1) in
+  let check_op name op ~olds ~final =
+    Alcotest.(check (list int)) (name ^ " returns old values") olds (run op);
+    Alcotest.(check int) (name ^ " final value") final (Register.peek reg 1)
+  in
+  check_op "compare_and_swap" ~olds:[ 7; 8; 8 ] ~final:8 (fun r c i ->
+      Register.compare_and_swap r c i ~expected:7 ~desired:8);
+  check_op "read_and_increment_below" ~olds:[ 8; 9; 10 ] ~final:10 (fun r c i ->
+      Register.read_and_increment_below r c i ~limit:10);
+  check_op "read_and_decrement_above" ~olds:[ 10; 9; 8 ] ~final:8 (fun r c i ->
+      Register.read_and_decrement_above r c i ~floor:8);
+  List.iter
+    (fun (name, op) ->
+      let ctx = Packet_ctx.create () in
+      ignore (Register.read reg ctx 1);
+      match op ctx with
+      | exception Packet_ctx.Access_violation "ptr" ->
+        Alcotest.(check int) (name ^ ": a refused access changes nothing") 8
+          (Register.peek reg 1)
+      | _ -> Alcotest.failf "%s: a second access to the same register must raise" name)
+    [
+      ("compare_and_swap", fun c -> Register.compare_and_swap reg c 1 ~expected:8 ~desired:0);
+      ("read_and_increment_below", fun c -> Register.read_and_increment_below reg c 1 ~limit:9);
+      ("read_and_decrement_above", fun c -> Register.read_and_decrement_above reg c 1 ~floor:0);
+    ]
 
 let test_register_bounds () =
   let reg = Register.create ~name:"b" ~size:2 () in
@@ -78,9 +104,7 @@ let test_register_metadata () =
   let reg = Register.create ~name:"meta" ~size:8 () in
   Alcotest.(check int) "size" 8 (Register.size reg);
   Alcotest.(check int) "bits" 256 (Register.bits reg);
-  Alcotest.(check string) "name" "meta" (Register.name reg);
-  ignore (Register.read reg (Packet_ctx.create ()) 0);
-  Alcotest.(check int) "access counter" 1 (Register.access_count reg)
+  Alcotest.(check string) "name" "meta" (Register.name reg)
 
 let prop_one_access_per_packet =
   QCheck.Test.make ~name:"a packet can access n distinct registers but no repeats"
@@ -97,6 +121,86 @@ let prop_one_access_per_packet =
           | exception Packet_ctx.Access_violation _ -> true
           | _ -> false)
         regs)
+
+(* Differential test of the rule against a reference model: each context
+   holds the set of registers its current traversal touched, [reset]
+   empties it, and an in-bounds access raises iff the register is in the
+   set.  Up to 3 live contexts interleave on 4 registers, so one context's
+   access often lands between two of another's on the same register. *)
+type step = Reset of int | Access of { ctx : int; reg : int; prim : int; idx : int; arg : int }
+
+let primitives =
+  [|
+    ("read", fun r c i _ -> ignore (Register.read r c i));
+    ("write", fun r c i v -> Register.write r c i v);
+    ("read_modify_write", fun r c i _ -> ignore (Register.read_modify_write r c i succ));
+    ("exchange", fun r c i v -> ignore (Register.exchange r c i v));
+    ("read_and_increment", fun r c i _ -> ignore (Register.read_and_increment r c i));
+    ( "read_and_advance",
+      fun r c i v -> ignore (Register.read_and_advance r c i ~modulus:(v + 1)) );
+    ( "compare_and_swap",
+      fun r c i v -> ignore (Register.compare_and_swap r c i ~expected:v ~desired:(v + 1)) );
+    ( "read_and_increment_below",
+      fun r c i v -> ignore (Register.read_and_increment_below r c i ~limit:v) );
+    ( "read_and_decrement_above",
+      fun r c i v -> ignore (Register.read_and_decrement_above r c i ~floor:v) );
+  |]
+
+let n_ctxs = 3
+let n_regs = 4
+let reg_size = 2
+
+let print_step = function
+  | Reset c -> Printf.sprintf "reset c%d" c
+  | Access { ctx; reg; prim; idx; arg } ->
+    Printf.sprintf "%s r%d c%d [%d] %d" (fst primitives.(prim)) reg ctx idx arg
+
+let gen_step =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, map (fun c -> Reset c) (int_bound (n_ctxs - 1)));
+        ( 6,
+          map
+            (fun (ctx, reg, prim, (idx, arg)) -> Access { ctx; reg; prim; idx; arg })
+            (quad (int_bound (n_ctxs - 1)) (int_bound (n_regs - 1))
+               (int_bound (Array.length primitives - 1))
+               (* index [reg_size] is out of bounds *)
+               (pair (int_bound reg_size) (int_bound 3))) );
+      ])
+
+let prop_access_rule_matches_model =
+  QCheck.Test.make ~name:"access rule matches a per-context access-set model" ~count:500
+    QCheck.(
+      make ~print:(Print.list print_step) ~shrink:Shrink.list
+        Gen.(list_size (int_range 1 60) gen_step))
+    (fun steps ->
+      let regs =
+        Array.init n_regs (fun i ->
+            Register.create ~name:(Printf.sprintf "r%d" i) ~size:reg_size ())
+      in
+      let ctxs = Array.init n_ctxs (fun _ -> Packet_ctx.create ()) in
+      let touched = Array.make_matrix n_ctxs n_regs false in
+      let cells r = Array.init reg_size (Register.peek r) in
+      List.for_all
+        (function
+          | Reset c ->
+            Packet_ctx.reset ctxs.(c);
+            Array.fill touched.(c) 0 n_regs false;
+            true
+          | Access { ctx; reg; prim; idx; arg } -> (
+            let r = regs.(reg) in
+            let before = cells r in
+            let in_bounds = idx < reg_size in
+            let violation = in_bounds && touched.(ctx).(reg) in
+            match (snd primitives.(prim)) r ctxs.(ctx) idx arg with
+            | () ->
+              touched.(ctx).(reg) <- true;
+              in_bounds && not violation
+            | exception Invalid_argument _ -> (not in_bounds) && cells r = before
+            | exception Packet_ctx.Access_violation name ->
+              violation && name = Register.name r && cells r = before))
+        steps)
 
 (* -- Pipeline ------------------------------------------------------------------ *)
 
@@ -228,6 +332,7 @@ let suite =
     Alcotest.test_case "register bounds" `Quick test_register_bounds;
     Alcotest.test_case "register metadata" `Quick test_register_metadata;
     QCheck_alcotest.to_alcotest prop_one_access_per_packet;
+    QCheck_alcotest.to_alcotest prop_access_rule_matches_model;
     Alcotest.test_case "pipeline emit" `Quick test_pipeline_emit;
     Alcotest.test_case "pipeline recirculation" `Quick test_pipeline_recirculation;
     Alcotest.test_case "pipeline recirc saturation drops" `Quick
