@@ -239,7 +239,7 @@ let create (config : config) =
           match env.Fabric.payload with
           | Done { task_id } ->
             cs.unfinished <- cs.unfinished - 1;
-            Metrics.note_complete metrics task_id
+            Metrics.note_complete metrics task_id ~resubmitted:false
           | Submit _ | Probe _ | Get_task _ | Launch _ | No_task _ | Finished _ -> ()))
     client_states;
   t

@@ -24,6 +24,10 @@ let default_config ~host ~uid =
     param_size = 0;
   }
 
+(* A task the client has sent and not yet retired, with the number of
+   timeout resubmissions it has used so far. *)
+type pending = { task : Task.t; mutable tries : int }
+
 type t = {
   config : config;
   fabric : Message.t Fabric.t;
@@ -31,8 +35,7 @@ type t = {
   metrics : Metrics.t;
   addr : Addr.t;
   obs_track : string;  (* cached so the disabled path never formats *)
-  outstanding : (Task.id, Task.t) Hashtbl.t;
-  resubmissions : (Task.id, int) Hashtbl.t;
+  outstanding : pending Task.Tbl.t;
   mutable next_jid : int;
   mutable jobs_submitted : int;
   mutable tasks_submitted : int;
@@ -46,7 +49,9 @@ let scheduler_for t ~jid =
   t.config.schedulers.(jid mod Array.length t.config.schedulers)
 
 let rec send_chunks t ~jid tasks =
-  if tasks <> [] then begin
+  match tasks with
+  | [] -> ()
+  | _ :: _ ->
     let rec take n acc rest =
       match (n, rest) with
       | 0, _ | _, [] -> (List.rev acc, rest)
@@ -60,17 +65,17 @@ let rec send_chunks t ~jid tasks =
       (Message.Job_submission
          { client = t.addr; uid = t.config.uid; jid; tasks = chunk });
     send_chunks t ~jid rest
-  end
 
 let arm_timeout t (task : Task.t) =
   match t.config.timeout with
   | None -> ()
   | Some timeout ->
     let rec check () =
-      if Hashtbl.mem t.outstanding task.id then begin
-        let tries = Option.value ~default:0 (Hashtbl.find_opt t.resubmissions task.id) in
-        if tries < t.config.max_resubmissions then begin
-          Hashtbl.replace t.resubmissions task.id (tries + 1);
+      match Task.Tbl.find_opt t.outstanding task.id with
+      | None -> ()
+      | Some pending ->
+        if pending.tries < t.config.max_resubmissions then begin
+          pending.tries <- pending.tries + 1;
           t.resubmitted <- t.resubmitted + 1;
           Obs.Recorder.mark ~at:(Engine.now t.engine) ~track:t.obs_track "resubmit";
           Causal.flag_resubmit task.id;
@@ -82,12 +87,10 @@ let arm_timeout t (task : Task.t) =
              client can drain instead of retrying forever.  A straggling
              completion for it is ignored (the outstanding check in
              [handle_completion]). *)
-          Hashtbl.remove t.outstanding task.id;
-          Hashtbl.remove t.resubmissions task.id;
+          Task.Tbl.remove t.outstanding task.id;
           t.abandoned <- t.abandoned + 1;
           Obs.Recorder.mark ~at:(Engine.now t.engine) ~track:t.obs_track "abandon"
         end
-      end
     in
     ignore (Engine.schedule t.engine ~after:timeout check)
 
@@ -97,19 +100,21 @@ let handle_queue_full t tasks =
     (Engine.schedule t.engine ~after:t.config.retry_delay (fun () ->
          (* Retry only tasks still outstanding (a timeout resubmission
             may have completed them meanwhile). *)
-         let pending = List.filter (fun (task : Task.t) -> Hashtbl.mem t.outstanding task.id) tasks in
+         let pending =
+           List.filter (fun (task : Task.t) -> Task.Tbl.mem t.outstanding task.id) tasks
+         in
          match pending with
          | [] -> ()
          | first :: _ -> send_chunks t ~jid:first.id.jid pending))
 
 let handle_completion t (task_id : Task.id) =
-  if Hashtbl.mem t.outstanding task_id then begin
-    Hashtbl.remove t.outstanding task_id;
-    Hashtbl.remove t.resubmissions task_id;
+  match Task.Tbl.find_opt t.outstanding task_id with
+  | None -> ()
+  | Some pending ->
+    Task.Tbl.remove t.outstanding task_id;
     t.completions <- t.completions + 1;
-    Metrics.note_complete t.metrics task_id;
+    Metrics.note_complete t.metrics task_id ~resubmitted:(pending.tries > 0);
     Causal.complete task_id ~at:(Engine.now t.engine)
-  end
 
 let create ~config ~fabric ~metrics () =
   let t =
@@ -120,8 +125,7 @@ let create ~config ~fabric ~metrics () =
       metrics;
       addr = Addr.Host config.host;
       obs_track = Printf.sprintf "client %d" config.uid;
-      outstanding = Hashtbl.create 1024;
-      resubmissions = Hashtbl.create 64;
+      outstanding = Task.Tbl.create 1024;
       next_jid = 0;
       jobs_submitted = 0;
       tasks_submitted = 0;
@@ -147,7 +151,7 @@ let create ~config ~fabric ~metrics () =
   t
 
 let submit_job t tasks =
-  if tasks = [] then invalid_arg "Client.submit_job: empty job";
+  (match tasks with [] -> invalid_arg "Client.submit_job: empty job" | _ :: _ -> ());
   let jid = t.next_jid in
   t.next_jid <- t.next_jid + 1;
   t.jobs_submitted <- t.jobs_submitted + 1;
@@ -160,7 +164,7 @@ let submit_job t tasks =
   t.tasks_submitted <- t.tasks_submitted + List.length tasks;
   List.iter
     (fun (task : Task.t) ->
-      Hashtbl.replace t.outstanding task.id task;
+      Task.Tbl.replace t.outstanding task.id { task; tries = 0 };
       Metrics.note_submit t.metrics task.id;
       Causal.submit task.id ~at:(Engine.now t.engine);
       arm_timeout t task)
@@ -171,7 +175,7 @@ let submit_job t tasks =
 let config t = t.config
 let addr t = t.addr
 let engine t = t.engine
-let outstanding t = Hashtbl.length t.outstanding
+let outstanding t = Task.Tbl.length t.outstanding
 let jobs_submitted t = t.jobs_submitted
 let tasks_submitted t = t.tasks_submitted
 let completions t = t.completions

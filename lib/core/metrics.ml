@@ -5,6 +5,24 @@ open Draconis_proto
 
 type placement = { mutable local : int; mutable same_rack : int; mutable remote : int }
 
+(* What the notes of one task have recorded so far: created by its first
+   [note_submit] or [note_enqueue], dropped by its [note_complete] unless
+   the client resubmitted it.  [unset] marks a note not seen yet. *)
+type task_state = {
+  mutable submitted_at : Time.t;
+  mutable enqueued_at : Time.t;
+  mutable level : int;
+}
+
+let unset = -1
+
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
+
 (* All the actual state — tables, samplers, counters — lives in one
    [core] owned by a single logical process.  A [t] is a handle on a
    core: the owner's handle mutates it directly, while a [remote] handle
@@ -14,13 +32,12 @@ type placement = { mutable local : int; mutable same_rack : int; mutable remote 
    order — partition-independent. *)
 type core = {
   topology : Topology.t option;
-  submit_times : (Task.id, Time.t) Hashtbl.t;
-  enqueue_times : (Task.id, Time.t * int) Hashtbl.t;
+  tasks : task_state Task.Tbl.t;
   scheduling_delay : Sampler.t;
   end_to_end_delay : Sampler.t;
-  queueing_by_level : (int, Sampler.t) Hashtbl.t;
-  get_task_by_level : (int, Sampler.t) Hashtbl.t;
-  delay_by_class : (int, Sampler.t) Hashtbl.t;
+  queueing_by_level : Sampler.t Int_tbl.t;
+  get_task_by_level : Sampler.t Int_tbl.t;
+  delay_by_class : Sampler.t Int_tbl.t;
   decisions : Meter.t;
   placement : placement;
   mutable submitted : int;
@@ -46,13 +63,12 @@ let create ?topology engine =
     core =
       {
         topology;
-        submit_times = Hashtbl.create 4096;
-        enqueue_times = Hashtbl.create 4096;
+        tasks = Task.Tbl.create 4096;
         scheduling_delay = Sampler.create ();
         end_to_end_delay = Sampler.create ();
-        queueing_by_level = Hashtbl.create 8;
-        get_task_by_level = Hashtbl.create 8;
-        delay_by_class = Hashtbl.create 8;
+        queueing_by_level = Int_tbl.create 8;
+        get_task_by_level = Int_tbl.create 8;
+        delay_by_class = Int_tbl.create 8;
         decisions = Meter.create ();
         placement = { local = 0; same_rack = 0; remote = 0 };
         submitted = 0;
@@ -67,7 +83,7 @@ let remote t ~engine ~post = { engine; core = t.core; post = Some post }
 
 (* Every note below captures [now] (and its arguments) eagerly, then
    runs the mutation either inline or on the owner's LP.  Reads of
-   cross-entity state (e.g. [submit_times] in [note_exec_start]) happen
+   cross-entity state (e.g. the submit time in [note_exec_start]) happen
    inside the closure: by the lookahead contract the submit closure's
    stamp always precedes the exec-start closure's stamp, so the deferred
    read still observes the submission. *)
@@ -75,30 +91,45 @@ let dispatch t ~now fn =
   match t.post with None -> fn () | Some post -> post ~at:now fn
 
 let level_sampler tbl level =
-  match Hashtbl.find_opt tbl level with
+  match Int_tbl.find_opt tbl level with
   | Some sampler -> sampler
   | None ->
     let sampler = Sampler.create () in
-    Hashtbl.replace tbl level sampler;
+    Int_tbl.replace tbl level sampler;
     sampler
+
+let task_state c id =
+  match Task.Tbl.find_opt c.tasks id with
+  | Some s -> s
+  | None ->
+    let s = { submitted_at = unset; enqueued_at = unset; level = 0 } in
+    Task.Tbl.replace c.tasks id s;
+    s
 
 let note_submit t id =
   let now = Engine.now t.engine in
   dispatch t ~now (fun () ->
       let c = t.core in
-      if not (Hashtbl.mem c.submit_times id) then begin
+      let s = task_state c id in
+      if s.submitted_at = unset then begin
         c.submitted <- c.submitted + 1;
-        Hashtbl.replace c.submit_times id now
+        s.submitted_at <- now
       end)
 
-let note_complete t id =
+let note_complete t id ~resubmitted =
   let now = Engine.now t.engine in
   dispatch t ~now (fun () ->
       let c = t.core in
       c.completed <- c.completed + 1;
-      match Hashtbl.find_opt c.submit_times id with
+      match Task.Tbl.find_opt c.tasks id with
       | None -> ()
-      | Some submit -> Sampler.record c.end_to_end_delay (now - submit))
+      | Some s ->
+        if s.submitted_at <> unset then
+          Sampler.record c.end_to_end_delay (now - s.submitted_at);
+        (* A resubmitted task may still have a copy queued or running:
+           its start must find the first submission, so its record
+           stays for the rest of the run. *)
+        if not resubmitted then Task.Tbl.remove c.tasks id)
 
 let classify_placement c (task : Task.t) ~node =
   match (Task.locality_nodes task, c.topology) with
@@ -122,35 +153,37 @@ let note_exec_start t task ~node =
       let c = t.core in
       c.started <- c.started + 1;
       classify_placement c task ~node;
-      match Hashtbl.find_opt c.submit_times task.Task.id with
-      | None -> ()
-      | Some submit ->
-        let delay = now - submit in
+      match Task.Tbl.find_opt c.tasks task.Task.id with
+      | Some s when s.submitted_at <> unset ->
+        let delay = now - s.submitted_at in
         Sampler.record c.scheduling_delay delay;
         Sampler.record (level_sampler c.delay_by_class (task_class task)) delay;
         (match Task.relative_deadline task with
         | None -> ()
         | Some deadline ->
           c.deadline_tracked <- c.deadline_tracked + 1;
-          if delay > deadline then c.deadline_misses <- c.deadline_misses + 1))
+          if delay > deadline then c.deadline_misses <- c.deadline_misses + 1)
+      | Some _ | None -> ())
 
 let note_enqueue t id ~level =
   let now = Engine.now t.engine in
   dispatch t ~now (fun () ->
-      let c = t.core in
-      if not (Hashtbl.mem c.enqueue_times id) then
-        Hashtbl.replace c.enqueue_times id (now, level))
+      let s = task_state t.core id in
+      if s.enqueued_at = unset then begin
+        s.enqueued_at <- now;
+        s.level <- level
+      end)
 
 let note_assign t id ~requested_at =
   let now = Engine.now t.engine in
   dispatch t ~now (fun () ->
       let c = t.core in
       Meter.mark c.decisions ~now ();
-      match Hashtbl.find_opt c.enqueue_times id with
-      | None -> ()
-      | Some (enqueued, level) ->
-        Sampler.record (level_sampler c.queueing_by_level level) (now - enqueued);
-        Sampler.record (level_sampler c.get_task_by_level level) (now - requested_at))
+      match Task.Tbl.find_opt c.tasks id with
+      | Some s when s.enqueued_at <> unset ->
+        Sampler.record (level_sampler c.queueing_by_level s.level) (now - s.enqueued_at);
+        Sampler.record (level_sampler c.get_task_by_level s.level) (now - requested_at)
+      | Some _ | None -> ())
 
 let instrument t : Instrument.t =
   {
@@ -164,8 +197,8 @@ let end_to_end_delay t = t.core.end_to_end_delay
 let queueing_delay t ~level = level_sampler t.core.queueing_by_level level
 
 let delay_by_class t =
-  Hashtbl.fold (fun cls sampler acc -> (cls, sampler) :: acc) t.core.delay_by_class []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  Int_tbl.fold (fun cls sampler acc -> (cls, sampler) :: acc) t.core.delay_by_class []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 let deadline_tracked t = t.core.deadline_tracked
 let deadline_misses t = t.core.deadline_misses
@@ -175,8 +208,9 @@ let placement t = t.core.placement
 let submitted t = t.core.submitted
 let started t = t.core.started
 let completed t = t.core.completed
+let in_flight t = Task.Tbl.length t.core.tasks
 
 (* [started] counts assignment events, so a task that is lost and
    resubmitted starts more than once; clamp so duplicated starts under
    fault injection cannot drive the count negative. *)
-let unstarted t = max 0 (t.core.submitted - t.core.started)
+let unstarted t = Int.max 0 (t.core.submitted - t.core.started)

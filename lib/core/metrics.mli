@@ -14,7 +14,19 @@
     - {e get_task() delay by priority} (Fig. 13): request arrival at
       the scheduler to assignment emission;
     - {e scheduling decisions} (Figs. 5b, 11): assignment throughput;
-    - {e placement mix} (Fig. 10): local / same-rack / remote counts. *)
+    - {e placement mix} (Fig. 10): local / same-rack / remote counts.
+
+    {b Per-task state.}  What the notes of one task have recorded — its
+    first submission, and its first enqueue with the level — lives in
+    one record, keyed by {!Task.Tbl}.  The record is created by the
+    task's first {!note_submit} or {!note_enqueue} and dropped by its
+    {!note_complete}, so live state is O(tasks in flight), not O(tasks
+    run).  One exception: a task its client resubmitted keeps its
+    record for the rest of the run.  A stale copy of it may still be
+    queued or running, and that copy's start and assignment must find
+    the first submission and enqueue, as they always have.  A note for
+    a task with no record (already completed, or never submitted)
+    records no delay sample. *)
 
 open Draconis_sim
 open Draconis_net
@@ -47,7 +59,10 @@ val remote : t -> engine:Engine.t -> post:(at:Time.t -> (unit -> unit) -> unit) 
     against the original, as the paper's latency spikes do). *)
 val note_submit : t -> Task.id -> unit
 
-val note_complete : t -> Task.id -> unit
+(** [note_complete t id ~resubmitted] records the end-to-end delay and
+    drops the task's record, unless [resubmitted]: the client sent the
+    task again after a timeout, so a stale copy may still start. *)
+val note_complete : t -> Task.id -> resubmitted:bool -> unit
 
 (** {2 Executor-side events} *)
 
@@ -92,6 +107,10 @@ val placement : t -> placement
 val submitted : t -> int
 val started : t -> int
 val completed : t -> int
+
+(** Live per-task records: tasks noted and not yet retired, plus every
+    resubmitted task.  0 after a drained fault-free run. *)
+val in_flight : t -> int
 
 (** Tasks submitted but never started (lost or still queued at the end
     of the run), clamped at 0: starts are counted per assignment, so

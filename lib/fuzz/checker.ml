@@ -81,10 +81,12 @@ type violation = { invariant : string; detail : string; trace : string list }
 type report = {
   checks : (string * int) list;
   violations : violation list;
+  fired : (string * int) list;
   strict : bool;
 }
 
 let trace_window = 32
+let kept_per_invariant = 3
 
 (* -- the replay ------------------------------------------------------------ *)
 
@@ -103,14 +105,22 @@ let check ?twin ?sharded schedule run =
   List.iter (fun inv -> Hashtbl.replace checks inv 0) invariants;
   let checked inv = Hashtbl.replace checks inv (Hashtbl.find checks inv + 1) in
   let violations = ref [] in
+  let fired = Hashtbl.create 16 in
+  List.iter (fun inv -> Hashtbl.replace fired inv 0) invariants;
   (* The causal trace of a mid-log violation is the log up to that
      event; end-state violations carry the tail of the whole log. *)
   let trace_upto n =
     let lo = max 0 (n - trace_window) in
     List.init (n - lo) (fun i -> event_to_string run.events.(lo + i))
   in
+  (* Only the first few violations of an invariant keep their detail
+     and trace; a runaway execution can fire one invariant hundreds of
+     thousands of times, and formatting each trace would dominate. *)
   let violate ~at invariant detail =
-    violations := { invariant; detail; trace = trace_upto at } :: !violations
+    let n = Hashtbl.find fired invariant in
+    Hashtbl.replace fired invariant (n + 1);
+    if n < kept_per_invariant then
+      violations := { invariant; detail; trace = trace_upto at } :: !violations
   in
   let n = Array.length run.events in
   (* Conservation is exact only when no packet can legitimately vanish:
@@ -411,6 +421,11 @@ let check ?twin ?sharded schedule run =
   {
     checks = List.map (fun inv -> (inv, Hashtbl.find checks inv)) invariants;
     violations = List.rev !violations;
+    fired =
+      List.filter_map
+        (fun inv ->
+          match Hashtbl.find fired inv with 0 -> None | n -> Some (inv, n))
+        invariants;
     strict;
   }
 

@@ -6,8 +6,9 @@
     that log through the oracle and compares the drained end state
     (pointers, repair flags, stamped entries) level by level.  Each
     invariant keeps an evaluation counter so a sweep can prove every
-    invariant was actually exercised, and every violation carries a
-    causal trace — the event window leading up to the divergence. *)
+    invariant was actually exercised.  The first {!kept_per_invariant}
+    violations of each invariant carry a causal trace — the event
+    window leading up to the divergence — and the rest are counted. *)
 
 open Draconis_proto
 
@@ -74,9 +75,17 @@ type violation = {
   trace : string list;  (** event window leading up to the divergence *)
 }
 
+(** Violations of one invariant kept with their detail and trace: 3. *)
+val kept_per_invariant : int
+
 type report = {
   checks : (string * int) list;  (** evaluations per invariant *)
   violations : violation list;
+      (** the first {!kept_per_invariant} violations of each invariant,
+          in detection order *)
+  fired : (string * int) list;
+      (** total violations of every invariant that fired, kept or not,
+          in registry order *)
   strict : bool;
       (** whether conservation was checked exactly (no lossy faults, no
           recirculation drops, no access violation) *)

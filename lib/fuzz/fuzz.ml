@@ -184,13 +184,20 @@ let render_report (schedule : Schedule.t) (report : Checker.report) =
     (List.length schedule.ops)
     (if report.Checker.strict then "" else " (conservation relaxed: lossy run)");
   List.iter (fun (inv, n) -> add "  %-24s %d\n" inv n) report.Checker.checks;
-  (match report.Checker.violations with
+  (match report.Checker.fired with
   | [] -> add "no invariant violations\n"
-  | violations ->
-    add "%d violation(s):\n" (List.length violations);
+  | fired ->
+    add "%d violation(s):\n" (List.fold_left (fun acc (_, n) -> acc + n) 0 fired);
+    List.iter
+      (fun (inv, n) ->
+        add "  %-24s %d%s\n" inv n
+          (if n > Checker.kept_per_invariant then
+             Printf.sprintf " (first %d shown)" Checker.kept_per_invariant
+           else ""))
+      fired;
     List.iter
       (fun v ->
         add "  %s — %s\n" v.Checker.invariant v.Checker.detail;
         List.iter (fun line -> add "    | %s\n" line) v.Checker.trace)
-      violations);
+      report.Checker.violations);
   Buffer.contents buf

@@ -55,7 +55,7 @@ let rec count_emits n = function
 
 let rec admit ?int_ t pkt =
   let now = Engine.now t.engine in
-  let start = max now t.ingress_free_at in
+  let start = Int.max now t.ingress_free_at in
   t.ingress_free_at <- start + t.config.packet_slot;
   let exit_time = start + t.config.pipeline_latency in
   let epoch = t.epoch in
@@ -110,7 +110,7 @@ and recirculate ?int_ t pkt =
   let now = Engine.now t.engine in
   let backlog =
     if t.recirc_free_at <= now then 0
-    else (t.recirc_free_at - now) / max 1 t.config.recirc_slot
+    else (t.recirc_free_at - now) / Int.max 1 t.config.recirc_slot
   in
   if backlog >= t.config.recirc_queue_limit then begin
     Option.iter Obs.Int_telemetry.drop_stack int_;
@@ -119,7 +119,7 @@ and recirculate ?int_ t pkt =
   end
   else begin
     t.recirculated <- t.recirculated + 1;
-    let start = max now t.recirc_free_at in
+    let start = Int.max now t.recirc_free_at in
     t.recirc_free_at <- start + t.config.recirc_slot;
     let reentry = start + t.config.recirc_latency in
     let epoch = t.epoch in

@@ -2,7 +2,26 @@ type id = { uid : int; jid : int; tid : int }
 
 let pp_id fmt { uid; jid; tid } = Format.fprintf fmt "<%d,%d,%d>" uid jid tid
 let equal_id a b = a.uid = b.uid && a.jid = b.jid && a.tid = b.tid
-let compare_id a b = compare (a.uid, a.jid, a.tid) (b.uid, b.jid, b.tid)
+let compare_id a b =
+  match Int.compare a.uid b.uid with
+  | 0 -> ( match Int.compare a.jid b.jid with 0 -> Int.compare a.tid b.tid | c -> c)
+  | c -> c
+
+(* Multiply each field by its own odd constant and fold the high bits of
+   the sum onto the low ones, twice: [Hashtbl.Make] picks a bucket by
+   the low bits alone, so ids that differ only in the high bits of one
+   field must still differ there. *)
+let hash_id { uid; jid; tid } =
+  let h = (uid * 0x2545F4914F6CDD1D) + (jid * 0x9E3779B97F4A7C1) + (tid * 0x3C6EF372FE94F82B) in
+  let h = (h lxor (h lsr 32)) * 0x2545F4914F6CDD1D in
+  (h lxor (h lsr 29)) land max_int
+
+module Tbl = Hashtbl.Make (struct
+  type t = id
+
+  let equal = equal_id
+  let hash = hash_id
+end)
 
 type tprops =
   | No_props
@@ -26,7 +45,7 @@ let equal_tprops a b =
   match (a, b) with
   | No_props, No_props -> true
   | Resources x, Resources y -> x = y
-  | Locality x, Locality y -> x = y
+  | Locality x, Locality y -> List.equal Int.equal x y
   | Priority x, Priority y -> x = y
   | Deadline x, Deadline y -> x = y
   | Tenant x, Tenant y -> x = y

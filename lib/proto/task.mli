@@ -12,6 +12,15 @@ val pp_id : Format.formatter -> id -> unit
 val equal_id : id -> id -> bool
 val compare_id : id -> id -> int
 
+(** [hash_id id] mixes all three fields into the low bits, allocation
+    free and without [caml_hash]. *)
+val hash_id : id -> int
+
+(** Hash table keyed on task ids with {!equal_id} and {!hash_id}: no
+    polymorphic hash or compare on a lookup.  Every per-task table on
+    the run path uses it. *)
+module Tbl : Hashtbl.S with type key = id
+
 (** Policy-specific task properties (the TPROPS field). *)
 type tprops =
   | No_props  (** plain FCFS task *)

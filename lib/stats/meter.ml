@@ -9,7 +9,7 @@ let create () = { total = 0; first = None; last = 0; marks = [] }
 
 let mark t ?(weight = 1) ~now () =
   t.total <- t.total + weight;
-  if t.first = None then t.first <- Some now;
+  (match t.first with None -> t.first <- Some now | Some _ -> ());
   t.last <- now;
   t.marks <- (now, weight) :: t.marks
 
@@ -41,17 +41,19 @@ let timeline t ~bucket =
   match t.first with
   | None -> [||]
   | Some _ ->
-    let tbl = Hashtbl.create 64 in
-    List.iter
-      (fun (time, weight) ->
-        let b = time / bucket in
-        let prev = Option.value ~default:0 (Hashtbl.find_opt tbl b) in
-        Hashtbl.replace tbl b (prev + weight))
-      t.marks;
-    let entries = Hashtbl.fold (fun b w acc -> (b, w) :: acc) tbl [] in
-    let a = Array.of_list entries in
-    Array.sort compare a;
-    a
+    (* Sort the marks by bucket, then sum each run of equal buckets. *)
+    let marks = Array.of_list t.marks in
+    let key (time, _) = time / bucket in
+    Array.stable_sort (fun a b -> Int.compare (key a) (key b)) marks;
+    let rec sum i acc =
+      if i < 0 then acc
+      else
+        let b = key marks.(i) and w = snd marks.(i) in
+        match acc with
+        | (b', w') :: rest when b' = b -> sum (i - 1) ((b, w + w') :: rest)
+        | _ -> sum (i - 1) ((b, w) :: acc)
+    in
+    Array.of_list (sum (Array.length marks - 1) [])
 
 let clear t =
   t.total <- 0;

@@ -18,12 +18,46 @@ let record t v =
 
 let count t = t.size
 
+(* Bottom-up merge sort of [a], through one scratch array of the same
+   length; the result ends in [a].  Every comparison is an inline int
+   compare, where [Array.sort Int.compare] calls its comparator through
+   a closure on every step; samplers hold up to a few hundred thousand
+   delays, sorted once at the end of a run. *)
+let sort_ints (a : int array) =
+  let n = Array.length a in
+  let src = ref a and dst = ref (Array.make n 0) in
+  let width = ref 1 in
+  while !width < n do
+    let s = !src and d = !dst and w = !width in
+    let lo = ref 0 in
+    while !lo < n do
+      let mid = if !lo + w < n then !lo + w else n in
+      let hi = if mid + w < n then mid + w else n in
+      let i = ref !lo and j = ref mid in
+      for k = !lo to hi - 1 do
+        if !i < mid && (!j >= hi || s.(!i) <= s.(!j)) then begin
+          d.(k) <- s.(!i);
+          incr i
+        end
+        else begin
+          d.(k) <- s.(!j);
+          incr j
+        end
+      done;
+      lo := hi
+    done;
+    src := d;
+    dst := s;
+    width := 2 * w
+  done;
+  if !src != a then Array.blit !src 0 a 0 n
+
 let sorted t =
   match t.sorted_cache with
   | Some a -> a
   | None ->
     let a = Array.sub t.data 0 t.size in
-    Array.sort Int.compare a;
+    sort_ints a;
     t.sorted_cache <- Some a;
     a
 
@@ -72,7 +106,7 @@ let cdf t ~points =
     let a = sorted t in
     Array.init points (fun i ->
         let frac = float_of_int (i + 1) /. float_of_int points in
-        let rank = Stdlib.min (t.size - 1)
+        let rank = Int.min (t.size - 1)
             (int_of_float (Float.round (frac *. float_of_int (t.size - 1)))) in
         (a.(rank), frac))
   end

@@ -284,6 +284,86 @@ let test_metrics_queueing_by_level () =
   Alcotest.(check int) "other level empty" 0
     (Draconis_stats.Sampler.count (Metrics.queueing_delay metrics ~level:0))
 
+(* -- Per-task record lifetime ------------------------------------------------ *)
+
+let task_of ~us n =
+  Task.make ~uid:0 ~jid:0 ~tid:n ~fn_id:Task.Fn.busy_loop ~fn_par:(Time.us us) ()
+
+(* Fault free, every task is retired by its client, so a drained run
+   leaves no per-task record behind. *)
+let test_records_live_while_in_flight () =
+  let cluster =
+    Cluster.create
+      { Cluster.default_config with workers = 2; executors_per_worker = 2; clients = 2 }
+  in
+  Cluster.start cluster;
+  let engine = Cluster.engine cluster in
+  for i = 0 to 19 do
+    ignore
+      (Engine.schedule engine ~after:(Time.us (10 * i)) (fun () ->
+           ignore
+             (Client.submit_job (Cluster.client cluster (i mod 2))
+                (List.init 3 (task_of ~us:50)))))
+  done;
+  let m = Cluster.metrics cluster in
+  Cluster.run cluster ~until:(Time.us 150);
+  Alcotest.(check bool) "records live mid-run" true (Metrics.in_flight m > 0);
+  Alcotest.(check bool) "drained" true (Cluster.run_until_drained cluster ~deadline:(Time.s 1));
+  Alcotest.(check int) "every task completed" 60 (Metrics.completed m);
+  Alcotest.(check int) "one delay sample per task" 60
+    (Draconis_stats.Sampler.count (Metrics.scheduling_delay m));
+  Alcotest.(check int) "no record left" 0 (Metrics.in_flight m);
+  for i = 0 to 1 do
+    Alcotest.(check int)
+      (Printf.sprintf "client %d has nothing outstanding" i)
+      0
+      (Client.outstanding (Cluster.client cluster i))
+  done
+
+(* A completion lost to a cut window makes the client time out and
+   resubmit.  With the only executor down, the copies queue up; the
+   first to run completes the task, and a later, stale copy still
+   starts.  That start must record a scheduling delay timed from the
+   first submission, so a resubmitted task keeps its record. *)
+let test_resubmitted_task_keeps_record () =
+  let module Fault = Draconis_fault in
+  let cluster =
+    Cluster.create
+      {
+        Cluster.default_config with
+        workers = 1;
+        executors_per_worker = 1;
+        clients = 1;
+        client_timeout = Some (Time.us 300);
+      }
+  in
+  Cluster.start cluster;
+  (* Host 1 is the client: the completion forwarded at ~110 us is cut.
+     Node 0 then stays down until 1 ms, while the client resubmits at
+     300, 600 and 900 us.  The copies start at ~1.0, ~1.1 and ~1.2 ms;
+     the first completes the task at ~1.1 ms. *)
+  ignore
+    (Fault.Injector.arm
+       (Fault.Plan.of_string "partition@50us:hosts=1,dur=150us;crash@150us:node=0,down=850us")
+       (Fault.Target.of_cluster cluster));
+  let client = Cluster.client cluster 0 in
+  ignore (Client.submit_job client [ task_of ~us:100 0 ]);
+  Cluster.run cluster ~until:(Time.ms 3);
+  let m = Cluster.metrics cluster in
+  Alcotest.(check bool) "the completion was cut" true
+    (Fabric.partition_dropped (Cluster.fabric cluster) > 0);
+  Alcotest.(check int) "resubmitted up to the cap" 3 (Client.resubmitted client);
+  Alcotest.(check int) "completed once" 1 (Client.completions client);
+  Alcotest.(check int) "not abandoned" 0 (Client.abandoned client);
+  Alcotest.(check int) "nothing outstanding" 0 (Client.outstanding client);
+  let e2e = Draconis_stats.Sampler.max (Metrics.end_to_end_delay m) in
+  let sched = Metrics.scheduling_delay m in
+  Alcotest.(check int) "every copy's start sampled" 4 (Draconis_stats.Sampler.count sched);
+  Alcotest.(check bool) "a stale copy started after completion, timed from submission"
+    true
+    (Draconis_stats.Sampler.max sched > e2e);
+  Alcotest.(check int) "the resubmitted task keeps its record" 1 (Metrics.in_flight m)
+
 let suite =
   [
     Alcotest.test_case "client splits large jobs" `Quick test_client_splits_large_jobs;
@@ -301,4 +381,8 @@ let suite =
     Alcotest.test_case "worker routes by port" `Quick test_worker_routes_by_port;
     Alcotest.test_case "metrics correlation" `Quick test_metrics_correlation;
     Alcotest.test_case "metrics per-level queueing" `Quick test_metrics_queueing_by_level;
+    Alcotest.test_case "task records live only while in flight" `Quick
+      test_records_live_while_in_flight;
+    Alcotest.test_case "resubmitted task keeps its record" `Quick
+      test_resubmitted_task_keeps_record;
   ]

@@ -28,6 +28,94 @@ let test_task_id_compare () =
   Alcotest.(check bool) "tid differs" false (Task.equal_id (id 1 2 3) (id 1 2 4));
   Alcotest.(check bool) "ordering" true (Task.compare_id (id 1 2 3) (id 1 2 4) < 0)
 
+(* -- Task.Tbl ------------------------------------------------------------------ *)
+
+type tbl_op =
+  | Add of Task.id * int
+  | Replace of Task.id * int
+  | Remove of Task.id
+  | Find of Task.id
+
+let print_id (id : Task.id) = Printf.sprintf "%d.%d.%d" id.uid id.jid id.tid
+
+let print_tbl_op = function
+  | Add (id, v) -> Printf.sprintf "add %s %d" (print_id id) v
+  | Replace (id, v) -> Printf.sprintf "replace %s %d" (print_id id) v
+  | Remove id -> "remove " ^ print_id id
+  | Find id -> "find " ^ print_id id
+
+(* Ids from a small pool, so operations keep hitting bound keys.  A
+   field is [k], [k lsl 32] or [k lsl 47] for k in 0..3: the last two
+   are 0 in their low 32 bits, so ids that differ only in the high bits
+   of a field are drawn too. *)
+let tbl_op_gen =
+  QCheck.Gen.(
+    let field = map2 (fun k shift -> k lsl shift) (int_range 0 3) (oneofl [ 0; 32; 47 ]) in
+    let id = map3 (fun uid jid tid -> { Task.uid; jid; tid }) field field field in
+    oneof
+      [
+        map2 (fun id v -> Add (id, v)) id small_nat;
+        map2 (fun id v -> Replace (id, v)) id small_nat;
+        map (fun id -> Remove id) id;
+        map (fun id -> Find id) id;
+      ])
+
+let prop_task_tbl_model =
+  QCheck.Test.make ~name:"Task.Tbl matches a polymorphic Hashtbl" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map print_tbl_op ops))
+       QCheck.Gen.(list_size (int_range 0 200) tbl_op_gen))
+    (fun ops ->
+      let tbl = Task.Tbl.create 4 and model = Hashtbl.create 4 in
+      List.for_all
+        (fun op ->
+          let id =
+            match op with
+            | Add (id, v) ->
+              Task.Tbl.add tbl id v;
+              Hashtbl.add model id v;
+              id
+            | Replace (id, v) ->
+              Task.Tbl.replace tbl id v;
+              Hashtbl.replace model id v;
+              id
+            | Remove id ->
+              Task.Tbl.remove tbl id;
+              Hashtbl.remove model id;
+              id
+            | Find id -> id
+          in
+          Task.Tbl.find_opt tbl id = Hashtbl.find_opt model id
+          && Task.Tbl.mem tbl id = Hashtbl.mem model id
+          && Task.Tbl.find_all tbl id = Hashtbl.find_all model id
+          && Task.Tbl.length tbl = Hashtbl.length model)
+        ops
+      &&
+      let bindings fold t = List.sort compare (fold (fun k v acc -> (k, v) :: acc) t []) in
+      bindings Task.Tbl.fold tbl = bindings Hashtbl.fold model)
+
+(* [Hashtbl.Make] picks a bucket by the hash's low bits: ids that differ
+   only in the high bits of any one field must still spread. *)
+let test_task_hash_spreads_fields () =
+  let with_field field k : Task.id =
+    let v = k lsl 32 in
+    match field with
+    | `Uid -> { uid = v; jid = 0; tid = 0 }
+    | `Jid -> { uid = 0; jid = v; tid = 0 }
+    | `Tid -> { uid = 0; jid = 0; tid = v }
+  in
+  List.iter
+    (fun (name, field) ->
+      let buckets = Hashtbl.create 256 in
+      for k = 0 to 255 do
+        Hashtbl.replace buckets (Task.hash_id (with_field field k) land 255) ()
+      done;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: 256 ids over 256 buckets hit %d" name (Hashtbl.length buckets))
+        true
+        (Hashtbl.length buckets >= 128))
+    [ ("uid", `Uid); ("jid", `Jid); ("tid", `Tid) ]
+
 (* -- generators ---------------------------------------------------------------- *)
 
 let tprops_gen =
@@ -281,4 +369,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_codec_never_crashes_on_noise;
     QCheck_alcotest.to_alcotest prop_entry_roundtrip;
     Alcotest.test_case "entry rejects out-of-width fields" `Quick test_entry_word_bounds;
+    QCheck_alcotest.to_alcotest prop_task_tbl_model;
+    Alcotest.test_case "task id hash spreads every field" `Quick
+      test_task_hash_spreads_fields;
   ]

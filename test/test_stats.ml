@@ -96,6 +96,21 @@ let prop_sampler_monotone =
           ok)
         [ 0; 25; 50; 75; 90; 99; 100 ])
 
+(* Sizes around powers of two give the merge sort a ragged last run;
+   1025 also grows the sampler past its initial capacity. *)
+let prop_sampler_sorted =
+  QCheck.Test.make ~name:"sampler sorted matches List.sort" ~count:300
+    (QCheck.make ~print:QCheck.Print.(list int)
+       QCheck.Gen.(
+         oneofl [ 0; 1; 2; 3; 7; 8; 9; 15; 16; 17; 63; 64; 65; 1023; 1024; 1025 ]
+         >>= fun n ->
+         (* A narrow range forces duplicates; the full range mixes signs. *)
+         oneofl [ int_range (-8) 8; int ] >>= fun value -> list_repeat n value))
+    (fun samples ->
+      let s = Sampler.create () in
+      List.iter (Sampler.record s) samples;
+      Array.to_list (Sampler.sorted s) = List.sort compare samples)
+
 (* -- Histogram --------------------------------------------------------------- *)
 
 let test_histogram_small_exact () =
@@ -226,4 +241,5 @@ let suite =
     Alcotest.test_case "table render" `Quick test_table_render;
     Alcotest.test_case "table pads/truncates rows" `Quick test_table_pads_rows;
     Alcotest.test_case "table csv export" `Quick test_table_csv;
+    QCheck_alcotest.to_alcotest prop_sampler_sorted;
   ]
