@@ -221,52 +221,27 @@ let () =
   in
   Draconis_stats.Table.set_csv_dir (value_of "--csv" args);
   let json_path = value_of "--json" args in
-  let trace_path = value_of "--trace-out" args in
-  let metrics_path = value_of "--metrics-out" args in
-  (* DRACONIS_INT first, flags second, so the flags win.  Both paths are
-     fail-loud: a malformed value aborts the invocation. *)
-  (try Draconis_obs.Int_telemetry.apply_env () with
-  | Invalid_argument msg ->
-    (* [msg] already carries the DRACONIS_INT prefix. *)
-    Printf.eprintf "%s\n" msg;
-    exit 1);
-  (match value_of "--int-budget" args with
-  | None -> ()
-  | Some v -> (
-    match int_of_string_opt v with
-    | None ->
-      Printf.eprintf "--int-budget wants an integer, got %S\n" v;
-      exit 1
-    | Some n -> (
-      try Draconis_obs.Int_telemetry.set_budget n with
-      | Invalid_argument msg ->
-        Printf.eprintf "--int-budget: %s\n" msg;
-        exit 1)));
-  let int_path = value_of "--int-out" args in
-  if int_path <> None then
-    Draconis_obs.Int_telemetry.enable ~budget:(Draconis_obs.Int_telemetry.budget ()) ();
-  let probe_interval =
-    match value_of "--probe-interval-us" args with
-    | None -> Draconis_obs.Probe.default_interval
-    | Some v -> (
-      match int_of_string_opt v with
-      | Some us when us >= 1 -> Draconis_sim.Time.us us
-      | Some _ | None ->
-        Printf.eprintf "--probe-interval-us wants a positive integer, got %S\n" v;
-        exit 1)
+  let int_flag flag =
+    Option.map
+      (fun v ->
+        match int_of_string_opt v with
+        | Some n -> n
+        | None ->
+          Printf.eprintf "%s wants an integer, got %S\n" flag v;
+          exit 1)
+      (value_of flag args)
   in
-  let capacity =
-    match value_of "--max-trace-events" args with
-    | None -> None
-    | Some v -> (
-      match int_of_string_opt v with
-      | Some n when n >= 1 -> Some n
-      | Some _ | None ->
-        Printf.eprintf "--max-trace-events wants a positive integer, got %S\n" v;
-        exit 1)
+  let exports =
+    {
+      Draconis_obs.Export.trace_out = value_of "--trace-out" args;
+      metrics_out = value_of "--metrics-out" args;
+      int_out = value_of "--int-out" args;
+      int_budget = int_flag "--int-budget";
+      probe_interval_us = int_flag "--probe-interval-us";
+      max_trace_events = int_flag "--max-trace-events";
+    }
   in
-  if trace_path <> None || metrics_path <> None || int_path <> None then
-    Draconis_obs.Sink.enable ~probe_interval ?capacity ();
+  Draconis_obs.Export.with_exports exports @@ fun () ->
   (match value_of "--jobs" args with
   | None -> ()
   | Some v -> (
@@ -360,43 +335,5 @@ let () =
       | Sys_error msg ->
         Printf.eprintf "cannot write --json report: %s\n" msg;
         exit 1);
-      Printf.printf "\nwrote %s\n%!" path);
-    if trace_path <> None || metrics_path <> None || int_path <> None then begin
-      let runs = Draconis_obs.Sink.drain () in
-      (match trace_path with
-      | None -> ()
-      | Some path ->
-        Draconis_obs.Chrome_trace.write ~path runs;
-        (* Self-check: re-parse the export so a malformed trace fails
-           the invocation instead of failing later in Perfetto. *)
-        (match Draconis_obs.Json.parse_file path with
-        | Ok _ ->
-          let events =
-            List.fold_left
-              (fun acc r -> acc + Draconis_obs.Recorder.event_count r)
-              0 runs
-          in
-          Printf.printf "wrote %s (%d runs, %d events; re-parsed OK)\n%!" path
-            (List.length runs) events
-        | Error msg ->
-          Printf.eprintf "trace export is not valid JSON: %s\n" msg;
-          exit 1));
-      (match metrics_path with
-      | None -> ()
-      | Some path ->
-        Draconis_obs.Dump.write_metrics ~path runs;
-        Printf.printf "wrote %s\n%!" path);
-      match int_path with
-      | None -> ()
-      | Some path ->
-        Draconis_obs.Dump.write_metrics ~path runs;
-        let with_int =
-          List.length
-            (List.filter
-               (fun r -> Draconis_obs.Recorder.int_telemetry r <> None)
-               runs)
-        in
-        Printf.printf "wrote %s (%d/%d runs carry INT sections)\n%!" path with_int
-          (List.length runs)
-    end
+      Printf.printf "\nwrote %s\n%!" path)
   end

@@ -13,76 +13,6 @@ module Obs = Draconis_obs
 
 (* -- observability options (shared by run and figures) --------------------- *)
 
-(* [with_obs (trace, metrics, int, probe_us, max_events) f] enables the
-   observability sink around [f] when an export path was given, then
-   writes (and self-checks) the requested files.  --int-out also turns
-   on in-band telemetry stamping; DRACONIS_INT applies first, so the
-   flags win. *)
-let with_obs (trace_out, metrics_out, int_out, int_budget, probe_interval_us, max_events)
-    f =
-  let wanted = trace_out <> None || metrics_out <> None || int_out <> None in
-  (try Obs.Int_telemetry.apply_env () with
-  | Invalid_argument msg ->
-    (* [msg] already carries the DRACONIS_INT prefix. *)
-    Printf.eprintf "%s\n" msg;
-    exit 1);
-  (match int_budget with
-  | None -> ()
-  | Some n -> (
-    try Obs.Int_telemetry.set_budget n with
-    | Invalid_argument msg ->
-      Printf.eprintf "--int-budget: %s\n" msg;
-      exit 1));
-  if int_out <> None then
-    Obs.Int_telemetry.enable ~budget:(Obs.Int_telemetry.budget ()) ();
-  (match probe_interval_us with
-  | Some us when us < 1 ->
-    Printf.eprintf "--probe-interval-us must be >= 1 (got %d)\n" us;
-    exit 1
-  | Some _ | None -> ());
-  (match max_events with
-  | Some n when n < 1 ->
-    Printf.eprintf "--max-trace-events must be >= 1 (got %d)\n" n;
-    exit 1
-  | Some _ | None -> ());
-  if wanted then begin
-    let probe_interval =
-      match probe_interval_us with
-      | None -> Obs.Probe.default_interval
-      | Some us -> Time.us us
-    in
-    Obs.Sink.enable ~probe_interval ?capacity:max_events ()
-  end;
-  f ();
-  if wanted then begin
-    let runs = Obs.Sink.drain () in
-    Option.iter
-      (fun path ->
-        Obs.Chrome_trace.write ~path runs;
-        match Obs.Json.parse_file path with
-        | Ok _ ->
-          Printf.printf "wrote %s (%d runs; re-parsed OK)\n%!" path (List.length runs)
-        | Error msg ->
-          Printf.eprintf "trace export is not valid JSON: %s\n" msg;
-          exit 1)
-      trace_out;
-    Option.iter
-      (fun path ->
-        Obs.Dump.write_metrics ~path runs;
-        Printf.printf "wrote %s\n%!" path)
-      metrics_out;
-    Option.iter
-      (fun path ->
-        Obs.Dump.write_metrics ~path runs;
-        let with_int =
-          List.length
-            (List.filter (fun r -> Obs.Recorder.int_telemetry r <> None) runs)
-        in
-        Printf.printf "wrote %s (%d/%d runs carry INT sections)\n%!" path with_int
-          (List.length runs))
-      int_out
-  end
-
 let obs_term =
   let trace_out =
     Arg.(
@@ -136,7 +66,9 @@ let obs_term =
              stored.")
   in
   Term.(
-    const (fun t m i b p n -> (t, m, i, b, p, n))
+    const (fun trace_out metrics_out int_out int_budget probe_interval_us max_trace_events ->
+        { Obs.Export.trace_out; metrics_out; int_out; int_budget; probe_interval_us;
+          max_trace_events })
     $ trace_out $ metrics_out $ int_out $ int_budget $ probe $ max_events)
 
 (* -- run ------------------------------------------------------------------- *)
@@ -182,7 +114,7 @@ let make_system name spec timeout_us = fst (make_system_with_target name spec ti
 
 let run_cmd obs system_name workload_name load_tps utilization workers epw clients
     seed horizon_ms timeout_us fault_spec =
-  with_obs obs @@ fun () ->
+  Obs.Export.with_exports obs @@ fun () ->
   match W.Synthetic.of_name workload_name with
   | None ->
     Printf.eprintf "unknown workload %S; try: %s\n" workload_name
@@ -317,7 +249,7 @@ let run_info =
 (* -- figures ------------------------------------------------------------------ *)
 
 let figures_cmd obs quick jobs names =
-  with_obs obs @@ fun () ->
+  Obs.Export.with_exports obs @@ fun () ->
   (match jobs with
   | Some n when n >= 1 -> H.Pool.set_jobs n
   | Some n ->

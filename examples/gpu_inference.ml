@@ -35,10 +35,13 @@ let () =
   let starts_per_node = Array.make workers 0 in
   Array.iter
     (fun worker ->
-      Worker.set_on_task_start worker (fun task ~node ->
-          starts_per_node.(node) <- starts_per_node.(node) + 1;
-          if Task.required_resources task land gpu <> 0 && not (List.mem node gpu_nodes)
-          then incr gpu_tasks_on_cpu_nodes))
+      Worker.set_on_task worker (fun milestone task ~node ->
+          match milestone with
+          | Executor.Finished -> ()
+          | Executor.Started ->
+            starts_per_node.(node) <- starts_per_node.(node) + 1;
+            if Task.required_resources task land gpu <> 0 && not (List.mem node gpu_nodes)
+            then incr gpu_tasks_on_cpu_nodes))
     (Cluster.workers cluster);
   let client = Cluster.client cluster 0 in
   let engine = Cluster.engine cluster in

@@ -54,7 +54,7 @@ type t = {
      switch — it never answers with a no-op.  [parked] deduplicates
      watchdog re-sends. *)
   idle : (Message.executor_info * Time.t) Queue.t;
-  parked : (Addr.t * int, unit) Hashtbl.t;
+  parked : unit Addr.Port_tbl.t;
   workers : Worker.t array;
   clients : Client.t array;
   mutable rejected : int;
@@ -81,8 +81,8 @@ let rec pump t =
     | None -> ()
     | Some (info, requested_at) ->
       (* Skip entries invalidated by a duplicate park. *)
-      if Hashtbl.mem t.parked (exec_key info) then begin
-        Hashtbl.remove t.parked (exec_key info);
+      if Addr.Port_tbl.mem t.parked (exec_key info) then begin
+        Addr.Port_tbl.remove t.parked (exec_key info);
         let item = Queue.take t.queue in
         assign t info item ~requested_at
       end;
@@ -110,8 +110,8 @@ let enqueue_tasks t ~client ~uid ~jid tasks =
 let serve_request t (info : Message.executor_info) ~requested_at =
   match Queue.take_opt t.queue with
   | None ->
-    if not (Hashtbl.mem t.parked (exec_key info)) then begin
-      Hashtbl.replace t.parked (exec_key info) ();
+    if not (Addr.Port_tbl.mem t.parked (exec_key info)) then begin
+      Addr.Port_tbl.replace t.parked (exec_key info) ();
       Queue.add (info, requested_at) t.idle
     end
   | Some item -> assign t info item ~requested_at
@@ -166,14 +166,10 @@ let create (config : config) =
   in
   let t =
     { config; engine; fabric; metrics; server_addr; cpu; queue = Queue.create ();
-      idle = Queue.create (); parked = Hashtbl.create 256; workers; clients;
+      idle = Queue.create (); parked = Addr.Port_tbl.create 256; workers; clients;
       rejected = 0 }
   in
-  Array.iter
-    (fun worker ->
-      Worker.set_on_task_start worker (fun task ~node ->
-          Metrics.note_exec_start metrics task ~node))
-    workers;
+  Array.iter (fun worker -> Worker.set_on_task worker (Metrics.note_exec metrics)) workers;
   (* Every arriving packet occupies the scheduler CPU before it is
      acted on — the single-node bottleneck of §2.3.1. *)
   Fabric.register fabric server_addr (fun env ->
@@ -182,7 +178,7 @@ let create (config : config) =
   t
 
 let start t =
-  let stagger = max 1 (Time.us 1 / max 1 t.config.executors_per_worker) in
+  let stagger = Int.max 1 (Time.us 1 / Int.max 1 t.config.executors_per_worker) in
   Array.iter (fun worker -> Worker.start worker ~stagger) t.workers
 
 let engine t = t.engine
@@ -197,10 +193,10 @@ let fail_over_server t =
   let lost = Queue.length t.queue in
   Queue.clear t.queue;
   Queue.clear t.idle;
-  Hashtbl.reset t.parked;
+  Addr.Port_tbl.reset t.parked;
   lost
 
-let stagger t = max 1 (Time.us 1 / max 1 t.config.executors_per_worker)
+let stagger t = Int.max 1 (Time.us 1 / Int.max 1 t.config.executors_per_worker)
 
 let crash_worker t i =
   if i < 0 || i >= Array.length t.workers then
@@ -239,7 +235,7 @@ let run_until_drained t ~deadline =
     if outstanding t = 0 then true
     else if Engine.now t.engine >= deadline then false
     else begin
-      Engine.run ~until:(min deadline (Engine.now t.engine + step)) t.engine;
+      Engine.run ~until:(Int.min deadline (Engine.now t.engine + step)) t.engine;
       go ()
     end
   in

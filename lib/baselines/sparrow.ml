@@ -39,10 +39,12 @@ type msg =
 
 type job = { mutable pending : Task.t list; job_client : Addr.t }
 
+module Int_tbl = Hashtbl.Make (Int)
+
 type scheduler = {
   sched_addr : Addr.t;
   cpu : Cpu.t;
-  jobs : (int, job) Hashtbl.t;  (* probe_id -> job *)
+  jobs : job Int_tbl.t;  (* probe_id -> job *)
   sched_rng : Rng.t;
   mutable next_probe : int;
 }
@@ -60,7 +62,7 @@ type worker = {
   mutable free : int;
   (* (scheduler, probe_id) pairs with a get_task in flight; probe ids
      are only unique per scheduler. *)
-  waiting : (Addr.t * int, unit) Hashtbl.t;
+  waiting : unit Addr.Port_tbl.t;
 }
 
 type t = {
@@ -78,14 +80,14 @@ type t = {
 (* Batch sampling: pick [count] worker nodes, distinct while possible. *)
 let sample_nodes rng ~workers ~count =
   let chosen = Array.make count 0 in
-  let used = Hashtbl.create count in
+  let used = Int_tbl.create count in
   for i = 0 to count - 1 do
     let pick = ref (Rng.int rng workers) in
-    if Hashtbl.length used < workers then
-      while Hashtbl.mem used !pick do
+    if Int_tbl.length used < workers then
+      while Int_tbl.mem used !pick do
         pick := (!pick + 1) mod workers
       done;
-    Hashtbl.replace used !pick ();
+    Int_tbl.replace used !pick ();
     chosen.(i) <- !pick
   done;
   chosen
@@ -103,17 +105,17 @@ let scheduler_handle t sched msg =
       (fun node ->
         let probe_id = sched.next_probe in
         sched.next_probe <- sched.next_probe + 1;
-        Hashtbl.replace sched.jobs probe_id job;
+        Int_tbl.replace sched.jobs probe_id job;
         Fabric.send t.fabric ~src:sched.sched_addr ~dst:(Addr.Host node)
           (Probe { scheduler = sched.sched_addr; probe_id }))
       nodes
   | Get_task { probe_id; node } ->
-    (match Hashtbl.find_opt sched.jobs probe_id with
+    (match Int_tbl.find_opt sched.jobs probe_id with
     | None ->
       Fabric.send t.fabric ~src:sched.sched_addr ~dst:(Addr.Host node)
         (No_task { probe_id })
     | Some job ->
-      Hashtbl.remove sched.jobs probe_id;
+      Int_tbl.remove sched.jobs probe_id;
       (match job.pending with
       | [] ->
         Fabric.send t.fabric ~src:sched.sched_addr ~dst:(Addr.Host node)
@@ -145,7 +147,7 @@ let rec worker_bind t w =
     | None -> ()
     | Some (scheduler, probe_id) ->
       w.free <- w.free - 1;
-      Hashtbl.replace w.waiting (scheduler, probe_id) ();
+      Addr.Port_tbl.replace w.waiting (scheduler, probe_id) ();
       Fabric.send t.fabric ~src:(Addr.Host w.node) ~dst:scheduler
         (Get_task { probe_id; node = w.node });
       worker_bind t w
@@ -158,8 +160,8 @@ let worker_handle t w fn_model ~from msg =
     worker_bind t w
   | Launch { task; probe_id } ->
     let scheduler = from in
-    if Hashtbl.mem w.waiting (scheduler, probe_id) then begin
-      Hashtbl.remove w.waiting (scheduler, probe_id);
+    if Addr.Port_tbl.mem w.waiting (scheduler, probe_id) then begin
+      Addr.Port_tbl.remove w.waiting (scheduler, probe_id);
       Metrics.note_exec_start t.metrics task ~node:w.node;
       let service = Fn_model.service_time fn_model task ~node:w.node in
       let client =
@@ -175,8 +177,8 @@ let worker_handle t w fn_model ~from msg =
              worker_bind t w))
     end
   | No_task { probe_id } ->
-    if Hashtbl.mem w.waiting (from, probe_id) then begin
-      Hashtbl.remove w.waiting (from, probe_id);
+    if Addr.Port_tbl.mem w.waiting (from, probe_id) then begin
+      Addr.Port_tbl.remove w.waiting (from, probe_id);
       w.free <- w.free + 1;
       worker_bind t w
     end
@@ -205,7 +207,7 @@ let create (config : config) =
         {
           sched_addr = Addr.Host (config.workers + i);
           cpu = Cpu.create engine;
-          jobs = Hashtbl.create 4096;
+          jobs = Int_tbl.create 4096;
           sched_rng = Rng.split rng;
           next_probe = 0;
         })
@@ -216,7 +218,7 @@ let create (config : config) =
           node;
           probes = Queue.create ();
           free = config.executors_per_worker;
-          waiting = Hashtbl.create 16;
+          waiting = Addr.Port_tbl.create 16;
         })
   in
   let t = { config; engine; fabric; metrics; schedulers; client_states; workers } in
@@ -279,7 +281,7 @@ let run_until_drained t ~deadline =
     if outstanding t = 0 then true
     else if Engine.now t.engine >= deadline then false
     else begin
-      Engine.run ~until:(min deadline (Engine.now t.engine + step)) t.engine;
+      Engine.run ~until:(Int.min deadline (Engine.now t.engine + step)) t.engine;
       go ()
     end
   in

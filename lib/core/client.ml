@@ -37,7 +37,6 @@ type t = {
   obs_track : string;  (* cached so the disabled path never formats *)
   outstanding : pending Task.Tbl.t;
   mutable next_jid : int;
-  mutable jobs_submitted : int;
   mutable tasks_submitted : int;
   mutable completions : int;
   mutable resubmitted : int;
@@ -58,9 +57,7 @@ let rec send_chunks t ~jid tasks =
       | n, x :: rest -> take (n - 1) (x :: acc) rest
     in
     let chunk, rest = take Codec.max_tasks_per_packet [] tasks in
-    List.iter
-      (fun (task : Task.t) -> Causal.sent task.id ~at:(Engine.now t.engine))
-      chunk;
+    Metrics.note_sent t.metrics chunk;
     Fabric.send t.fabric ~src:t.addr ~dst:(scheduler_for t ~jid)
       (Message.Job_submission
          { client = t.addr; uid = t.config.uid; jid; tasks = chunk });
@@ -78,7 +75,7 @@ let arm_timeout t (task : Task.t) =
           pending.tries <- pending.tries + 1;
           t.resubmitted <- t.resubmitted + 1;
           Obs.Recorder.mark ~at:(Engine.now t.engine) ~track:t.obs_track "resubmit";
-          Causal.flag_resubmit task.id;
+          Metrics.note_resubmit t.metrics task.id;
           send_chunks t ~jid:task.id.jid [ task ];
           ignore (Engine.schedule t.engine ~after:timeout check)
         end
@@ -113,8 +110,7 @@ let handle_completion t (task_id : Task.id) =
   | Some pending ->
     Task.Tbl.remove t.outstanding task_id;
     t.completions <- t.completions + 1;
-    Metrics.note_complete t.metrics task_id ~resubmitted:(pending.tries > 0);
-    Causal.complete task_id ~at:(Engine.now t.engine)
+    Metrics.note_complete t.metrics task_id ~resubmitted:(pending.tries > 0)
 
 let create ~config ~fabric ~metrics () =
   let t =
@@ -127,7 +123,6 @@ let create ~config ~fabric ~metrics () =
       obs_track = Printf.sprintf "client %d" config.uid;
       outstanding = Task.Tbl.create 1024;
       next_jid = 0;
-      jobs_submitted = 0;
       tasks_submitted = 0;
       completions = 0;
       resubmitted = 0;
@@ -154,7 +149,6 @@ let submit_job t tasks =
   (match tasks with [] -> invalid_arg "Client.submit_job: empty job" | _ :: _ -> ());
   let jid = t.next_jid in
   t.next_jid <- t.next_jid + 1;
-  t.jobs_submitted <- t.jobs_submitted + 1;
   let tasks =
     List.mapi
       (fun tid (task : Task.t) ->
@@ -166,7 +160,6 @@ let submit_job t tasks =
     (fun (task : Task.t) ->
       Task.Tbl.replace t.outstanding task.id { task; tries = 0 };
       Metrics.note_submit t.metrics task.id;
-      Causal.submit task.id ~at:(Engine.now t.engine);
       arm_timeout t task)
     tasks;
   send_chunks t ~jid tasks;
@@ -176,7 +169,6 @@ let config t = t.config
 let addr t = t.addr
 let engine t = t.engine
 let outstanding t = Task.Tbl.length t.outstanding
-let jobs_submitted t = t.jobs_submitted
 let tasks_submitted t = t.tasks_submitted
 let completions t = t.completions
 let resubmitted t = t.resubmitted

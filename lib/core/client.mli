@@ -50,7 +50,6 @@ val engine : t -> Draconis_sim.Engine.t
 (** Tasks submitted and not yet completed. *)
 val outstanding : t -> int
 
-val jobs_submitted : t -> int
 val tasks_submitted : t -> int
 val completions : t -> int
 

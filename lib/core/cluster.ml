@@ -64,10 +64,7 @@ let build_switch (config : config) ~topology ~metrics ~fabric =
     let on_ingress (msg : Draconis_proto.Message.t) =
       match msg with
       | Draconis_proto.Message.Job_submission { tasks; _ } ->
-        List.iter
-          (fun (task : Draconis_proto.Task.t) ->
-            Causal.arrive task.id ~at:(Engine.now engine))
-          tasks
+        Metrics.note_arrive metrics tasks
       | _ -> ()
     in
     Pipeline.attach ~config:config.pipeline_config ~on_ingress fabric
@@ -115,11 +112,7 @@ let create_legacy (config : config) =
     { config; engine; fabrics = [| fabric |]; pipeline; program; topology; metrics;
       workers; clients; sync = None }
   in
-  Array.iter
-    (fun worker ->
-      Worker.set_on_task_start worker (fun task ~node ->
-          Metrics.note_exec_start metrics task ~node))
-    workers;
+  Array.iter (fun worker -> Worker.set_on_task worker (Metrics.note_exec metrics)) workers;
   t
 
 (* -- sharded construction ------------------------------------------------- *)
@@ -184,10 +177,7 @@ let create_sharded (config : config) shards =
       program; topology; metrics; workers; clients; sync = Some sync }
   in
   Array.iteri
-    (fun node worker ->
-      let facade = remote_metrics node in
-      Worker.set_on_task_start worker (fun task ~node ->
-          Metrics.note_exec_start facade task ~node))
+    (fun node worker -> Worker.set_on_task worker (Metrics.note_exec (remote_metrics node)))
     workers;
   t
 

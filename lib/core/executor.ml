@@ -13,6 +13,8 @@ type config = {
   watchdog : Time.t option;
 }
 
+type milestone = Started | Finished
+
 type t = {
   config : config;
   fabric : Message.t Fabric.t;
@@ -21,7 +23,7 @@ type t = {
   info : Message.executor_info;  (* rides every request and completion *)
   request : Message.t;  (* the pull request, built once: it never changes *)
   mutable obs_track : string;  (* see [track] *)
-  mutable on_task_start : Task.t -> node:int -> unit;
+  mutable on_task : milestone -> Task.t -> node:int -> unit;
   mutable busy : bool;
   mutable pending_fetch : (Task.t * Addr.t) option;
       (* a transmission-function task awaiting its parameters (§4.4) *)
@@ -83,7 +85,7 @@ let create ~config ~fabric () =
       info;
       request = Message.Task_request { info; rtrv_prio = 1 };
       obs_track = "";
-      on_task_start = (fun _ ~node:_ -> ());
+      on_task = (fun _ _ ~node:_ -> ());
       busy = false;
       pending_fetch = None;
       stopped = false;
@@ -112,7 +114,7 @@ let track t =
 let start ?(after = 0) t =
   if after = 0 then send_request t else ignore (Engine.schedule t.engine ~after t.retry)
 
-let set_on_task_start t f = t.on_task_start <- f
+let set_on_task t f = t.on_task <- f
 let stop t = t.stopped <- true
 
 let set_slowdown t factor =
@@ -158,8 +160,7 @@ let rec execute t (task : Task.t) ~client =
   else run t task ~client
 
 and run t (task : Task.t) ~client =
-  t.on_task_start task ~node:t.config.node;
-  Causal.exec_start task.id ~at:(Engine.now t.engine);
+  t.on_task Started task ~node:t.config.node;
   if Obs.Recorder.active () then
     Obs.Recorder.begin_span ~at:(Engine.now t.engine) ~track:(track t) "task";
   let service = Fn_model.service_time t.config.fn_model task ~node:t.config.node in
@@ -173,7 +174,7 @@ and run t (task : Task.t) ~client =
       t.busy <- false;
       t.tasks_executed <- t.tasks_executed + 1;
       t.busy_time <- t.busy_time + service;
-      Causal.exec_done task.id ~at:(Engine.now t.engine);
+      t.on_task Finished task ~node:t.config.node;
       if Obs.Recorder.active () then
         Obs.Recorder.end_span ~at:(Engine.now t.engine) ~track:(track t) "task";
       Obs.Recorder.record "exec.service_ns" service;

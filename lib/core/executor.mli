@@ -43,9 +43,13 @@ val start : ?after:Time.t -> t -> unit
 (** [deliver t msg] hands the executor a message routed to its port. *)
 val deliver : t -> Message.t -> unit
 
-(** [set_on_task_start t f] installs the measurement hook called when a
-    task begins execution. *)
-val set_on_task_start : t -> (Task.t -> node:int -> unit) -> unit
+(** What the executor reports of a task: it began running, or it ran
+    to the end (a task lost to a crash never finishes). *)
+type milestone = Started | Finished
+
+(** [set_on_task t f] installs the measurement hook, called with each
+    milestone of every task the executor runs. *)
+val set_on_task : t -> (milestone -> Task.t -> node:int -> unit) -> unit
 
 (** [stop t] stops the request loop (no further pulls). *)
 val stop : t -> unit

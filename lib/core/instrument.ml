@@ -7,13 +7,15 @@ type t = {
   on_enqueue : Task.id -> level:int -> unit;
   on_dequeue : Task.id -> level:int -> unit;
   on_assign : Task.id -> node:int -> requested_at:Time.t -> unit;
-  on_reject : int -> unit;
+  on_reject : Task.t list -> unit;
   on_noop : unit -> unit;
   on_swap : swapped_in:Task.id -> swapped_out:Task.id -> level:int -> unit;
   on_recirculate : kind:string -> unit;
   on_repair_flag : repair_flag -> level:int -> unit;
   on_rank : Task.id -> rank:int -> unit;
   on_pop_scan : unit -> unit;
+  on_spin : Task.id -> unit;
+  on_swap_start : Task.id -> unit;
 }
 
 let default =
@@ -28,6 +30,8 @@ let default =
     on_repair_flag = (fun _ ~level:_ -> ());
     on_rank = (fun _ ~rank:_ -> ());
     on_pop_scan = (fun () -> ());
+    on_spin = (fun _ -> ());
+    on_swap_start = (fun _ -> ());
   }
 
 let repair_flag_name = function Add_flag -> "add" | Retrieve_flag -> "retrieve"

@@ -1,9 +1,11 @@
 (** Per-event hooks into the switch program.
 
     The hooks carry scheduler-internal events (enqueue, dequeue,
-    assignment, rejection, swapping, recirculation, repair-flag trips)
-    with their task ids to the fuzz checker's event log and to
-    {!Metrics}' samples; how often each happened is the switch program's
+    assignment, rejection, swapping, recirculation, repair-flag trips,
+    traversals a task rides without landing) with their task ids to the
+    fuzz checker's event log and to {!Metrics}: its delay samples and,
+    when the run attributes phases, each task's journey.  The switch
+    program fires one hook per event; how often each happened is its
     own counter.  All hooks default to no-ops. *)
 
 open Draconis_sim
@@ -21,7 +23,7 @@ type t = {
       (** task_assignment emitted to an executor on [node];
           [requested_at] is when the winning task_request reached the
           switch (get_task() latency, Fig. 13) *)
-  on_reject : int -> unit;  (** tasks bounced by a full queue *)
+  on_reject : Task.t list -> unit;  (** tasks bounced by a full queue *)
   on_noop : unit -> unit;  (** no-op assignment sent *)
   on_swap : swapped_in:Task.id -> swapped_out:Task.id -> level:int -> unit;
       (** a swap packet exchanged its carried task ([swapped_in]) for a
@@ -40,6 +42,13 @@ type t = {
   on_pop_scan : unit -> unit;
       (** a PIFO pop began a fresh rank-store scan (including restarts
           after a lost claim) *)
+  on_spin : Task.id -> unit;
+      (** the task rides a recirculation without landing: a multi-task
+          continuation, a PIFO probe, a swap hop or a switch
+          resubmission *)
+  on_swap_start : Task.id -> unit;
+      (** a popped task failed the policy check and leaves on a swap
+          packet (§5.1) *)
 }
 
 val default : t

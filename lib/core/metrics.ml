@@ -2,16 +2,20 @@ open Draconis_sim
 open Draconis_net
 open Draconis_stats
 open Draconis_proto
+module Trace_ctx = Draconis_obs.Trace_ctx
 
 type placement = { mutable local : int; mutable same_rack : int; mutable remote : int }
 
 (* What the notes of one task have recorded so far: created by its first
    [note_submit] or [note_enqueue], dropped by its [note_complete] unless
-   the client resubmitted it.  [unset] marks a note not seen yet. *)
+   the client resubmitted it.  [unset] marks a note not seen yet.  When
+   the run attributes phases, [journey] is the task's, from its
+   submission until its completion seals it. *)
 type task_state = {
   mutable submitted_at : Time.t;
   mutable enqueued_at : Time.t;
   mutable level : int;
+  mutable journey : Trace_ctx.journey option;
 }
 
 let unset = -1
@@ -45,6 +49,7 @@ type core = {
   mutable completed : int;
   mutable deadline_tracked : int;
   mutable deadline_misses : int;
+  mutable attribution : Trace_ctx.t option;
 }
 
 type t = {
@@ -76,6 +81,7 @@ let create ?topology engine =
         completed = 0;
         deadline_tracked = 0;
         deadline_misses = 0;
+        attribution = None;
       };
   }
 
@@ -102,7 +108,7 @@ let task_state c id =
   match Task.Tbl.find_opt c.tasks id with
   | Some s -> s
   | None ->
-    let s = { submitted_at = unset; enqueued_at = unset; level = 0 } in
+    let s = { submitted_at = unset; enqueued_at = unset; level = 0; journey = None } in
     Task.Tbl.replace c.tasks id s;
     s
 
@@ -114,7 +120,8 @@ let note_submit t id =
       if s.submitted_at = unset then begin
         c.submitted <- c.submitted + 1;
         s.submitted_at <- now
-      end)
+      end;
+      if Option.is_some c.attribution then s.journey <- Some (Trace_ctx.start ~at:now))
 
 let note_complete t id ~resubmitted =
   let now = Engine.now t.engine in
@@ -126,6 +133,12 @@ let note_complete t id ~resubmitted =
       | Some s ->
         if s.submitted_at <> unset then
           Sampler.record c.end_to_end_delay (now - s.submitted_at);
+        (match (c.attribution, s.journey) with
+        | Some rules, Some j ->
+          (* Sealed once: a stale copy's later notes find no journey. *)
+          s.journey <- None;
+          Trace_ctx.seal rules j ~key:(id.uid, id.jid, id.tid) ~at:now
+        | _ -> ());
         (* A resubmitted task may still have a copy queued or running:
            its start must find the first submission, so its record
            stays for the rest of the run. *)
@@ -154,16 +167,19 @@ let note_exec_start t task ~node =
       c.started <- c.started + 1;
       classify_placement c task ~node;
       match Task.Tbl.find_opt c.tasks task.Task.id with
-      | Some s when s.submitted_at <> unset ->
-        let delay = now - s.submitted_at in
-        Sampler.record c.scheduling_delay delay;
-        Sampler.record (level_sampler c.delay_by_class (task_class task)) delay;
-        (match Task.relative_deadline task with
-        | None -> ()
-        | Some deadline ->
-          c.deadline_tracked <- c.deadline_tracked + 1;
-          if delay > deadline then c.deadline_misses <- c.deadline_misses + 1)
-      | Some _ | None -> ())
+      | None -> ()
+      | Some s ->
+        if s.submitted_at <> unset then begin
+          let delay = now - s.submitted_at in
+          Sampler.record c.scheduling_delay delay;
+          Sampler.record (level_sampler c.delay_by_class (task_class task)) delay;
+          match Task.relative_deadline task with
+          | None -> ()
+          | Some deadline ->
+            c.deadline_tracked <- c.deadline_tracked + 1;
+            if delay > deadline then c.deadline_misses <- c.deadline_misses + 1
+        end;
+        match s.journey with Some j -> Trace_ctx.exec_start j ~at:now | None -> ())
 
 let note_enqueue t id ~level =
   let now = Engine.now t.engine in
@@ -172,7 +188,8 @@ let note_enqueue t id ~level =
       if s.enqueued_at = unset then begin
         s.enqueued_at <- now;
         s.level <- level
-      end)
+      end;
+      match s.journey with Some j -> Trace_ctx.enqueue j ~at:now ~level | None -> ())
 
 let note_assign t id ~requested_at =
   let now = Engine.now t.engine in
@@ -180,17 +197,78 @@ let note_assign t id ~requested_at =
       let c = t.core in
       Meter.mark c.decisions ~now ();
       match Task.Tbl.find_opt c.tasks id with
-      | Some s when s.enqueued_at <> unset ->
-        Sampler.record (level_sampler c.queueing_by_level s.level) (now - s.enqueued_at);
-        Sampler.record (level_sampler c.get_task_by_level s.level) (now - requested_at)
-      | Some _ | None -> ())
+      | None -> ()
+      | Some s ->
+        if s.enqueued_at <> unset then begin
+          Sampler.record (level_sampler c.queueing_by_level s.level) (now - s.enqueued_at);
+          Sampler.record (level_sampler c.get_task_by_level s.level) (now - requested_at)
+        end;
+        match s.journey with Some j -> Trace_ctx.assign j ~at:now | None -> ())
+
+(* The journey-only notes.  Attribution is off on every run but an
+   observed single-engine Draconis run, so they return before they
+   allocate.  It is never on for a sharded cluster, so a [remote]
+   handle's notes return at once: they act inline or not at all, and
+   never read the owner's state from another domain. *)
+let attributing t = Option.is_none t.post && Option.is_some t.core.attribution
+
+let live_journey t id =
+  if not (attributing t) then None
+  else match Task.Tbl.find_opt t.core.tasks id with Some s -> s.journey | None -> None
+
+let journey_note t id step =
+  match live_journey t id with None -> () | Some j -> step j ~at:(Engine.now t.engine)
+
+let journeys_note t tasks step =
+  if attributing t then
+    List.iter (fun (task : Task.t) -> journey_note t task.id step) tasks
+
+let note_sent t tasks = journeys_note t tasks Trace_ctx.sent
+let note_arrive t tasks = journeys_note t tasks Trace_ctx.arrive
+let note_resubmit t id = journey_note t id (fun j ~at:_ -> Trace_ctx.flag_resubmit j)
+
+let note_exec t (milestone : Executor.milestone) task ~node =
+  match milestone with
+  | Started -> note_exec_start t task ~node
+  | Finished -> journey_note t task.Task.id Trace_ctx.exec_done
+
+let swap_out j ~at:_ = Trace_ctx.flag_swap j
+
+let swap_start j ~at =
+  Trace_ctx.flag_swap j;
+  Trace_ctx.spin j ~at
+
+let note_repair_window t ~level =
+  if attributing t then
+    Task.Tbl.iter
+      (fun _ s -> Option.iter (fun j -> Trace_ctx.repair_window j ~level) s.journey)
+      t.core.tasks
 
 let instrument t : Instrument.t =
   {
     Instrument.default with
     on_enqueue = (fun id ~level -> note_enqueue t id ~level);
+    on_dequeue = (fun id ~level:_ -> journey_note t id Trace_ctx.dequeue);
     on_assign = (fun id ~node:_ ~requested_at -> note_assign t id ~requested_at);
+    on_reject = (fun tasks -> journeys_note t tasks Trace_ctx.reject);
+    on_swap = (fun ~swapped_in:_ ~swapped_out ~level:_ -> journey_note t swapped_out swap_out);
+    on_repair_flag = (fun _ ~level -> note_repair_window t ~level);
+    on_spin = (fun id -> journey_note t id Trace_ctx.spin);
+    on_swap_start = (fun id -> journey_note t id swap_start);
   }
+
+let attribute t rules =
+  if Option.is_some t.core.attribution then
+    invalid_arg "Metrics.attribute: the run already attributes phases";
+  t.core.attribution <- Some rules
+
+let attribution t = Option.map Trace_ctx.collector t.core.attribution
+
+let finish_attribution t =
+  let live _ s n = if Option.is_some s.journey then n + 1 else n in
+  Option.map
+    (fun rules -> Trace_ctx.finish rules ~incomplete:(Task.Tbl.fold live t.core.tasks 0))
+    t.core.attribution
 
 let scheduling_delay t = t.core.scheduling_delay
 let end_to_end_delay t = t.core.end_to_end_delay

@@ -26,7 +26,15 @@
     queued or running, and that copy's start and assignment must find
     the first submission and enqueue, as they always have.  A note for
     a task with no record (already completed, or never submitted)
-    records no delay sample. *)
+    records no delay sample.
+
+    {b Phase journeys.}  When the run {!attribute}s phases, the record
+    also carries the task's {!Draconis_obs.Trace_ctx.journey}, started
+    by {!note_submit} and advanced by each milestone note.
+    {!note_complete} seals it once and drops it from the record, so a
+    resubmitted task's stale copy cannot touch the breakdown the
+    collector holds by reference.  With attribution off (the default)
+    the journey-only notes return before they allocate. *)
 
 open Draconis_sim
 open Draconis_net
@@ -59,10 +67,19 @@ val remote : t -> engine:Engine.t -> post:(at:Time.t -> (unit -> unit) -> unit) 
     against the original, as the paper's latency spikes do). *)
 val note_submit : t -> Task.id -> unit
 
-(** [note_complete t id ~resubmitted] records the end-to-end delay and
-    drops the task's record, unless [resubmitted]: the client sent the
-    task again after a timeout, so a stale copy may still start. *)
+(** [note_complete t id ~resubmitted] records the end-to-end delay,
+    seals the task's journey, and drops the task's record, unless
+    [resubmitted]: the client sent the task again after a timeout, so a
+    stale copy may still start. *)
 val note_complete : t -> Task.id -> resubmitted:bool -> unit
+
+(** Journey only: the client put [tasks] on the wire (first send,
+    full-queue retry or timeout resubmission); its timeout resubmits a
+    task; a submission carrying [tasks] reached the switch's ingress. *)
+val note_sent : t -> Task.t list -> unit
+
+val note_resubmit : t -> Task.id -> unit
+val note_arrive : t -> Task.t list -> unit
 
 (** {2 Executor-side events} *)
 
@@ -70,15 +87,36 @@ val note_complete : t -> Task.id -> resubmitted:bool -> unit
     placement for a task starting on [node]. *)
 val note_exec_start : t -> Task.t -> node:int -> unit
 
+(** The executors' hook ({!Executor.set_on_task}): {!note_exec_start}
+    on [Started]; on [Finished], the journey's service edge. *)
+val note_exec : t -> Executor.milestone -> Task.t -> node:int -> unit
+
 (** {2 Scheduler-side events} — the {!Instrument.t} adapter wires these
     into the Draconis switch program; baselines call them directly. *)
 
 val note_enqueue : t -> Task.id -> level:int -> unit
 val note_assign : t -> Task.id -> requested_at:Time.t -> unit
 
-(** The switch program's hooks into these samples: [on_enqueue] and
-    [on_assign]; every other hook is a no-op. *)
+(** The switch program's hooks into these notes: [on_enqueue] and
+    [on_assign] sample delays; they and the task-carrying hooks advance
+    journeys; [on_noop], [on_recirculate], [on_rank] and [on_pop_scan]
+    are no-ops. *)
 val instrument : t -> Instrument.t
+
+(** {2 Phase attribution} *)
+
+(** [attribute t rules] gives every task submitted from now on a
+    journey, sealed under [rules].  Single-engine runs only: journey
+    notes act inline, never through {!remote}.
+    @raise Invalid_argument if [t] already attributes. *)
+val attribute : t -> Draconis_obs.Trace_ctx.t -> unit
+
+(** The collector of the sealed journeys, if [t] attributes. *)
+val attribution : t -> Draconis_obs.Attribution.t option
+
+(** Once, at the end of the run: records the open journeys as
+    incomplete and returns the collector. *)
+val finish_attribution : t -> Draconis_obs.Attribution.t option
 
 (** {2 Results} *)
 

@@ -172,18 +172,22 @@ let recirc t ~kind pkt =
 let launch_repair t flag ~level ~kind pkt =
   t.counts.repairs_launched <- t.counts.repairs_launched + 1;
   t.instrument.on_repair_flag flag ~level;
-  Causal.repair_window ~level;
   if Obs.Recorder.active () then
     Obs.Recorder.mark ~at:(Engine.now t.engine) ~track:"queue"
       (Printf.sprintf "repair-%s L%d" (Instrument.repair_flag_name flag) level);
   recirc t ~kind pkt
 
+(* [tasks] ride a recirculation without landing. *)
+let rec spin_all t = function
+  | [] -> ()
+  | (task : Task.t) :: rest ->
+    t.instrument.on_spin task.id;
+    spin_all t rest
+
 (* Bounce [tasks] to [client]'s retry path in one Queue_full (§4.3). *)
 let reject t ~client ~uid ~jid (tasks : Task.t list) =
-  let n = List.length tasks in
-  t.counts.rejected_tasks <- t.counts.rejected_tasks + n;
-  t.instrument.on_reject n;
-  List.iter (fun (task : Task.t) -> Causal.reject task.id ~at:(Engine.now t.engine)) tasks;
+  t.counts.rejected_tasks <- t.counts.rejected_tasks + List.length tasks;
+  t.instrument.on_reject tasks;
   Pipeline.Emit (client, Message.Queue_full { uid; jid; tasks })
 
 let grown a len fill =
@@ -222,7 +226,6 @@ let noop_to t (info : Message.executor_info) =
 let assign_to t (info : Message.executor_info) (entry : Entry.t) ~requested_at =
   t.counts.assignments <- t.counts.assignments + 1;
   t.instrument.on_assign entry.task.id ~node:info.exec_node ~requested_at;
-  Causal.assign entry.task.id ~at:(Engine.now t.engine);
   Pipeline.Emit
     ( info.exec_addr,
       Message.Task_assignment
@@ -254,9 +257,7 @@ let enqueue_entry t ctx ~level (entry : Entry.t) =
   if Obs.Int_telemetry.enabled () then Obs.Int_telemetry.note_level level;
   let outcome = Circular_queue.enqueue (queues_exn t).(level) ctx entry in
   (match outcome with
-  | Circular_queue.Enqueued _ ->
-    t.instrument.on_enqueue entry.task.id ~level;
-    Causal.enqueue entry.task.id ~at:(Engine.now t.engine) ~level
+  | Circular_queue.Enqueued _ -> t.instrument.on_enqueue entry.task.id ~level
   | Circular_queue.Rejected _ -> ());
   outcome
 
@@ -276,9 +277,7 @@ let handle_submission t ctx ~client ~uid ~jid ~tasks =
            #TASKS, exactly as the hardware reprocesses the packet. *)
         if rest = [] then [ Pipeline.Emit (client, Message.Job_ack { uid; jid }) ]
         else begin
-          List.iter
-            (fun (task : Task.t) -> Causal.spin task.id ~at:(Engine.now t.engine))
-            rest;
+          spin_all t rest;
           [ recirc t ~kind:"submission"
               (Switch_packet.Wire (Job_submission { client; uid; jid; tasks = rest }));
           ]
@@ -297,8 +296,7 @@ let bump_skip (entry : Entry.t) = { entry with skip = entry.skip + 1 }
 
 let start_swap t ~level ~(entry : Entry.t) ~index ~info ~requested_at =
   t.counts.swaps <- t.counts.swaps + 1;
-  Causal.flag_swap entry.task.id;
-  Causal.spin entry.task.id ~at:(Engine.now t.engine);
+  t.instrument.on_swap_start entry.task.id;
   let next = Circular_queue.next_index (queues_exn t).(level) index in
   recirc t ~kind:"swap"
     (Switch_packet.Swap
@@ -331,7 +329,6 @@ let handle_request t ctx (info : Message.executor_info) ~rtrv_prio ~requested_at
       else noop_to t info
     | Circular_queue.Dequeued { index; entry } ->
       t.instrument.on_dequeue entry.task.id ~level;
-      Causal.dequeue entry.task.id ~at:(Engine.now t.engine);
       if not (Policy.uses_swapping t.policy) then
         [ assign_to t info entry ~requested_at ]
       else begin
@@ -346,7 +343,7 @@ let handle_request t ctx (info : Message.executor_info) ~rtrv_prio ~requested_at
 
 let resubmit_and_noop t ~level ~(entry : Entry.t) ~info =
   t.counts.resubmissions <- t.counts.resubmissions + 1;
-  Causal.spin entry.task.id ~at:(Engine.now t.engine);
+  t.instrument.on_spin entry.task.id;
   let noop = noop_to t info in
   recirc t ~kind:"resubmit" (Switch_packet.Resubmit { level; entry }) :: noop
 
@@ -381,16 +378,12 @@ let handle_swap t ctx ~level ~entry ~swap_indx ~info ~pkt_retrieve_ptr ~attempts
       t.instrument.on_dequeue popped.task.id ~level;
       t.instrument.on_enqueue entry.task.id ~level;
       t.instrument.on_swap ~swapped_in:entry.task.id ~swapped_out:popped.task.id ~level;
-      let now = Engine.now t.engine in
-      Causal.dequeue popped.task.id ~at:now;
-      Causal.flag_swap popped.task.id;
-      Causal.enqueue entry.task.id ~at:now ~level;
       let popped = bump_skip popped in
       if Policy.satisfies t.policy ~entry:popped ~info then
         [ assign_to t info popped ~requested_at ]
       else begin
         t.counts.swaps <- t.counts.swaps + 1;
-        Causal.spin popped.task.id ~at:now;
+        t.instrument.on_spin popped.task.id;
         [ recirc t ~kind:"swap"
             (Switch_packet.Swap
                {
@@ -464,7 +457,6 @@ let pifo_rank t ctx vft (task : Task.t) =
 let pifo_admitted t pifo (task : Task.t) ~packed =
   t.instrument.on_rank task.id ~rank:(Pifo.rank_of_packed packed);
   t.instrument.on_enqueue task.id ~level:0;
-  Causal.enqueue task.id ~at:(Engine.now t.engine) ~level:0;
   (* Switch-CPU stamp compaction; in-flight scans lose their claims
      through the epoch bump and restart. *)
   if Pifo.needs_renumber pifo then Pifo.renumber pifo
@@ -472,9 +464,7 @@ let pifo_admitted t pifo (task : Task.t) ~packed =
 let pifo_continue t ~client ~uid ~jid rest =
   if rest = [] then [ Pipeline.Emit (client, Message.Job_ack { uid; jid }) ]
   else begin
-    List.iter
-      (fun (task : Task.t) -> Causal.spin task.id ~at:(Engine.now t.engine))
-      rest;
+    spin_all t rest;
     [ recirc t ~kind:"submission"
         (Switch_packet.Wire (Job_submission { client; uid; jid; tasks = rest }));
     ]
@@ -487,7 +477,7 @@ let pifo_admit_outcome t pifo ~client ~uid ~jid ~(task : Task.t) ~rest = functio
   | Pifo.Probing probe ->
     (* Probe row was full: the admission recirculates with an advanced
        row cursor. *)
-    Causal.spin task.id ~at:(Engine.now t.engine);
+    t.instrument.on_spin task.id;
     [ recirc t ~kind:"pifo-probe"
         (Switch_packet.Pifo_admit { probe; task; client; uid; jid; rest });
     ]
@@ -535,7 +525,6 @@ let handle_pifo_pop t ctx pifo ~info ~requested_at ~restarts step =
     | Pifo.Claimed { slot = _; packed = _; words } ->
       let entry = Entry.of_words words in
       t.instrument.on_dequeue entry.task.id ~level:0;
-      Causal.dequeue entry.task.id ~at:(Engine.now t.engine);
       [ assign_to t info entry ~requested_at ]
     | Pifo.Lost ->
       (* Raced by another claimer or invalidated by a renumber. *)

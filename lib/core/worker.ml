@@ -44,7 +44,6 @@ let restart t ~stagger =
                Executor.restart exec)))
     t.executors
 
-let crashed t = Array.for_all Executor.stopped t.executors
 let set_slowdown t factor = Array.iter (fun e -> Executor.set_slowdown e factor) t.executors
 let node t = t.node
 let engine t = t.engine
@@ -56,8 +55,7 @@ let executor t i =
 let executor_count t = Array.length t.executors
 let iter_executors t f = Array.iter f t.executors
 
-let set_on_task_start t f =
-  Array.iter (fun exec -> Executor.set_on_task_start exec f) t.executors
+let set_on_task t f = Array.iter (fun exec -> Executor.set_on_task exec f) t.executors
 
 let tasks_executed t =
   Array.fold_left (fun acc exec -> acc + Executor.tasks_executed exec) 0 t.executors

@@ -36,9 +36,6 @@ val crash : t -> unit
     first pull requests [stagger] apart like {!start}. *)
 val restart : t -> stagger:Time.t -> unit
 
-(** True while every executor on the node is stopped/crashed. *)
-val crashed : t -> bool
-
 (** [set_slowdown t f] applies straggler degradation factor [f] to every
     executor on the node ([1.0] restores full speed). *)
 val set_slowdown : t -> float -> unit
@@ -52,8 +49,8 @@ val executor : t -> int -> Executor.t
 val executor_count : t -> int
 val iter_executors : t -> (Executor.t -> unit) -> unit
 
-(** [set_on_task_start t f] installs the hook on every executor. *)
-val set_on_task_start : t -> (Task.t -> node:int -> unit) -> unit
+(** [set_on_task t f] installs the hook on every executor. *)
+val set_on_task : t -> (Executor.milestone -> Task.t -> node:int -> unit) -> unit
 
 val tasks_executed : t -> int
 val busy_time : t -> Time.t

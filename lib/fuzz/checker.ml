@@ -57,6 +57,7 @@ type run = {
   recirc_dropped : int;
   access_violation : string option;
   fingerprint : int64;
+  out_of_budget : int option;
 }
 
 (* -- invariant registry ---------------------------------------------------- *)
@@ -74,6 +75,7 @@ let invariants =
     "pifo-order";
     "int-consistency";
     "sharded-consistency";
+    "progress";
   ]
 
 type violation = { invariant : string; detail : string; trace : string list }
@@ -359,6 +361,13 @@ let check ?twin ?sharded schedule run =
   | Some name ->
     violate ~at:n "single-register-access"
       (Printf.sprintf "register %S accessed twice in one packet traversal" name));
+  checked "progress";
+  (match run.out_of_budget with
+  | None -> ()
+  | Some budget ->
+    violate ~at:n "progress"
+      (Printf.sprintf "used up its budget of %d engine events with events still queued"
+         budget));
   (match twin with
   | None -> ()
   | Some other ->

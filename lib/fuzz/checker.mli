@@ -60,13 +60,18 @@ type run = {
       (** register name, when the one-access-per-register-per-packet
           rule was violated *)
   fingerprint : int64;  (** FNV-1a over every register cell after drain *)
+  out_of_budget : int option;
+      (** [Some budget] when the single-engine run stopped at its event
+          budget with events still queued (a wedged rig); [None] for a
+          drained run, and always for the sharded rig, which has a time
+          bound instead *)
 }
 
 (** The invariant registry, in reporting order: no-lost-task,
     no-duplicate-task, fifo-order, occupancy-bound,
     pointer-convergence, stamp-validity, single-register-access,
     replication-consistency, pifo-order, int-consistency,
-    sharded-consistency. *)
+    sharded-consistency, progress. *)
 val invariants : string list
 
 type violation = {

@@ -24,9 +24,10 @@ let bug_of_string = function
    artifacts rather than protocol bugs. *)
 let recirc_queue_limit = 4096
 
-(* Livelock backstop; the rig is bounded, so a real run drains in far
-   fewer events and a run that hits this fails pointer convergence. *)
-let max_events = 2_000_000
+(* A clean execution drains in at most ~33 engine events per op, so a
+   run still busy after 1000 per op is wedged: it stops there and fails
+   the progress invariant. *)
+let event_budget (schedule : Schedule.t) = 1_000 * (List.length schedule.ops + 1)
 
 let policy_of = function
   | Schedule.Fcfs -> Policy.Fcfs
@@ -118,10 +119,11 @@ let plan_of_ops ops =
 
 let make_instrument record =
   {
+    Instrument.default with
     (* The enqueue hook fires just after the queue noted its INT
        occupancy for the armed traversal, so reading it here pairs
        the event with the very stamp the switch took. *)
-    Instrument.on_enqueue =
+    on_enqueue =
       (fun id ~level ->
         record
           (Checker.Enqueued
@@ -129,7 +131,7 @@ let make_instrument record =
     on_dequeue = (fun id ~level -> record (Checker.Dequeued { id; level }));
     on_assign =
       (fun id ~node ~requested_at:_ -> record (Checker.Assigned { id; node }));
-    on_reject = (fun count -> record (Checker.Rejected { count }));
+    on_reject = (fun tasks -> record (Checker.Rejected { count = List.length tasks }));
     on_noop = (fun () -> record Checker.Noop);
     on_swap =
       (fun ~swapped_in ~swapped_out ~level ->
@@ -325,15 +327,19 @@ let run ?bug (schedule : Schedule.t) =
     | Some Drop_retrieve_repair -> Circular_queue.debug_drop_retrieve_repair := v
   in
   let access_violation = ref None in
+  let budget = event_budget schedule in
   set_bug true;
   Fun.protect
     ~finally:(fun () -> set_bug false)
     (fun () ->
-      try ignore (Engine.run ~max_events engine)
+      try Engine.run ~max_events:budget engine
       with Draconis_p4.Packet_ctx.Access_violation name ->
         access_violation := Some name);
   {
     Checker.events = Array.of_list (List.rev !events);
+    out_of_budget =
+      (if Option.is_none !access_violation && Engine.pending engine > 0 then Some budget
+       else None);
     levels = collect_levels program schedule;
     fabric_lost = Fabric.lost fabric + Fabric.partition_dropped fabric;
     recirc_dropped = Pipeline.recirc_dropped pipeline;
@@ -434,6 +440,7 @@ let run_sharded ~shards (schedule : Schedule.t) =
     recirc_dropped = Pipeline.recirc_dropped pipeline;
     access_violation = !access_violation;
     fingerprint = fingerprint_registers (Switch_program.registers program);
+    out_of_budget = None;
   }
 
 (* One schedule, executed twice: determinism makes the second run free

@@ -23,9 +23,6 @@ type campaign = {
 let default_ops = 40
 let default_shrink_budget = 500
 
-let run_seed ?bug ?(ops = default_ops) ?sharded seed =
-  Exec.run_checked ?bug ?sharded (Gen.schedule ~ops ~seed ())
-
 (* Shrinking predicate: the same invariant must fire again, so the
    minimizer cannot drift onto a different bug while deleting ops.
    The sharded legs are expensive, so they only re-run when the

@@ -25,9 +25,6 @@ type campaign = {
 val default_ops : int
 val default_shrink_budget : int
 
-(** Generate and check one seed. *)
-val run_seed : ?bug:Exec.bug -> ?ops:int -> ?sharded:bool -> int -> Checker.report
-
 (** [run_campaign ~seeds ()] sweeps the seed list.  [artifacts] is a
     directory to write shrunk reproducers into ([seed-N.fuzz]).
     Shrinking requires the {e same} invariant to fire again, so the

@@ -44,10 +44,6 @@ let is_lossy = function
   | Loss _ | Partition _ -> true
   | Submit _ | Request _ | Straggler _ -> false
 
-let is_fault = function
-  | Loss _ | Partition _ | Straggler _ -> true
-  | Submit _ | Request _ -> false
-
 (* -- replay-line serialization --------------------------------------------- *)
 
 (* One op per line: `kind key=value key=value ...`, all times in ns.

@@ -44,9 +44,6 @@ val with_at : t -> Time.t -> t
     [Partition]) — their presence relaxes the conservation invariant. *)
 val is_lossy : t -> bool
 
-(** True for any fault-window op. *)
-val is_fault : t -> bool
-
 val to_string : t -> string
 
 (** @raise Invalid_argument on malformed lines, with the offending

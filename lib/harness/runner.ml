@@ -80,10 +80,10 @@ let collect (system : Systems.running) ~load_tps ~horizon ~drained =
     drained;
     has_latency = true;
     phases =
-      (* Ambient context ⇒ this run is attributing phases; the sealed
-         tasks at collect time are exactly the completed ones. *)
-      (match Obs.Trace_ctx.current () with
-      | Some ctx -> Obs.Attribution.phase_percentiles (Obs.Trace_ctx.collector ctx)
+      (* The sealed tasks at collect time are exactly the completed
+         ones. *)
+      (match Metrics.attribution metrics with
+      | Some collector -> Obs.Attribution.phase_percentiles collector
       | None -> []);
   },
     c )
@@ -134,9 +134,8 @@ let observed (system : Systems.running) ~label ~until f =
     (* Phase attribution only where the whole milestone sequence exists
        (the Draconis data path); a baseline's partial stream would
        produce bogus breakdowns. *)
-    let ctx =
-      if system.phase_attribution then Some (Obs.Trace_ctx.create ()) else None
-    in
+    if system.phase_attribution then
+      Metrics.attribute system.metrics (Obs.Trace_ctx.create ());
     (* INT telemetry: reuse a caller-installed collector (the int bench
        experiment manages its own to read depth figures back), else own
        one for the run.  Either way its sections land on this run's
@@ -156,11 +155,6 @@ let observed (system : Systems.running) ~label ~until f =
       | probes -> Obs.Probe.attach system.engine ~interval:probe_interval ~until probes);
       f ()
     in
-    let body () =
-      match ctx with
-      | None -> body ()
-      | Some ctx -> Obs.Trace_ctx.with_ctx ctx body
-    in
     let outcome, counts =
       Obs.Recorder.with_recorder recorder (fun () ->
           match own_int with
@@ -171,10 +165,9 @@ let observed (system : Systems.running) ~label ~until f =
       (fun (name, before) (_, after) ->
         if after <> before then Obs.Recorder.add recorder name (after - before))
       (counter_names installed) (counter_names counts);
-    (match ctx with
+    (match Metrics.finish_attribution system.metrics with
     | None -> ()
-    | Some ctx ->
-      let collector = Obs.Trace_ctx.finish ctx in
+    | Some collector ->
       Obs.Recorder.set_attribution recorder (Obs.Attribution.to_json collector));
     (match int_collector with
     | None -> ()
@@ -229,16 +222,3 @@ let run (system : Systems.running) ~driver ~load_tps ~horizon ?drain ?workload_s
           let drained = drain_system system ~deadline:(horizon + drain) in
           control.Systems.finish ();
           collect system ~load_tps ~horizon ~drained))
-
-let run_closed (system : Systems.running) ~horizon ?drain () =
-  let drain = Option.value drain ~default:(4 * horizon) in
-  let control = system.control in
-  Fun.protect ~finally:control.Systems.close (fun () ->
-      observed system
-        ~label:(Printf.sprintf "%s@closed" system.name)
-        ~until:(horizon + drain)
-        (fun () ->
-          control.Systems.run_until horizon;
-          let drained = drain_system system ~deadline:(horizon + drain) in
-          control.Systems.finish ();
-          collect system ~load_tps:0.0 ~horizon ~drained))

@@ -84,7 +84,3 @@ val run :
   ?workload_seed:int ->
   unit ->
   outcome
-
-(** [run_closed system ~horizon ()] runs with no submissions beyond what
-    the caller already scheduled — used by tests and custom figures. *)
-val run_closed : Systems.running -> horizon:Time.t -> ?drain:Time.t -> unit -> outcome

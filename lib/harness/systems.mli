@@ -93,12 +93,13 @@ type running = {
           observability is enabled; empty for systems with nothing to
           sample *)
   phase_attribution : bool;
-      (** whether the system emits the full causal milestone sequence
-          ({!Draconis.Causal}) so the runner may install a
-          {!Draconis_obs.Trace_ctx}; true only for Draconis — baselines
-          share the client and executor but not the switch program, so
-          their milestone streams would be incomplete; also false for a
-          sharded cluster (ambient observability is domain-local) *)
+      (** whether the system reports the full milestone sequence of a
+          task to its [metrics], so the runner may turn phase
+          attribution on ({!Draconis.Metrics.attribute}); true only for
+          Draconis — baselines share the client and executor but not
+          the switch program, so their milestone streams would be
+          incomplete; also false for a sharded cluster, whose journey
+          notes would have to cross logical processes *)
   control : control;
 }
 

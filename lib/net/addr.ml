@@ -24,3 +24,10 @@ let host_id = function
   | Switch -> invalid_arg "Addr.host_id: switch has no host id"
 
 let is_switch = function Switch -> true | Host _ -> false
+
+module Port_tbl = Hashtbl.Make (struct
+  type nonrec t = t * int
+
+  let equal (a, i) (b, j) = Int.equal i j && equal a b
+  let hash (a, i) = (((match a with Switch -> 0 | Host h -> h + 1) * 65599) + i) land max_int
+end)

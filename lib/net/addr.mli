@@ -19,3 +19,8 @@ val to_string : t -> string
 val host_id : t -> int
 
 val is_switch : t -> bool
+
+(** Tables keyed on an address and a number that is only unique per
+    address (an executor port, a probe id), hashed and compared without
+    the polymorphic primitives. *)
+module Port_tbl : Hashtbl.S with type key = t * int

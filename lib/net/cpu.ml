@@ -26,7 +26,7 @@ let submit t ~cost k =
     else int_of_float (Float.round (float_of_int cost *. t.slowdown))
   in
   let now = Engine.now t.engine in
-  let start = max now t.free_at in
+  let start = Int.max now t.free_at in
   let finish = start + cost in
   t.free_at <- finish;
   t.backlog <- t.backlog + 1;

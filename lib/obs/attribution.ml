@@ -32,7 +32,6 @@ type t = {
   top_k : int;
   samplers : Sampler.t array;
   total : Sampler.t;
-  sched : Sampler.t;
   phase_sums : int array;
   mutable total_sum : int;
   mutable sealed : int;
@@ -51,7 +50,6 @@ let create ?(top_k = 10) () =
     top_k;
     samplers = Array.init Phase.count (fun _ -> Sampler.create ());
     total = Sampler.create ();
-    sched = Sampler.create ();
     phase_sums = Array.make Phase.count 0;
     total_sum = 0;
     sealed = 0;
@@ -93,7 +91,6 @@ let add t (b : breakdown) =
     b.phases;
   Sampler.record t.total b.total;
   t.total_sum <- t.total_sum + b.total;
-  if b.sched >= 0 then Sampler.record t.sched b.sched;
   t.critical.(dominant b.phases) <- t.critical.(dominant b.phases) + 1;
   if b.flags land flag_swap <> 0 then t.swapped <- t.swapped + 1;
   if b.flags land flag_repair <> 0 then t.repaired <- t.repaired + 1;
@@ -107,8 +104,6 @@ let sealed t = t.sealed
 let incomplete t = t.incomplete
 let exact t = t.mismatches = 0
 let total_sampler t = t.total
-let sched_sampler t = t.sched
-let phase_sampler t phase = t.samplers.(Phase.index phase)
 let phase_sum t phase = t.phase_sums.(Phase.index phase)
 let total_sum t = t.total_sum
 let top t = t.top
@@ -177,47 +172,3 @@ let to_json t =
     (String.concat ","
        (List.map (fun (name, n) -> Printf.sprintf "\"%s\":%d" name n) (anomalies t)))
     (String.concat "," (List.map breakdown_json t.top))
-
-(* -- text rendering (draconis-sim run --phases) ----------------------------- *)
-
-let us ns = Printf.sprintf "%.1f" (float_of_int ns /. 1e3)
-
-let to_table t =
-  let table =
-    Table.create
-      ~columns:[ "phase"; "count"; "p50 (us)"; "p99 (us)"; "max (us)"; "share" ]
-  in
-  List.iter
-    (fun phase ->
-      let i = Phase.index phase in
-      let s = t.samplers.(i) in
-      if Sampler.count s > 0 then
-        Table.add_row table
-          [
-            Phase.name phase;
-            string_of_int (Sampler.count s);
-            us (Sampler.percentile s 50.0);
-            us (Sampler.percentile s 99.0);
-            us (Sampler.max s);
-            (if t.total_sum > 0 then
-               Printf.sprintf "%.1f%%"
-                 (100.0 *. float_of_int t.phase_sums.(i) /. float_of_int t.total_sum)
-             else "-");
-          ])
-    Phase.all;
-  if Sampler.count t.total > 0 then
-    Table.add_row table
-      [
-        "total";
-        string_of_int (Sampler.count t.total);
-        us (Sampler.percentile t.total 50.0);
-        us (Sampler.percentile t.total 99.0);
-        us (Sampler.max t.total);
-        "100.0%";
-      ];
-  table
-
-let pp_summary fmt t =
-  Format.fprintf fmt "%d task(s) attributed (%d incomplete), exact-sum %s" t.sealed
-    t.incomplete
-    (if exact t then "yes" else "NO")

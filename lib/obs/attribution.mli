@@ -21,9 +21,6 @@ val flag_repair : int
 val flag_resubmit : int
 val flag_reject : int
 
-(** ["swap+repair"]-style rendering; ["-"] when no flags are set. *)
-val flags_to_string : int -> string
-
 (** One sealed task: its end-to-end total, scheduling delay ([-1] if it
     never started), per-phase buckets indexed by {!Phase.index}, and
     anomaly flags. *)
@@ -56,8 +53,6 @@ val incomplete : t -> int
 val exact : t -> bool
 
 val total_sampler : t -> Sampler.t
-val sched_sampler : t -> Sampler.t
-val phase_sampler : t -> Phase.t -> Sampler.t
 
 (** Exact integer sum of the phase across all sealed tasks. *)
 val phase_sum : t -> Phase.t -> int
@@ -73,12 +68,6 @@ val anomalies : t -> (string * int) list
 (** [(phase, p50_ns, p99_ns)] per phase; [[]] before the first seal. *)
 val phase_percentiles : t -> (string * int * int) list
 
-(** Tasks per dominant phase, {!Phase.all} order. *)
-val critical_counts : t -> (string * int) list
-
 (** JSON object fragment embedded in the metrics dump ([attribution]
     field of the [draconis-obs/2] run schema). *)
 val to_json : t -> string
-
-val to_table : t -> Table.t
-val pp_summary : Format.formatter -> t -> unit

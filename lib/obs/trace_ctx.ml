@@ -1,7 +1,5 @@
 open Draconis_sim
 
-type key = int * int * int
-
 type stage =
   | Created
   | In_flight
@@ -14,7 +12,6 @@ type stage =
   | Finished
 
 type journey = {
-  key : key;
   submit_at : Time.t;
   mutable last_at : Time.t;
   mutable stage : stage;
@@ -23,11 +20,7 @@ type journey = {
   mutable flags : int;
 }
 
-type t = {
-  journeys : (key, journey) Hashtbl.t;
-  collector : Attribution.t;
-  check : bool;
-}
+type t = { collector : Attribution.t; check : bool }
 
 (* Only explicit booleans are accepted: treating any junk value as
    "on" would hide typos (DRACONIS_PHASE_CHECK=ture), and treating it
@@ -43,14 +36,25 @@ let env_check () =
 
 let create ?check ?top_k () =
   {
-    journeys = Hashtbl.create 4096;
     collector = Attribution.create ?top_k ();
     check = (match check with Some c -> c | None -> env_check ());
   }
 
 let collector t = t.collector
-let in_flight t = Hashtbl.length t.journeys
-let find t key = Hashtbl.find_opt t.journeys key
+
+let finish t ~incomplete =
+  Attribution.note_incomplete t.collector incomplete;
+  t.collector
+
+let start ~at =
+  {
+    submit_at = at;
+    last_at = at;
+    stage = Created;
+    phases = Array.make Phase.count 0;
+    sched = -1;
+    flags = 0;
+  }
 
 (* Every milestone charges the interval since the previous one to a
    single phase and advances the cursor, so per task the buckets always
@@ -69,98 +73,53 @@ let traverse_phase j =
   | Created | In_flight | At_switch | Queued _ | Dispatched | Running | Finished ->
     Phase.Pipeline
 
-let submit t key ~at =
-  Hashtbl.replace t.journeys key
-    {
-      key;
-      submit_at = at;
-      last_at = at;
-      stage = Created;
-      phases = Array.make Phase.count 0;
-      sched = -1;
-      flags = 0;
-    }
+let sent j ~at =
+  charge j ~at Phase.Client;
+  j.stage <- In_flight
 
-let sent t key ~at =
-  match find t key with
-  | None -> ()
-  | Some j ->
-    charge j ~at Phase.Client;
-    j.stage <- In_flight
+let arrive j ~at =
+  charge j ~at Phase.Fabric;
+  j.stage <- At_switch
 
-let arrive t key ~at =
-  match find t key with
-  | None -> ()
-  | Some j ->
-    charge j ~at Phase.Fabric;
-    j.stage <- At_switch
+let spin j ~at =
+  charge j ~at (traverse_phase j);
+  j.stage <- Recirculating
 
-let spin t key ~at =
-  match find t key with
-  | None -> ()
-  | Some j ->
-    charge j ~at (traverse_phase j);
-    j.stage <- Recirculating
+let enqueue j ~at ~level =
+  charge j ~at (traverse_phase j);
+  j.stage <- Queued level
 
-let enqueue t key ~at ~level =
-  match find t key with
-  | None -> ()
-  | Some j ->
-    charge j ~at (traverse_phase j);
-    j.stage <- Queued level
+let reject j ~at =
+  charge j ~at (traverse_phase j);
+  j.stage <- Created;
+  j.flags <- j.flags lor Attribution.flag_reject
 
-let reject t key ~at =
-  match find t key with
-  | None -> ()
-  | Some j ->
-    charge j ~at (traverse_phase j);
-    j.stage <- Created;
-    j.flags <- j.flags lor Attribution.flag_reject
+let dequeue j ~at =
+  charge j ~at Phase.Queue;
+  j.stage <- Examined
 
-let dequeue t key ~at =
-  match find t key with
-  | None -> ()
-  | Some j ->
-    charge j ~at Phase.Queue;
-    j.stage <- Examined
+(* Dequeue and assignment share the traversal tick, so this charge is
+   zero-width; it only moves the cursor to the dispatch edge. *)
+let assign j ~at =
+  charge j ~at Phase.Queue;
+  j.stage <- Dispatched
 
-let assign t key ~at =
-  match find t key with
-  | None -> ()
-  | Some j ->
-    (* Dequeue and assignment share the traversal tick, so this charge
-       is zero-width; it only moves the cursor to the dispatch edge. *)
-    charge j ~at Phase.Queue;
-    j.stage <- Dispatched
+let exec_start j ~at =
+  charge j ~at Phase.Dispatch;
+  j.stage <- Running;
+  if j.sched < 0 then j.sched <- at - j.submit_at
 
-let exec_start t key ~at =
-  match find t key with
-  | None -> ()
-  | Some j ->
-    charge j ~at Phase.Dispatch;
-    j.stage <- Running;
-    if j.sched < 0 then j.sched <- at - j.submit_at
+let exec_done j ~at =
+  charge j ~at Phase.Service;
+  j.stage <- Finished
 
-let exec_done t key ~at =
-  match find t key with
-  | None -> ()
-  | Some j ->
-    charge j ~at Phase.Service;
-    j.stage <- Finished
+let flag_swap j = j.flags <- j.flags lor Attribution.flag_swap
+let flag_resubmit j = j.flags <- j.flags lor Attribution.flag_resubmit
 
-let add_flag t key bit =
-  match find t key with None -> () | Some j -> j.flags <- j.flags lor bit
-
-let flag_swap t key = add_flag t key Attribution.flag_swap
-let flag_resubmit t key = add_flag t key Attribution.flag_resubmit
-
-let repair_window t ~level =
-  Hashtbl.iter
-    (fun _ j ->
-      match j.stage with
-      | Queued l when l = level -> j.flags <- j.flags lor Attribution.flag_repair
-      | _ -> ())
-    t.journeys
+let repair_window j ~level =
+  match j.stage with
+  | Queued l when l = level -> j.flags <- j.flags lor Attribution.flag_repair
+  | _ -> ()
 
 let scheduling_prefix j =
   List.fold_left
@@ -168,63 +127,40 @@ let scheduling_prefix j =
       if Phase.in_scheduling phase then acc + j.phases.(Phase.index phase) else acc)
     0 Phase.all
 
-let complete t key ~at =
-  match find t key with
-  | None -> ()
-  | Some j ->
-    charge j ~at Phase.Reply;
-    Hashtbl.remove t.journeys key;
-    let total = at - j.submit_at in
-    if t.check then begin
-      let sum = Array.fold_left ( + ) 0 j.phases in
-      let uid, jid, tid = key in
-      if sum <> total then
+let seal t j ~key ~at =
+  charge j ~at Phase.Reply;
+  let total = at - j.submit_at in
+  if t.check then begin
+    let sum = Array.fold_left ( + ) 0 j.phases in
+    let uid, jid, tid = key in
+    if sum <> total then
+      failwith
+        (Printf.sprintf
+           "Trace_ctx: task %d.%d.%d phase sum %d ns <> end-to-end %d ns" uid jid
+           tid sum total);
+    (* Sub-check: the scheduling-phase prefix matches the measured
+       scheduling delay whenever a single journey reached the
+       executor (resubmission can legitimately split it). *)
+    if j.sched >= 0 && j.flags land Attribution.flag_resubmit = 0 then begin
+      let prefix = scheduling_prefix j in
+      if prefix <> j.sched then
         failwith
           (Printf.sprintf
-             "Trace_ctx: task %d.%d.%d phase sum %d ns <> end-to-end %d ns" uid jid
-             tid sum total);
-      (* Sub-check: the scheduling-phase prefix matches the measured
-         scheduling delay whenever a single journey reached the
-         executor (resubmission can legitimately split it). *)
-      if j.sched >= 0 && j.flags land Attribution.flag_resubmit = 0 then begin
-        let prefix = scheduling_prefix j in
-        if prefix <> j.sched then
-          failwith
-            (Printf.sprintf
-               "Trace_ctx: task %d.%d.%d scheduling prefix %d ns <> scheduling \
-                delay %d ns"
-               uid jid tid prefix j.sched)
-      end
-    end;
-    Attribution.add t.collector
-      { Attribution.key = j.key; total; sched = j.sched; phases = j.phases;
-        flags = j.flags };
-    (* Phase samples also land in the ambient recorder's histograms, so
-       the standard metrics export carries per-phase p50/p99 without a
-       schema change. *)
-    if Recorder.active () then begin
-      List.iter
-        (fun phase ->
-          Recorder.record ("phase." ^ Phase.name phase) j.phases.(Phase.index phase))
-        Phase.all;
-      Recorder.record "phase.total" total;
-      if j.sched >= 0 then Recorder.record "phase.sched" j.sched
+             "Trace_ctx: task %d.%d.%d scheduling prefix %d ns <> scheduling \
+              delay %d ns"
+             uid jid tid prefix j.sched)
     end
-
-let finish t =
-  Attribution.note_incomplete t.collector (Hashtbl.length t.journeys);
-  t.collector
-
-(* -- ambient (domain-local) context ---------------------------------------- *)
-
-let dls : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-let current () = Domain.DLS.get dls
-let active () = Domain.DLS.get dls <> None
-let install t = Domain.DLS.set dls (Some t)
-let uninstall () = Domain.DLS.set dls None
-
-let with_ctx t f =
-  let previous = Domain.DLS.get dls in
-  Domain.DLS.set dls (Some t);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set dls previous) f
+  end;
+  Attribution.add t.collector
+    { Attribution.key; total; sched = j.sched; phases = j.phases; flags = j.flags };
+  (* Phase samples also land in the ambient recorder's histograms, so
+     the standard metrics export carries per-phase p50/p99 without a
+     schema change. *)
+  if Recorder.active () then begin
+    List.iter
+      (fun phase ->
+        Recorder.record ("phase." ^ Phase.name phase) j.phases.(Phase.index phase))
+      Phase.all;
+    Recorder.record "phase.total" total;
+    if j.sched >= 0 then Recorder.record "phase.sched" j.sched
+  end

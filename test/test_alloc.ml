@@ -167,6 +167,37 @@ let test_enqueue_budget () =
   if per_call > 24.0 then
     Alcotest.failf "%.1f minor words per enqueue, budget 24" per_call
 
+(* With attribution off (every run but an observed Draconis one) the
+   notes that only advance a task's phase journey return before they
+   allocate, whether a component calls them directly or through the
+   switch program's hooks, and whether or not the task has a record. *)
+let test_journey_notes_off () =
+  let m = Metrics.create (Engine.create ()) in
+  let task = Draconis_proto.Task.make ~uid:0 ~jid:0 ~tid:1 ~fn_id:1 ~fn_par:1000 () in
+  let stranger = Draconis_proto.Task.make ~uid:0 ~jid:0 ~tid:2 ~fn_id:1 ~fn_par:1000 () in
+  Metrics.note_submit m task.id;
+  let tasks = [ task; stranger ] in
+  let hooks = Metrics.instrument m in
+  let round () =
+    Metrics.note_sent m tasks;
+    Metrics.note_arrive m tasks;
+    Metrics.note_resubmit m task.id;
+    Metrics.note_exec m Executor.Finished task ~node:0;
+    hooks.on_dequeue task.id ~level:0;
+    hooks.on_reject tasks;
+    hooks.on_swap ~swapped_in:stranger.id ~swapped_out:task.id ~level:0;
+    hooks.on_spin task.id;
+    hooks.on_swap_start stranger.id;
+    hooks.on_repair_flag Instrument.Add_flag ~level:0
+  in
+  round ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    round ()
+  done;
+  Alcotest.(check (float 0.0)) "minor words over 10k rounds of 10 notes" 0.0
+    (Gc.minor_words () -. w0)
+
 let suite =
   [
     Alcotest.test_case "idle poll: legacy words/traversal" `Quick test_legacy_budget;
@@ -177,4 +208,6 @@ let suite =
     Alcotest.test_case "register primitives allocate nothing" `Quick
       test_register_primitives;
     Alcotest.test_case "queue enqueue words per call" `Quick test_enqueue_budget;
+    Alcotest.test_case "journey notes allocate nothing unattributed" `Quick
+      test_journey_notes_off;
   ]

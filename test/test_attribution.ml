@@ -29,17 +29,15 @@ let burst_driver ?tprops ~jobs ~tasks_per_job ~gap ~fn_par () :
                     ~fn_par ()))))
   done
 
-(* Run [system] under a fresh checking context and return the outcome
-   plus the finished collector.  [~check:true] makes every seal raise
-   on any telescoping discrepancy, so the run itself is the property
-   test; the postconditions below re-check the aggregates. *)
-let run_attributed system ~driver ~horizon =
-  let ctx = Obs.Trace_ctx.create ~check:true () in
-  let outcome =
-    Obs.Trace_ctx.with_ctx ctx (fun () ->
-        H.Runner.run system ~driver ~load_tps:0.0 ~horizon ())
-  in
-  (outcome, Obs.Trace_ctx.finish ctx)
+(* Run [system] with its metrics attributing phases under checking rules
+   and return the outcome plus the finished collector.  [~check:true]
+   makes every seal raise on any telescoping discrepancy, so the run
+   itself is the property test; the postconditions below re-check the
+   aggregates. *)
+let run_attributed (system : H.Systems.running) ~driver ~horizon =
+  Draconis.Metrics.attribute system.metrics (Obs.Trace_ctx.create ~check:true ());
+  let outcome = H.Runner.run system ~driver ~load_tps:0.0 ~horizon () in
+  (outcome, Option.get (Draconis.Metrics.finish_attribution system.metrics))
 
 (* The collector's totals must be a permutation of the end-to-end
    delays the metrics recorded: same multiset, task by task. *)
@@ -127,6 +125,70 @@ let test_failover_resubmission_attributed () =
   check_totals_match_metrics system collector;
   let resubmitted = List.assoc "resubmitted" (Obs.Attribution.anomalies collector) in
   Alcotest.(check bool) "resubmissions tagged" true (resubmitted > 0)
+
+(* The completion forwarded at ~110 us is cut and node 0 stays down
+   until 1 ms while the client resubmits at 300, 600 and 900 us: the
+   copies start at ~1.0, ~1.1 and ~1.2 ms, and the first completes the
+   task at ~1.1 ms.  The resubmitted task keeps its metrics record, but
+   its journey is sealed at that completion: the stale copies' later
+   starts and finishes must not move the breakdown the collector holds,
+   nor count as an open journey. *)
+let test_stale_copy_leaves_sealed_journey () =
+  let module Cluster = Draconis.Cluster in
+  let module Metrics = Draconis.Metrics in
+  let cluster =
+    Cluster.create
+      {
+        Cluster.default_config with
+        workers = 1;
+        executors_per_worker = 1;
+        clients = 1;
+        client_timeout = Some (Time.us 300);
+      }
+  in
+  let m = Cluster.metrics cluster in
+  Metrics.attribute m (Obs.Trace_ctx.create ~check:true ());
+  Cluster.start cluster;
+  ignore
+    (F.Injector.arm
+       (F.Plan.of_string "partition@50us:hosts=1,dur=150us;crash@150us:node=0,down=850us")
+       (F.Target.of_cluster cluster));
+  let client = Cluster.client cluster 0 in
+  ignore
+    (Draconis.Client.submit_job client
+       [ Task.make ~uid:0 ~jid:0 ~tid:0 ~fn_id:Task.Fn.busy_loop ~fn_par:(Time.us 100) () ]);
+  let rec run_to_completion until =
+    Cluster.run cluster ~until;
+    if Draconis.Client.completions client = 0 && until < Time.ms 3 then
+      run_to_completion (until + Time.us 1)
+  in
+  run_to_completion (Time.ms 1);
+  Alcotest.(check int) "completed" 1 (Draconis.Client.completions client);
+  let collector = Option.get (Metrics.attribution m) in
+  let breakdowns () =
+    List.map
+      (fun (b : Obs.Attribution.breakdown) ->
+        Array.to_list (Array.append [| b.total; b.sched; b.flags |] b.phases))
+      (Obs.Attribution.top collector)
+  in
+  let sums () =
+    Obs.Attribution.total_sum collector
+    :: List.map (Obs.Attribution.phase_sum collector) Obs.Phase.all
+  in
+  let sealed = breakdowns () and sealed_sums = sums () in
+  let starts = Metrics.started m in
+  Cluster.run cluster ~until:(Time.ms 3);
+  Alcotest.(check int) "resubmitted up to the cap" 3 (Draconis.Client.resubmitted client);
+  Alcotest.(check bool) "a stale copy started after the seal" true
+    (Metrics.started m > starts);
+  Alcotest.(check int) "the resubmitted task keeps its record" 1 (Metrics.in_flight m);
+  Alcotest.(check (list (list int))) "sealed breakdown unchanged" sealed (breakdowns ());
+  Alcotest.(check (list int)) "attribution totals unchanged" sealed_sums (sums ());
+  let collector = Option.get (Metrics.finish_attribution m) in
+  Alcotest.(check int) "sealed once" 1 (Obs.Attribution.sealed collector);
+  Alcotest.(check int) "no open journey" 0 (Obs.Attribution.incomplete collector);
+  Alcotest.(check int) "tagged resubmitted" 1
+    (List.assoc "resubmitted" (Obs.Attribution.anomalies collector))
 
 (* -- offline analyzer round-trip -------------------------------------------- *)
 
@@ -327,6 +389,8 @@ let suite =
     Alcotest.test_case "fail-over resubmission sums exactly" `Quick
       test_failover_resubmission_attributed;
     Alcotest.test_case "analyzer round-trip re-verifies" `Quick test_analyzer_round_trip;
+    Alcotest.test_case "stale copy leaves the sealed journey" `Quick
+      test_stale_copy_leaves_sealed_journey;
     Alcotest.test_case "compare: identical reports pass" `Quick test_compare_self_passes;
     Alcotest.test_case "compare: drift within tolerance" `Quick
       test_compare_within_tolerance;

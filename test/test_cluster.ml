@@ -178,8 +178,12 @@ let test_resource_cluster_respects_constraints () =
   let wrong_node = ref 0 in
   Array.iter
     (fun worker ->
-      Worker.set_on_task_start worker (fun task ~node ->
-          if Task.required_resources task land 2 <> 0 && node <> 1 then incr wrong_node))
+      Worker.set_on_task worker (fun milestone task ~node ->
+          if
+            milestone = Executor.Started
+            && Task.required_resources task land 2 <> 0
+            && node <> 1
+          then incr wrong_node))
     (Cluster.workers cluster);
   let tasks =
     List.init 30 (fun i ->

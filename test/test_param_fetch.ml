@@ -40,8 +40,8 @@ let test_fetch_adds_client_roundtrip () =
     let started_at = ref None in
     Array.iter
       (fun worker ->
-        Worker.set_on_task_start worker (fun _ ~node:_ ->
-            if !started_at = None then
+        Worker.set_on_task worker (fun milestone _ ~node:_ ->
+            if milestone = Executor.Started && !started_at = None then
               started_at := Some (Engine.now (Cluster.engine cluster))))
       (Cluster.workers cluster);
     ignore
@@ -96,7 +96,8 @@ let test_param_size_adds_transfer_time () =
         })
       ()
   in
-  Worker.set_on_task_start worker (fun _ ~node:_ -> started_at := Some (Engine.now engine));
+  Worker.set_on_task worker (fun milestone _ ~node:_ ->
+      if milestone = Executor.Started then started_at := Some (Engine.now engine));
   ignore (Client.submit_job client [ fetch_task ~us:10 0 ]);
   Engine.run ~until:(Time.ms 10) engine;
   match !started_at with
