@@ -7,8 +7,9 @@
      main.exe --quick [...]   smaller grids and horizons
      main.exe --jobs N [...]  worker domains for the experiment grids
                               (default: DRACONIS_JOBS or cores-1)
-     main.exe --shards N      worker domains *inside* sharded runs
-                              (default: DRACONIS_SHARDS or 1)
+     main.exe --shards N      logical processes of sharded figure runs
+                              (default: DRACONIS_SHARDS, else unsharded);
+                              their windows run on min(N, jobs) lanes
      main.exe --seed N        workload seed override (default 1000003);
                               the effective seed lands in the --json header
      main.exe --policy P      restrict the pifo experiment to one
@@ -195,7 +196,7 @@ let experiments : (string * string * (?quick:bool -> unit -> unit)) list =
     ("others", "sec 8 'other schedulers' (Spark native, Firmament)", H.Others.run);
     ("ablations", "design-choice ablations", H.Ablations.run);
     ("engine-bench", "event core: wheel calendar storm, alloc/event", H.Engine_bench.run);
-    ("cluster-shard", "real data path sharded over work-stealing window executors",
+    ("cluster-shard", "real data path sharded into barrier windows on a domain team",
      H.Cluster_shard_bench.run);
     ("micro", "bechamel micro-benchmarks", run_micro);
   ]

@@ -56,9 +56,9 @@ val start : t -> unit
 
 (** [run t ~until] advances the simulation to [until].  On a sharded
     cluster this drives {!Draconis_sim.Sync.run}; [executor] fans each
-    barrier window's per-LP thunks out (e.g. over a {e work-stealing
-    team}), defaulting to inline execution — the bit-deterministic
-    reference that every executor must reproduce.  [executor] is
+    barrier window's per-LP thunks out (e.g. over a team of domains),
+    defaulting to inline execution — the bit-deterministic reference
+    that every executor must reproduce.  [executor] is
     ignored on an unsharded cluster. *)
 val run : ?executor:Sync.executor -> t -> until:Time.t -> unit
 

@@ -87,14 +87,19 @@ let create ?topology engine =
 
 let remote t ~engine ~post = { engine; core = t.core; post = Some post }
 
-(* Every note below captures [now] (and its arguments) eagerly, then
-   runs the mutation either inline or on the owner's LP.  Reads of
-   cross-entity state (e.g. the submit time in [note_exec_start]) happen
-   inside the closure: by the lookahead contract the submit closure's
-   stamp always precedes the exec-start closure's stamp, so the deferred
-   read still observes the submission. *)
-let dispatch t ~now fn =
-  match t.post with None -> fn () | Some post -> post ~at:now fn
+(* Every note below reads [now] from the caller's engine and runs its
+   body, a top-level function of the core, [now] and two arguments:
+   inline on the owner's handle, which allocates no closure, or on the
+   owner's LP through [post] for a [remote] handle, the one case that
+   needs a closure.  Reads of cross-entity state (e.g. the submit time
+   in [exec_start]) happen inside the body: by the lookahead contract
+   the submit note's stamp always precedes the exec-start note's stamp,
+   so a deferred read still observes the submission. *)
+let dispatch t body x y =
+  let now = Engine.now t.engine in
+  match t.post with
+  | None -> body t.core now x y
+  | Some post -> post ~at:now (fun () -> body t.core now x y)
 
 let level_sampler tbl level =
   match Int_tbl.find_opt tbl level with
@@ -112,37 +117,34 @@ let task_state c id =
     Task.Tbl.replace c.tasks id s;
     s
 
-let note_submit t id =
-  let now = Engine.now t.engine in
-  dispatch t ~now (fun () ->
-      let c = t.core in
-      let s = task_state c id in
-      if s.submitted_at = unset then begin
-        c.submitted <- c.submitted + 1;
-        s.submitted_at <- now
-      end;
-      if Option.is_some c.attribution then s.journey <- Some (Trace_ctx.start ~at:now))
+let submit c now id () =
+  let s = task_state c id in
+  if s.submitted_at = unset then begin
+    c.submitted <- c.submitted + 1;
+    s.submitted_at <- now
+  end;
+  if Option.is_some c.attribution then s.journey <- Some (Trace_ctx.start ~at:now)
 
-let note_complete t id ~resubmitted =
-  let now = Engine.now t.engine in
-  dispatch t ~now (fun () ->
-      let c = t.core in
-      c.completed <- c.completed + 1;
-      match Task.Tbl.find_opt c.tasks id with
-      | None -> ()
-      | Some s ->
-        if s.submitted_at <> unset then
-          Sampler.record c.end_to_end_delay (now - s.submitted_at);
-        (match (c.attribution, s.journey) with
-        | Some rules, Some j ->
-          (* Sealed once: a stale copy's later notes find no journey. *)
-          s.journey <- None;
-          Trace_ctx.seal rules j ~key:(id.uid, id.jid, id.tid) ~at:now
-        | _ -> ());
-        (* A resubmitted task may still have a copy queued or running:
-           its start must find the first submission, so its record
-           stays for the rest of the run. *)
-        if not resubmitted then Task.Tbl.remove c.tasks id)
+let note_submit t id = dispatch t submit id ()
+
+let complete c now (id : Task.id) resubmitted =
+  c.completed <- c.completed + 1;
+  match Task.Tbl.find_opt c.tasks id with
+  | None -> ()
+  | Some s ->
+    if s.submitted_at <> unset then Sampler.record c.end_to_end_delay (now - s.submitted_at);
+    (match (c.attribution, s.journey) with
+    | Some rules, Some j ->
+      (* Sealed once: a stale copy's later notes find no journey. *)
+      s.journey <- None;
+      Trace_ctx.seal rules j ~key:(id.uid, id.jid, id.tid) ~at:now
+    | _ -> ());
+    (* A resubmitted task may still have a copy queued or running:
+       its start must find the first submission, so its record
+       stays for the rest of the run. *)
+    if not resubmitted then Task.Tbl.remove c.tasks id
+
+let note_complete t id ~resubmitted = dispatch t complete id resubmitted
 
 let classify_placement c (task : Task.t) ~node =
   match (Task.locality_nodes task, c.topology) with
@@ -160,50 +162,48 @@ let task_class (task : Task.t) =
   | Some id -> id
   | None -> ( match task.tprops with Task.Priority p -> p | _ -> 0)
 
-let note_exec_start t task ~node =
-  let now = Engine.now t.engine in
-  dispatch t ~now (fun () ->
-      let c = t.core in
-      c.started <- c.started + 1;
-      classify_placement c task ~node;
-      match Task.Tbl.find_opt c.tasks task.Task.id with
+let exec_start c now task node =
+  c.started <- c.started + 1;
+  classify_placement c task ~node;
+  match Task.Tbl.find_opt c.tasks task.Task.id with
+  | None -> ()
+  | Some s ->
+    if s.submitted_at <> unset then begin
+      let delay = now - s.submitted_at in
+      Sampler.record c.scheduling_delay delay;
+      Sampler.record (level_sampler c.delay_by_class (task_class task)) delay;
+      match Task.relative_deadline task with
       | None -> ()
-      | Some s ->
-        if s.submitted_at <> unset then begin
-          let delay = now - s.submitted_at in
-          Sampler.record c.scheduling_delay delay;
-          Sampler.record (level_sampler c.delay_by_class (task_class task)) delay;
-          match Task.relative_deadline task with
-          | None -> ()
-          | Some deadline ->
-            c.deadline_tracked <- c.deadline_tracked + 1;
-            if delay > deadline then c.deadline_misses <- c.deadline_misses + 1
-        end;
-        match s.journey with Some j -> Trace_ctx.exec_start j ~at:now | None -> ())
+      | Some deadline ->
+        c.deadline_tracked <- c.deadline_tracked + 1;
+        if delay > deadline then c.deadline_misses <- c.deadline_misses + 1
+    end;
+    match s.journey with Some j -> Trace_ctx.exec_start j ~at:now | None -> ()
 
-let note_enqueue t id ~level =
-  let now = Engine.now t.engine in
-  dispatch t ~now (fun () ->
-      let s = task_state t.core id in
-      if s.enqueued_at = unset then begin
-        s.enqueued_at <- now;
-        s.level <- level
-      end;
-      match s.journey with Some j -> Trace_ctx.enqueue j ~at:now ~level | None -> ())
+let note_exec_start t task ~node = dispatch t exec_start task node
 
-let note_assign t id ~requested_at =
-  let now = Engine.now t.engine in
-  dispatch t ~now (fun () ->
-      let c = t.core in
-      Meter.mark c.decisions ~now ();
-      match Task.Tbl.find_opt c.tasks id with
-      | None -> ()
-      | Some s ->
-        if s.enqueued_at <> unset then begin
-          Sampler.record (level_sampler c.queueing_by_level s.level) (now - s.enqueued_at);
-          Sampler.record (level_sampler c.get_task_by_level s.level) (now - requested_at)
-        end;
-        match s.journey with Some j -> Trace_ctx.assign j ~at:now | None -> ())
+let enqueue c now id level =
+  let s = task_state c id in
+  if s.enqueued_at = unset then begin
+    s.enqueued_at <- now;
+    s.level <- level
+  end;
+  match s.journey with Some j -> Trace_ctx.enqueue j ~at:now ~level | None -> ()
+
+let note_enqueue t id ~level = dispatch t enqueue id level
+
+let assign c now id requested_at =
+  Meter.mark c.decisions ~now ();
+  match Task.Tbl.find_opt c.tasks id with
+  | None -> ()
+  | Some s ->
+    if s.enqueued_at <> unset then begin
+      Sampler.record (level_sampler c.queueing_by_level s.level) (now - s.enqueued_at);
+      Sampler.record (level_sampler c.get_task_by_level s.level) (now - requested_at)
+    end;
+    match s.journey with Some j -> Trace_ctx.assign j ~at:now | None -> ()
+
+let note_assign t id ~requested_at = dispatch t assign id requested_at
 
 (* The journey-only notes.  Attribution is off on every run but an
    observed single-engine Draconis run, so they return before they

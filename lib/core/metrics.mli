@@ -46,7 +46,8 @@ type placement = { mutable local : int; mutable same_rack : int; mutable remote 
 type t
 
 (** [create ?topology engine] — [topology] enables placement
-    classification for locality experiments. *)
+    classification for locality experiments.  Notes made through this
+    handle act inline and allocate no closure. *)
 val create : ?topology:Topology.t -> Engine.t -> t
 
 (** [remote owner ~engine ~post] is a handle on [owner]'s state for an
@@ -54,7 +55,7 @@ val create : ?topology:Topology.t -> Engine.t -> t
     [note_*] captures the timestamp (and its arguments) from [engine] —
     the {e caller}'s LP clock — and defers the actual mutation as a
     closure through [post ~at:now], which is expected to route it to the
-    owner's LP with a deterministic [(at, src, seq)] mailbox stamp (see
+    owner's LP with a deterministic [(at, src, seq)] inbox stamp (see
     {!Draconis_net.Fabric.router_defer}).  The owner's state is thus
     only ever mutated from the owner's LP, in stamp order, making
     sampler contents bit-identical across shard counts. *)

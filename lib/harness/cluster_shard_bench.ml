@@ -8,7 +8,8 @@ open Draconis_workload
    tracks events/sec scaling of the parallel data path.
 
    These rows measure the production code path: Sync barrier windows
-   fanned over a Pool.Team of work-stealing deques. *)
+   run on a Pool.Team, whose lanes claim each window's LPs from one
+   shared cursor. *)
 
 let kind = Synthetic.Fixed_500us
 
@@ -75,7 +76,7 @@ let run ?(quick = false) () =
         ])
     results;
   Draconis_stats.Table.print
-    ~title:"cluster-shard: real data path across shard counts (work-stealing windows)"
+    ~title:"cluster-shard: real data path across shard counts (team-run windows)"
     table;
   Printf.printf
     "outcomes identical across %s shards (submitted=%d completed=%d events=%d)\n%!"

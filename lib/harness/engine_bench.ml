@@ -118,12 +118,10 @@ let outcome (m : measurement) : Runner.outcome =
    The same self-propagating event core, driven through Lp/Sync instead
    of one engine: a fixed 4-LP partition (so every worker count runs the
    exact same workload) where each LP runs its own chains and every 64th
-   event hops to the next LP through a mailbox.  Sweeping the worker
+   event hops to the next LP's inbox ([Lp.post]).  Sweeping the worker
    count and asserting identical executed counts, final clocks and
    cross-posts pins down the barrier protocol's determinism contract;
    the events/sec column reports how the window overhead scales. *)
-
-module Fabric = Draconis_net.Fabric
 
 let shard_lp_count = 4
 let shard_lookahead = 10_000
@@ -139,13 +137,12 @@ type shard_measurement = {
 
 let shard_storm ~workers ~total ~seed =
   let lps = Array.init shard_lp_count (fun i -> Lp.create ~id:i ~seed ()) in
-  let boxes = Array.map (Fabric.Mailbox.create ~lookahead:shard_lookahead) lps in
   let scheduled = Array.make shard_lp_count 0 in
   let seqs = Array.make shard_lp_count 0 in
   let per_lp = total / shard_lp_count in
   (* [fire i] only ever runs on LP [i]'s domain: locally scheduled
      successors stay on LP [i], and a cross-post hands the closure for
-     the *next* LP to that LP's mailbox. *)
+     the *next* LP to that LP's inbox, at least one lookahead ahead. *)
   let rec fire i () =
     if scheduled.(i) < per_lp then begin
       let lp = lps.(i) in
@@ -155,8 +152,9 @@ let shard_storm ~workers ~total ~seed =
       if scheduled.(i) land 63 = 0 then begin
         let j = (i + 1) mod shard_lp_count in
         seqs.(i) <- seqs.(i) + 1;
-        Fabric.Mailbox.post boxes.(j) ~now:(Engine.now engine)
-          ~latency:(shard_lookahead + delay) ~src:i ~seq:seqs.(i) (fire j)
+        Lp.post lps.(j)
+          ~at:(Engine.now engine + shard_lookahead + delay)
+          ~src:i ~seq:seqs.(i) (fire j)
       end
       else ignore (Engine.schedule engine ~after:delay (fire i))
     end
@@ -173,7 +171,11 @@ let shard_storm ~workers ~total ~seed =
     lps;
   let sync = Sync.create ~lookahead:shard_lookahead lps in
   let t0 = Unix.gettimeofday () in
-  Shard.run_windows ~workers sync;
+  (* More lanes than LPs would only park helpers at the batch barrier. *)
+  let team = Pool.Team.create ~size:(min workers shard_lp_count) in
+  Fun.protect
+    ~finally:(fun () -> Pool.Team.shutdown team)
+    (fun () -> Sync.run ~executor:(Pool.Team.run team) sync);
   let sh_wall_s = Unix.gettimeofday () -. t0 in
   {
     workers;

@@ -1,11 +1,13 @@
-(* Work pool over Domain.spawn.
+(* Domain pool: one executor for every parallel batch in the harness.
 
-   Jobs go through a mutex/condition-protected queue; each worker domain
-   pulls the next job, runs it, and stores the result (or the exception)
-   in a slot indexed by submission order.  [results]/[map] therefore
-   return rows in submission order no matter which domain ran which job,
-   which is what keeps parallel experiment sweeps bit-identical to the
-   sequential run. *)
+   A [Team] keeps its helper domains alive across batches, and the
+   calling domain works as one more lane.  [Team.run] publishes a batch
+   and every lane claims the next unrun thunk from one shared cursor, so
+   whichever lane is awake takes the work: no thunk waits for a lane
+   that has not woken yet.  [map] is one [Team.run] over a sweep's
+   closures, each storing its result at its own index, which is what
+   keeps parallel experiment sweeps bit-identical to the sequential
+   run. *)
 
 let env_var = "DRACONIS_JOBS"
 
@@ -46,187 +48,58 @@ let jobs () =
   if !current_jobs < 1 then current_jobs := default_jobs ();
   !current_jobs
 
-let set_jobs n =
-  if n < 1 then invalid_arg "Pool.set_jobs: jobs must be >= 1";
-  if n > max_jobs then
+(* The one range check for a worker count, wherever it comes from. *)
+let check_jobs what n =
+  if n < 1 || n > max_jobs then
     invalid_arg
       (Printf.sprintf
-         "Pool.set_jobs: %d exceeds the cap of %d worker domains (the runtime supports \
-          at most 128 domains per process; more workers than that only oversubscribes)"
-         n max_jobs);
+         "%s: %d worker domains out of range [1, %d] (the runtime supports at most \
+          128 domains per process; more workers than that only oversubscribes)"
+         what n max_jobs)
+
+let set_jobs n =
+  check_jobs "Pool.set_jobs" n;
   current_jobs := n
 
-type 'a cell = Pending | Done of 'a | Failed of exn * Printexc.raw_backtrace
-
-type 'a t = {
-  jobs : int;
-  mutex : Mutex.t;
-  todo : (int * (unit -> 'a)) Queue.t;
-  work_or_close : Condition.t;
-  job_done : Condition.t;
-  mutable cells : 'a cell array;
-  mutable submitted : int;
-  mutable completed : int;
-  mutable closed : bool;
-  mutable domains : unit Domain.t list;
-}
-
-let create ?jobs:j () =
-  let j = match j with Some j -> max 1 (min max_jobs j) | None -> jobs () in
-  {
-    jobs = j;
-    mutex = Mutex.create ();
-    todo = Queue.create ();
-    work_or_close = Condition.create ();
-    job_done = Condition.create ();
-    cells = Array.make 16 Pending;
-    submitted = 0;
-    completed = 0;
-    closed = false;
-    domains = [];
-  }
-
-let run_job t index job =
-  let cell =
-    match job () with
-    | v -> Done v
-    | exception exn -> Failed (exn, Printexc.get_raw_backtrace ())
-  in
-  Mutex.lock t.mutex;
-  t.cells.(index) <- cell;
-  t.completed <- t.completed + 1;
-  Condition.signal t.job_done;
-  Mutex.unlock t.mutex
-
-let worker t () =
-  let rec loop () =
-    Mutex.lock t.mutex;
-    while Queue.is_empty t.todo && not t.closed do
-      Condition.wait t.work_or_close t.mutex
-    done;
-    match Queue.take_opt t.todo with
-    | None ->
-      (* Closed and drained. *)
-      Mutex.unlock t.mutex
-    | Some (index, job) ->
-      Mutex.unlock t.mutex;
-      run_job t index job;
-      loop ()
-  in
-  loop ()
-
-(* Workers store results through [t.cells] under the mutex, so growing
-   the array must also happen under the mutex or a concurrent store
-   could land in the superseded array. *)
-let grow_cells t index =
-  if index >= Array.length t.cells then begin
-    let bigger = Array.make (2 * Array.length t.cells) Pending in
-    Array.blit t.cells 0 bigger 0 index;
-    t.cells <- bigger
-  end
-
-let submit t job =
-  if t.closed then invalid_arg "Pool.submit: pool already closed";
-  let index = t.submitted in
-  t.submitted <- index + 1;
-  if t.jobs <= 1 then begin
-    (* Sequential mode runs in the submitting domain, at submission
-       time: no domains, no interleaving, the reference behaviour. *)
-    grow_cells t index;
-    run_job t index job
-  end
-  else begin
-    Mutex.lock t.mutex;
-    grow_cells t index;
-    Queue.add (index, job) t.todo;
-    Condition.signal t.work_or_close;
-    Mutex.unlock t.mutex;
-    if List.length t.domains < min t.jobs t.submitted then
-      t.domains <- Domain.spawn (worker t) :: t.domains
-  end
-
-let results t =
-  if not t.closed then begin
-    Mutex.lock t.mutex;
-    t.closed <- true;
-    Condition.broadcast t.work_or_close;
-    while t.completed < t.submitted do
-      Condition.wait t.job_done t.mutex
-    done;
-    Mutex.unlock t.mutex;
-    List.iter Domain.join t.domains;
-    t.domains <- []
-  end;
-  for i = 0 to t.submitted - 1 do
-    match t.cells.(i) with
-    | Failed (exn, bt) -> Printexc.raise_with_backtrace exn bt
-    | Done _ | Pending -> ()
-  done;
-  List.init t.submitted (fun i ->
-      match t.cells.(i) with
-      | Done v -> v
-      | Failed _ | Pending -> assert false)
-
-let map ?jobs fns =
-  let t = create ?jobs () in
-  List.iter (submit t) fns;
-  results t
-
-(* -- persistent worker team ------------------------------------------------ *)
-
-(* The experiment pool above spawns domains per sweep and joins them at
-   [results] — fine for a dozen long jobs, hopeless for a sharded
-   simulation that needs its logical processes run in parallel at every
-   barrier window (thousands of windows per run).  A [Team] keeps its
-   domains alive across batches: [run] publishes a batch under an epoch
-   counter, every lane seeds its own Chase-Lev deque with a strided
-   slice of the batch and pops it LIFO, foraging through randomized
-   steals from the other lanes once its own deque runs dry.  The
-   caller's own domain participates as lane 0, so a team of [size] uses
-   [size - 1] spawned domains. *)
 module Team = struct
-  type lane = {
-    deque : (unit -> unit) Ws_deque.t;
-    mutable rng : int;  (* xorshift state; lane-local, victim choice only *)
-  }
+  (* The claim cursor packs the batch's epoch above the index of its
+     next unclaimed thunk, and a lane claims with a compare-and-set
+     against the epoch it read with the batch.  A lane still claiming
+     from a finished batch therefore fails against the next batch's
+     cursor instead of taking one of its thunks.  Epochs wrap after
+     2^30 batches; a lane would have to stall between reading the
+     cursor and its compare-and-set for that many batches to confuse
+     two of them. *)
+  let index_bits = 32
+  let index_mask = (1 lsl index_bits) - 1
+  let epoch_mask = (1 lsl 30) - 1
 
   type t = {
     size : int;
-    lanes : lane array;
     mutex : Mutex.t;
     start : Condition.t;  (* a new batch was published, or shutdown *)
     finished : Condition.t;  (* the current batch fully completed *)
+    cursor : int Atomic.t;
     remaining : int Atomic.t;  (* thunks of the current batch not yet run *)
     mutable epoch : int;
     mutable batch : (unit -> unit) array;
-    mutable failure : (exn * Printexc.raw_backtrace) option;
+    mutable failure : (int * exn * Printexc.raw_backtrace) option;
+        (* the lowest-index thunk of the batch that raised so far *)
     mutable stop : bool;
     mutable domains : unit Domain.t list;
   }
 
-  (* Victim choice only ever affects which idle lane runs which thunk,
-     never the outcome (window thunks are independent by the lookahead
-     contract), so a throwaway xorshift per lane is plenty. *)
-  let next_rand lane =
-    let x = lane.rng in
-    let x = x lxor (x lsl 13) in
-    let x = x lxor (x lsr 7) in
-    let x = x lxor (x lsl 17) in
-    let x = x land max_int in
-    lane.rng <- (if x = 0 then 0x9e3779b9 else x);
-    lane.rng
-
-  (* Thunks run outside the lock; the first exception is kept (by order
-     of discovery) and re-raised by [run] after the barrier, so a failed
-     window never leaves helpers mid-batch.  The last lane to finish a
-     thunk broadcasts the barrier — under the mutex, so the caller
-     cannot miss the wakeup between its counter check and its wait. *)
-  let exec t thunk =
-    (try thunk ()
+  (* Thunks run outside the lock.  The last lane to finish a thunk
+     broadcasts the barrier, under the mutex, so the caller cannot miss
+     the wakeup between its counter check and its wait. *)
+  let exec t batch i =
+    (try batch.(i) ()
      with exn ->
        let bt = Printexc.get_raw_backtrace () in
        Mutex.lock t.mutex;
-       if t.failure = None then t.failure <- Some (exn, bt);
+       (match t.failure with
+       | Some (first, _, _) when first < i -> ()
+       | Some _ | None -> t.failure <- Some (i, exn, bt));
        Mutex.unlock t.mutex);
     if Atomic.fetch_and_add t.remaining (-1) = 1 then begin
       Mutex.lock t.mutex;
@@ -234,63 +107,22 @@ module Team = struct
       Mutex.unlock t.mutex
     end
 
-  (* Each lane owns the strided slice [li, li + size, li + 2*size, ...]
-     of the batch and seeds it into its {e own} deque — pushes stay
-     owner-only even while late lanes from the previous window are still
-     foraging.  Seeding back-to-front makes the owner's LIFO pops visit
-     its slice in batch order. *)
-  let seed t li batch =
-    let lane = t.lanes.(li) in
+  (* Claim and run thunks of [batch], published under [epoch], until its
+     cursor is exhausted or has moved on to a later batch. *)
+  let work t epoch batch =
+    let tag = epoch lsl index_bits in
     let n = Array.length batch in
-    let last = li + (n - 1 - li) / t.size * t.size in
-    let i = ref last in
-    while !i >= li do
-      Ws_deque.push lane.deque batch.(!i);
-      i := !i - t.size
-    done
-
-  (* One randomized pass over the other lanes.  [`Busy] distinguishes a
-     lost CAS (victim still looked nonempty — scan again) from a clean
-     all-empty pass (stop foraging): a lane must never park while a
-     sibling's deque still holds work, but also must not spin once the
-     window is drained down to thunks already in flight. *)
-  let scan_once t li =
-    let n = t.size in
-    let r = next_rand t.lanes.(li) in
-    let rec go o busy =
-      if o >= n then if busy then `Busy else `Empty
-      else begin
-        let v = (r + o) mod n in
-        if v = li then go (o + 1) busy
-        else
-          match Ws_deque.steal t.lanes.(v).deque with
-          | Some thunk -> `Got thunk
-          | None -> go (o + 1) (busy || Ws_deque.size t.lanes.(v).deque > 0)
+    let rec claim () =
+      let c = Atomic.get t.cursor in
+      let i = c land index_mask in
+      if c - i = tag && i < n then begin
+        if Atomic.compare_and_set t.cursor c (c + 1) then exec t batch i;
+        claim ()
       end
     in
-    go 0 false
+    claim ()
 
-  let work t li =
-    let lane = t.lanes.(li) in
-    let rec own () =
-      match Ws_deque.pop lane.deque with
-      | Some thunk ->
-        exec t thunk;
-        own ()
-      | None -> forage ()
-    and forage () =
-      match scan_once t li with
-      | `Got thunk ->
-        exec t thunk;
-        own ()
-      | `Busy ->
-        Domain.cpu_relax ();
-        forage ()
-      | `Empty -> ()
-    in
-    own ()
-
-  let helper t li () =
+  let helper t () =
     let rec wait_for_batch seen =
       Mutex.lock t.mutex;
       while t.epoch = seen && not t.stop do
@@ -301,28 +133,21 @@ module Team = struct
         let epoch = t.epoch in
         let batch = t.batch in
         Mutex.unlock t.mutex;
-        seed t li batch;
-        work t li;
+        work t epoch batch;
         wait_for_batch epoch
       end
     in
     wait_for_batch 0
 
   let create ~size =
-    if size < 1 then invalid_arg "Pool.Team.create: size must be >= 1";
-    if size > max_jobs then
-      invalid_arg
-        (Printf.sprintf "Pool.Team.create: size %d exceeds the cap of %d worker domains"
-           size max_jobs);
+    check_jobs "Pool.Team.create" size;
     let t =
       {
         size;
-        lanes =
-          Array.init size (fun i ->
-              { deque = Ws_deque.create (); rng = (i * 0x9e3779b9) lor 1 });
         mutex = Mutex.create ();
         start = Condition.create ();
         finished = Condition.create ();
+        cursor = Atomic.make 0;
         remaining = Atomic.make 0;
         epoch = 0;
         batch = [||];
@@ -331,37 +156,40 @@ module Team = struct
         domains = [];
       }
     in
-    t.domains <- List.init (size - 1) (fun i -> Domain.spawn (helper t (i + 1)));
+    t.domains <- List.init (size - 1) (fun _ -> Domain.spawn (helper t));
     t
 
   let size t = t.size
 
   let run t thunks =
-    if Array.length thunks > 0 then begin
+    let n = Array.length thunks in
+    if n > index_mask then invalid_arg "Pool.Team.run: batch too large";
+    if n > 0 then begin
       Mutex.lock t.mutex;
       if t.stop then begin
         Mutex.unlock t.mutex;
         invalid_arg "Pool.Team.run: team already shut down"
       end;
+      let epoch = (t.epoch + 1) land epoch_mask in
+      t.epoch <- epoch;
       t.batch <- thunks;
-      t.failure <- None;
-      Atomic.set t.remaining (Array.length thunks);
-      t.epoch <- t.epoch + 1;
+      Atomic.set t.remaining n;
+      Atomic.set t.cursor (epoch lsl index_bits);
       Condition.broadcast t.start;
       Mutex.unlock t.mutex;
-      seed t 0 thunks;
-      work t 0;
+      work t epoch thunks;
       Mutex.lock t.mutex;
       while Atomic.get t.remaining > 0 do
         Condition.wait t.finished t.mutex
       done;
       let failure = t.failure in
-      (* Leave nothing for a late-waking helper to find. *)
+      (* Keep no closure of the batch alive past it. *)
       t.batch <- [||];
+      t.failure <- None;
       Mutex.unlock t.mutex;
       match failure with
       | None -> ()
-      | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
+      | Some (_, exn, bt) -> Printexc.raise_with_backtrace exn bt
     end
 
   let shutdown t =
@@ -375,3 +203,16 @@ module Team = struct
     end
     else Mutex.unlock t.mutex
 end
+
+let map ?jobs:j fns =
+  let j = match j with Some j -> j | None -> jobs () in
+  check_jobs "Pool.map" j;
+  let fns = Array.of_list fns in
+  let n = Array.length fns in
+  let results = Array.make n None in
+  let team = Team.create ~size:(max 1 (min j n)) in
+  Fun.protect
+    ~finally:(fun () -> Team.shutdown team)
+    (fun () ->
+      Team.run team (Array.init n (fun i () -> results.(i) <- Some (fns.(i) ()))));
+  List.init n (fun i -> Option.get results.(i))

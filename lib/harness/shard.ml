@@ -1,5 +1,3 @@
-open Draconis_sim
-
 (* -- shard-count knob (mirrors Pool's jobs knob) ------------------------- *)
 
 let env_var = "DRACONIS_SHARDS"
@@ -39,19 +37,3 @@ let set_shards n =
    single-engine path unless the user actually asked for shards. *)
 let requested () =
   match !override with Some n -> Some n | None -> env_shards ()
-
-let run_windows ?until ?workers sync =
-  let workers = match workers with Some w -> w | None -> shards () in
-  if workers < 1 || workers > max_shards then
-    invalid_arg
-      (Printf.sprintf "Shard.run_windows: workers %d out of range [1, %d]" workers
-         max_shards);
-  (* More lanes than LPs would only park helpers at the batch barrier. *)
-  let lanes = min workers (Array.length (Sync.lps sync)) in
-  if lanes <= 1 then Sync.run ?until sync
-  else begin
-    let team = Pool.Team.create ~size:lanes in
-    Fun.protect
-      ~finally:(fun () -> Pool.Team.shutdown team)
-      (fun () -> Sync.run ?until ~executor:(Pool.Team.run team) sync)
-  end

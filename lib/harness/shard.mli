@@ -1,14 +1,15 @@
-(** Sharded (parallel-in-run) simulation: the [DRACONIS_SHARDS] knob and
-    the team-backed window executor.
+(** Sharded (parallel-in-run) simulation: the [DRACONIS_SHARDS] knob.
 
-    Where {!Pool} parallelizes {e across} independent grid points, this
-    module parallelizes {e inside} one simulation: the model is
+    Where {!Pool.map} parallelizes {e across} independent grid points,
+    a sharded run parallelizes {e inside} one simulation: the model is
     partitioned into logical processes ({!Draconis_sim.Lp}), each with
     its own engine, and a conservative barrier-window coordinator
     ({!Draconis_sim.Sync}) runs them in lockstep windows bounded by the
     fabric's minimum link latency ({!Draconis_net.Fabric.lookahead}).
-    {!run_windows} drives those windows, inline or fanned over a
-    {!Pool.Team}.
+    The knob sets how many logical processes a sharded figure run
+    uses; how many domains run each window's per-LP thunks is
+    {!Pool.jobs} ([--jobs]), capped at the LP count
+    ({!Systems.draconis}).
 
     A sharded run must produce {e exactly} the outcomes of the
     [DRACONIS_SHARDS=1] run.  The real sharded cluster
@@ -17,12 +18,10 @@
     lane counts, unfaulted and under a fault plan armed through
     {!Draconis_fault.Injector}. *)
 
-open Draconis_sim
-
 (** ["DRACONIS_SHARDS"]. *)
 val env_var : string
 
-(** Upper bound on shard/worker counts (= {!Pool.max_jobs}). *)
+(** Upper bound on the shard count (= {!Pool.max_jobs}). *)
 val max_shards : int
 
 (** The [DRACONIS_SHARDS] setting alone, ignoring any [set_shards]
@@ -47,11 +46,3 @@ val set_shards : int -> unit
     single-engine path by default, where {!shards}'s fallback of [1]
     cannot distinguish "unset" from "explicitly 1". *)
 val requested : unit -> int option
-
-(** [run_windows ?until ?workers sync] drives {!Draconis_sim.Sync.run}.
-    [workers] defaults to {!shards}; with one worker (or one LP) the
-    windows execute inline — the sequential reference path — otherwise a
-    persistent {!Pool.Team} of [min workers lps] lanes fans the per-LP
-    thunks out and is shut down when the run finishes (or raises).
-    @raise Invalid_argument if [workers] is outside [\[1, max_shards\]]. *)
-val run_windows : ?until:Time.t -> ?workers:int -> Sync.t -> unit

@@ -79,8 +79,8 @@ let read_counts ?(fabrics = [||]) ?pipeline ?program ?(clients = [||]) ?(workers
 
 (* How the runner drives a system's virtual time.  Single-engine systems
    get [engine_control]; the sharded cluster supplies window-protocol
-   implementations (Sync.run under a work-stealing team, cross-LP
-   flushing, staged submission). *)
+   implementations (Sync.run on a Pool.Team, cross-LP flushing, staged
+   submission). *)
 type control = {
   run_until : Time.t -> unit;
   now : unit -> Time.t;
@@ -139,10 +139,10 @@ let round_robin_submit clients submit_one =
     cursor := (i + 1) mod Array.length clients;
     submit_one clients.(i) tasks
 
-(* Window-protocol control for a sharded cluster: Sync.run fanned out
-   over a persistent work-stealing team (sized to the machine, capped at
-   the shard count — outcomes are worker-count independent, so the cap
-   is purely a resource decision). *)
+(* Window-protocol control for a sharded cluster: Sync.run on a
+   persistent Pool.Team (sized by --jobs, capped at the shard count —
+   outcomes are lane-count independent, so the cap is purely a resource
+   decision). *)
 let sharded_control cluster sync =
   let shard_count = Array.length (Sync.lps sync) in
   let lanes = max 1 (min shard_count (Pool.jobs ())) in

@@ -57,7 +57,7 @@ type counts = {
 (** How the runner drives a system's virtual time.  Single-engine
     systems wrap their engine with {!engine_control}; a sharded Draconis
     cluster supplies the barrier-window protocol instead —
-    {!Draconis.Cluster.run} under a {!Pool.Team} work-stealing executor,
+    {!Draconis.Cluster.run} with its windows on a {!Pool.Team},
     cross-LP effect flushing, and pre-staged submission. *)
 type control = {
   run_until : Time.t -> unit;  (** advance simulated time to the bound *)
@@ -108,8 +108,8 @@ type running = {
 
     [?shards] routes the cluster through [n] logical processes (see
     {!Draconis.Cluster.config}); the returned control then runs barrier
-    windows on a work-stealing team sized [min n (Pool.jobs ())] and
-    requires staged submission.  While a {!Draconis_obs.Recorder} is
+    windows on a {!Pool.Team} of [min n (Pool.jobs ())] lanes (inline
+    for one lane) and requires staged submission.  While a {!Draconis_obs.Recorder} is
     installed (an observed run) the windows run inline on the caller's
     domain instead, so the recorder's timeline is the same on every
     run.  Outcomes are bit-identical across shard

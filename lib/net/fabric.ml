@@ -327,28 +327,6 @@ let lookahead config =
        synchronization";
   config.host_to_switch
 
-module Mailbox = struct
-  type nonrec t = { dst : Lp.t; lookahead : Time.t }
-
-  let create ~lookahead lp =
-    if lookahead <= 0 then invalid_arg "Fabric.Mailbox.create: lookahead must be positive";
-    { dst = lp; lookahead }
-
-  let lp t = t.dst
-  let lookahead t = t.lookahead
-
-  let post t ~now ~latency ~src ~seq fn =
-    if latency < t.lookahead then
-      invalid_arg
-        (Printf.sprintf
-           "Fabric.Mailbox.post: latency %d is below the lookahead %d (conservative \
-            window violation)"
-           latency t.lookahead);
-    Lp.post t.dst ~at:(now + latency) ~src ~seq fn
-
-  let posted t = Lp.posted t.dst
-end
-
 (* -- sharded router ------------------------------------------------------- *)
 
 (* Per-entity stream seed: splitmix-style (seed, entity) mix, so a

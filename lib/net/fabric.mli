@@ -137,41 +137,6 @@ val partition_dropped : 'msg t -> int
 (** Messages dropped for lack of a registered handler. *)
 val undeliverable : 'msg t -> int
 
-(** {2 Cross-LP mailbox}
-
-    When the simulation is sharded ({!Draconis_sim.Lp} /
-    {!Draconis_sim.Sync}), a message whose destination lives on another
-    logical process cannot be scheduled on the sender's engine.  It goes
-    through a [Mailbox] instead: one per destination LP, stamping each
-    event into the destination's next safe window.  The stamp is
-    [(arrival time, src, seq)] with [src] a stable model-entity id and
-    [seq] the sender's own monotone counter, so injection order — and
-    with it the sharded run's outcome — is independent of both the
-    domain schedule and the partitioning.  [post] rejects any latency
-    below the mailbox's lookahead: such a message could land inside a
-    window the destination has already simulated. *)
-module Mailbox : sig
-  type t
-
-  (** [create ~lookahead lp] — the inbound channel of [lp].
-      @raise Invalid_argument if [lookahead <= 0]. *)
-  val create : lookahead:Time.t -> Draconis_sim.Lp.t -> t
-
-  val lp : t -> Draconis_sim.Lp.t
-  val lookahead : t -> Time.t
-
-  (** [post t ~now ~latency ~src ~seq fn] stamps [fn] to run on the
-      destination LP at [now + latency].
-      @raise Invalid_argument if [latency < lookahead t] (a lookahead
-      violation), or if the stamp fails {!Draconis_sim.Lp.post}'s safe-
-      horizon check. *)
-  val post :
-    t -> now:Time.t -> latency:Time.t -> src:int -> seq:int -> (unit -> unit) -> unit
-
-  (** Messages posted through this mailbox. *)
-  val posted : t -> int
-end
-
 (** {2 Sharded router}
 
     [router] builds one fabric instance per logical process, all sharing

@@ -198,6 +198,38 @@ let test_journey_notes_off () =
   Alcotest.(check (float 0.0)) "minor words over 10k rounds of 10 notes" 0.0
     (Gc.minor_words () -. w0)
 
+(* On one engine every note of a task's lifecycle runs its body inline:
+   no note allocates a closure for it.  What is left is the record and
+   table cell the first note creates, [find_opt]'s [Some], the decision
+   meter's mark and the samplers' amortized growth (measured 29 words
+   per task; 63 with a closure per note). *)
+let test_lifecycle_notes () =
+  let m = Metrics.create (Engine.create ()) in
+  let n = 10_000 in
+  let tasks =
+    Array.init (2 * n) (fun tid ->
+        Draconis_proto.Task.make ~uid:0 ~jid:0 ~tid ~fn_id:1 ~fn_par:1000 ())
+  in
+  let lifecycle (task : Draconis_proto.Task.t) =
+    Metrics.note_submit m task.id;
+    Metrics.note_enqueue m task.id ~level:0;
+    Metrics.note_assign m task.id ~requested_at:0;
+    Metrics.note_exec m Executor.Started task ~node:0;
+    Metrics.note_complete m task.id ~resubmitted:false
+  in
+  for i = 0 to n - 1 do
+    lifecycle tasks.(i)
+  done;
+  let w0 = Gc.minor_words () in
+  for i = n to (2 * n) - 1 do
+    lifecycle tasks.(i)
+  done;
+  let per_task = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check int) "every task completed" (2 * n) (Metrics.completed m);
+  Alcotest.(check int) "no record outlives its task" 0 (Metrics.in_flight m);
+  if per_task > 32.0 then
+    Alcotest.failf "%.1f minor words per task lifecycle, budget 32" per_task
+
 let suite =
   [
     Alcotest.test_case "idle poll: legacy words/traversal" `Quick test_legacy_budget;
@@ -210,4 +242,5 @@ let suite =
     Alcotest.test_case "queue enqueue words per call" `Quick test_enqueue_budget;
     Alcotest.test_case "journey notes allocate nothing unattributed" `Quick
       test_journey_notes_off;
+    Alcotest.test_case "lifecycle notes allocate no closure" `Quick test_lifecycle_notes;
   ]

@@ -26,7 +26,6 @@ let () =
       ("trace-file", Test_trace_file.suite);
       ("harness", Test_harness.suite);
       ("pool", Test_pool.suite);
-      ("ws-deque", Test_ws_deque.suite);
       ("sharded-cluster", Test_sharded_cluster.suite);
       ("shard", Test_shard.suite);
       ("obs", Test_obs.suite);

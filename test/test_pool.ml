@@ -60,17 +60,21 @@ let test_earliest_exception_wins () =
     Alcotest.fail "expected Failure"
   with Failure msg -> Alcotest.(check string) "lowest index" "job 2" msg
 
-let test_submit_after_results_rejected () =
-  let pool = H.Pool.create ~jobs:2 () in
-  H.Pool.submit pool (fun () -> 1);
-  Alcotest.(check (list int)) "results" [ 1 ] (H.Pool.results pool);
-  Alcotest.check_raises "closed"
-    (Invalid_argument "Pool.submit: pool already closed") (fun () ->
-      H.Pool.submit pool (fun () -> 2))
-
 let test_empty_pool () =
   Alcotest.(check (list int)) "no jobs" [] (H.Pool.map ~jobs:4 []);
   Alcotest.(check (list int)) "no jobs seq" [] (H.Pool.map ~jobs:1 [])
+
+(* A job count outside [1, max_jobs] is a configuration error for [map]
+   as for [set_jobs]: it raises instead of being clamped. *)
+let test_map_jobs_range () =
+  let raises jobs =
+    try
+      ignore (H.Pool.map ~jobs [ (fun () -> 1) ]);
+      false
+    with Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "jobs 0 rejected" true (raises 0);
+  Alcotest.(check bool) "jobs above the cap rejected" true (raises (H.Pool.max_jobs + 1))
 
 (* -- worker-count cap ------------------------------------------------------ *)
 
@@ -121,26 +125,58 @@ let test_team_runs_batches () =
       done;
       Alcotest.(check int) "every thunk of every batch ran" (50 * 36)
         (Atomic.get total);
-      H.Pool.Team.run team [||])
-
-let test_team_exception_propagates () =
+      H.Pool.Team.run team [||]);
+  (* Back-to-back batches of 1-3 thunks on two lanes, the shape of a
+     sharded run's barrier windows: a helper still claiming from one
+     batch while the caller publishes the next must neither run a thunk
+     twice nor take one of the next batch's. *)
   let team = H.Pool.Team.create ~size:2 in
   Fun.protect
     ~finally:(fun () -> H.Pool.Team.shutdown team)
     (fun () ->
-      let ran = Atomic.make 0 in
-      (try
-         H.Pool.Team.run team
-           (Array.init 6 (fun i () ->
-                Atomic.incr ran;
-                if i = 2 then failwith "window 2 exploded"));
-         Alcotest.fail "expected Failure"
-       with Failure msg -> Alcotest.(check string) "message" "window 2 exploded" msg);
-      Alcotest.(check int) "batch barrier completed" 6 (Atomic.get ran);
-      (* The team survives a failed batch. *)
-      let ok = Atomic.make 0 in
-      H.Pool.Team.run team (Array.init 4 (fun _ () -> Atomic.incr ok));
-      Alcotest.(check int) "next batch healthy" 4 (Atomic.get ok))
+      let batches = 20_000 in
+      let sizes = Array.init batches (fun b -> 1 + (b mod 3)) in
+      let slots = Array.init (Array.fold_left ( + ) 0 sizes) (fun _ -> Atomic.make 0) in
+      let first = ref 0 in
+      Array.iter
+        (fun size ->
+          let base = !first in
+          H.Pool.Team.run team (Array.init size (fun i () -> Atomic.incr slots.(base + i)));
+          first := base + size)
+        sizes;
+      Array.iteri
+        (fun k slot ->
+          let runs = Atomic.get slot in
+          if runs <> 1 then Alcotest.failf "thunk %d ran %d times" k runs)
+        slots)
+
+(* Two thunks raise; whichever lane ran them and whichever raised
+   first, the lower index's exception comes back, after the whole
+   batch has run. *)
+let test_team_exception_propagates () =
+  List.iter
+    (fun size ->
+      let team = H.Pool.Team.create ~size in
+      Fun.protect
+        ~finally:(fun () -> H.Pool.Team.shutdown team)
+        (fun () ->
+          let ran = Atomic.make 0 in
+          (try
+             H.Pool.Team.run team
+               (Array.init 6 (fun i () ->
+                    Atomic.incr ran;
+                    if i = 2 || i = 4 then failwith (Printf.sprintf "window %d exploded" i)));
+             Alcotest.fail "expected Failure"
+           with Failure msg ->
+             Alcotest.(check string)
+               (Printf.sprintf "size %d: lowest index" size)
+               "window 2 exploded" msg);
+          Alcotest.(check int) "batch barrier completed" 6 (Atomic.get ran);
+          (* The team survives a failed batch. *)
+          let ok = Atomic.make 0 in
+          H.Pool.Team.run team (Array.init 4 (fun _ () -> Atomic.incr ok));
+          Alcotest.(check int) "next batch healthy" 4 (Atomic.get ok)))
+    [ 1; 2; 3 ]
 
 let test_team_shutdown () =
   let team = H.Pool.Team.create ~size:2 in
@@ -156,6 +192,33 @@ let test_team_shutdown () =
       ignore (H.Pool.Team.create ~size:0)));
   Alcotest.(check bool) "oversized team rejected" true (raises (fun () ->
       ignore (H.Pool.Team.create ~size:(H.Pool.max_jobs + 1))))
+
+(* Team batches must be execution-order independent: the set of effects
+   (here: each thunk records its index, whichever lane claimed it) is
+   the same for every team size, across repeated epochs on one team. *)
+let test_team_size_independence () =
+  let batch = 97 in
+  let run_with size =
+    let team = H.Pool.Team.create ~size in
+    Fun.protect
+      ~finally:(fun () -> H.Pool.Team.shutdown team)
+      (fun () ->
+        let out = ref [] in
+        for epoch = 0 to 2 do
+          let slots = Array.make batch (-1) in
+          H.Pool.Team.run team
+            (Array.init batch (fun i () -> slots.(i) <- (epoch * batch) + i));
+          out := Array.to_list slots :: !out
+        done;
+        List.rev !out)
+  in
+  let reference = run_with 1 in
+  List.iter
+    (fun size ->
+      Alcotest.(check (list (list int)))
+        (Printf.sprintf "team size %d matches size 1" size)
+        reference (run_with size))
+    [ 2; 3 ]
 
 (* -- determinism: the tentpole guarantee ----------------------------------- *)
 
@@ -259,15 +322,15 @@ let suite =
     Alcotest.test_case "all jobs run" `Quick test_all_jobs_run;
     Alcotest.test_case "exception propagates" `Quick test_exception_propagates;
     Alcotest.test_case "earliest exception wins" `Quick test_earliest_exception_wins;
-    Alcotest.test_case "submit after results rejected" `Quick
-      test_submit_after_results_rejected;
     Alcotest.test_case "empty pool" `Quick test_empty_pool;
+    Alcotest.test_case "map rejects jobs out of range" `Quick test_map_jobs_range;
     Alcotest.test_case "set_jobs validates the cap" `Quick test_set_jobs_cap;
     Alcotest.test_case "DRACONIS_JOBS fails loudly" `Quick test_env_jobs_fails_loudly;
     Alcotest.test_case "team runs repeated batches" `Quick test_team_runs_batches;
     Alcotest.test_case "team propagates exceptions" `Quick
       test_team_exception_propagates;
     Alcotest.test_case "team shutdown" `Quick test_team_shutdown;
+    Alcotest.test_case "team is size-independent" `Quick test_team_size_independence;
     Alcotest.test_case "determinism: jobs=1 vs jobs=4" `Slow test_jobs1_jobs4_identical;
     Alcotest.test_case "determinism: repeated parallel runs" `Slow
       test_repeated_parallel_runs_identical;

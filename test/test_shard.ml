@@ -1,6 +1,5 @@
 (* Tests for parallel-in-run sharding: the topology partitioner, the
-   Lp/Sync conservative-window protocol, the cross-LP mailbox, the
-   DRACONIS_SHARDS knob, and the determinism contract on the real
+   Lp/Sync conservative-window protocol, the DRACONIS_SHARDS knob, and the determinism contract on the real
    sharded cluster — identical outcomes across shard counts, seeds,
    service mixes, worker domains and fault plans (the cluster's own
    guards live in test_sharded_cluster.ml). *)
@@ -8,7 +7,6 @@
 open Draconis_sim
 module H = Draconis_harness
 module Synthetic = Draconis_workload.Synthetic
-module Fabric = Draconis_net.Fabric
 module Topology = Draconis_net.Topology
 module F = Draconis_fault
 
@@ -58,7 +56,7 @@ let test_partition_bounds () =
   let ident = Topology.partition topo ~groups:4 in
   Array.iteri (fun h g -> Alcotest.(check int) "one host per group" h g) ident
 
-(* -- Lp / Mailbox safety --------------------------------------------------- *)
+(* -- Lp inbox safety ------------------------------------------------------- *)
 
 let test_lp_post_floor_violation () =
   let lp = Lp.create ~id:0 ~seed:1 () in
@@ -69,20 +67,6 @@ let test_lp_post_floor_violation () =
    with Invalid_argument _ -> ());
   Lp.post lp ~at:101 ~src:0 ~seq:2 ignore;
   Alcotest.(check int) "accepted post pending" 1 (Lp.inbox_length lp)
-
-let test_mailbox_lookahead_enforced () =
-  let lp = Lp.create ~id:0 ~seed:1 () in
-  let box = Fabric.Mailbox.create ~lookahead:500 lp in
-  (try
-     Fabric.Mailbox.post box ~now:0 ~latency:499 ~src:1 ~seq:1 ignore;
-     Alcotest.fail "expected lookahead violation"
-   with Invalid_argument _ -> ());
-  Fabric.Mailbox.post box ~now:0 ~latency:500 ~src:1 ~seq:2 ignore;
-  Alcotest.(check int) "posted" 1 (Fabric.Mailbox.posted box);
-  try
-    ignore (Fabric.Mailbox.create ~lookahead:0 lp);
-    Alcotest.fail "expected zero-lookahead rejection"
-  with Invalid_argument _ -> ()
 
 (* Injection order must follow the (at, src, seq) stamp, not the post
    (domain-schedule) order. *)
@@ -154,11 +138,10 @@ let prop_inbox_windows =
 (* Mirror test_pool's FIFO-ties-across-renumber, but with the churn
    driven through barrier windows and a cross-LP message landing at the
    same instant as the direct ties: the packed-key renumber must neither
-   reorder ties nor disturb mailbox injection. *)
+   reorder ties nor disturb inbox injection. *)
 let test_sync_ties_survive_renumber () =
   let lp0 = Lp.create ~id:0 ~seed:1 () in
   let lp1 = Lp.create ~id:1 ~seed:1 () in
-  let box0 = Fabric.Mailbox.create ~lookahead:100 lp0 in
   let sync = Sync.create ~lookahead:100 [| lp0; lp1 |] in
   let e0 = Lp.engine lp0 in
   let target = 3_000_000 in
@@ -181,10 +164,7 @@ let test_sync_ties_survive_renumber () =
   (* ...and a cross-LP message arriving at the same instant. *)
   let e1 = Lp.engine lp1 in
   ignore
-    (Engine.schedule e1 ~after:10 (fun () ->
-         Fabric.Mailbox.post box0 ~now:(Engine.now e1)
-           ~latency:(target - Engine.now e1)
-           ~src:1 ~seq:1 (mark 5)));
+    (Engine.schedule e1 ~after:10 (fun () -> Lp.post lp0 ~at:target ~src:1 ~seq:1 (mark 5)));
   Sync.run sync;
   Alcotest.(check (list int)) "ties + injection in order" [ 1; 2; 3; 4; 5 ]
     (List.rev !order);
@@ -257,7 +237,7 @@ let test_random_seeds_equality =
       digest (run_cluster ~kind ~seed 1) = digest (run_cluster ~kind ~seed 3))
 
 (* Worker domains must not change anything either: 4 shards whose
-   windows run inline (one job) vs over a 2-lane work-stealing team. *)
+   windows run inline (one job) vs over a 2-lane team. *)
 let test_workers_equality () =
   let saved = H.Pool.jobs () in
   let with_jobs n =
@@ -365,8 +345,6 @@ let suite =
     Alcotest.test_case "partition bounds" `Quick test_partition_bounds;
     Alcotest.test_case "Lp.post rejects stamps below the floor" `Quick
       test_lp_post_floor_violation;
-    Alcotest.test_case "mailbox enforces the lookahead" `Quick
-      test_mailbox_lookahead_enforced;
     Alcotest.test_case "injection sorts by (at, src, seq)" `Quick
       test_injection_sorted_by_stamp;
     QCheck_alcotest.to_alcotest prop_inbox_windows;

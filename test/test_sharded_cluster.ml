@@ -1,7 +1,7 @@
 (* The sharded Draconis cluster: outcome equality across shard counts
    (the tentpole guarantee — partitioning the data path over logical
-   processes must not change a single metric), work-stealing executor
-   neutrality, window faults armed from a plan, and the fail-loud
+   processes must not change a single metric), executor neutrality
+   (inline vs a 2-lane team), window faults armed from a plan, and the fail-loud
    guards.  The all-kinds faulted equality (fail-over and crash
    included, across lane counts) lives with the determinism contract in
    test_shard.ml. *)
@@ -115,7 +115,7 @@ let test_fault_equality () =
 
 let test_executor_neutrality () =
   (* The barrier-window executor is pure execution vehicle: fanning each
-     window over a 2-lane work-stealing team must reproduce the inline
+     window over a 2-lane team must reproduce the inline
      run bit for bit.  Driven below Systems/Runner so the team size is
      ours to pick (the harness sizes it to the machine). *)
   let build () =
