@@ -7,9 +7,6 @@
      main.exe --quick [...]   smaller grids and horizons
      main.exe --jobs N [...]  worker domains for the experiment grids
                               (default: DRACONIS_JOBS or cores-1)
-     main.exe --shards N      logical processes of sharded figure runs
-                              (default: DRACONIS_SHARDS, else unsharded);
-                              their windows run on min(N, jobs) lanes
      main.exe --seed N        workload seed override (default 1000003);
                               the effective seed lands in the --json header
      main.exe --policy P      restrict the pifo experiment to one
@@ -24,7 +21,7 @@
      main.exe --metrics-out F export per-run counters/gauges/histograms
                               (.csv extension switches to CSV)
      main.exe --int-out F     enable in-band telemetry stamping and write
-                              a draconis-obs/3 metrics export (with the
+                              a draconis-obs/4 metrics export (with the
                               per-run "int" sections) to F — feed it to
                               `draconis-trace int` (also: DRACONIS_INT)
      main.exe --int-budget N  INT header budget, 1..64 stamps per packet
@@ -196,8 +193,6 @@ let experiments : (string * string * (?quick:bool -> unit -> unit)) list =
     ("others", "sec 8 'other schedulers' (Spark native, Firmament)", H.Others.run);
     ("ablations", "design-choice ablations", H.Ablations.run);
     ("engine-bench", "event core: wheel calendar storm, alloc/event", H.Engine_bench.run);
-    ("cluster-shard", "real data path sharded into barrier windows on a domain team",
-     H.Cluster_shard_bench.run);
     ("micro", "bechamel micro-benchmarks", run_micro);
   ]
 
@@ -259,14 +254,6 @@ let () =
     | Some _ | None ->
       Printf.eprintf "--jobs wants a positive integer, got %S\n" v;
       exit 1));
-  (match value_of "--shards" args with
-  | None -> ()
-  | Some v -> (
-    match int_of_string_opt v with
-    | Some n when n >= 1 -> H.Shard.set_shards n
-    | Some _ | None ->
-      Printf.eprintf "--shards wants a positive integer, got %S\n" v;
-      exit 1));
   (match value_of "--policy" args with
   | None -> ()
   | Some v -> (
@@ -287,7 +274,7 @@ let () =
       exit 1));
   let names =
     let rec drop_flags = function
-      | ("--csv" | "--json" | "--jobs" | "--shards" | "--seed" | "--policy"
+      | ("--csv" | "--json" | "--jobs" | "--seed" | "--policy"
         | "--trace-out" | "--metrics-out" | "--int-out" | "--int-budget"
         | "--probe-interval-us" | "--max-trace-events")
         :: _ :: rest ->
@@ -315,8 +302,7 @@ let () =
     in
     H.Report.reset ();
     (* stderr so stdout stays byte-identical across --jobs settings. *)
-    Printf.eprintf "(running with --jobs %d --shards %d)\n%!" (H.Pool.jobs ())
-      (H.Shard.shards ());
+    Printf.eprintf "(running with --jobs %d)\n%!" (H.Pool.jobs ());
     List.iter
       (fun (name, descr, run) ->
         Printf.printf "\n#### %s: %s%s\n%!" name descr (if quick then " [quick]" else "");
@@ -330,8 +316,7 @@ let () =
     | None -> ()
     | Some path ->
       (try
-         H.Report.write ~path ~jobs:(H.Pool.jobs ()) ~shards:(H.Shard.shards ())
-           ~quick
+         H.Report.write ~path ~jobs:(H.Pool.jobs ()) ~quick
        with
       | Sys_error msg ->
         Printf.eprintf "cannot write --json report: %s\n" msg;

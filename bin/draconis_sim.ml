@@ -51,7 +51,7 @@ let obs_term =
       & info [ "int-out" ] ~docv:"FILE"
           ~doc:
             "Enable in-band telemetry stamping on the switch data path and \
-             export a draconis-obs/3 metrics dump (with per-run \"int\" \
+             export a draconis-obs/4 metrics dump (with per-run \"int\" \
              sections) to $(docv); analyze it with $(b,draconis-trace int).  \
              The $(b,DRACONIS_INT) environment variable applies first \
              (0 disables, N sets the budget); flags win.")

@@ -104,7 +104,7 @@ let int_term =
     Arg.(
       required
       & pos 0 (some file) None
-      & info [] ~docv:"METRICS" ~doc:"Metrics export (draconis-obs/3 JSON with INT sections).")
+      & info [] ~docv:"METRICS" ~doc:"Metrics export (draconis-obs/3 or /4 JSON with INT sections).")
   in
   let format =
     Arg.(

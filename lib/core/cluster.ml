@@ -117,58 +117,48 @@ let create_legacy (config : config) =
 
 (* -- sharded construction ------------------------------------------------- *)
 
+(* Two layouts, the same two the fuzzer's sharded rig builds.  [Some 1]
+   puts every entity on LP 0: the reference.  [Some 2] keeps the whole
+   switch pipeline (shared program state, queue, PIFO store, metrics) on
+   LP 0 and moves every host to LP 1, so all host <-> switch traffic
+   crosses the LP boundary as stamped posts.  The pipeline cannot split
+   across LPs, so no other count is built. *)
 let create_sharded (config : config) shards =
-  let hosts = config.workers + config.clients in
-  if shards < 1 then invalid_arg "Cluster.create: shards must be >= 1";
-  (* LP 0 holds the whole switch pipeline (shared program state, queue,
-     PIFO store, metrics); every other LP is a rack-aligned group of
-     hosts.  More shards than 1 + hosts would leave empty LPs — a
-     misconfiguration, not a preference. *)
-  if shards > 1 + hosts then
+  if shards < 1 || shards > 2 then
     invalid_arg
       (Printf.sprintf
-         "Cluster.create: %d shards exceed the %d LP groups this topology admits \
-          (1 switch LP + %d hosts: %d workers + %d clients); lower --shards"
-         shards (1 + hosts) hosts config.workers config.clients);
+         "Cluster.create: %d shards (want 1 — every entity on one LP — or 2 — \
+          the switch on LP 0, every host on LP 1)"
+         shards);
+  let hosts = config.workers + config.clients in
+  let host_lp = shards - 1 in
   let topology = Topology.create ~nodes:config.workers ~racks:config.racks in
-  let lp_of_host = Array.make hosts 0 in
-  if shards > 1 then begin
-    let host_groups = shards - 1 in
-    let worker_groups = min host_groups config.workers in
-    let part = Topology.partition topology ~groups:worker_groups in
-    for w = 0 to config.workers - 1 do
-      lp_of_host.(w) <- 1 + part.(w)
-    done;
-    for i = 0 to config.clients - 1 do
-      lp_of_host.(config.workers + i) <- 1 + (i mod host_groups)
-    done
-  end;
   let lps = Array.init shards (fun id -> Lp.create ~id ~seed:config.seed ()) in
   let sync = Sync.create ~lookahead:(Fabric.lookahead config.fabric_config) lps in
   let instances =
     Fabric.router ~config:config.fabric_config ~lps ~switch_lp:0
-      ~lp_of_host:(fun h -> lp_of_host.(h))
+      ~lp_of_host:(fun _ -> host_lp)
       ~hosts ~seed:config.seed ()
   in
   let switch_fabric = instances.(0) in
+  let host_fabric = instances.(host_lp) in
   let metrics = Metrics.create ~topology (Fabric.engine switch_fabric) in
   let program, pipeline = build_switch config ~topology ~metrics ~fabric:switch_fabric in
-  (* Every non-switch entity gets a metrics facade on its own LP clock:
-     mutations travel to the switch LP as stamped closures
-     (Fabric.router_defer), so sampler order is partition-independent. *)
+  (* Every host gets a metrics facade on the host LP's clock: mutations
+     travel to the switch LP as stamped closures (Fabric.router_defer),
+     so sampler order is the same in both layouts. *)
   let remote_metrics host =
-    let fab = instances.(lp_of_host.(host)) in
-    Metrics.remote metrics ~engine:(Fabric.engine fab)
-      ~post:(fun ~at fn -> Fabric.router_defer fab ~src:(Addr.Host host) ~at fn)
+    Metrics.remote metrics ~engine:(Fabric.engine host_fabric)
+      ~post:(fun ~at fn -> Fabric.router_defer host_fabric ~src:(Addr.Host host) ~at fn)
   in
   let fn_model = Fn_model.with_topology topology in
   let workers =
     Array.init config.workers (fun node ->
-        make_worker config ~fn_model ~fabric:instances.(lp_of_host.(node)) node)
+        make_worker config ~fn_model ~fabric:host_fabric node)
   in
   let clients =
     Array.init config.clients (fun i ->
-        make_client config ~fabric:instances.(lp_of_host.(config.workers + i))
+        make_client config ~fabric:host_fabric
           ~metrics:(remote_metrics (config.workers + i))
           i)
   in

@@ -28,12 +28,12 @@ type config = {
   rsrc_of_node : int -> int;  (** executor resource bitmap per node *)
   client_timeout : Time.t option;
   shards : int option;
-      (** [Some n]: build on [n] logical processes — LP 0 holds the
-          entire switch pipeline, hosts split into rack-aligned LP
-          groups ({!Draconis_net.Topology.partition}) — with all
-          entity-to-entity traffic stamped through the sharded
-          {!Draconis_net.Fabric.router}.  Outcomes are bit-identical for
-          every valid [n].  [None]: the classic single-engine cluster.
+      (** [None]: the classic single-engine cluster.  [Some n] builds on
+          [n] logical processes, with all entity-to-entity traffic
+          stamped through the sharded {!Draconis_net.Fabric.router}, in
+          one of two layouts: [Some 1] puts every entity on one LP (the
+          reference); [Some 2] puts the whole switch pipeline on LP 0
+          and every host on LP 1.  The two give bit-identical outcomes.
           Either way, faults come from a {!Draconis_fault.Plan} armed
           through {!Draconis_fault.Injector}. *)
 }
@@ -47,8 +47,7 @@ val default_config : config
 type t
 
 (** @raise Invalid_argument on a config with no workers or clients, or
-    more shards than [1 + workers + clients] (the switch LP plus one LP
-    per host — the cap on useful LP groups for the topology). *)
+    [shards] other than [None], [Some 1] and [Some 2]. *)
 val create : config -> t
 
 (** [start t] launches all executors (staggered within ~1 us). *)

@@ -7,10 +7,7 @@ let kind = Synthetic.Fixed_500us
 
 let systems ~timeout spec =
   [
-    (* Draconis honors a requested shard count (--shards/DRACONIS_SHARDS)
-       — outcomes are bit-identical across shard counts, so the figure
-       is unchanged; only the execution vehicle is. *)
-    (fun () -> Systems.draconis ?shards:(Shard.requested ()) spec);
+    (fun () -> Systems.draconis spec);
     (fun () -> Systems.racksched spec);
     (fun () -> Systems.r2p2 ~k:3 ~client_timeout:timeout spec);
     (fun () -> Systems.sparrow ~schedulers:1 spec);

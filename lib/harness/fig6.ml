@@ -20,8 +20,7 @@ let run ?(quick = false) () =
       in
       let systems =
         [
-          (* Sharding is outcome-neutral; see fig5a. *)
-          (fun () -> Systems.draconis ?shards:(Shard.requested ()) spec);
+          (fun () -> Systems.draconis spec);
           (fun () -> Systems.racksched spec);
           (fun () -> Systems.r2p2 ~k:3 ~client_timeout:(Time.ms 2) spec);
           (fun () -> Systems.central_server CS.Dpdk spec);

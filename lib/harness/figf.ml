@@ -9,15 +9,11 @@ let kind = Synthetic.Fixed_500us
 (* Only systems with a client timeout can recover from faults; sparrow
    (no timeout path) is excluded.  The fault targets mirror each
    system's real capability surface: switch fail-over and fabric faults
-   everywhere, executor crash/straggler only where core executors run.
-   Draconis honors a requested shard count (--shards/DRACONIS_SHARDS),
-   faults included; the baselines stay on one engine. *)
+   everywhere, executor crash/straggler only where core executors run. *)
 let systems ~timeout spec =
   [
     (fun () ->
-      let cluster, running =
-        Systems.draconis_cluster ?shards:(Shard.requested ()) ~client_timeout:timeout spec
-      in
+      let cluster, running = Systems.draconis_cluster ~client_timeout:timeout spec in
       (running, Target.of_cluster ~name:running.Systems.name cluster));
     (fun () ->
       let server, running =

@@ -20,7 +20,7 @@ let max_jobs = 64
 
 (* An invalid value is a configuration error, not a preference: silently
    falling back to the default would run the sweep with the wrong
-   parallelism and bury the typo (same contract as DRACONIS_SHARDS). *)
+   parallelism and bury the typo. *)
 let env_jobs () =
   match Sys.getenv_opt env_var with
   | None | Some "" -> None

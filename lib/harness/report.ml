@@ -98,24 +98,23 @@ let entry_json e =
     (json_escape e.name) e.wall_s ev (json_float events_per_sec)
     (String.concat "," (List.map outcome_json e.outcomes))
 
-let to_json ~jobs ~shards ~quick =
+let to_json ~jobs ~quick =
   let total_wall = List.fold_left (fun acc e -> acc +. e.wall_s) 0.0 !entries in
   let total_events = List.fold_left (fun acc e -> acc + events e) 0 !entries in
   Printf.sprintf
     "{\n\
      \  \"schema\": \"draconis-bench/1\",\n\
      \  \"jobs\": %d,\n\
-     \  \"shards\": %d,\n\
      \  \"quick\": %b,\n\
      \  \"workload_seed\": %d,\n\
      \  \"total_wall_s\": %.3f,\n\
      \  \"total_events\": %d,\n\
      \  \"experiments\": [\n%s\n  ]\n}\n"
-    jobs shards quick (Runner.workload_seed ()) total_wall total_events
+    jobs quick (Runner.workload_seed ()) total_wall total_events
     (String.concat ",\n" (List.map entry_json !entries))
 
-let write ~path ~jobs ~shards ~quick =
+let write ~path ~jobs ~quick =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_json ~jobs ~shards ~quick))
+    (fun () -> output_string oc (to_json ~jobs ~quick))

@@ -21,9 +21,9 @@ val add_outcomes : Runner.outcome list -> unit
 val finish_experiment : name:string -> wall_s:float -> unit
 
 (** JSON document for everything recorded since [reset].  The header
-    carries the effective worker-domain ([jobs]) and LP-shard ([shards])
-    counts the run executed with. *)
-val to_json : jobs:int -> shards:int -> quick:bool -> string
+    carries the effective worker-domain count ([jobs]) the run executed
+    with. *)
+val to_json : jobs:int -> quick:bool -> string
 
-(** [write ~path ~jobs ~shards ~quick] writes {!to_json} to [path]. *)
-val write : path:string -> jobs:int -> shards:int -> quick:bool -> unit
+(** [write ~path ~jobs ~quick] writes {!to_json} to [path]. *)
+val write : path:string -> jobs:int -> quick:bool -> unit

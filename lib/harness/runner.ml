@@ -88,8 +88,7 @@ let collect (system : Systems.running) ~load_tps ~horizon ~drained =
   },
     c )
 
-(* The recorder's name for each counter.  The repair count goes under
-   both of its historical names. *)
+(* The recorder's name for each counter. *)
 let counter_names (c : Systems.counts) =
   [
     ("fabric.sent", c.sent);
@@ -107,7 +106,6 @@ let counter_names (c : Systems.counts) =
     ("switch.swaps", c.swaps);
     ("switch.resubmissions", c.resubmissions);
     ("switch.repairs_launched", c.repairs_launched);
-    ("queue.repair_flags", c.repairs_launched);
     ("switch.recirculations", c.recirculations);
     ("pifo.renumbers", c.renumbers);
     ("client.submitted", c.submitted);

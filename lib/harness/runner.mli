@@ -32,7 +32,7 @@ type outcome = {
   events_per_sec : float;
       (** wall-clock event throughput; informational (never checked by
           [draconis-trace compare]) and only serialized when positive —
-          engine/cluster-shard benchmark rows use it, figure rows leave it 0 *)
+          the engine-bench row uses it, figure rows leave it 0 *)
   drained : bool;
   has_latency : bool;
       (** whether the scheduling-latency block ([sched_p50]/[sched_p99]/

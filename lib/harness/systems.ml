@@ -140,7 +140,7 @@ let round_robin_submit clients submit_one =
     submit_one clients.(i) tasks
 
 (* Window-protocol control for a sharded cluster: Sync.run on a
-   persistent Pool.Team (sized by --jobs, capped at the shard count —
+   persistent Pool.Team (sized by --jobs, capped at the LP count —
    outcomes are lane-count independent, so the cap is purely a resource
    decision). *)
 let sharded_control cluster sync =
@@ -153,12 +153,14 @@ let sharded_control cluster sync =
       (fun acc lp -> max acc (Engine.now (Lp.engine lp)))
       Time.zero (Sync.lps sync)
   in
-  (* An installed recorder is domain-local, so an observed run keeps
-     its windows on the caller's domain: every LP's marks, spans and
-     samples then reach the recorder, in the same order on every run.
-     Any executor gives the same outcome (DESIGN §16). *)
+  (* An installed recorder or INT collector is domain-local, so an
+     observed run keeps its windows on the caller's domain: every LP's
+     marks, spans, samples and INT stacks then reach it, in the same
+     order on every run.  Any executor gives the same outcome
+     (DESIGN §16). *)
   let run_until until =
-    if Obs.Recorder.active () then Cluster.run cluster ~until
+    if Obs.Recorder.active () || Option.is_some (Obs.Int_telemetry.current_collector ())
+    then Cluster.run cluster ~until
     else Cluster.run ?executor cluster ~until
   in
   let cursor = ref 0 in

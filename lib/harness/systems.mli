@@ -106,16 +106,20 @@ type running = {
 (** [draconis ?policy_of ?racks ?queue_capacity ?rsrc_of_node
     ?client_timeout ?noop_retry spec] — the full Draconis deployment.
 
-    [?shards] routes the cluster through [n] logical processes (see
-    {!Draconis.Cluster.config}); the returned control then runs barrier
-    windows on a {!Pool.Team} of [min n (Pool.jobs ())] lanes (inline
-    for one lane) and requires staged submission.  While a {!Draconis_obs.Recorder} is
-    installed (an observed run) the windows run inline on the caller's
-    domain instead, so the recorder's timeline is the same on every
-    run.  Outcomes are bit-identical across shard
-    counts, faulted ones included: arm a {!Draconis_fault.Plan} on the
-    raw cluster ({!draconis_cluster}) through
-    {!Draconis_fault.Injector}. *)
+    [?shards] builds the cluster on one of its two sharded layouts
+    ([1] or [2] logical processes; see {!Draconis.Cluster.config}).  No
+    figure passes it; the tests and the benchmark's [busy-short-s2]
+    workload do.  The returned control then runs barrier windows on a
+    {!Pool.Team} of [min n (Pool.jobs ())] lanes (inline for one lane)
+    and requires staged submission.  While a {!Draconis_obs.Recorder}
+    or an INT collector ({!Draconis_obs.Int_telemetry.with_collector})
+    is installed (an observed run) the windows run inline on the
+    caller's domain instead, so the recorder's timeline and the
+    collector's stacks are the same on every run.  Both layouts give
+    bit-identical outcomes, faulted ones included: arm a
+    {!Draconis_fault.Plan} on the raw cluster ({!draconis_cluster})
+    through {!Draconis_fault.Injector}.
+    @raise Invalid_argument on [shards] outside [{1, 2}]. *)
 val draconis :
   ?policy_of:(Topology.t -> Policy.t) ->
   ?racks:int ->

@@ -82,14 +82,20 @@ let check_probability ~what p =
 let recompute_lossless t =
   t.lossless <- t.config.loss = 0.0 && Array.length t.windows = 0
 
-let create ?(config = default_config) engine rng =
+(* The config checks [create] and [router] share; [fn] names the
+   caller in the message. *)
+let check_config ~fn config =
   check_probability ~what:"loss" config.loss;
   check_probability ~what:"detour_fraction" config.detour_fraction;
-  if config.host_to_switch < 0 then
-    invalid_arg "Fabric.create: host_to_switch must be non-negative";
-  if config.jitter < 0 then invalid_arg "Fabric.create: jitter must be non-negative";
-  if config.detour_extra < 0 then
-    invalid_arg "Fabric.create: detour_extra must be non-negative";
+  let non_negative what v =
+    if v < 0 then invalid_arg (Printf.sprintf "%s: %s must be non-negative" fn what)
+  in
+  non_negative "host_to_switch" config.host_to_switch;
+  non_negative "jitter" config.jitter;
+  non_negative "detour_extra" config.detour_extra
+
+let create ?(config = default_config) engine rng =
+  check_config ~fn:"Fabric.create" config;
   let t =
     { engine; rng; config; shard = None; host_handlers = Array.make 64 None;
       switch_handler = None; windows = [||]; lossless = false; sent = 0;
@@ -195,7 +201,8 @@ let rec window_loss ws i ~now p =
     | Loss q when now >= w.start && now < w.stop -> window_loss ws (i + 1) ~now (Float.max p q)
     | Loss _ | Cut _ -> window_loss ws (i + 1) ~now p
 
-type verdict = Deliver | Cut_off | Lost
+type drop = Cut_off | Lost
+type verdict = Deliver | Drop of drop
 
 (* The one drop rule, shared by the classic and the sharded send path: a
    packet to or from a cut host drops without a draw; any other packet
@@ -205,11 +212,38 @@ type verdict = Deliver | Cut_off | Lost
    reproducibility of seeded runs. *)
 let verdict t rng ~now src dst =
   let ws = t.windows in
-  if Array.length ws > 0 && (cut_off ws ~now src || cut_off ws ~now dst) then Cut_off
+  if Array.length ws > 0 && (cut_off ws ~now src || cut_off ws ~now dst) then Drop Cut_off
   else
     let p = t.config.loss in
     let p = if Array.length ws = 0 then p else window_loss ws 0 ~now p in
-    if p > 0.0 && Rng.float rng < p then Lost else Deliver
+    if p > 0.0 && Rng.float rng < p then Drop Lost else Deliver
+
+(* A message lands on instance [t], on either send path: its handler
+   runs and its INT stack drains into the ambient collector, or, with no
+   handler, the message is counted, its stack dropped and the drop
+   marked. *)
+let arrive t env =
+  match handler_of t env.dst with
+  | Some handler ->
+    t.delivered <- t.delivered + 1;
+    Option.iter Obs.Int_telemetry.deliver_stack env.int_;
+    handler env
+  | None ->
+    t.undeliverable <- t.undeliverable + 1;
+    Option.iter Obs.Int_telemetry.drop_stack env.int_;
+    Obs.Recorder.mark ~at:(Engine.now t.engine) ~track:"fabric" "drop: no handler"
+
+(* The sender's instance [t] drops a message at [now], on either send
+   path: counted, its INT stack dropped, the drop marked. *)
+let drop t int_ ~now d =
+  Option.iter Obs.Int_telemetry.drop_stack int_;
+  match d with
+  | Cut_off ->
+    t.partition_dropped <- t.partition_dropped + 1;
+    Obs.Recorder.mark ~at:now ~track:"fabric" "drop: partition"
+  | Lost ->
+    t.lost <- t.lost + 1;
+    Obs.Recorder.mark ~at:now ~track:"fabric" "drop: loss"
 
 (* The delivery closures below capture only the instance and the
    envelope (which carries [dst]): one event per message is the one
@@ -217,30 +251,13 @@ let verdict t rng ~now src dst =
 let deliver t ?int_ ~src ~dst ~now payload =
   let env = { src; dst; sent_at = now; payload; int_ } in
   let delay = latency_sample t src dst in
-  ignore
-    (Engine.schedule t.engine ~after:delay (fun () ->
-         match handler_of t env.dst with
-         | Some handler ->
-           t.delivered <- t.delivered + 1;
-           Option.iter Obs.Int_telemetry.deliver_stack env.int_;
-           handler env
-         | None ->
-           t.undeliverable <- t.undeliverable + 1;
-           Option.iter Obs.Int_telemetry.drop_stack env.int_;
-           Obs.Recorder.mark ~at:(Engine.now t.engine) ~track:"fabric" "drop: no handler"))
+  ignore (Engine.schedule t.engine ~after:delay (fun () -> arrive t env))
 
 (* Drop decisions, off the lossless fast path. *)
 let send_lossy t ?int_ ~src ~dst ~now payload =
   match verdict t t.rng ~now src dst with
   | Deliver -> deliver t ?int_ ~src ~dst ~now payload
-  | Cut_off ->
-    Option.iter Obs.Int_telemetry.drop_stack int_;
-    t.partition_dropped <- t.partition_dropped + 1;
-    Obs.Recorder.mark ~at:now ~track:"fabric" "drop: partition"
-  | Lost ->
-    Option.iter Obs.Int_telemetry.drop_stack int_;
-    t.lost <- t.lost + 1;
-    Obs.Recorder.mark ~at:now ~track:"fabric" "drop: loss"
+  | Drop d -> drop t int_ ~now d
 
 (* -- sharded send path --------------------------------------------------- *)
 
@@ -262,17 +279,18 @@ let lp_of_addr s = function
 (* The classic path's drop rule and draw order — cut check, loss draw,
    jitter draw — but every draw comes from the sender entity's own
    stream, and the windows are pure data over simulated time, so the
-   draw sequence is identical under any partitioning.  Ambient
-   observability (Recorder/INT) is skipped: it is domain-local state
-   that helper domains do not carry. *)
+   draw sequence is identical in either LP layout.  Arrivals and drops
+   go through the classic path's [arrive] and [drop]: their ambient
+   marks and INT stacks reach a recorder or collector installed on the
+   domain that runs the LP, which is why an observed run keeps its
+   windows inline. *)
 let send_sharded t (s, _) ?int_ ~src ~dst payload =
   let now = Engine.now t.engine in
   let se = check_entity s src "src" in
   ignore (check_entity s dst "dst");
   let rng = s.eid_rng.(se) in
   match verdict t rng ~now src dst with
-  | Cut_off -> t.partition_dropped <- t.partition_dropped + 1
-  | Lost -> t.lost <- t.lost + 1
+  | Drop d -> drop t int_ ~now d
   | Deliver ->
     let jitter = if t.config.jitter > 0 then Rng.int rng (t.config.jitter + 1) else 0 in
     let latency = base_latency t src dst + jitter in
@@ -294,12 +312,7 @@ let send_sharded t (s, _) ?int_ ~src ~dst payload =
       | Some inst -> inst
     in
     let env = { src; dst; sent_at = now; payload; int_ } in
-    Lp.post s.lps.(dlp) ~at:(now + latency) ~src:se ~seq (fun () ->
-        match handler_of inst env.dst with
-        | Some handler ->
-          inst.delivered <- inst.delivered + 1;
-          handler env
-        | None -> inst.undeliverable <- inst.undeliverable + 1)
+    Lp.post s.lps.(dlp) ~at:(now + latency) ~src:se ~seq (fun () -> arrive inst env)
 
 let send t ?int_ ~src ~dst payload =
   if Addr.equal src dst then invalid_arg "Fabric.send: src = dst";
@@ -339,12 +352,8 @@ let mix seed eid =
   (!h lxor (!h lsr 31)) land max_int
 
 let router ?(config = default_config) ~lps ~switch_lp ~lp_of_host ~hosts ~seed () =
+  check_config ~fn:"Fabric.router" config;
   let la = lookahead config in
-  check_probability ~what:"loss" config.loss;
-  check_probability ~what:"detour_fraction" config.detour_fraction;
-  if config.jitter < 0 then invalid_arg "Fabric.router: jitter must be non-negative";
-  if config.detour_extra < 0 then
-    invalid_arg "Fabric.router: detour_extra must be non-negative";
   let n = Array.length lps in
   if n = 0 then invalid_arg "Fabric.router: no LPs";
   if switch_lp < 0 || switch_lp >= n then

@@ -20,8 +20,9 @@
     All randomness comes from the [rng] supplied at creation, keeping
     runs deterministic.  The fabric counts every send and every
     outcome of a send itself ({!sent} .. {!undeliverable}); every drop
-    path also marks the ambient {!Draconis_obs.Recorder}'s ["fabric"]
-    track, so a recorded timeline shows fault activity. *)
+    path, on the classic fabric and the {!router} alike, also marks the
+    ambient {!Draconis_obs.Recorder}'s ["fabric"] track, so a recorded
+    timeline shows fault activity. *)
 
 open Draconis_sim
 
@@ -147,19 +148,27 @@ val undeliverable : 'msg t -> int
     from the {e sender entity}'s private stream (seeded from
     [(seed, entity)]), and the fault windows ({!set_windows}) are data
     over simulated time, so the outcome of a sharded run is independent
-    of both the partitioning and the domain schedule.  Entity ids: the
+    of both the LP layout and the domain schedule.  Entity ids: the
     switch is 0, host [h] is [h + 1].
 
-    Ambient observability (Recorder marks, INT stamp draining) is
-    skipped on the sharded path: it lives in domain-local storage that
-    helper domains do not carry. *)
+    A routed message arrives and drops exactly as on the classic
+    fabric: the same counters, the same ["fabric"] marks, the same INT
+    stack draining.  The recorder and the INT collector are
+    domain-local, so they see the events of the LPs their own domain
+    runs; an observed run keeps every window on the caller's domain
+    ({!Draconis_harness} [Systems.draconis]).
+
+    {!Draconis.Cluster} builds two layouts on a router: every entity on
+    one LP, or the switch on LP 0 and every host on LP 1.  The
+    benchmark's [busy-short-s2] workload runs the second. *)
 
 (** [router ~lps ~switch_lp ~lp_of_host ~hosts ~seed ()] returns one
     instance per LP (same index as [lps]).  [lp_of_host] maps each host
     id in [\[0, hosts)] to its LP index; the switch lives on
     [switch_lp].
     @raise Invalid_argument on an empty [lps], out-of-range LP indexes,
-    or any invalid latency/probability parameter. *)
+    a config {!create} rejects, or a zero [host_to_switch] (no
+    {!lookahead}). *)
 val router :
   ?config:config ->
   lps:Draconis_sim.Lp.t array ->

@@ -18,21 +18,3 @@ let same_rack t a b = rack_of t a = rack_of t b
 let hosts_in_rack t r =
   if r < 0 || r >= t.racks then invalid_arg "Topology.hosts_in_rack: bad rack";
   List.filter (fun h -> t.rack_of_node.(h) = r) (List.init t.nodes Fun.id)
-
-(* Rack-aligned when possible: whole racks map to a group, so the only
-   cross-LP links are the ones that were already cross-rack.  Past one
-   group per rack, racks have to split; plain contiguous host blocks
-   keep the partition even. *)
-let partition t ~groups =
-  if groups < 1 || groups > t.nodes then
-    invalid_arg "Topology.partition: need 1 <= groups <= nodes";
-  if groups <= t.racks then
-    Array.map (fun rack -> rack * groups / t.racks) t.rack_of_node
-  else Array.init t.nodes (fun host -> host * groups / t.nodes)
-
-let group_of t ~groups host =
-  if host < 0 || host >= t.nodes then invalid_arg "Topology.group_of: bad host";
-  if groups < 1 || groups > t.nodes then
-    invalid_arg "Topology.group_of: need 1 <= groups <= nodes";
-  if groups <= t.racks then t.rack_of_node.(host) * groups / t.racks
-  else host * groups / t.nodes

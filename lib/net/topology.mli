@@ -23,14 +23,3 @@ val same_rack : t -> int -> int -> bool
 
 (** [hosts_in_rack t r] lists the hosts of rack [r], ascending. *)
 val hosts_in_rack : t -> int -> int list
-
-(** [partition t ~groups] maps each host to a logical-process group in
-    [\[0, groups)], for sharded simulation: contiguous, maximally even,
-    and rack-aligned whenever [groups <= racks] (whole racks never
-    straddle a group, so intra-rack traffic stays LP-local).  With
-    [groups > racks] the split falls back to contiguous host blocks.
-    @raise Invalid_argument unless [1 <= groups <= nodes t]. *)
-val partition : t -> groups:int -> int array
-
-(** [group_of t ~groups host] is [ (partition t ~groups).(host) ]. *)
-val group_of : t -> groups:int -> int -> int

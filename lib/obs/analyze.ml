@@ -126,8 +126,8 @@ let parse_run v =
 let load ~path =
   let* json = Json.parse_file path in
   let schema = string_field "schema" json ~default:"" in
-  if schema <> "draconis-obs/1" && schema <> "draconis-obs/2" && schema <> "draconis-obs/3"
-  then
+  let known = [ "draconis-obs/1"; "draconis-obs/2"; "draconis-obs/3"; "draconis-obs/4" ] in
+  if not (List.mem schema known) then
     Error (Printf.sprintf "%s: expected a draconis-obs metrics export, got schema %S" path schema)
   else
     match Json.member "runs" json with

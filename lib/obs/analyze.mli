@@ -1,7 +1,7 @@
 (** Offline phase-attribution analyzer behind [draconis-trace analyze].
 
     Loads a metrics export ({!Dump.metrics_json}, schema
-    [draconis-obs/1] or [/2]) and reduces each run to its per-phase
+    [draconis-obs/1] to [/4]) and reduces each run to its per-phase
     latency decomposition: count / sum / mean / p50 / p99 / max per
     {!Phase.t}, critical-path counts, anomaly tags, and the top-K
     slowest tasks with their full breakdowns.

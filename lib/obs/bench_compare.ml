@@ -167,7 +167,6 @@ let run ~tol_pct base cur =
         | _ -> None);
         informational "total_events" base cur;
         informational "jobs" base cur;
-        informational "shards" base cur;
       ]
   in
   { tol_pct; checks; missing = List.rev missing; extra; notes }

@@ -53,9 +53,11 @@ let run_json recorder =
     (fields_json (Recorder.series recorder) series_json)
     attribution int_section
 
-(* Schema v3 = v2 plus the optional per-run ["int"] telemetry section. *)
+(* Schema v3 = v2 plus the optional per-run ["int"] telemetry section;
+   v4 = v3 with the repair count under one counter name
+   ([switch.repairs_launched]; v3 also wrote it as [queue.repair_flags]). *)
 let metrics_json recorders =
-  Printf.sprintf "{\n  \"schema\": \"draconis-obs/3\",\n  \"runs\": [\n%s\n  ]\n}\n"
+  Printf.sprintf "{\n  \"schema\": \"draconis-obs/4\",\n  \"runs\": [\n%s\n  ]\n}\n"
     (String.concat ",\n" (List.map run_json recorders))
 
 (* RFC 4180: quote any field containing a separator, a quote, or a line

@@ -1,6 +1,6 @@
 (** Flat metrics exporter: the registry of every run as JSON or CSV.
 
-    JSON shape ([draconis-obs/2] schema): a [runs] array with one entry
+    JSON shape ([draconis-obs/4] schema): a [runs] array with one entry
     per recorder holding its label, event total and [dropped_events]
     count (events discarded at the recorder's capacity bound),
     counters, gauges, histogram summaries (count/min/max/mean/p50/p99),

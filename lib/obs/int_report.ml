@@ -125,11 +125,11 @@ let parse_run v =
 let load ~path =
   let* json = Json.parse_file path in
   let schema = string_field "schema" json ~default:"" in
-  if schema <> "draconis-obs/3" then
+  if schema <> "draconis-obs/3" && schema <> "draconis-obs/4" then
     Error
       (Printf.sprintf
-         "%s: expected a draconis-obs/3 metrics export (with an \"int\" section), got \
-          schema %S"
+         "%s: expected a draconis-obs/3 or /4 metrics export (with an \"int\" \
+          section), got schema %S"
          path schema)
   else
     match Json.member "runs" json with

@@ -48,7 +48,7 @@ type run = { label : string; int_ : section option }
 
 val load : path:string -> (run list, string) result
 (** Parse a metrics export.  Unlike [Analyze.load] this demands schema
-    [draconis-obs/3] exactly — earlier schemas cannot carry an ["int"]
+    [draconis-obs/3] or [/4] — earlier schemas cannot carry an ["int"]
     section, so pointing the command at one is a usage error worth
     failing loudly on. *)
 

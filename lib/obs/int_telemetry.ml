@@ -102,7 +102,7 @@ let disable () = enabled_flag := false
 
 (* DRACONIS_INT value grammar: "0" disables, "N" (1..max_budget) enables
    with header budget N.  Malformed values abort rather than silently
-   defaulting, matching DRACONIS_JOBS / DRACONIS_SHARDS. *)
+   defaulting, matching DRACONIS_JOBS. *)
 let configure_of_string raw =
   match int_of_string_opt (String.trim raw) with
   | Some 0 -> disable ()
@@ -376,7 +376,7 @@ module Collector = struct
         (Histogram.percentile h 99.0)
         (Histogram.max_recorded h)
 
-  (* The [int] section of the draconis-obs/3 dump.  Per-queue [samples]
+  (* The [int] section of the draconis-obs/4 dump.  Per-queue [samples]
      and [max] are redundant with the bucketed series on purpose:
      [draconis-trace int] re-derives them offline and fails loudly on a
      mismatch (the occupancy re-check). *)

@@ -17,7 +17,7 @@
 
     Host side, a {!Collector} drains stacks at reply delivery into
     per-queue/per-bank windowed depth series and per-stage latency
-    histograms, exported as the ["int"] section of the draconis-obs/3
+    histograms, exported as the ["int"] section of the draconis-obs/4
     metrics dump and rendered by [draconis-trace int]. *)
 
 open Draconis_sim
@@ -152,7 +152,7 @@ module Collector : sig
       depth, named [int.depth.q<level>] / [int.depth.pifo]. *)
   val emit_series : t -> (at:Time.t -> name:string -> int -> unit) -> unit
 
-  (** The ["int"] section of the draconis-obs/3 dump. *)
+  (** The ["int"] section of the draconis-obs/4 dump. *)
   val to_json : t -> string
 end
 

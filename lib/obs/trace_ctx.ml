@@ -25,7 +25,7 @@ type t = { collector : Attribution.t; check : bool }
 (* Only explicit booleans are accepted: treating any junk value as
    "on" would hide typos (DRACONIS_PHASE_CHECK=ture), and treating it
    as "off" would silently disarm the check — the same fail-loudly
-   contract as DRACONIS_JOBS and DRACONIS_SHARDS. *)
+   contract as DRACONIS_JOBS. *)
 let env_check () =
   match Sys.getenv_opt "DRACONIS_PHASE_CHECK" with
   | None | Some "" | Some "0" -> false

@@ -15,8 +15,9 @@
     Injection sorts by that stamp, so the order in which same-time
     cross-LP events enter an engine depends only on the stamps — never
     on which domain ran which LP first, and never on how the model was
-    partitioned.  This is what makes sharded runs reproduce the
-    sequential ([DRACONIS_SHARDS=1]) outcomes exactly.
+    partitioned.  This is what makes a sharded cluster's two layouts
+    (one LP, or the switch and the hosts on two) give the same outcomes
+    exactly.
 
     {2 Allocation}
 

@@ -30,7 +30,7 @@ type t
 
 (** Runs a batch of per-LP thunks to completion, possibly in parallel.
     The default executor runs them inline, in array order — the
-    bit-deterministic reference path ([DRACONIS_SHARDS=1]). *)
+    bit-deterministic reference path. *)
 type executor = (unit -> unit) array -> unit
 
 (** [create ~lookahead lps].

@@ -354,6 +354,20 @@ let test_compare_repeated_keys () =
   Alcotest.(check (list string)) "a dropped repeat is missing" [ "figf/Draconis@256000#2" ]
     t.Obs.Bench_compare.missing
 
+(* The analyzer reads every metrics-dump schema the writer has used,
+   the current /4 included, and nothing else. *)
+let test_analyzer_schemas () =
+  let loads schema =
+    with_temp_file (Printf.sprintf {|{"schema":"%s","runs":[]}|} schema) (fun path ->
+        Result.is_ok (Obs.Analyze.load ~path))
+  in
+  List.iter
+    (fun v ->
+      Alcotest.(check bool) ("reads draconis-obs/" ^ v) true (loads ("draconis-obs/" ^ v)))
+    [ "1"; "2"; "3"; "4" ];
+  Alcotest.(check bool) "rejects draconis-obs/5" false (loads "draconis-obs/5");
+  Alcotest.(check bool) "rejects a bench report" false (loads "draconis-bench/1")
+
 let test_compare_rejects_wrong_schema () =
   with_temp_file {|{"schema":"draconis-obs/2","runs":[]}|} (fun path ->
       match Obs.Bench_compare.compare_files ~base_path:path ~cur_path:path () with
@@ -389,6 +403,7 @@ let suite =
     Alcotest.test_case "fail-over resubmission sums exactly" `Quick
       test_failover_resubmission_attributed;
     Alcotest.test_case "analyzer round-trip re-verifies" `Quick test_analyzer_round_trip;
+    Alcotest.test_case "analyzer reads obs schemas /1 to /4" `Quick test_analyzer_schemas;
     Alcotest.test_case "stale copy leaves the sealed journey" `Quick
       test_stale_copy_leaves_sealed_journey;
     Alcotest.test_case "compare: identical reports pass" `Quick test_compare_self_passes;

@@ -209,7 +209,11 @@ let check_identities ?(all_done = true) r (o : H.Runner.outcome) =
   check "client.completed = outcome" o.completed (c "client.completed");
   check "switch.rejected_tasks = outcome" o.rejected (c "switch.rejected_tasks");
   check "switch.recirculations = outcome" o.recirculations (c "switch.recirculations");
-  check "queue.repair_flags = outcome" o.repair_flags (c "queue.repair_flags");
+  check "switch.repairs_launched = outcome" o.repair_flags (c "switch.repairs_launched");
+  Alcotest.(check bool)
+    (Obs.Recorder.label r ^ ": one name for the repair count")
+    false
+    (List.mem_assoc "queue.repair_flags" (Obs.Recorder.counters r));
   check "pipeline.recirc_dropped = outcome" o.recirc_drops (c "pipeline.recirc_dropped");
   (* Every Recirculate output is accepted or dropped by the port. *)
   check "switch.recirculations = recirculated + recirc_dropped"

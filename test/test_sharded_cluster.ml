@@ -1,15 +1,17 @@
-(* The sharded Draconis cluster: outcome equality across shard counts
-   (the tentpole guarantee — partitioning the data path over logical
-   processes must not change a single metric), executor neutrality
-   (inline vs a 2-lane team), window faults armed from a plan, and the fail-loud
-   guards.  The all-kinds faulted equality (fail-over and crash
-   included, across lane counts) lives with the determinism contract in
+(* The sharded Draconis cluster: its two layouts — every entity on one
+   LP, or the switch on LP 0 and every host on LP 1 — give bit-identical
+   outcomes (partitioning the data path over logical processes must not
+   change a single metric), unfaulted and under a plan of every fault
+   kind, whether the windows run inline or on a 2-lane team; an observed
+   faulted run records the same marks in both, one per fabric drop; and
+   the fail-loud guards.  The Lp/Sync building blocks are tested in
    test_shard.ml. *)
 
 open Draconis_sim
 open Draconis_workload
 module H = Draconis_harness
 module F = Draconis_fault
+module Obs = Draconis_obs
 
 let spec = { H.Systems.workers = 4; executors_per_worker = 4; clients = 2; seed = 7 }
 let kind = Synthetic.Fixed_100us
@@ -57,17 +59,17 @@ let run_seeded ~kind ~seed shards =
 let check_digests name reference other =
   Alcotest.(check (list (pair string int))) name (digest reference) (digest other)
 
+let with_jobs n f =
+  let saved = H.Pool.jobs () in
+  H.Pool.set_jobs n;
+  Fun.protect ~finally:(fun () -> H.Pool.set_jobs saved) f
+
 let test_outcome_equality () =
   let reference = run_sharded 1 in
   Alcotest.(check bool) "work happened" true (reference.completed > 100);
   Alcotest.(check bool) "drained" true reference.drained;
-  List.iter
-    (fun shards ->
-      check_digests
-        (Printf.sprintf "shards=%d == shards=1" shards)
-        reference (run_sharded shards))
-    [ 2; 4 ];
-  (* The contract must hold for arbitrary seeds and for a fig6-shaped
+  check_digests "shards=2 == shards=1" reference (run_sharded 2);
+  (* The contract must hold for other seeds and for a fig6-shaped
      bimodal service mix (short tasks with a heavy tail), not just the
      one workload above. *)
   List.iter
@@ -80,16 +82,60 @@ let test_outcome_equality () =
             true
             (reference.drained && reference.completed > 100);
           check_digests
-            (Printf.sprintf "%s seed=%d: shards=3 == shards=1" name seed)
-            reference (run_seeded ~kind ~seed 3))
+            (Printf.sprintf "%s seed=%d: shards=2 == shards=1" name seed)
+            reference (run_seeded ~kind ~seed 2))
         [ 11; 4242; 1000003 ])
     [ (Synthetic.Fixed_100us, "fixed 100us"); (Synthetic.Bimodal, "bimodal") ]
+
+(* One plan with all five event kinds, armed through the injector:
+   fail-over on the switch LP, crash + restart and a straggler on their
+   workers' LPs, a loss burst and a two-host cut as fabric windows.
+   Outcome digest, fired log and recovery report are identical in both
+   layouts, with the windows inline or on a 2-lane team. *)
+let fault_plan =
+  F.Plan.of_string
+    "straggler@1ms:node=1,factor=4,dur=4ms; failover@2ms; crash@3ms:node=2,down=1ms; \
+     partition@4ms:hosts=0+5,dur=1ms; burst@6ms:dur=500us,loss=0.1"
+
+let run_faulted shards =
+  let cluster, system =
+    H.Systems.draconis_cluster ~racks:2 ~shards ~client_timeout:(Time.ms 2)
+      { spec with seed = 42 }
+  in
+  let injector = F.Injector.arm fault_plan (F.Target.of_cluster cluster) in
+  let outcome =
+    H.Runner.run system ~driver ~load_tps:rate_tps ~horizon ~workload_seed:42 ()
+  in
+  ( digest outcome,
+    F.Injector.fired injector,
+    F.Recovery.measure ~metrics:system.H.Systems.metrics ~injector ~until:horizon () )
+
+let test_fault_plan_equality () =
+  let digest_1, fired_1, report_1 = with_jobs 1 (fun () -> run_faulted 1) in
+  List.iter
+    (fun jobs ->
+      let name = Printf.sprintf "jobs=%d shards=2" jobs in
+      let digest, fired, report = with_jobs jobs (fun () -> run_faulted 2) in
+      Alcotest.(check (list (pair string int))) (name ^ ": outcome") digest_1 digest;
+      Alcotest.(check (list (pair int string))) (name ^ ": fired") fired_1 fired;
+      Alcotest.(check bool) (name ^ ": recovery report") true (report = report_1))
+    [ 1; 2 ];
+  Alcotest.(check int) "every edge fired" 9 (List.length fired_1);
+  Alcotest.(check int) "one fail-over" 1 report_1.F.Recovery.failovers;
+  Alcotest.(check bool) "the standby assigned again" true
+    (report_1.F.Recovery.recovery <> None);
+  Alcotest.(check bool) "drops become timeouts" true (report_1.F.Recovery.timeouts > 0);
+  Alcotest.(check bool) "the rest completed" true (List.assoc "completed" digest_1 > 800)
 
 (* The static fault kinds — a loss burst, a one-host cut and a
    straggler, all fixed windows known before the run — armed through
    the injector: the loss and cut windows go to the fabric as send-time
-   data, the straggler edges onto the owning worker's LP.  The degraded
-   outcome is bit-identical at every shard count. *)
+   data, the straggler edges onto the owning worker's LP.  Run observed
+   on a 2-job pool (so the windows stay on the caller's domain): the
+   degraded outcome and every mark the recorder holds are the same in
+   both layouts, and the sharded fabric marks each drop on its "fabric"
+   track, one "drop: loss" per lost message and one "drop: partition"
+   per cut one, as the classic fabric does. *)
 let static_faults =
   F.Plan.of_string
     "straggler@1ms:node=2,factor=3,dur=5ms; burst@2ms:dur=2ms,loss=0.05; \
@@ -101,17 +147,39 @@ let test_fault_equality () =
       H.Systems.draconis_cluster ~racks:2 ~shards ~client_timeout:(Time.ms 2) spec
     in
     ignore (F.Injector.arm static_faults (F.Target.of_cluster cluster));
-    H.Runner.run system ~driver ~load_tps:rate_tps ~horizon ()
+    let recorder = Obs.Recorder.create ~label:"static faults" () in
+    let outcome =
+      with_jobs 2 (fun () ->
+          Obs.Recorder.with_recorder recorder (fun () ->
+              H.Runner.run system ~driver ~load_tps:rate_tps ~horizon ()))
+    in
+    let marks =
+      List.filter_map
+        (fun (e : Obs.Event.t) ->
+          if e.phase = Obs.Event.Instant then Some (e.at, e.track, e.name) else None)
+        (Obs.Recorder.events recorder)
+    in
+    let count name =
+      List.length (List.filter (fun (_, track, n) -> track = "fabric" && n = name) marks)
+    in
+    let (c : H.Systems.counts) = system.H.Systems.counts () in
+    Alcotest.(check int)
+      (Printf.sprintf "shards=%d: one loss mark per lost message" shards)
+      c.lost (count "drop: loss");
+    Alcotest.(check int)
+      (Printf.sprintf "shards=%d: one partition mark per cut message" shards)
+      c.partition_dropped (count "drop: partition");
+    (outcome, List.sort compare marks, c)
   in
-  let reference = run 1 in
+  let reference, marks_1, c = run 1 in
   Alcotest.(check bool) "faults bit (losses recovered)" true
     (reference.timeouts > 0 && reference.completed > 100);
-  List.iter
-    (fun shards ->
-      check_digests
-        (Printf.sprintf "faulted shards=%d == shards=1" shards)
-        reference (run shards))
-    [ 2; 4 ]
+  Alcotest.(check bool) "both windows dropped messages" true
+    (c.lost > 0 && c.partition_dropped > 0);
+  let outcome, marks_2, _ = run 2 in
+  check_digests "faulted shards=2 == shards=1" reference outcome;
+  Alcotest.(check (list (triple int string string)))
+    "faulted shards=2 marks == shards=1 marks" marks_1 marks_2
 
 let test_executor_neutrality () =
   (* The barrier-window executor is pure execution vehicle: fanning each
@@ -128,7 +196,7 @@ let test_executor_neutrality () =
           executors_per_worker = 4;
           clients = 2;
           racks = 2;
-          shards = Some 4;
+          shards = Some 2;
         }
     in
     Draconis.Cluster.start cluster;
@@ -173,13 +241,18 @@ let test_executor_neutrality () =
   in
   Alcotest.(check (list int)) "teamed == inline" (digest inline_cluster) teamed
 
-let test_shards_exceed_lp_groups () =
-  (* 4 workers + 2 clients admit 1 + 6 LP groups; 8 must fail loud. *)
-  Alcotest.check_raises "too many shards"
-    (Invalid_argument
-       "Cluster.create: 8 shards exceed the 7 LP groups this topology admits \
-        (1 switch LP + 6 hosts: 4 workers + 2 clients); lower --shards")
-    (fun () -> ignore (run_sharded 8))
+let test_shards_outside_layouts () =
+  List.iter
+    (fun shards ->
+      Alcotest.check_raises
+        (Printf.sprintf "shards=%d" shards)
+        (Invalid_argument
+           (Printf.sprintf
+              "Cluster.create: %d shards (want 1 — every entity on one LP — or 2 — \
+               the switch on LP 0, every host on LP 1)"
+              shards))
+        (fun () -> ignore (H.Systems.draconis ~shards spec)))
+    [ 0; 3; 129 ]
 
 let test_feed_noop_rejects_staged () =
   let system = H.Systems.draconis ~racks:2 ~shards:2 spec in
@@ -194,14 +267,16 @@ let test_feed_noop_rejects_staged () =
 
 let suite =
   [
-    Alcotest.test_case "outcomes bit-identical across shards {1,2,4}" `Quick
+    Alcotest.test_case "outcomes bit-identical across shards {1,2}" `Quick
       test_outcome_equality;
+    Alcotest.test_case "fault plans compose with sharding" `Quick
+      test_fault_plan_equality;
     Alcotest.test_case "static faults bit-identical across shards" `Quick
       test_fault_equality;
     Alcotest.test_case "work-stealing executor is outcome-neutral" `Quick
       test_executor_neutrality;
-    Alcotest.test_case "shards > LP groups fails loud" `Quick
-      test_shards_exceed_lp_groups;
+    Alcotest.test_case "shards outside {1, 2} fails loud" `Quick
+      test_shards_outside_layouts;
     Alcotest.test_case "feed_noop rejects staged systems" `Quick
       test_feed_noop_rejects_staged;
   ]

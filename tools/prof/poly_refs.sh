@@ -21,8 +21,17 @@ if [ $# -lt 1 ]; then
   echo "usage: sh tools/prof/poly_refs.sh MODULE..." >&2
   exit 2
 fi
+# From the source tree: build, then read the objects under _build.  As
+# the action of the poly-refs alias (dune sets INSIDE_DUNE for rule
+# actions): the script runs from the build context, whose objects are
+# the rule's dependencies, so there is nothing to build.
 cd "$(dirname "$0")/../.."
-dune build 2>/dev/null
+if [ -n "${INSIDE_DUNE:-}" ]; then
+  lib=lib
+else
+  dune build 2>/dev/null
+  lib=_build/default/lib
+fi
 generic=$(ocamlobjinfo "$(ocamlc -where)/stdlib__Hashtbl.cmx" |
   sed -n 's/^   [0-9]*: function \(camlStdlib__Hashtbl\.\(find\|find_opt\|mem\|replace\|add\|remove\)_[0-9]*\) .*(closed).*/\1/p' |
   sed 's/\./\\./' | tr '\n' '|')
@@ -33,9 +42,9 @@ fi
 pattern=" U (${generic}caml_(equal|notequal|compare|lessthan|lessequal|greaterthan|greaterequal)|camlStdlib\.(min|max)_[0-9]+)\$"
 found=0
 for m in "$@"; do
-  objs=$(find _build/default/lib -path "*/native/*__$m.o")
+  objs=$(find "$lib" -path "*/native/*__$m.o")
   if [ -z "$objs" ]; then
-    echo "$m: no object under _build/default/lib" >&2
+    echo "$m: no object under $lib" >&2
     exit 2
   fi
   for o in $objs; do
