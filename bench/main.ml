@@ -54,12 +54,15 @@ let micro_tests () =
            done))
   in
   let engine_test =
-    (* The calendar in place, at idle-poll's standing population: ~3k
-       self-re-arming timers cycling through one poll round trip's
-       delays (request hop, admission, reply hop, retry, watchdog), so
-       the 200 us watchdogs make up most of what is pending.  Each
-       iteration steps one event, which re-arms itself: one schedule and
-       one step on a full calendar, with nothing created in the loop. *)
+    (* The calendar in place, at the standing population idle-poll held
+       with one watchdog event per pull request: ~3k self-re-arming
+       timers cycling through one poll round trip's delays (request hop,
+       admission, reply hop, retry, watchdog), so the 200 us watchdogs
+       make up most of what is pending.  (With one deadline per
+       executor, an idle cluster holds 2 pending events per executor.)
+       Each iteration steps one event, which re-arms itself: one
+       schedule and one step on a full calendar, with nothing created in
+       the loop. *)
     let engine = Engine.create () in
     let mix = [| 1_350; 400; 1_650; 4_000; 200_000; 1_500; 400; 1_500; 4_000; 200_000 |] in
     let next = ref 0 in

@@ -28,43 +28,45 @@ type t = {
   mutable pending_fetch : (Task.t * Addr.t) option;
       (* a transmission-function task awaiting its parameters (§4.4) *)
   mutable stopped : bool;
-  mutable generation : int;  (* bumped on every send/receive, so a
-                                stale watchdog check is a no-op *)
   mutable epoch : int;  (* bumped on crash: the finish closure of a task
                            that was running when the executor died is a
                            no-op — the task just vanishes *)
   mutable slowdown : float;  (* straggler degradation factor, >= 1 *)
   mutable tasks_executed : int;
   mutable busy_time : Time.t;
-  (* Watchdogs all share one window, so they fire in arming order, and
-     each arm follows a generation bump: only the last one armed can
-     still find the generation it was armed at.  So a count of armed,
-     unfired watchdogs and the generation at the last arm decide exactly
-     what a per-arm captured generation would. *)
-  mutable armed : int;
-  mutable armed_generation : int;
+  (* The watchdog: when the last pull request goes unanswered, or
+     [disarmed] once a delivery answered it.  Its one pending expiry is
+     never later than an armed deadline, and moves to it. *)
+  mutable deadline : Time.t;
+  mutable expiry_pending : bool;
   (* Preallocated engine thunks, set once by [create]: the no-op retry
      (and staggered start), and the watchdog expiry. *)
   mutable retry : unit -> unit;
   mutable expire : unit -> unit;
 }
 
+let disarmed = -1
+
 let rec send_request t =
   if not t.stopped then begin
-    t.generation <- t.generation + 1;
     Fabric.send t.fabric ~src:t.addr ~dst:t.config.scheduler t.request;
     match t.config.watchdog with
     | None -> ()
     | Some window ->
-      t.armed <- t.armed + 1;
-      t.armed_generation <- t.generation;
-      ignore (Engine.schedule t.engine ~after:window t.expire)
+      t.deadline <- Engine.now t.engine + window;
+      if not t.expiry_pending then begin
+        t.expiry_pending <- true;
+        ignore (Engine.schedule t.engine ~after:window t.expire)
+      end
   end
 
 and watchdog_expired t =
-  t.armed <- t.armed - 1;
-  if t.armed = 0 && (not t.stopped) && (not t.busy) && t.generation = t.armed_generation
-  then send_request t
+  let now = Engine.now t.engine in
+  if t.deadline > now then ignore (Engine.schedule_at t.engine ~at:t.deadline t.expire)
+  else begin
+    t.expiry_pending <- false;
+    if t.deadline = now && (not t.stopped) && not t.busy then send_request t
+  end
 
 let create ~config ~fabric () =
   let addr = Addr.Host config.node in
@@ -89,13 +91,12 @@ let create ~config ~fabric () =
       busy = false;
       pending_fetch = None;
       stopped = false;
-      generation = 0;
       epoch = 0;
       slowdown = 1.0;
       tasks_executed = 0;
       busy_time = 0;
-      armed = 0;
-      armed_generation = 0;
+      deadline = disarmed;
+      expiry_pending = false;
       retry = ignore;
       expire = ignore;
     }
@@ -136,7 +137,6 @@ let crash t =
   t.stopped <- true;
   t.busy <- false;
   t.pending_fetch <- None;
-  t.generation <- t.generation + 1;
   t.epoch <- t.epoch + 1
 
 let restart t =
@@ -144,7 +144,6 @@ let restart t =
     if Obs.Recorder.active () then
       Obs.Recorder.mark ~at:(Engine.now t.engine) ~track:(track t) "restart";
     t.stopped <- false;
-    t.generation <- t.generation + 1;
     send_request t
   end
 
@@ -200,7 +199,7 @@ let transfer_time ~size = size * 8 / 100
 
 let deliver t (msg : Message.t) =
   if not t.stopped then begin
-    t.generation <- t.generation + 1;
+    t.deadline <- disarmed;
     match msg with
     | Task_assignment { task; client; port = _ } -> execute t task ~client
     | Noop_assignment _ ->

@@ -24,8 +24,12 @@ type config = {
   watchdog : Time.t option;
       (** re-send the pull request if no reply arrives within this
           window; recovers executors whose request or assignment packet
-          was lost.  [None] disables (schedulers that park requests
-          should keep it off or deduplicate). *)
+          was lost.  The executor keeps one deadline: each pull request
+          sets it one window ahead, any delivery clears it, and at most
+          one expiry event is pending, not one per request.  A
+          completion sets no deadline.  [None] disables
+          (schedulers that park requests should keep it off or
+          deduplicate). *)
 }
 
 type t

@@ -132,10 +132,10 @@ let satisfies t ~entry ~info =
 let swap_bound t ~queue_occupancy =
   match t with
   | Fcfs | Priority _ | Edf _ | Wfq _ | Aging_priority _ -> 0
-  | Resource_aware { max_swaps } -> min max_swaps queue_occupancy
+  | Resource_aware { max_swaps } -> Int.min max_swaps queue_occupancy
   | Locality_aware { global_start_limit; _ } ->
     (* §5.3: recirculation per request is bounded by the global limit. *)
-    min (global_start_limit + 1) queue_occupancy
+    Int.min (global_start_limit + 1) queue_occupancy
 
 let uses_swapping = function
   | Fcfs | Priority _ | Edf _ | Wfq _ | Aging_priority _ -> false

@@ -68,7 +68,7 @@ let create ~engine ?(instrument = Instrument.default) ~policy ~queue_capacity ()
               recirculates once per rank-store row; deep PIFOs are the point \
               of the circular queue)"
              queue_capacity pifo_capacity_limit);
-      let scan_width = min pifo_scan_width queue_capacity in
+      let scan_width = Int.min pifo_scan_width queue_capacity in
       if queue_capacity mod scan_width <> 0 then
         invalid_arg
           (Printf.sprintf
@@ -191,7 +191,7 @@ let reject t ~client ~uid ~jid (tasks : Task.t list) =
   Pipeline.Emit (client, Message.Queue_full { uid; jid; tasks })
 
 let grown a len fill =
-  let b = Array.make (max len (2 * Array.length a)) fill in
+  let b = Array.make (Int.max len (2 * Array.length a)) fill in
   Array.blit a 0 b 0 (Array.length a);
   b
 
@@ -431,7 +431,7 @@ let pifo_rank t ctx vft (task : Task.t) =
       | Some _ -> n - 1
       | None -> 0
     in
-    let cost = max 1 (quantum / weights.(tenant)) in
+    let cost = Int.max 1 (quantum / weights.(tenant)) in
     let reg = Option.get vft in
     (* Virtual finish time F = max(prev, now) + quantum/weight; the
        stateful ALU hands the updated value back in packet metadata.

@@ -385,7 +385,7 @@ let router ?(config = default_config) ~lps ~switch_lp ~lp_of_host ~hosts ~seed (
           rng = Lp.rng lp;
           config;
           shard = Some (s, i);
-          host_handlers = Array.make (max 64 hosts) None;
+          host_handlers = Array.make (Int.max 64 hosts) None;
           switch_handler = None;
           windows = [||];
           lossless = true;

@@ -1,8 +1,14 @@
+(* The cells live in a byte block, 8 bytes each, not in an [int array]:
+   the GC never scans a byte block, while an [int array] is scanned
+   word by word on every major cycle.  A 164k-entry queue holds twelve
+   such registers (2M words), and building one runs a major cycle or
+   two. *)
 type t = {
   id : int;
   name : string;
   cell_bits : int;
-  cells : int array;
+  size : int;
+  cells : Bytes.t;
   mutable last : int;  (* stamp of the last data-path access; 0 = none *)
 }
 
@@ -20,23 +26,32 @@ let create ~name ~size ?(cell_bits = 32) () =
     id = 1 + Atomic.fetch_and_add next_id 1;
     name;
     cell_bits;
-    cells = Array.make size 0;
+    size;
+    cells = Bytes.make (size lsl 3) '\000';
     last = 0;
   }
 
 let name t = t.name
-let size t = Array.length t.cells
+let size t = t.size
 let cell_bits t = t.cell_bits
-let bits t = t.cell_bits * Array.length t.cells
+let bits t = t.cell_bits * t.size
 
 (* Out of line, so the in-range test inlines into every access; it
    returns the exception, so nothing stays live across the call. *)
 let[@inline never] out_of_bounds t i =
   Invalid_argument
-    (Printf.sprintf "Register %s: index %d out of bounds [0,%d)" t.name i (Array.length t.cells))
+    (Printf.sprintf "Register %s: index %d out of bounds [0,%d)" t.name i t.size)
 
 let[@inline] check_bounds t i =
-  if i < 0 || i >= Array.length t.cells then raise (out_of_bounds t i)
+  if i < 0 || i >= t.size then raise (out_of_bounds t i)
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* Unchecked: every caller checks the bounds first.  The [int64] never
+   leaves the expression, so nothing is boxed. *)
+let[@inline] get t i = Int64.to_int (get64 t.cells (i lsl 3))
+let[@inline] set t i v = set64 t.cells (i lsl 3) (Int64.of_int v)
 
 (* Top-level and annotated, so a lookup allocates no closure and
    compares ints inline. *)
@@ -85,18 +100,18 @@ let[@inline] access t (ctx : Packet_ctx.t) =
 let read t ctx i =
   check_bounds t i;
   access t ctx;
-  t.cells.(i)
+  get t i
 
 let write t ctx i v =
   check_bounds t i;
   access t ctx;
-  t.cells.(i) <- v
+  set t i v
 
 let read_modify_write t ctx i f =
   check_bounds t i;
   access t ctx;
-  let old = t.cells.(i) in
-  t.cells.(i) <- f old;
+  let old = get t i in
+  set t i (f old);
   old
 
 (* The fixed-function RMWs below are what the hot paths use: each is
@@ -104,51 +119,54 @@ let read_modify_write t ctx i f =
 let exchange t ctx i v =
   check_bounds t i;
   access t ctx;
-  let old = t.cells.(i) in
-  t.cells.(i) <- v;
+  let old = get t i in
+  set t i v;
   old
 
 let read_and_increment t ctx i =
   check_bounds t i;
   access t ctx;
-  let old = t.cells.(i) in
-  t.cells.(i) <- old + 1;
+  let old = get t i in
+  set t i (old + 1);
   old
 
 let read_and_advance t ctx i ~modulus =
   check_bounds t i;
   access t ctx;
-  let old = t.cells.(i) in
-  t.cells.(i) <- (if old + 1 >= modulus then 0 else old + 1);
+  let old = get t i in
+  set t i (if old + 1 >= modulus then 0 else old + 1);
   old
 
 let compare_and_swap t ctx i ~expected ~desired =
   check_bounds t i;
   access t ctx;
-  let old = t.cells.(i) in
-  if old = expected then t.cells.(i) <- desired;
+  let old = get t i in
+  if old = expected then set t i desired;
   old
 
 let read_and_increment_below t ctx i ~limit =
   check_bounds t i;
   access t ctx;
-  let old = t.cells.(i) in
-  if old < limit then t.cells.(i) <- old + 1;
+  let old = get t i in
+  if old < limit then set t i (old + 1);
   old
 
 let read_and_decrement_above t ctx i ~floor =
   check_bounds t i;
   access t ctx;
-  let old = t.cells.(i) in
-  if old > floor then t.cells.(i) <- old - 1;
+  let old = get t i in
+  if old > floor then set t i (old - 1);
   old
 
 let peek t i =
   check_bounds t i;
-  t.cells.(i)
+  get t i
 
 let poke t i v =
   check_bounds t i;
-  t.cells.(i) <- v
+  set t i v
 
-let fill t v = Array.fill t.cells 0 (Array.length t.cells) v
+let fill t v =
+  for i = 0 to t.size - 1 do
+    set t i v
+  done

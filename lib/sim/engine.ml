@@ -344,7 +344,7 @@ let next_at t =
 (* -- scheduling ------------------------------------------------------------ *)
 
 let renumber t =
-  let order = Array.make (max 1 (pending t)) 0 in
+  let order = Array.make (Int.max 1 (pending t)) 0 in
   let live = ref 0 in
   (* Drop cancelled entries while renumbering: their nodes recycle now
      instead of at their (never-observable) pop. *)

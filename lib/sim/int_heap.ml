@@ -6,7 +6,7 @@ type 'v t = {
 }
 
 let create ?(capacity = 256) () =
-  { init_capacity = max 1 capacity; keys = [||]; vals = [||]; size = 0 }
+  { init_capacity = Int.max 1 capacity; keys = [||]; vals = [||]; size = 0 }
 
 let length h = h.size
 let is_empty h = h.size = 0

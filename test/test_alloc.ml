@@ -4,7 +4,8 @@
    Noop_assignment round trip.  Its minor words per pipeline traversal
    are pinned here, on both cluster paths, so an allocation creeping
    back into the fabric, pipeline, switch program, executor or LP
-   mailbox fails a test instead of only moving a benchmark number. *)
+   mailbox fails a test instead of only moving a benchmark number; so
+   are its engine events per traversal and its pending population. *)
 
 open Draconis_sim
 open Draconis_p4
@@ -48,9 +49,47 @@ let test_legacy_budget () =
 let test_lp_budget () =
   check_budget "LP path at shards = 1" ~budget:80.0 (words_per_traversal (Some 1))
 
-(* The calendar in place: with idle-poll's standing population of ~3k
-   self-re-arming 200 us watchdogs pending, scheduling a preallocated
-   thunk at the poll loop's near delays and stepping allocates nothing.
+(* Engine events per traversal and pending events per executor over 10
+   ms of idle polling, after the same warm-up.  A poll runs four events
+   (request hop, pipeline exit, reply hop, no-op retry), and an executor
+   keeps at most two pending: the next event of its poll loop and its
+   one watchdog expiry.  On the LP path the LP engines' counts are
+   summed. *)
+let idle_population config =
+  let cluster = Cluster.create config in
+  let engines =
+    match Cluster.sync cluster with
+    | None -> [| Cluster.engine cluster |]
+    | Some sync -> Array.map Lp.engine (Sync.lps sync)
+  in
+  Cluster.start cluster;
+  Cluster.run cluster ~until:(Time.ms 1);
+  let pipeline = Cluster.pipeline cluster in
+  let traversals0 = Pipeline.processed pipeline and events0 = Cluster.events cluster in
+  let peak = ref 0 in
+  for i = 1 to 100 do
+    Cluster.run cluster ~until:(Time.ms 1 + (i * Time.us 100));
+    peak := Int.max !peak (Array.fold_left (fun n e -> n + Engine.pending e) 0 engines)
+  done;
+  let traversals = Pipeline.processed pipeline - traversals0 in
+  Alcotest.(check bool) "the cluster polled" true (traversals > 1_000);
+  Alcotest.(check int) "nothing was assigned" 0
+    (Switch_program.assignments (Cluster.program cluster));
+  ( float_of_int (Cluster.events cluster - events0) /. float_of_int traversals,
+    float_of_int !peak /. float_of_int (Cluster.total_executors cluster) )
+
+let check_population name config () =
+  let events, pending = idle_population config in
+  if events > 4.1 then
+    Alcotest.failf "%s: %.2f engine events per traversal, budget 4.1" name events;
+  if pending > 2.0 then
+    Alcotest.failf "%s: %.2f pending events per executor, budget 2" name pending
+
+(* The calendar in place: with a standing population of ~3k
+   self-re-arming 200 us timers pending (a synthetic one: idle-poll
+   keeps one watchdog per executor, 160 in all, since each executor
+   keeps one deadline), scheduling a preallocated thunk at the poll
+   loop's near delays and stepping allocates nothing.
    Every 8th round also arms one more watchdog, so the population grows
    past 4096 and the node pool grows once inside the measured loop; the
    grown arrays are too large for the minor heap. *)
@@ -234,6 +273,14 @@ let suite =
   [
     Alcotest.test_case "idle poll: legacy words/traversal" `Quick test_legacy_budget;
     Alcotest.test_case "idle poll: LP words/traversal" `Quick test_lp_budget;
+    Alcotest.test_case "idle poll: 2x4 legacy events+pending" `Quick
+      (check_population "2x4 legacy path" (idle_config None));
+    Alcotest.test_case "idle poll: 2x4 LP events+pending" `Quick
+      (check_population "2x4 LP path" (idle_config (Some 1)));
+    Alcotest.test_case "idle poll: 10x16 legacy events+pending" `Quick
+      (check_population "10x16 legacy path" Cluster.default_config);
+    Alcotest.test_case "idle poll: 10x16 LP events+pending" `Quick
+      (check_population "10x16 LP path" { Cluster.default_config with shards = Some 1 });
     Alcotest.test_case "rng draws allocate only a float result" `Quick test_rng_draws;
     Alcotest.test_case "calendar: schedule+step in place, 3k pending" `Quick
       test_calendar_in_place;

@@ -169,24 +169,46 @@ let test_executor_noop_backoff () =
   | _ -> Alcotest.fail "unreachable");
   Alcotest.(check int) "nothing executed" 0 (Executor.tasks_executed exec)
 
+type reply = Noop | Assign of Time.t | Silent
+
 (* A scheduler that records when each pull request was sent and answers
-   the first [noops] of them with a no-op, then falls silent; the
-   executor has a 50 us watchdog. *)
-let watchdog_env ~noops =
+   the [n]th pull it receives with [reply n]: a no-op, a task of the
+   given service time, or silence.  A completion counts as a pull (it
+   carries the next request) but is not recorded as one.  The executor
+   has a 50 us watchdog. *)
+let scripted_env reply =
   let engine, fabric, _ = make_env () in
-  let sent = ref [] in
+  let sent = ref [] and pulls = ref 0 in
+  let answer () =
+    let n = !pulls in
+    incr pulls;
+    let to_exec msg = Fabric.send fabric ~src:Addr.Switch ~dst:(Addr.Host 0) msg in
+    match reply n with
+    | Noop -> to_exec (Message.Noop_assignment { port = 2 })
+    | Assign service ->
+      let task =
+        Task.make ~uid:0 ~jid:0 ~tid:n ~fn_id:Task.Fn.busy_loop ~fn_par:service ()
+      in
+      to_exec (Message.Task_assignment { task; client = Addr.Host 9; port = 2 })
+    | Silent -> ()
+  in
   Fabric.register fabric Addr.Switch (fun env ->
       match env.Fabric.payload with
       | Message.Task_request _ ->
         sent := env.Fabric.sent_at :: !sent;
-        if List.length !sent <= noops then
-          Fabric.send fabric ~src:Addr.Switch ~dst:(Addr.Host 0)
-            (Message.Noop_assignment { port = 2 })
+        answer ()
+      | Message.Task_completion _ -> answer ()
       | _ -> ());
   let exec =
     Executor.create ~config:(exec_config ~watchdog:(Some (Time.us 50)) ()) ~fabric ()
   in
   Fabric.register fabric (Addr.Host 0) (fun env -> Executor.deliver exec env.Fabric.payload);
+  (engine, fabric, exec, sent)
+
+(* Answers the first [noops] pull requests with a no-op, then falls
+   silent. *)
+let watchdog_env ~noops =
+  let engine, _, exec, sent = scripted_env (fun n -> if n < noops then Noop else Silent) in
   (engine, exec, fun () -> List.rev_map (fun t -> t / Time.us 1) !sent)
 
 let test_executor_watchdog_resends () =
@@ -216,6 +238,145 @@ let test_executor_watchdog_crash_restart () =
   Engine.run ~until:(Time.us 240) engine;
   Alcotest.(check (list int)) "no re-send while down or from a stale window"
     [ 0; 50; 80; 130; 180; 230 ] (sent_us ())
+
+(* Every pull request has a cause, and every unanswered window ends in
+   a re-send.  Random scripts answer pulls with no-ops, tasks or
+   silence, under random crashes, restarts and stops.  Soundness: each
+   request is the start, a restart, a retry [noop_retry] after a no-op,
+   or a re-send one window after the previous request with no delivery
+   or crash in between, by an executor running no task.  Completeness:
+   a window that passes after a request with no delivery, crash, stop
+   or newer request, while no task runs, ends in a request at that
+   instant.  Same-instant ties go the lenient way on both sides (open
+   intervals for soundness, closed for completeness), since their order
+   is the calendar's. *)
+type fault = Crash | Restart | Stop
+
+let prop_watchdog_instants =
+  let window = Time.us 50 and noop_retry = Time.us 4 and horizon = Time.us 600 in
+  let reply =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, return Noop);
+          (2, map (fun us -> Assign (Time.us us)) (int_range 0 120));
+          (2, return Silent);
+        ])
+  in
+  (* Whole microseconds make ties with the poll loop's instants likely. *)
+  let instant =
+    QCheck.Gen.(oneof [ map Time.us (int_range 0 500); int_range 0 (Time.us 500) ])
+  in
+  let fault = QCheck.Gen.oneofl [ Crash; Restart; Stop ] in
+  let print_reply = function
+    | Noop -> "noop"
+    | Assign d -> Printf.sprintf "assign %dns" d
+    | Silent -> "silent"
+  in
+  let print_fault (at, f) =
+    let name = match f with Crash -> "crash" | Restart -> "restart" | Stop -> "stop" in
+    Printf.sprintf "%s@%dns" name at
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun (script, faults) ->
+        Printf.sprintf "script [%s] faults [%s]"
+          (String.concat "; " (List.map print_reply script))
+          (String.concat "; " (List.map print_fault faults)))
+      QCheck.Gen.(
+        pair
+          (list_size (int_range 0 30) reply)
+          (list_size (int_range 0 6) (pair instant fault)))
+  in
+  QCheck.Test.make ~name:"executor watchdog re-sends exactly at unanswered windows"
+    ~count:1000 arb (fun (script, faults) ->
+      let script = Array.of_list script in
+      let engine, fabric, exec, sent =
+        scripted_env (fun n -> if n < Array.length script then script.(n) else Silent)
+      in
+      (* Deliveries that reach a running executor, and the no-ops among
+         them. *)
+      let deliveries = ref [] and noops = ref [] in
+      Fabric.register fabric (Addr.Host 0) (fun env ->
+          if not (Executor.stopped exec) then begin
+            let now = Engine.now engine in
+            deliveries := now :: !deliveries;
+            match env.Fabric.payload with
+            | Message.Noop_assignment _ -> noops := now :: !noops
+            | _ -> ()
+          end;
+          Executor.deliver exec env.Fabric.payload);
+      (* The executor is busy from a task's start to the next finish, or
+         to the crash that loses the task. *)
+      let running = ref None and runs = ref [] in
+      let ended at =
+        Option.iter (fun a -> runs := (a, at) :: !runs) !running;
+        running := None
+      in
+      Executor.set_on_task exec (fun m _ ~node:_ ->
+          match m with
+          | Executor.Started ->
+            if Option.is_none !running then running := Some (Engine.now engine)
+          | Executor.Finished -> ended (Engine.now engine));
+      let crashes = ref [] and stops = ref [] and restarts = ref [] in
+      List.iter
+        (fun (at, f) ->
+          ignore
+            (Engine.schedule_at engine ~at (fun () ->
+                 match f with
+                 | Crash ->
+                   crashes := at :: !crashes;
+                   ended at;
+                   Executor.crash exec
+                 | Stop ->
+                   stops := at :: !stops;
+                   Executor.stop exec
+                 | Restart ->
+                   if Executor.stopped exec then restarts := at :: !restarts;
+                   Executor.restart exec)))
+        faults;
+      Executor.start exec;
+      Engine.run ~until:horizon engine;
+      ended max_int;
+      let requests = List.rev !sent in
+      let within lo hi l = List.exists (fun x -> lo < x && x < hi) l in
+      let within_closed lo hi l = List.exists (fun x -> lo <= x && x <= hi) l in
+      let caused i s =
+        let previous = List.filter (fun r -> r < s) requests in
+        (i = 0 && s = 0)
+        || List.mem s !restarts
+        || List.exists (fun d -> d + noop_retry = s) !noops
+        || previous <> []
+           && List.fold_left Int.max 0 previous = s - window
+           && not (within (s - window) s !deliveries || within (s - window) s !crashes)
+           && not (List.exists (fun (a, b) -> a < s && s < b) !runs)
+      in
+      let honoured r =
+        let at = r + window in
+        (* A request is recorded when it reaches the scheduler, 1 us on. *)
+        at + Time.us 1 > horizon
+        || within r at requests
+        || within_closed r at !deliveries
+        || within_closed r at !crashes
+        || within_closed r at !stops
+        || List.exists (fun (a, b) -> a <= at && at <= b) !runs
+        || List.mem at requests
+      in
+      let show () = String.concat " " (List.map string_of_int requests) in
+      List.iteri
+        (fun i s ->
+          if not (caused i s) then
+            QCheck.Test.fail_reportf "request at %dns has no cause; requests (ns): %s" s
+              (show ()))
+        requests;
+      List.iter
+        (fun r ->
+          if not (honoured r) then
+            QCheck.Test.fail_reportf
+              "no re-send %dns after the request at %dns; requests (ns): %s" window r
+              (show ()))
+        requests;
+      true)
 
 let test_executor_stop () =
   let engine, fabric, _ = make_env () in
@@ -377,6 +538,7 @@ let suite =
       test_executor_watchdog_quiet_after_reply;
     Alcotest.test_case "executor watchdog across crash and restart" `Quick
       test_executor_watchdog_crash_restart;
+    QCheck_alcotest.to_alcotest prop_watchdog_instants;
     Alcotest.test_case "executor stop" `Quick test_executor_stop;
     Alcotest.test_case "worker routes by port" `Quick test_worker_routes_by_port;
     Alcotest.test_case "metrics correlation" `Quick test_metrics_correlation;
