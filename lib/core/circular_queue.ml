@@ -137,11 +137,10 @@ let enqueue t ctx entry =
        flag stages — the corrected distance during a retrieve-repair
        window, zero on a fresh overrun — so the stamp costs no extra
        register access. *)
-    if Draconis_obs.Int_telemetry.enabled () then
-      Draconis_obs.Int_telemetry.note_occupancy
-        (if retrieve_pending then distance t ~ahead:a ~behind:(old_retrieve_flag - 1)
-         else if overrun then 0
-         else occupancy);
+    ctx.Packet_ctx.telemetry.occupancy <-
+      (if retrieve_pending then distance t ~ahead:a ~behind:(old_retrieve_flag - 1)
+       else if overrun then 0
+       else occupancy);
     (* (5) egress queue access: write the entry words and stamp. *)
     let slot = a mod t.capacity in
     let image = Entry.to_words entry in

@@ -5,7 +5,7 @@ type repair_flag = Add_flag | Retrieve_flag
 
 type t = {
   on_enqueue : Task.id -> level:int -> unit;
-  on_dequeue : Task.id -> level:int -> unit;
+  on_dequeue : Task.id -> level:int -> rank:int -> unit;
   on_assign : Task.id -> node:int -> requested_at:Time.t -> unit;
   on_reject : Task.t list -> unit;
   on_noop : unit -> unit;
@@ -21,7 +21,7 @@ type t = {
 let default =
   {
     on_enqueue = (fun _ ~level:_ -> ());
-    on_dequeue = (fun _ ~level:_ -> ());
+    on_dequeue = (fun _ ~level:_ ~rank:_ -> ());
     on_assign = (fun _ ~node:_ ~requested_at:_ -> ());
     on_reject = (fun _ -> ());
     on_noop = (fun () -> ());

@@ -17,8 +17,10 @@ type repair_flag = Add_flag | Retrieve_flag
 type t = {
   on_enqueue : Task.id -> level:int -> unit;
       (** task stored in the switch queue at [level] *)
-  on_dequeue : Task.id -> level:int -> unit;
-      (** task left the switch queue (popped or swap-assigned) *)
+  on_dequeue : Task.id -> level:int -> rank:int -> unit;
+      (** task left the switch queue (popped or swap-assigned); [rank]
+          is the rank the PIFO rank store released it at, [-1] for a
+          circular queue *)
   on_assign : Task.id -> node:int -> requested_at:Time.t -> unit;
       (** task_assignment emitted to an executor on [node];
           [requested_at] is when the winning task_request reached the

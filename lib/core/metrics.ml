@@ -248,7 +248,7 @@ let instrument t : Instrument.t =
   {
     Instrument.default with
     on_enqueue = (fun id ~level -> note_enqueue t id ~level);
-    on_dequeue = (fun id ~level:_ -> journey_note t id Trace_ctx.dequeue);
+    on_dequeue = (fun id ~level:_ ~rank:_ -> journey_note t id Trace_ctx.dequeue);
     on_assign = (fun id ~node:_ ~requested_at -> note_assign t id ~requested_at);
     on_reject = (fun tasks -> journeys_note t tasks Trace_ctx.reject);
     on_swap = (fun ~swapped_in:_ ~swapped_out ~level:_ -> journey_note t swapped_out swap_out);

@@ -254,7 +254,7 @@ let reject_enqueue t ~level ~add_repair ~retrieve_repair ~client ~uid ~jid tasks
 
 (* Enqueue one entry; shared by job submissions and task resubmission. *)
 let enqueue_entry t ctx ~level (entry : Entry.t) =
-  if Obs.Int_telemetry.enabled () then Obs.Int_telemetry.note_level level;
+  ctx.Packet_ctx.telemetry.level <- level;
   let outcome = Circular_queue.enqueue (queues_exn t).(level) ctx entry in
   (match outcome with
   | Circular_queue.Enqueued _ -> t.instrument.on_enqueue entry.task.id ~level
@@ -316,7 +316,7 @@ let handle_request t ctx (info : Message.executor_info) ~rtrv_prio ~requested_at
   if rtrv_prio < 1 || rtrv_prio > levels then noop_to t info
   else begin
     let level = rtrv_prio - 1 in
-    if Obs.Int_telemetry.enabled () then Obs.Int_telemetry.note_level level;
+    ctx.Packet_ctx.telemetry.level <- level;
     match Circular_queue.dequeue queues.(level) ctx with
     | Circular_queue.Repair_pending -> noop_to t info
     | Circular_queue.Empty ->
@@ -328,7 +328,7 @@ let handle_request t ctx (info : Message.executor_info) ~rtrv_prio ~requested_at
         ]
       else noop_to t info
     | Circular_queue.Dequeued { index; entry } ->
-      t.instrument.on_dequeue entry.task.id ~level;
+      t.instrument.on_dequeue entry.task.id ~level ~rank:(-1);
       if not (Policy.uses_swapping t.policy) then
         [ assign_to t info entry ~requested_at ]
       else begin
@@ -349,7 +349,7 @@ let resubmit_and_noop t ~level ~(entry : Entry.t) ~info =
 
 let handle_swap t ctx ~level ~entry ~swap_indx ~info ~pkt_retrieve_ptr ~attempts
     ~requested_at =
-  if Obs.Int_telemetry.enabled () then Obs.Int_telemetry.note_level level;
+  ctx.Packet_ctx.telemetry.level <- level;
   let q = (queues_exn t).(level) in
   let add_ptr, retrieve_ptr = Circular_queue.read_pointers q ctx in
   (* §5.1 staleness guard: if the retrieve pointer moved past our
@@ -375,7 +375,7 @@ let handle_swap t ctx ~level ~entry ~swap_indx ~info ~pkt_retrieve_ptr ~attempts
     | Circular_queue.Slot_invalid -> resubmit_and_noop t ~level ~entry ~info
     | Circular_queue.Swapped popped ->
       t.counts.swap_exchanges <- t.counts.swap_exchanges + 1;
-      t.instrument.on_dequeue popped.task.id ~level;
+      t.instrument.on_dequeue popped.task.id ~level ~rank:(-1);
       t.instrument.on_enqueue entry.task.id ~level;
       t.instrument.on_swap ~swapped_in:entry.task.id ~swapped_out:popped.task.id ~level;
       let popped = bump_skip popped in
@@ -522,9 +522,9 @@ let handle_pifo_pop t ctx pifo ~info ~requested_at ~restarts step =
     pifo_pop_next t ~info ~requested_at ~restarts (Pifo.scan_step pifo ctx s)
   | Switch_packet.Pop_claim c -> (
     match Pifo.claim pifo ctx c with
-    | Pifo.Claimed { slot = _; packed = _; words } ->
+    | Pifo.Claimed { slot = _; packed; words } ->
       let entry = Entry.of_words words in
-      t.instrument.on_dequeue entry.task.id ~level:0;
+      t.instrument.on_dequeue entry.task.id ~level:0 ~rank:(Pifo.rank_of_packed packed);
       [ assign_to t info entry ~requested_at ]
     | Pifo.Lost ->
       (* Raced by another claimer or invalidated by a renumber. *)
@@ -572,7 +572,7 @@ let int_stage = function
 let program t : (Message.t, Switch_packet.t) Pipeline.program =
  fun ctx pkt ->
   let now = Engine.now t.engine in
-  if Obs.Int_telemetry.enabled () then Obs.Int_telemetry.note_stage (int_stage pkt);
+  ctx.Packet_ctx.telemetry.stage <- int_stage pkt;
   match pkt with
   | Switch_packet.Wire (Job_submission { client; uid; jid; tasks }) -> (
     match t.backend with
@@ -600,11 +600,11 @@ let program t : (Message.t, Switch_packet.t) Pipeline.program =
       handle_pifo_pop t ctx pifo ~info ~requested_at ~restarts step
     | Queues _ -> noop_to t info)
   | Switch_packet.Repair_add { level; target } ->
-    if Obs.Int_telemetry.enabled () then Obs.Int_telemetry.note_level level;
+    ctx.telemetry.level <- level;
     Circular_queue.apply_repair_add (queues_exn t).(level) ctx ~target;
     []
   | Switch_packet.Repair_retrieve { level; target } ->
-    if Obs.Int_telemetry.enabled () then Obs.Int_telemetry.note_level level;
+    ctx.telemetry.level <- level;
     Circular_queue.apply_repair_retrieve (queues_exn t).(level) ctx ~target;
     []
   | Switch_packet.Swap { level; entry; swap_indx; info; pkt_retrieve_ptr; attempts; requested_at } ->

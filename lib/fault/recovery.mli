@@ -32,9 +32,6 @@ type report = {
           least one scheduling decision *)
 }
 
-(** 100 us availability buckets. *)
-val default_bucket : Time.t
-
 (** [measure ?bucket ~metrics ~injector ~until ()] builds the report
     for a run observed through [metrics] over the window
     [\[0, until)]; the timeout counts come from the injector's target's

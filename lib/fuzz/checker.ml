@@ -5,7 +5,7 @@ open Draconis_proto
 type event =
   | Submitted of { id : Task.id }
   | Enqueued of { id : Task.id; level : int; int_occ : int option }
-  | Dequeued of { id : Task.id; level : int }
+  | Dequeued of { id : Task.id; level : int; rank : int }
   | Swapped of { into : Task.id; out : Task.id; level : int }
   | Assigned of { id : Task.id; node : int }
   | Rejected of { count : int }
@@ -25,7 +25,9 @@ let event_to_string = function
   | Enqueued { id; level; int_occ } ->
     Printf.sprintf "enqueued %s L%d%s" (id_to_string id) level
       (match int_occ with None -> "" | Some o -> Printf.sprintf " occ=%d" o)
-  | Dequeued { id; level } -> Printf.sprintf "dequeued %s L%d" (id_to_string id) level
+  | Dequeued { id; level; rank } ->
+    Printf.sprintf "dequeued %s L%d%s" (id_to_string id) level
+      (if rank < 0 then "" else Printf.sprintf " rank=%d" rank)
   | Swapped { into; out; level } ->
     Printf.sprintf "swapped in=%s out=%s L%d" (id_to_string into) (id_to_string out)
       level
@@ -150,24 +152,35 @@ let check ?twin ?sharded schedule run =
     || pifo
   in
   (* PIFO-order bookkeeping: ranks stamped at admission, the queued set
-     in enqueue order, and outstanding scan starts.  A dequeue may
-     legally miss entries admitted after its scan began; entries
-     admitted before the EARLIEST outstanding scan start were visible
-     to every active scan, so releasing a larger rank past one of them
-     is a real ordering violation (same-rank ties are free). *)
+     in enqueue order, and outstanding scan starts.  A release names the
+     rank the store released, and the copy with that id and that rank
+     leaves: a duplicate submission queues copies of one id at different
+     ranks, and judging the release by any other copy's rank is wrong.
+     A release at a rank no queued copy of the id holds is a violation.
+     A dequeue may legally miss entries admitted after its scan began;
+     entries admitted before the EARLIEST outstanding scan start were
+     visible to every active scan, so releasing a larger rank past one
+     of them is a real ordering violation (same-rank ties are free). *)
   let last_rank = Hashtbl.create 64 in
   let pifo_queued = ref [] in
   let scan_starts = Queue.create () in
-  let pifo_dequeue ~at id =
+  let same_id id (id', _, _) = Task.compare_id id' id = 0 in
+  let pifo_dequeue ~at id ~rank =
     let rec split acc = function
       | [] -> None
-      | (id', r, e) :: rest when Task.compare_id id' id = 0 ->
-        Some ((r, e), List.rev_append acc rest)
+      | ((_, r, _) as x) :: rest when same_id id x && r = rank ->
+        Some (List.rev_append acc rest)
       | x :: rest -> split (x :: acc) rest
     in
     match split [] !pifo_queued with
+    | None when List.exists (same_id id) !pifo_queued ->
+      checked "pifo-order";
+      violate ~at "pifo-order"
+        (Printf.sprintf "released %s at rank %d, which no queued copy of it holds"
+           (id_to_string id) rank);
+      ignore (Queue.take_opt scan_starts)
     | None -> () (* stamp-validity flags unknown dequeues already *)
-    | Some ((rank, _), rest) ->
+    | Some rest ->
       pifo_queued := rest;
       checked "pifo-order";
       let horizon =
@@ -203,7 +216,7 @@ let check ?twin ?sharded schedule run =
     let at = !i in
     (match run.events.(at) with
     | Submitted { id } -> bump submitted id
-    | Dequeued { id = out; level }
+    | Dequeued { id = out; level; rank = _ }
       when at + 2 < n
            && (match (run.events.(at + 1), run.events.(at + 2)) with
               | Enqueued e, Swapped s ->
@@ -258,8 +271,8 @@ let check ?twin ?sharded schedule run =
         violate ~at "occupancy-bound"
           (Printf.sprintf "enqueue of %s at L%d beyond capacity %d" (id_to_string id)
              level schedule.Schedule.capacity))
-    | Dequeued { id; level } -> (
-      if pifo then pifo_dequeue ~at id;
+    | Dequeued { id; level; rank } -> (
+      if pifo then pifo_dequeue ~at id ~rank;
       if not reorders then checked "fifo-order";
       checked "stamp-validity";
       match Oracle.head oracle ~level with

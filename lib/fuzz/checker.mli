@@ -22,7 +22,10 @@ type event =
           this admission (None when the site took no occupancy stamp,
           e.g. a PIFO probe continuation) — checked against the oracle
           by the int-consistency invariant *)
-  | Dequeued of { id : Task.id; level : int }
+  | Dequeued of { id : Task.id; level : int; rank : int }
+      (** [rank] is the rank the PIFO rank store released, [-1] for a
+          circular queue; pifo-order removes exactly the queued copy
+          with this id and rank *)
   | Swapped of { into : Task.id; out : Task.id; level : int }
   | Assigned of { id : Task.id; node : int }
   | Rejected of { count : int }
@@ -38,7 +41,6 @@ type event =
   | Completed of { id : Task.id }  (** completion arrived back at the client *)
 
 val event_to_string : event -> string
-val id_to_string : Task.id -> string
 
 (** Drained end state of one queue level. *)
 type level_state = {

@@ -117,18 +117,13 @@ let plan_of_ops ops =
 
 (* -- pieces shared by the single-engine and the sharded rig --------------- *)
 
-let make_instrument record =
+let make_instrument record ~int_occ =
   {
     Instrument.default with
-    (* The enqueue hook fires just after the queue noted its INT
-       occupancy for the armed traversal, so reading it here pairs
-       the event with the very stamp the switch took. *)
     on_enqueue =
-      (fun id ~level ->
-        record
-          (Checker.Enqueued
-             { id; level; int_occ = Draconis_obs.Int_telemetry.noted_occupancy () }));
-    on_dequeue = (fun id ~level -> record (Checker.Dequeued { id; level }));
+      (fun id ~level -> record (Checker.Enqueued { id; level; int_occ = int_occ () }));
+    on_dequeue =
+      (fun id ~level ~rank -> record (Checker.Dequeued { id; level; rank }));
     on_assign =
       (fun id ~node ~requested_at:_ -> record (Checker.Assigned { id; node }));
     on_reject = (fun tasks -> record (Checker.Rejected { count = List.length tasks }));
@@ -159,6 +154,36 @@ let set_wrap_offset program (schedule : Schedule.t) =
       let p = (wrap - (offset mod wrap)) mod wrap in
       Circular_queue.unsafe_set_pointers_for_test q ~add:p ~retrieve:p
     done
+
+(* The rig's switch: the program behind its own pipeline on [fabric].
+   The enqueue hook fires inside the admitting traversal, just after the
+   queue wrote the occupancy it admitted against into the pipeline's
+   packet context; reading it there pairs the event with the very
+   stamp the switch took ([None] where the traversal stamped none, e.g.
+   a PIFO probe continuation). *)
+let attach_switch ~record ~engine ~fabric (schedule : Schedule.t) =
+  let pipeline = ref None in
+  let int_occ () =
+    match !pipeline with
+    | None -> None
+    | Some p ->
+      let occupancy = (Pipeline.context p).Packet_ctx.telemetry.occupancy in
+      if occupancy >= 0 then Some occupancy else None
+  in
+  let program =
+    Switch_program.create ~engine ~instrument:(make_instrument record ~int_occ)
+      ~policy:(policy_of schedule.policy) ~queue_capacity:schedule.capacity ()
+  in
+  let p =
+    Pipeline.attach
+      ~config:{ Pipeline.default_config with recirc_queue_limit }
+      fabric
+      ~wrap:(fun m -> Switch_packet.Wire m)
+      (Switch_program.program program)
+  in
+  pipeline := Some p;
+  set_wrap_offset program schedule;
+  (program, p)
 
 (* Clients: sinks for acks, bounces, and completions.  Executors: all
    record deliveries; odd-indexed ones are "pulling" executors that
@@ -279,32 +304,12 @@ let collect_levels program (schedule : Schedule.t) =
 
 let run ?bug (schedule : Schedule.t) =
   Schedule.validate schedule;
-  (* In-band telemetry rides along on every fuzz execution: stamps add
-     no engine events, so determinism (and the replication twin) is
-     unaffected, and the stamped enqueue occupancy feeds the
-     int-consistency invariant. *)
-  let int_was = Draconis_obs.Int_telemetry.enabled () in
-  Draconis_obs.Int_telemetry.enable () ;
-  Fun.protect
-    ~finally:(fun () -> if not int_was then Draconis_obs.Int_telemetry.disable ())
-  @@ fun () ->
   let events = ref [] in
   let record ev = events := ev :: !events in
   let engine = Engine.create () in
   let rng = Rng.create ~seed:schedule.seed in
   let fabric = Fabric.create engine rng in
-  let program =
-    Switch_program.create ~engine ~instrument:(make_instrument record)
-      ~policy:(policy_of schedule.policy) ~queue_capacity:schedule.capacity ()
-  in
-  let pipeline =
-    Pipeline.attach
-      ~config:{ Pipeline.default_config with recirc_queue_limit }
-      fabric
-      ~wrap:(fun m -> Switch_packet.Wire m)
-      (Switch_program.program program)
-  in
-  set_wrap_offset program schedule;
+  let program, pipeline = attach_switch ~record ~engine ~fabric schedule in
   let slowdown = Array.make schedule.executors 1.0 in
   wire_hosts ~record ~schedule ~register:(Fabric.register fabric)
     ~engine_of:(fun _ -> engine)
@@ -377,11 +382,6 @@ let run_sharded ~shards (schedule : Schedule.t) =
           — switch LP + host LP)"
          shards);
   Schedule.validate schedule;
-  let int_was = Draconis_obs.Int_telemetry.enabled () in
-  Draconis_obs.Int_telemetry.enable () ;
-  Fun.protect
-    ~finally:(fun () -> if not int_was then Draconis_obs.Int_telemetry.disable ())
-  @@ fun () ->
   let events = ref [] in
   let record ev = events := ev :: !events in
   let lps = Array.init shards (fun id -> Lp.create ~id ~seed:schedule.seed ()) in
@@ -399,19 +399,9 @@ let run_sharded ~shards (schedule : Schedule.t) =
   let switch_fabric = instances.(0) in
   let host_fabric = instances.(host_lp) in
   let host_engine = Lp.engine lps.(host_lp) in
-  let program =
-    Switch_program.create ~engine:(Lp.engine lps.(0))
-      ~instrument:(make_instrument record) ~policy:(policy_of schedule.policy)
-      ~queue_capacity:schedule.capacity ()
+  let program, pipeline =
+    attach_switch ~record ~engine:(Lp.engine lps.(0)) ~fabric:switch_fabric schedule
   in
-  let pipeline =
-    Pipeline.attach
-      ~config:{ Pipeline.default_config with recirc_queue_limit }
-      switch_fabric
-      ~wrap:(fun m -> Switch_packet.Wire m)
-      (Switch_program.program program)
-  in
-  set_wrap_offset program schedule;
   let slowdown = Array.make schedule.executors 1.0 in
   wire_hosts ~record ~schedule ~register:(Fabric.register host_fabric)
     ~engine_of:(fun _ -> host_engine)

@@ -12,8 +12,6 @@
 
 open Draconis_sim
 
-val format_tag : string
-
 (** Queue policy of the rig: FCFS, [Prio levels], resource-aware with a
     swap bound, or a PIFO-backed discipline ([Edf default_deadline_ns],
     [Wfq (quantum_ns, weights)], [Aging (levels, quantum_ns)]). *)
@@ -45,9 +43,6 @@ val levels : policy -> int
 val is_pifo : policy -> bool
 
 val policy_to_string : policy -> string
-
-(** @raise Invalid_argument on unknown policy strings. *)
-val policy_of_string : string -> policy
 
 (** @raise Invalid_argument when any field or op is out of range, or
     ops are not time-sorted. *)

@@ -76,10 +76,6 @@ type control = {
           to completions) cannot and must fail loud. *)
 }
 
-(** Control for a classic single-engine system: [run_until] =
-    {!Draconis_sim.Engine.run}, [finish]/[close] no-ops, no staging. *)
-val engine_control : Engine.t -> control
-
 type running = {
   name : string;
   engine : Engine.t;

@@ -92,9 +92,6 @@ val send :
   'msg ->
   unit
 
-(** One-way latency sample between two endpoints (includes jitter). *)
-val latency_sample : 'msg t -> Addr.t -> Addr.t -> Time.t
-
 (** {2 Fault windows} *)
 
 (** What a window does while active. *)

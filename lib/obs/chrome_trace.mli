@@ -12,6 +12,5 @@
 (** JSON string-body escaping, shared with {!Dump}. *)
 val escape : string -> string
 
-val to_buffer : Buffer.t -> Recorder.t list -> unit
 val to_string : Recorder.t list -> string
 val write : path:string -> Recorder.t list -> unit

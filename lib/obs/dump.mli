@@ -13,5 +13,4 @@
     otherwise. *)
 
 val metrics_json : Recorder.t list -> string
-val metrics_csv : Recorder.t list -> string
 val write_metrics : path:string -> Recorder.t list -> unit

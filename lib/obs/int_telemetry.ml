@@ -33,30 +33,7 @@ let stage_to_string = function
   | Pifo_claim -> "pifo-claim"
   | Forward -> "forward"
 
-let stage_of_string = function
-  | "ingress" -> Ingress
-  | "submission" -> Submission
-  | "request" -> Request
-  | "completion" -> Completion
-  | "swap" -> Swap
-  | "resubmit" -> Resubmit
-  | "repair-add" -> Repair_add
-  | "repair-retrieve" -> Repair_retrieve
-  | "prio-scan" -> Prio_scan
-  | "pifo-probe" -> Pifo_probe
-  | "pifo-scan" -> Pifo_scan
-  | "pifo-claim" -> Pifo_claim
-  | "forward" -> Forward
-  | s -> invalid_arg (Printf.sprintf "Int_telemetry.stage_of_string: unknown stage %S" s)
-
 type probe_outcome = No_probe | Probe_hit | Probe_miss | Claim_won | Claim_lost
-
-let probe_outcome_to_string = function
-  | No_probe -> "none"
-  | Probe_hit -> "probe-hit"
-  | Probe_miss -> "probe-miss"
-  | Claim_won -> "claim-won"
-  | Claim_lost -> "claim-lost"
 
 type stamp = {
   stage : stage;
@@ -118,61 +95,7 @@ let apply_env () =
   | None -> ()
   | Some raw -> configure_of_string raw
 
-(* -- per-traversal stamp builder ------------------------------------------- *)
-
-(* One mutable builder per domain, armed by the pipeline around each
-   program invocation.  Stamping sites (switch program dispatch, circular
-   queue pointer stages, PIFO bank probes) contribute fields they already
-   hold in hand — never by issuing an extra register access — and the
-   pipeline folds the assembled stamp onto the packet's stack at commit.
-   Every note is a field write guarded by [armed]; with telemetry
-   disabled no site reaches here (call sites gate on [enabled]). *)
-type builder = {
-  mutable armed : bool;
-  mutable b_stage : stage;
-  mutable b_level : int;
-  mutable b_occupancy : int;
-  mutable b_bank : int;
-  mutable b_probe : probe_outcome;
-}
-
-let builder_key : builder Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      { armed = false; b_stage = Forward; b_level = -1; b_occupancy = -1; b_bank = -1;
-        b_probe = No_probe })
-
-let begin_traversal () =
-  let b = Domain.DLS.get builder_key in
-  b.armed <- true;
-  b.b_stage <- Forward;
-  b.b_level <- -1;
-  b.b_occupancy <- -1;
-  b.b_bank <- -1;
-  b.b_probe <- No_probe
-
-let note_stage s =
-  let b = Domain.DLS.get builder_key in
-  if b.armed then b.b_stage <- s
-
-let note_level l =
-  let b = Domain.DLS.get builder_key in
-  if b.armed then b.b_level <- l
-
-let note_occupancy o =
-  let b = Domain.DLS.get builder_key in
-  if b.armed then b.b_occupancy <- o
-
-let note_bank k =
-  let b = Domain.DLS.get builder_key in
-  if b.armed then b.b_bank <- k
-
-let note_probe p =
-  let b = Domain.DLS.get builder_key in
-  if b.armed then b.b_probe <- p
-
-let noted_occupancy () =
-  let b = Domain.DLS.get builder_key in
-  if b.armed && b.b_occupancy >= 0 then Some b.b_occupancy else None
+(* -- stamp stacks ------------------------------------------------------------ *)
 
 let ingress_stack ~sent_at =
   {
@@ -184,17 +107,13 @@ let ingress_stack ~sent_at =
     lost = 0;
   }
 
-let commit_traversal ~at stack =
-  let b = Domain.DLS.get builder_key in
-  b.armed <- false;
+let commit_traversal ~at ~stage ~level ~occupancy ~bank ~probe stack =
   if stack.depth >= !budget_ref then
     { stack with hops = stack.hops + 1; lost = stack.lost + 1 }
   else
     {
       stamps =
-        { stage = b.b_stage; at; hop = stack.hops; level = b.b_level;
-          occupancy = b.b_occupancy; bank = b.b_bank; probe = b.b_probe }
-        :: stack.stamps;
+        { stage; at; hop = stack.hops; level; occupancy; bank; probe } :: stack.stamps;
       depth = stack.depth + 1;
       hops = stack.hops + 1;
       lost = stack.lost;

@@ -12,8 +12,12 @@
     the stamping site already read as part of its one permitted access
     (the enqueue occupancy comes from the add/retrieve pointers the
     pointer stage just fetched; the PIFO bank id from the probe that
-    just claimed it).  The whole channel is gated on {!enabled} — the
-    disabled path is one ref read per site.
+    just claimed it).  The sites write the fields into the traversal's
+    packet context ([Draconis_p4.Packet_ctx.telemetry]), and the
+    pipeline commits them with {!commit_traversal} onto the packet's
+    stack.  A packet carries a stack only if an INT collector is
+    installed ({!current_collector}) when it enters the pipeline; with
+    none installed nothing is stamped.
 
     Host side, a {!Collector} drains stacks at reply delivery into
     per-queue/per-bank windowed depth series and per-stage latency
@@ -42,12 +46,7 @@ type stage =
 
 val stage_to_string : stage -> string
 
-(** @raise Invalid_argument on an unknown stage name. *)
-val stage_of_string : string -> stage
-
 type probe_outcome = No_probe | Probe_hit | Probe_miss | Claim_won | Claim_lost
-
-val probe_outcome_to_string : probe_outcome -> string
 
 type stamp = {
   stage : stage;
@@ -73,7 +72,10 @@ val stack_stamps : stack -> stamp list
 val default_budget : int
 val max_budget : int
 
-(** Fast-path gate consulted by every stamping site; [false] by default. *)
+(** Whether an INT export was asked for ([DRACONIS_INT], [--int-out]);
+    [false] by default.  An observed run then installs a collector for
+    its packets.  Stamping itself keys on the installed collector, not
+    on this flag. *)
 val enabled : unit -> bool
 
 val enable : ?budget:int -> unit -> unit
@@ -92,40 +94,30 @@ val configure_of_string : string -> unit
 (** Apply [DRACONIS_INT] from the environment (no-op when unset). *)
 val apply_env : unit -> unit
 
-(** {2 Per-traversal stamp builder}
-
-    The pipeline arms a domain-local builder around each program
-    invocation; stamping sites contribute fields via [note_*] (no-ops
-    when unarmed), and {!commit_traversal} folds the assembled stamp
-    onto the packet's stack.  Call sites must gate on {!enabled}. *)
-
-val begin_traversal : unit -> unit
-val note_stage : stage -> unit
-val note_level : int -> unit
-val note_occupancy : int -> unit
-val note_bank : int -> unit
-val note_probe : probe_outcome -> unit
-
-(** Occupancy noted so far in the armed traversal, for in-situ checkers
-    (the fuzz int-consistency invariant reads it at enqueue time). *)
-val noted_occupancy : unit -> int option
+(** {2 Stamp stacks} *)
 
 (** Fresh stack for a wire arrival, holding the ingress stamp. *)
 val ingress_stack : sent_at:Time.t -> stack
 
-(** Disarm the builder and append its stamp at time [at]; past the
-    header budget the stamp is counted in [lost] instead. *)
-val commit_traversal : at:Time.t -> stack -> stack
+(** Append one traversal's stamp, taken at time [at]; past the header
+    budget the stamp is counted in [lost] instead. *)
+val commit_traversal :
+  at:Time.t ->
+  stage:stage ->
+  level:int ->
+  occupancy:int ->
+  bank:int ->
+  probe:probe_outcome ->
+  stack ->
+  stack
 
 (** {2 Host-side collector} *)
 
 module Collector : sig
   type t
 
-  (** Default depth-series bucket width: 100 µs. *)
-  val default_window : Time.t
-
-  (** @raise Invalid_argument on a non-positive window. *)
+  (** [window] is the depth-series bucket width, 100 µs by default.
+      @raise Invalid_argument on a non-positive window. *)
   val create : ?window:Time.t -> unit -> t
 
   (** Absorb a delivered packet's stamp stack. *)
@@ -157,8 +149,8 @@ module Collector : sig
 end
 
 (** {2 Ambient collector} — domain-local, like the ambient
-    {!Recorder}; delivery sites drain through it with O(1) disabled
-    cost. *)
+    {!Recorder}.  The pipeline's ingress reads it to decide whether a
+    packet gets a stack; delivery sites drain stacks through it. *)
 
 val current_collector : unit -> Collector.t option
 val with_collector : Collector.t -> (unit -> 'a) -> 'a

@@ -90,10 +90,7 @@ val series : t -> (string * (Time.t * int) list) list
 
 (** {2 Typed emission} (explicit recorder) *)
 
-val span_begin : t -> at:Time.t -> track:string -> string -> unit
-val span_end : t -> at:Time.t -> track:string -> string -> unit
 val instant : t -> at:Time.t -> track:string -> string -> unit
-val counter_event : t -> at:Time.t -> track:string -> string -> int -> unit
 
 (** [sample t ~at name v] appends [(at, v)] to the named time series
     {e and} emits a counter event on track [name] so probes show up in

@@ -19,7 +19,14 @@
     {!reset} advances.  A process has [2{^ (62 - traversal_bits)} - 1]
     context ids and a context [2{^ traversal_bits}] traversals; running
     out of either raises [Failure] instead of wrapping, so a stamp is
-    never reused.  A stamp is never [0]. *)
+    never reused.  A stamp is never [0].
+
+    {b Telemetry.}  The context also carries the fields of the
+    traversal's INT stamp ({!Draconis_obs.Int_telemetry}), the way a
+    Tofino carries a value from one stage to the next: as per-packet
+    metadata.  The stamping sites write values they already hold, and
+    the {!Pipeline} commits the fields onto the packet's stamp stack
+    when the packet carries one. *)
 
 (** Raised by a second access to the same register during one traversal.
     Carries the register name. *)
@@ -31,10 +38,20 @@ exception Access_violation of string
     decide; apart from {!reset}, nothing else writes it. *)
 type touched = { mutable ids : int array; mutable count : int }
 
+(** The INT stamp fields of this traversal.  {!reset} sets them to
+    "not observed": [Forward], [-1], [-1], [-1] and [No_probe]. *)
+type telemetry = {
+  mutable stage : Draconis_obs.Int_telemetry.stage;  (** the packet kind's stage *)
+  mutable level : int;  (** queue level accessed *)
+  mutable occupancy : int;  (** occupancy the admission decision read *)
+  mutable bank : int;  (** rank-store bank id *)
+  mutable probe : Draconis_obs.Int_telemetry.probe_outcome;
+}
+
 (** The fields are readable so that {!Register} checks an access
     without a call into this module (dev builds pass [-opaque], so no
     call inlines across modules); only this module sets [stamp]. *)
-type t = private { mutable stamp : int; touched : touched }
+type t = private { mutable stamp : int; touched : touched; telemetry : telemetry }
 
 (** Width of the traversal number in a stamp: two stamps belong to the
     same context iff they agree above these bits. *)
@@ -44,8 +61,8 @@ val traversal_bits : int
     @raise Failure once the process has used every context id. *)
 val create : unit -> t
 
-(** [reset t] starts [t]'s next traversal with an empty access set: [t]
-    is now as good as a fresh context.
+(** [reset t] starts [t]'s next traversal with an empty access set and
+    cleared telemetry: [t] is now as good as a fresh context.
     @raise Failure once [t] has used every traversal number. *)
 val reset : t -> unit
 

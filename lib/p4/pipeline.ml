@@ -69,17 +69,20 @@ let rec admit ?int_ t pkt =
 
 and traverse ?int_ t pkt =
   t.processed <- t.processed + 1;
-  (* Arm the per-traversal stamp builder so the program's queue/bank
-     accesses can contribute the values they already hold; the committed
-     stamp rides whichever outputs continue the packet's chain. *)
-  let stamping = int_ <> None && Obs.Int_telemetry.enabled () in
-  if stamping then Obs.Int_telemetry.begin_traversal ();
   Packet_ctx.reset t.ctx;
   let outputs = t.program t.ctx pkt in
+  (* The program's queue/bank accesses wrote the values they already
+     hold into the context; the committed stamp rides whichever outputs
+     continue the packet's chain.  A [match], not [Option.map]: a
+     closure here would cost every traversal an allocation. *)
   let int_ =
-    if stamping then
-      Option.map (Obs.Int_telemetry.commit_traversal ~at:(Engine.now t.engine)) int_
-    else int_
+    match int_ with
+    | None -> None
+    | Some stack ->
+      let f = t.ctx.telemetry in
+      Some
+        (Obs.Int_telemetry.commit_traversal ~at:(Engine.now t.engine) ~stage:f.stage
+           ~level:f.level ~occupancy:f.occupancy ~bank:f.bank ~probe:f.probe stack)
   in
   (* The stamp stack follows the chain: recirculated packets inherit it;
      otherwise the traversal is terminal and the stack leaves on the last
@@ -132,6 +135,13 @@ and recirculate ?int_ t pkt =
            end))
   end
 
+(* A packet entering the switch carries a stamp stack only while an INT
+   collector is installed. *)
+let arrival_stack ~sent_at =
+  match Obs.Int_telemetry.current_collector () with
+  | None -> None
+  | Some _ -> Some (Obs.Int_telemetry.ingress_stack ~sent_at)
+
 let attach ?(config = default_config) ?on_ingress fabric ~wrap program =
   let t =
     {
@@ -153,12 +163,7 @@ let attach ?(config = default_config) ?on_ingress fabric ~wrap program =
       (match on_ingress with
       | None -> ()
       | Some f -> f env.Fabric.payload);
-      let int_ =
-        if Obs.Int_telemetry.enabled () then
-          Some (Obs.Int_telemetry.ingress_stack ~sent_at:env.Fabric.sent_at)
-        else None
-      in
-      admit ?int_ t (wrap env.Fabric.payload));
+      admit ?int_:(arrival_stack ~sent_at:env.Fabric.sent_at) t (wrap env.Fabric.payload));
   t
 
 let set_program t program = t.program <- program
@@ -171,13 +176,9 @@ let flush_in_flight t =
   t.ingress_free_at <- now;
   t.recirc_free_at <- now
 
-let inject t pkt =
-  let int_ =
-    if Obs.Int_telemetry.enabled () then
-      Some (Obs.Int_telemetry.ingress_stack ~sent_at:(Engine.now t.engine))
-    else None
-  in
-  admit ?int_ t pkt
+let inject t pkt = admit ?int_:(arrival_stack ~sent_at:(Engine.now t.engine)) t pkt
+
+let context t = t.ctx
 let processed t = t.processed
 let recirculated t = t.recirculated
 let recirc_dropped t = t.recirc_dropped

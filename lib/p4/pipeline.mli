@@ -16,6 +16,13 @@
     and produces outputs: emit to an endpoint, recirculate, or drop.  A
     program must not keep the context past its return.
 
+    In-band telemetry: a packet that enters while an INT collector is
+    installed ({!Draconis_obs.Int_telemetry.current_collector}) carries
+    a stamp stack.  Each of its traversals commits the context's
+    telemetry fields onto the stack, which then rides the emitted
+    message that continues the packet (or drains at the switch).  A
+    packet that entered with no collector installed is never stamped.
+
     Recirculation re-submits a packet from egress to ingress as a new
     packet (paper §4.3).  The recirculation port has far less bandwidth
     than the front-panel ports (paper §8.3); it is modeled as a
@@ -76,6 +83,12 @@ val flush_in_flight : ('wire, 'pkt) t -> unit
 (** [inject t pkt] submits a packet at ingress directly (bypassing the
     fabric); used by unit tests. *)
 val inject : ('wire, 'pkt) t -> 'pkt -> unit
+
+(** The pipeline's one packet context.  Between traversals it still
+    holds the last traversal's access set and telemetry fields; the
+    fuzz rig reads the occupancy an enqueue stamped there from inside
+    the program's hooks. *)
+val context : ('wire, 'pkt) t -> Packet_ctx.t
 
 (** Counters, the one count of each fact.  Every [Recirculate] output
     counts once: in {!recirculated} if the loop-back port accepts it, in

@@ -6,6 +6,11 @@ type profile = {
   overhead_stages : int;
 }
 
+(* 32-bit words per queue entry: UID, JID, TID, FN_ID, FN_PAR lo/hi,
+   TPROPS tag + payload lo/hi, client address, and the locality skip
+   counter — one parallel register array per word.  Each queue also
+   allocates five control arrays (validity stamps, two pointers, two
+   repair flags). *)
 let words_per_entry = 11
 
 (* Budgets chosen so the paper's reported capacities fall out: a 164K-task

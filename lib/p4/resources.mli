@@ -28,13 +28,6 @@ val tofino1 : profile
 (** Tofino 2, per the paper's §7 extrapolation. *)
 val tofino2 : profile
 
-(** 32-bit words needed per queue entry: UID, JID, TID, FN_ID,
-    FN_PAR lo/hi, TPROPS tag + payload lo/hi, client address, and the
-    locality skip counter — one parallel register array per word.  Each
-    queue additionally allocates five control arrays (validity stamps,
-    two pointers, two repair flags). *)
-val words_per_entry : int
-
 (** [max_queue_entries p ~priority_levels] is the largest per-level
     queue capacity that fits.
     @raise Invalid_argument if [priority_levels < 1]. *)

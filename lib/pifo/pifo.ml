@@ -59,7 +59,6 @@ let create ~name ~capacity ~scan_width ~word_count ?(max_rank = mask32) () =
 let name t = t.name
 let capacity t = t.capacity
 let scan_width t = t.scan_width
-let cells_per_bank t = t.cells_per_bank
 let word_count t = t.word_count
 let max_rank t = t.max_rank
 let probe_budget t = 2 * t.cells_per_bank
@@ -85,7 +84,7 @@ type admit_result =
    Each bank is a distinct register array, so one traversal may touch
    all of them; banks after the first successful claim are predicated
    off (their stateful ALU does not fire — no access). *)
-let probe_row t ctx ~row ~packed ~payload =
+let probe_row t (ctx : Packet_ctx.t) ~row ~packed ~payload =
   let claimed = ref (-1) in
   let k = ref 0 in
   while !claimed < 0 && !k < t.scan_width do
@@ -94,16 +93,14 @@ let probe_row t ctx ~row ~packed ~payload =
     incr k
   done;
   if !claimed < 0 then begin
-    if Obs.Int_telemetry.enabled () then Obs.Int_telemetry.note_probe Obs.Int_telemetry.Probe_miss;
+    ctx.telemetry.probe <- Obs.Int_telemetry.Probe_miss;
     None
   end
   else begin
     (* INT: the claimed bank is a by-product of the probe loop itself —
        stamping it reuses the outcome, no extra access. *)
-    if Obs.Int_telemetry.enabled () then begin
-      Obs.Int_telemetry.note_bank !claimed;
-      Obs.Int_telemetry.note_probe Obs.Int_telemetry.Probe_hit
-    end;
+    ctx.telemetry.bank <- !claimed;
+    ctx.telemetry.probe <- Obs.Int_telemetry.Probe_hit;
     let slot = slot_of ~cells_per_bank:t.cells_per_bank ~bank:!claimed ~row in
     (* The payload rides later stages: one write per word array. *)
     for j = 0 to t.word_count - 1 do
@@ -112,7 +109,7 @@ let probe_row t ctx ~row ~packed ~payload =
     Some slot
   end
 
-let admit t ctx ~rank ~words =
+let admit t (ctx : Packet_ctx.t) ~rank ~words =
   if Array.length words <> t.word_count then
     invalid_arg "Pifo.admit: wrong payload word count";
   Array.iter
@@ -133,7 +130,7 @@ let admit t ctx ~rank ~words =
   else begin
     (* INT: [occ_old] is the gate's own read — occupancy before this
        admission, in hand already. *)
-    if Obs.Int_telemetry.enabled () then Obs.Int_telemetry.note_occupancy occ_old;
+    ctx.telemetry.occupancy <- occ_old;
     let s = Register.read_and_increment t.seq ctx 0 in
     (* Defensive: renumbering keeps the counter far from the limit; if
        it ever saturates, stamps collide rather than wrap (a wrapped
@@ -171,7 +168,6 @@ type scan_result =
   | Ready of candidate
   | Drained
 
-let packed_of_candidate c = c.cand_packed
 
 (* Read one row across all banks, folding the minimum into the carried
    best.  One access per bank register: legal in a single traversal. *)
@@ -192,18 +188,17 @@ let finish_or_continue t ~next_row ~best_slot ~best_packed ~scan_epoch =
     else Ready { cand_slot = best_slot; cand_packed = best_packed; cand_epoch = scan_epoch }
   else Scanning { next_row; best_slot; best_packed; scan_epoch }
 
-let note_best_bank t best_slot =
-  if best_slot >= 0 && Obs.Int_telemetry.enabled () then
-    Obs.Int_telemetry.note_bank (best_slot / t.cells_per_bank)
+let note_best_bank t (ctx : Packet_ctx.t) best_slot =
+  if best_slot >= 0 then ctx.telemetry.bank <- best_slot / t.cells_per_bank
 
-let scan_start t ctx =
+let scan_start t (ctx : Packet_ctx.t) =
   let occ = Register.read t.occ ctx 0 in
-  if Obs.Int_telemetry.enabled () then Obs.Int_telemetry.note_occupancy occ;
+  ctx.telemetry.occupancy <- occ;
   if occ = 0 then Empty
   else begin
     let scan_epoch = Register.read t.epoch ctx 0 in
     let best_slot, best_packed = scan_row t ctx ~row:0 ~best_slot:(-1) ~best_packed:0 in
-    note_best_bank t best_slot;
+    note_best_bank t ctx best_slot;
     finish_or_continue t ~next_row:1 ~best_slot ~best_packed ~scan_epoch
   end
 
@@ -211,7 +206,7 @@ let scan_step t ctx s =
   let best_slot, best_packed =
     scan_row t ctx ~row:s.next_row ~best_slot:s.best_slot ~best_packed:s.best_packed
   in
-  note_best_bank t best_slot;
+  note_best_bank t ctx best_slot;
   finish_or_continue t ~next_row:(s.next_row + 1) ~best_slot ~best_packed
     ~scan_epoch:s.scan_epoch
 
@@ -219,30 +214,27 @@ type claim_result =
   | Claimed of { slot : int; packed : int; words : int array }
   | Lost
 
-let claim t ctx c =
+let claim t (ctx : Packet_ctx.t) c =
   let ep = Register.read t.epoch ctx 0 in
   if ep <> c.cand_epoch then begin
-    if Obs.Int_telemetry.enabled () then
-      Obs.Int_telemetry.note_probe Obs.Int_telemetry.Claim_lost;
+    ctx.telemetry.probe <- Obs.Int_telemetry.Claim_lost;
     Lost
   end
   else begin
     let bank = c.cand_slot / t.cells_per_bank in
     let row = c.cand_slot mod t.cells_per_bank in
-    if Obs.Int_telemetry.enabled () then Obs.Int_telemetry.note_bank bank;
+    ctx.telemetry.bank <- bank;
     (* Compare-and-free: succeeds only if the cell still holds exactly
        the scanned stamp (another claimer or a renumber loses us). *)
     let old =
       Register.compare_and_swap t.banks.(bank) ctx row ~expected:c.cand_packed ~desired:0
     in
     if old <> c.cand_packed then begin
-      if Obs.Int_telemetry.enabled () then
-        Obs.Int_telemetry.note_probe Obs.Int_telemetry.Claim_lost;
+      ctx.telemetry.probe <- Obs.Int_telemetry.Claim_lost;
       Lost
     end
     else begin
-      if Obs.Int_telemetry.enabled () then
-        Obs.Int_telemetry.note_probe Obs.Int_telemetry.Claim_won;
+      ctx.telemetry.probe <- Obs.Int_telemetry.Claim_won;
       ignore (Register.read_and_decrement_above t.occ ctx 0 ~floor:0);
       let words = Array.make t.word_count 0 in
       for j = 0 to t.word_count - 1 do

@@ -78,9 +78,6 @@ val name : t -> string
 val capacity : t -> int
 val scan_width : t -> int
 
-(** Cells per rank bank = rows a full scan traverses. *)
-val cells_per_bank : t -> int
-
 val word_count : t -> int
 val max_rank : t -> int
 
@@ -147,8 +144,6 @@ val claim : t -> Packet_ctx.t -> candidate -> claim_result
 (** {2 Packed-cell accessors (instrumentation, tests)} *)
 
 val rank_of_packed : int -> int
-val seq_of_packed : int -> int
-val packed_of_candidate : candidate -> int
 
 (** {2 Control plane (switch-CPU operations, not data path)} *)
 

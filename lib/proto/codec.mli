@@ -20,9 +20,6 @@ val pp_error : Format.formatter -> error -> unit
 (** Fixed wire size of one TASK_INFO record, in bytes. *)
 val task_info_size : int
 
-(** Maximum locality node ids encodable in TPROPS. *)
-val max_locality_nodes : int
-
 (** UDP payload budget per packet (Ethernet MTU minus headers). *)
 val mtu_payload : int
 

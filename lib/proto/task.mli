@@ -30,9 +30,6 @@ type tprops =
   | Deadline of int  (** relative deadline in ns (PIFO EDF discipline) *)
   | Tenant of int  (** tenant id for weighted fair queueing (PIFO WFQ) *)
 
-val pp_tprops : Format.formatter -> tprops -> unit
-val equal_tprops : tprops -> tprops -> bool
-
 (** Well-known function ids understood by the simulated executors. *)
 module Fn : sig
   (** Immediately completes; used by the throughput experiments. *)

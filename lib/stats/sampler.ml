@@ -89,16 +89,6 @@ let mean t =
   done;
   !total /. float_of_int t.size
 
-let stddev t =
-  if t.size = 0 then invalid_arg "Sampler.stddev: no samples";
-  let m = mean t in
-  let acc = ref 0.0 in
-  for i = 0 to t.size - 1 do
-    let d = float_of_int t.data.(i) -. m in
-    acc := !acc +. (d *. d)
-  done;
-  sqrt (!acc /. float_of_int t.size)
-
 let cdf t ~points =
   if points <= 0 then invalid_arg "Sampler.cdf: points must be positive";
   if t.size = 0 then [||]

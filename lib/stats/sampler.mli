@@ -24,7 +24,6 @@ val percentile : t -> float -> int
 val min : t -> int
 val max : t -> int
 val mean : t -> float
-val stddev : t -> float
 
 (** Sorted copy of all samples (ascending). *)
 val sorted : t -> int array

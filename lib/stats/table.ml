@@ -79,5 +79,4 @@ let print ~title t =
       (fun () -> output_string oc (to_csv t))
 
 let us ns = Printf.sprintf "%.2f" (float_of_int ns /. 1e3)
-let f2 x = Printf.sprintf "%.2f" x
 let ktps r = Printf.sprintf "%.1fk" (r /. 1e3)

@@ -34,8 +34,6 @@ val set_csv_dir : string option -> unit
 (** Format a nanosecond duration as microseconds with 2 decimals. *)
 val us : int -> string
 
-(** Format a float with 2 decimals. *)
-val f2 : float -> string
 
 (** Format a rate as thousands of tasks per second. *)
 val ktps : float -> string

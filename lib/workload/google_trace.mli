@@ -31,9 +31,6 @@ type spec = {
     no priorities. *)
 val default_spec : spec
 
-(** The paper's mapped priority population for levels 1..4. *)
-val priority_mix : float array
-
 (** [job_size rng spec] samples a job's task count (>= 1). *)
 val job_size : Rng.t -> spec -> int
 

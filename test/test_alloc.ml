@@ -43,11 +43,14 @@ let check_budget name ~budget per_traversal =
     Alcotest.failf "%s: %.1f minor words per traversal, budget %.0f" name per_traversal
       budget
 
+(* The counts are deterministic: 32.0 words per traversal on the legacy
+   path and 38.5 on the LP path.  Each budget sits about 10% above its
+   count, so a closure built on every traversal fails it. *)
 let test_legacy_budget () =
-  check_budget "legacy path" ~budget:60.0 (words_per_traversal None)
+  check_budget "legacy path" ~budget:35.0 (words_per_traversal None)
 
 let test_lp_budget () =
-  check_budget "LP path at shards = 1" ~budget:80.0 (words_per_traversal (Some 1))
+  check_budget "LP path at shards = 1" ~budget:42.0 (words_per_traversal (Some 1))
 
 (* Engine events per traversal and pending events per executor over 10
    ms of idle polling, after the same warm-up.  A poll runs four events
@@ -222,7 +225,7 @@ let test_journey_notes_off () =
     Metrics.note_arrive m tasks;
     Metrics.note_resubmit m task.id;
     Metrics.note_exec m Executor.Finished task ~node:0;
-    hooks.on_dequeue task.id ~level:0;
+    hooks.on_dequeue task.id ~level:0 ~rank:(-1);
     hooks.on_reject tasks;
     hooks.on_swap ~swapped_in:stranger.id ~swapped_out:task.id ~level:0;
     hooks.on_spin task.id;

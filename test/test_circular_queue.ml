@@ -229,6 +229,25 @@ let test_swap_invalid_slot () =
   (* The probe must not corrupt the pending task. *)
   Alcotest.(check int) "pending task intact" 1 (tid (dequeue_ok q))
 
+(* A swap aimed at a slot that another request has just emptied: the
+   dequeue exchanged the slot's stamp for the free sentinel, so the swap
+   must find the slot invalid.  It must not hand the dequeued task out a
+   second time, nor leave the incoming task behind the retrieve
+   pointer. *)
+let test_swap_into_emptied_slot () =
+  let q = Circular_queue.create ~name:"q" ~capacity:4 () in
+  ignore (enqueue_ok q (entry 1));
+  Alcotest.(check int) "dequeued" 1 (tid (dequeue_ok q));
+  (match Circular_queue.swap q (ctx ()) ~index:0 (entry 9) with
+  | Circular_queue.Slot_invalid -> ()
+  | Circular_queue.Swapped e ->
+    Alcotest.failf "swap handed out task %d a second time" (tid e));
+  match Circular_queue.dequeue q (ctx ()) with
+  | Circular_queue.Empty -> ()
+  | Circular_queue.Dequeued { entry = e; _ } ->
+    Alcotest.failf "dequeue of an emptied queue returned task %d" (tid e)
+  | Circular_queue.Repair_pending -> Alcotest.fail "unexpected repair-pending"
+
 let test_read_pointers () =
   let q = Circular_queue.create ~name:"q" ~capacity:4 () in
   fill q 2;
@@ -346,6 +365,7 @@ let suite =
     Alcotest.test_case "stale slot caught by stamp" `Quick test_stale_slot_not_returned;
     Alcotest.test_case "swap exchanges entries" `Quick test_swap_exchanges_entries;
     Alcotest.test_case "swap into invalid slot" `Quick test_swap_invalid_slot;
+    Alcotest.test_case "swap into an emptied slot" `Quick test_swap_into_emptied_slot;
     Alcotest.test_case "read_pointers" `Quick test_read_pointers;
     Alcotest.test_case "peek_entry" `Quick test_peek_entry;
     Alcotest.test_case "register bits accounting" `Quick test_register_bits_accounting;

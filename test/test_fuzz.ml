@@ -113,8 +113,11 @@ let test_clean_campaign_exercises_all_invariants () =
   (* The real pipeline over a seed sweep — with the sharded smoke legs
      on, so the cross-LP outcome-equality invariant is exercised too:
      zero violations, and every registered invariant actually evaluated
-     at least once. *)
-  let seeds = List.init 150 (fun i -> i + 1) in
+     at least once.  The sweep reaches the duplicate submissions whose
+     copies queue at two ranks (the first at seed 800), which a
+     pifo-order check that judged a release by the first queued copy
+     flagged wrongly. *)
+  let seeds = List.init 5_000 (fun i -> i + 1) in
   let campaign = Fz.Fuzz.run_campaign ~sharded:true ~seeds () in
   (match campaign.Fz.Fuzz.failures with
   | [] -> ()
@@ -128,6 +131,53 @@ let test_clean_campaign_exercises_all_invariants () =
       let n = List.assoc inv campaign.Fz.Fuzz.checks in
       Alcotest.(check bool) (inv ^ " evaluated") true (n > 0))
     Fz.Checker.invariants
+
+(* pifo-order judges a release by the copy it names.  One id queued
+   twice, at ranks 5 and 9, before a scan: releasing rank 5 first is
+   in order, releasing rank 9 first passes the rank-5 copy, and a
+   release at a rank no copy holds is a violation too. *)
+let test_pifo_order_judges_released_copy () =
+  let schedule =
+    Fz.Schedule.of_string
+      "draconis-fuzz/1\n\
+       seed=1 capacity=16 policy=edf:50000 clients=1 executors=1 service=1000\n"
+  in
+  let dup = id ~tid:1 in
+  let fired rank =
+    let events =
+      Fz.Checker.
+        [|
+          Submitted { id = dup };
+          Submitted { id = dup };
+          Ranked { id = dup; rank = 5 };
+          Enqueued { id = dup; level = 0; int_occ = None };
+          Ranked { id = dup; rank = 9 };
+          Enqueued { id = dup; level = 0; int_occ = None };
+          Pop_scan_started;
+          Dequeued { id = dup; level = 0; rank };
+        |]
+    in
+    let run =
+      {
+        Fz.Checker.events;
+        levels = [||];
+        fabric_lost = 0;
+        recirc_dropped = 0;
+        access_violation = None;
+        fingerprint = 0L;
+        out_of_budget = None;
+      }
+    in
+    let report = Fz.Checker.check schedule run in
+    Alcotest.(check int)
+      (Printf.sprintf "release at rank %d evaluated" rank)
+      1
+      (List.assoc "pifo-order" report.Fz.Checker.checks);
+    List.mem_assoc "pifo-order" report.Fz.Checker.fired
+  in
+  Alcotest.(check bool) "lower-rank copy first is in order" false (fired 5);
+  Alcotest.(check bool) "higher-rank copy first trips pifo-order" true (fired 9);
+  Alcotest.(check bool) "a rank no copy holds trips pifo-order" true (fired 7)
 
 let test_sharded_rig_consistency () =
   (* The sharded execution path directly: the same schedule through one
@@ -214,6 +264,8 @@ let suite =
     Alcotest.test_case "oracle FIFO / overflow / swap / remove" `Quick test_oracle_fifo;
     Alcotest.test_case "clean campaign exercises every invariant" `Quick
       test_clean_campaign_exercises_all_invariants;
+    Alcotest.test_case "pifo-order judges the released copy" `Quick
+      test_pifo_order_judges_released_copy;
     Alcotest.test_case "sharded execution matches across LP partitionings" `Quick
       test_sharded_rig_consistency;
     Alcotest.test_case "injected stamp bug caught and shrunk" `Quick

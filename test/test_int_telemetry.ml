@@ -1,11 +1,13 @@
 (* Tests for the in-band telemetry channel: configuration and the
-   DRACONIS_INT grammar, stamp-stack budget/loss accounting, the
-   per-traversal builder lifecycle, host-side collector aggregation and
-   its JSON section, the ambient collector, the offline occupancy
-   re-check, the sink drain tie-break, and an end-to-end
-   run -> dump -> reload -> recheck round trip. *)
+   DRACONIS_INT grammar, stamp-stack budget/loss accounting, the stamp
+   fields a traversal writes into its packet context, host-side
+   collector aggregation and its JSON section, the ambient collector,
+   the offline occupancy re-check, the sink drain tie-break, and an
+   end-to-end run -> dump -> reload -> recheck round trip. *)
 
 open Draconis_sim
+open Draconis_net
+open Draconis_p4
 open Draconis_workload
 module H = Draconis_harness
 module Obs = Draconis_obs
@@ -70,11 +72,8 @@ let test_apply_env () =
 (* -- stamp stack ------------------------------------------------------------ *)
 
 let commit_stamp ~stage ~level ~occupancy ~at stack =
-  Int_t.begin_traversal ();
-  Int_t.note_stage stage;
-  Int_t.note_level level;
-  Int_t.note_occupancy occupancy;
-  Int_t.commit_traversal ~at stack
+  Int_t.commit_traversal ~at ~stage ~level ~occupancy ~bank:(-1) ~probe:Int_t.No_probe
+    stack
 
 let test_stack_budget_and_lost () =
   with_clean_config (fun () ->
@@ -99,21 +98,73 @@ let test_stack_budget_and_lost () =
         Alcotest.(check int) "level carried" 0 second.Int_t.level
       | stamps -> Alcotest.failf "expected 2 stored stamps, got %d" (List.length stamps))
 
-let test_builder_lifecycle () =
+(* A packet that enters while a collector is installed carries a stack,
+   and each traversal commits exactly the fields it wrote into the
+   pipeline's context: [reset] clears them between traversals, so the
+   second traversal starts from "not observed".  A packet that enters
+   with no collector installed carries no stack, whatever the export
+   flag says. *)
+let test_context_telemetry () =
   with_clean_config (fun () ->
       Int_t.enable ();
-      let s = Int_t.ingress_stack ~sent_at:0 in
-      Int_t.begin_traversal ();
-      Alcotest.(check (option int)) "armed but nothing noted" None (Int_t.noted_occupancy ());
-      Int_t.note_occupancy 7;
-      Alcotest.(check (option int)) "noted" (Some 7) (Int_t.noted_occupancy ());
-      let _ = Int_t.commit_traversal ~at:(Time.us 1) s in
-      Alcotest.(check (option int)) "commit disarms" None (Int_t.noted_occupancy ());
-      (* Notes outside an armed traversal are dropped. *)
-      Int_t.note_occupancy 9;
-      Alcotest.(check (option int)) "unarmed note ignored" None (Int_t.noted_occupancy ());
-      Int_t.begin_traversal ();
-      Alcotest.(check (option int)) "re-arm resets" None (Int_t.noted_occupancy ()))
+      let engine = Engine.create () in
+      let fabric =
+        Fabric.create ~config:{ Fabric.default_config with jitter = 0 } engine
+          (Rng.create ~seed:3)
+      in
+      let seen = ref [] in
+      let program (ctx : Packet_ctx.t) n =
+        let f = ctx.telemetry in
+        seen := (f.level, f.occupancy, f.bank) :: !seen;
+        if n > 0 then begin
+          f.stage <- Int_t.Pifo_probe;
+          f.level <- 2;
+          f.occupancy <- 5;
+          f.bank <- 3;
+          f.probe <- Int_t.Probe_miss;
+          [ Pipeline.Recirculate (n - 1) ]
+        end
+        else begin
+          f.stage <- Int_t.Request;
+          [ Pipeline.Emit (Addr.Host 1, n) ]
+        end
+      in
+      let pipeline = Pipeline.attach fabric ~wrap:Fun.id program in
+      let stacks = ref [] in
+      Fabric.register fabric (Addr.Host 1) (fun env ->
+          stacks := env.Fabric.int_ :: !stacks);
+      let send () =
+        Fabric.send fabric ~src:(Addr.Host 0) ~dst:Addr.Switch 1;
+        Engine.run engine
+      in
+      send ();
+      Alcotest.(check bool) "no collector, no stack" true (!stacks = [ None ]);
+      Alcotest.(check bool) "every traversal starts cleared" true
+        (List.for_all (fun fields -> fields = (-1, -1, -1)) !seen);
+      let last = (Pipeline.context pipeline).Packet_ctx.telemetry in
+      Alcotest.(check string) "context keeps the last traversal's stage" "request"
+        (Int_t.stage_to_string last.stage);
+      let c = Int_t.Collector.create () in
+      Int_t.with_collector c send;
+      Alcotest.(check int) "stack delivered to the installed collector" 1
+        (Int_t.Collector.stacks c);
+      match !stacks with
+      | Some stack :: _ -> (
+        match Int_t.stack_stamps stack with
+        | [ ingress; probe; request ] ->
+          Alcotest.(check string) "ingress" "ingress"
+            (Int_t.stage_to_string ingress.stage);
+          Alcotest.(check string) "probe stage" "pifo-probe"
+            (Int_t.stage_to_string probe.stage);
+          Alcotest.(check (list int)) "probe fields" [ 0; 2; 5; 3 ]
+            [ probe.hop; probe.level; probe.occupancy; probe.bank ];
+          Alcotest.(check bool) "probe outcome" true (probe.probe = Int_t.Probe_miss);
+          Alcotest.(check (list int)) "request fields cleared" [ 1; -1; -1; -1 ]
+            [ request.hop; request.level; request.occupancy; request.bank ];
+          Alcotest.(check bool) "request outcome cleared" true
+            (request.probe = Int_t.No_probe)
+        | stamps -> Alcotest.failf "expected 3 stamps, got %d" (List.length stamps))
+      | _ -> Alcotest.fail "packet entered under a collector but carried no stack")
 
 (* -- host-side collector ---------------------------------------------------- *)
 
@@ -315,7 +366,7 @@ let suite =
     Alcotest.test_case "configure of string" `Quick test_configure_of_string;
     Alcotest.test_case "apply env" `Quick test_apply_env;
     Alcotest.test_case "stack budget and lost" `Quick test_stack_budget_and_lost;
-    Alcotest.test_case "builder lifecycle" `Quick test_builder_lifecycle;
+    Alcotest.test_case "stamp rides the packet context" `Quick test_context_telemetry;
     Alcotest.test_case "collector accounting" `Quick test_collector_accounting;
     Alcotest.test_case "collector rejects bad window" `Quick
       test_collector_rejects_bad_window;
