@@ -23,7 +23,7 @@
      main.exe --int-out F     enable in-band telemetry stamping and write
                               a draconis-obs/4 metrics export (with the
                               per-run "int" sections) to F — feed it to
-                              `draconis-trace int` (also: DRACONIS_INT)
+                              `draconis-trace int`
      main.exe --int-budget N  INT header budget, 1..64 stamps per packet
                               (default 4); malformed values abort
      main.exe --probe-interval-us N

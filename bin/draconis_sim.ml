@@ -2,8 +2,10 @@
 
    Subcommands:
      run        simulate one scheduler under a synthetic workload
-     figures    regenerate the paper's tables/figures (same as bench)
-     resources  print the sec-7 switch-capacity estimates *)
+     trace      generate a workload trace file or replay one
+
+   The paper's tables and figures, and the sec-7 switch-capacity
+   estimates, come from the benchmark harness (bench/main.exe). *)
 
 open Cmdliner
 open Draconis_sim
@@ -11,7 +13,7 @@ module H = Draconis_harness
 module W = Draconis_workload
 module Obs = Draconis_obs
 
-(* -- observability options (shared by run and figures) --------------------- *)
+(* -- observability options of run -------------------------------------------- *)
 
 let obs_term =
   let trace_out =
@@ -52,9 +54,7 @@ let obs_term =
           ~doc:
             "Enable in-band telemetry stamping on the switch data path and \
              export a draconis-obs/4 metrics dump (with per-run \"int\" \
-             sections) to $(docv); analyze it with $(b,draconis-trace int).  \
-             The $(b,DRACONIS_INT) environment variable applies first \
-             (0 disables, N sets the budget); flags win.")
+             sections) to $(docv); analyze it with $(b,draconis-trace int).")
   in
   let int_budget =
     Arg.(
@@ -246,66 +246,6 @@ let run_term =
 let run_info =
   Cmd.info "run" ~doc:"Simulate one scheduler under a synthetic workload"
 
-(* -- figures ------------------------------------------------------------------ *)
-
-let figures_cmd obs quick jobs names =
-  Obs.Export.with_exports obs @@ fun () ->
-  (match jobs with
-  | Some n when n >= 1 -> H.Pool.set_jobs n
-  | Some n ->
-    Printf.eprintf "--jobs must be >= 1 (got %d)\n" n;
-    exit 1
-  | None -> ());
-  let all =
-    [
-      ("fig5a", H.Fig5a.run); ("fig5b", H.Fig5b.run); ("fig6", H.Fig6.run);
-      ("fig7", H.Fig7.run); ("fig8", H.Fig8.run); ("fig9", H.Fig9.run);
-      ("fig10", H.Fig10.run); ("fig11", H.Fig11.run); ("fig12", H.Fig12.run);
-      ("fig13", H.Fig13.run); ("figf", H.Figf.run);
-      ("resources", H.Resource_table.run);
-      ("scaling", H.Scaling.run); ("others", H.Others.run);
-      ("ablations", H.Ablations.run);
-    ]
-  in
-  let selected =
-    if names = [] then all
-    else
-      List.map
-        (fun name ->
-          match List.assoc_opt name all with
-          | Some run -> (name, run)
-          | None ->
-            Printf.eprintf "unknown figure %S\n" name;
-            exit 1)
-        names
-  in
-  List.iter
-    (fun (_, (run : ?quick:bool -> unit -> unit)) -> run ~quick ())
-    selected
-
-let figures_term =
-  let quick =
-    Arg.(value & flag & info [ "quick" ] ~doc:"Smaller grids and horizons.")
-  in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Worker domains for the experiment grids (default: \
-             \\$(b,DRACONIS_JOBS) or number of cores minus one).  Results \
-             are merged in submission order, so tables are identical for \
-             any $(docv).")
-  in
-  let names =
-    Arg.(value & pos_all string [] & info [] ~docv:"FIGURE" ~doc:"Figures to run.")
-  in
-  Term.(const figures_cmd $ obs_term $ quick $ jobs $ names)
-
-let figures_info =
-  Cmd.info "figures" ~doc:"Regenerate the paper's evaluation tables and figures"
-
 (* -- trace ------------------------------------------------------------------ *)
 
 let trace_generate_cmd path mean_us rate horizon_ms seed levels =
@@ -394,13 +334,6 @@ let trace_term =
 let trace_info =
   Cmd.info "trace" ~doc:"Generate a workload trace file or replay one"
 
-(* -- resources ------------------------------------------------------------------ *)
-
-let resources_cmd () = H.Resource_table.run ()
-
-let resources_info =
-  Cmd.info "resources" ~doc:"Print the sec-7 switch resource estimates"
-
 let () =
   let default = Term.(ret (const (`Help (`Pager, None)))) in
   let info =
@@ -412,7 +345,5 @@ let () =
        (Cmd.group ~default info
           [
             Cmd.v run_info run_term;
-            Cmd.v figures_info figures_term;
             Cmd.v trace_info trace_term;
-            Cmd.v resources_info (Term.(const resources_cmd $ const ()));
           ]))

@@ -30,19 +30,16 @@ let () =
       }
   in
   Cluster.start cluster;
-  (* Count placements per class. *)
+  (* Count placements per class, observing the task starts the metrics
+     record. *)
   let gpu_tasks_on_cpu_nodes = ref 0 in
   let starts_per_node = Array.make workers 0 in
-  Array.iter
-    (fun worker ->
-      Worker.set_on_task worker (fun milestone task ~node ->
-          match milestone with
-          | Executor.Finished -> ()
-          | Executor.Started ->
-            starts_per_node.(node) <- starts_per_node.(node) + 1;
-            if Task.required_resources task land gpu <> 0 && not (List.mem node gpu_nodes)
-            then incr gpu_tasks_on_cpu_nodes))
-    (Cluster.workers cluster);
+  Metrics.observe (Cluster.metrics cluster) (function
+    | Metrics.Started { task; node; port = _ } ->
+      starts_per_node.(node) <- starts_per_node.(node) + 1;
+      if Task.required_resources task land gpu <> 0 && not (List.mem node gpu_nodes) then
+        incr gpu_tasks_on_cpu_nodes
+    | _ -> ());
   let client = Cluster.client cluster 0 in
   let engine = Cluster.engine cluster in
   let rng = Rng.create ~seed:31 in
@@ -60,8 +57,9 @@ let () =
   Cluster.run cluster ~until:(Time.ms 50);
   let drained = Cluster.run_until_drained cluster ~deadline:(Time.s 4) in
   let m = Cluster.metrics cluster in
-  Printf.printf "drained: %b — %d/%d tasks completed\n" drained (Metrics.completed m)
-    (Metrics.submitted m);
+  Printf.printf "drained: %b — %d/%d tasks completed, %d started, %d delay samples\n"
+    drained (Metrics.completed m) (Metrics.submitted m) (Metrics.started m)
+    (Draconis_stats.Sampler.count (Metrics.scheduling_delay m));
   Printf.printf "GPU tasks placed on CPU-only nodes: %d (must be 0)\n\n"
     !gpu_tasks_on_cpu_nodes;
   Printf.printf "tasks started per node (nodes 4-7 have accelerators):\n";

@@ -68,7 +68,7 @@ let send_costed t ~dst msg =
       Fabric.send t.fabric ~src:t.server_addr ~dst msg)
 
 let assign t (info : Message.executor_info) { task; client } ~requested_at =
-  Metrics.note_assign t.metrics task.id ~requested_at;
+  Metrics.note_assign t.metrics task.id ~node:info.exec_node ~requested_at;
   send_costed t ~dst:info.exec_addr
     (Message.Task_assignment { task; client; port = info.exec_port })
 
@@ -102,6 +102,7 @@ let enqueue_tasks t ~client ~uid ~jid tasks =
     accepted;
   if bounced <> [] then begin
     t.rejected <- t.rejected + List.length bounced;
+    Metrics.note_reject t.metrics bounced;
     send_costed t ~dst:client (Message.Queue_full { uid; jid; tasks = bounced })
   end
   else send_costed t ~dst:client (Message.Job_ack { uid; jid });
@@ -138,7 +139,7 @@ let create (config : config) =
   let fn_model = Fn_model.default in
   let workers =
     Array.init config.workers (fun node ->
-        Worker.create ~node ~executors:config.executors_per_worker ~fabric
+        Worker.create ~node ~executors:config.executors_per_worker ~fabric ~metrics
           ~make_config:(fun ~port ->
             {
               Executor.node;
@@ -169,7 +170,6 @@ let create (config : config) =
       idle = Queue.create (); parked = Addr.Port_tbl.create 256; workers; clients;
       rejected = 0 }
   in
-  Array.iter (fun worker -> Worker.set_on_task worker (Metrics.note_exec metrics)) workers;
   (* Every arriving packet occupies the scheduler CPU before it is
      acted on — the single-node bottleneck of §2.3.1. *)
   Fabric.register fabric server_addr (fun env ->

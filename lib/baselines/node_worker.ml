@@ -15,6 +15,7 @@ type pending = {
 
 type t = {
   engine : Engine.t;
+  metrics : Draconis.Metrics.t;
   node : int;
   fn_model : Draconis.Fn_model.t;
   dispatch_overhead : Time.t;
@@ -24,13 +25,12 @@ type t = {
   on_complete : Task.t -> client:Addr.t -> unit;
   queue : pending Queue.t;
   mutable free_executors : int;
-  mutable on_task_start : Task.t -> node:int -> unit;
   mutable tasks_executed : int;
   mutable occupancy : int;
   mutable preemptions : int;
 }
 
-let create ~engine ~node ~executors ~fn_model ~dispatch_overhead
+let create ~engine ~metrics ~node ~executors ~fn_model ~dispatch_overhead
     ?(dispatch_jitter = 0) ?rng ?(intra = Fcfs) ~on_complete () =
   if executors < 1 then invalid_arg "Node_worker.create: need executors";
   if dispatch_jitter > 0 && rng = None then
@@ -41,6 +41,7 @@ let create ~engine ~node ~executors ~fn_model ~dispatch_overhead
   | Processor_sharing _ | Fcfs -> ());
   {
     engine;
+    metrics;
     node;
     fn_model;
     dispatch_overhead;
@@ -50,7 +51,6 @@ let create ~engine ~node ~executors ~fn_model ~dispatch_overhead
     on_complete;
     queue = Queue.create ();
     free_executors = executors;
-    on_task_start = (fun _ ~node:_ -> ());
     tasks_executed = 0;
     occupancy = 0;
     preemptions = 0;
@@ -65,6 +65,7 @@ let finish t item =
   t.tasks_executed <- t.tasks_executed + 1;
   t.occupancy <- t.occupancy - 1;
   t.free_executors <- t.free_executors + 1;
+  Draconis.Metrics.note_exec_finish t.metrics item.task ~node:t.node ~port:(-1);
   t.on_complete item.task ~client:item.client
 
 (* Centralized FCFS: the head task owns an executor to completion. *)
@@ -78,7 +79,7 @@ let rec dispatch_fcfs t =
          before the task starts executing. *)
       ignore
         (Engine.schedule t.engine ~after:(t.dispatch_overhead + jitter t) (fun () ->
-             t.on_task_start item.task ~node:t.node;
+             Draconis.Metrics.note_exec_start t.metrics item.task ~node:t.node ~port:(-1);
              ignore
                (Engine.schedule t.engine ~after:item.remaining (fun () ->
                     finish t item;
@@ -102,9 +103,10 @@ let rec dispatch_ps t ~quantum ~overhead =
         (Engine.schedule t.engine ~after:startup (fun () ->
              if not item.started then begin
                item.started <- true;
-               t.on_task_start item.task ~node:t.node
+               Draconis.Metrics.note_exec_start t.metrics item.task ~node:t.node
+                 ~port:(-1)
              end;
-             let slice = min quantum item.remaining in
+             let slice = Int.min quantum item.remaining in
              ignore
                (Engine.schedule t.engine ~after:slice (fun () ->
                     item.remaining <- item.remaining - slice;
@@ -129,7 +131,6 @@ let deliver t task ~client =
   Queue.add { task; client; remaining; started = false } t.queue;
   dispatch t
 
-let set_on_task_start t f = t.on_task_start <- f
 let occupancy t = t.occupancy
 let node t = t.node
 let tasks_executed t = t.tasks_executed

@@ -26,9 +26,12 @@ type t
 
 (** [dispatch_jitter] adds a uniform [0, jitter] extra delay per
     dispatch (default 0), reflecting the intra-node scheduler's
-    variable per-task cost.  [intra] defaults to {!Fcfs}. *)
+    variable per-task cost.  [intra] defaults to {!Fcfs}.  The node
+    notes each task's first slice and its finish on [metrics], with
+    port [-1]: its executors are a pool. *)
 val create :
   engine:Engine.t ->
+  metrics:Draconis.Metrics.t ->
   node:int ->
   executors:int ->
   fn_model:Draconis.Fn_model.t ->
@@ -42,8 +45,6 @@ val create :
 
 (** [deliver t task ~client] hands the node a task from the switch. *)
 val deliver : t -> Task.t -> client:Addr.t -> unit
-
-val set_on_task_start : t -> (Task.t -> node:int -> unit) -> unit
 
 (** Tasks at the node: queued plus in service. *)
 val occupancy : t -> int

@@ -6,26 +6,26 @@ type pending = { task : Task.t; client : Addr.t }
 
 type t = {
   engine : Engine.t;
+  metrics : Draconis.Metrics.t;
   node : int;
   port : int;
   fn_model : Draconis.Fn_model.t;
   on_complete : Task.t -> client:Addr.t -> unit;
   queue : pending Queue.t;
   mutable busy : bool;
-  mutable on_task_start : Task.t -> node:int -> unit;
   mutable tasks_executed : int;
 }
 
-let create ~engine ~node ~port ~fn_model ~on_complete () =
+let create ~engine ~metrics ~node ~port ~fn_model ~on_complete () =
   {
     engine;
+    metrics;
     node;
     port;
     fn_model;
     on_complete;
     queue = Queue.create ();
     busy = false;
-    on_task_start = (fun _ ~node:_ -> ());
     tasks_executed = 0;
   }
 
@@ -34,10 +34,11 @@ let rec run_next t =
   | None -> t.busy <- false
   | Some { task; client } ->
     t.busy <- true;
-    t.on_task_start task ~node:t.node;
+    Draconis.Metrics.note_exec_start t.metrics task ~node:t.node ~port:t.port;
     let service = Draconis.Fn_model.service_time t.fn_model task ~node:t.node in
     let finish () =
       t.tasks_executed <- t.tasks_executed + 1;
+      Draconis.Metrics.note_exec_finish t.metrics task ~node:t.node ~port:t.port;
       t.on_complete task ~client;
       run_next t
     in
@@ -58,7 +59,6 @@ let try_steal t =
     List.iter (fun item -> Queue.add item t.queue) (List.rev older_rev);
     Some (newest.task, newest.client)
 
-let set_on_task_start t f = t.on_task_start <- f
 let occupancy t = Queue.length t.queue + if t.busy then 1 else 0
 let busy t = t.busy
 let node t = t.node

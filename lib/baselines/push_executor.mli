@@ -15,10 +15,12 @@ open Draconis_proto
 
 type t
 
-(** [create ~engine ~node ~port ~fn_model ~on_complete ()] —
+(** [create ~engine ~metrics ~node ~port ~fn_model ~on_complete ()] —
+    the executor notes each task's start and finish on [metrics];
     [on_complete task ~client] fires when a task finishes service. *)
 val create :
   engine:Engine.t ->
+  metrics:Draconis.Metrics.t ->
   node:int ->
   port:int ->
   fn_model:Draconis.Fn_model.t ->
@@ -28,9 +30,6 @@ val create :
 
 (** [push t task ~client] queues the task (or starts it if idle). *)
 val push : t -> Task.t -> client:Addr.t -> unit
-
-(** [set_on_task_start t f] installs the measurement hook. *)
-val set_on_task_start : t -> (Task.t -> node:int -> unit) -> unit
 
 (** [try_steal t] removes and returns the most recently queued task
     that has not started running (work-stealing extension); [None] if

@@ -112,10 +112,10 @@ let search_step (sw : switch) ctx ~task ~client ~cursor ~round ~scanned =
      size is zero ... then one, and so on" (§2.2).  Each deeper level
      costs a full recirculation sweep, and stacking at all is where
      R2P2-k>=3 trades recirculation for node-level blocking. *)
-  let bound = min round (sw.k - 1) in
+  let bound = Int.min round (sw.k - 1) in
   if !accepted = None && sw.k > 1 then
     for offset = 0 to sw.window - 1 do
-      if Some offset <> claimed_offset then begin
+      if not (Option.equal Int.equal (Some offset) claimed_offset) then begin
         let old =
           Register.read_modify_write sw.counters.(offset) ctx slot (fun c ->
               if !accepted = None && c <= bound && c < sw.k then c + 1 else c)
@@ -127,13 +127,14 @@ let search_step (sw : switch) ctx ~task ~client ~cursor ~round ~scanned =
   match !accepted with
   | Some e ->
     let dst, port = Table.lookup sw.dest ~key:e in
-    Metrics.note_assign sw.metrics task.Task.id ~requested_at:(Engine.now sw.engine);
+    Metrics.note_assign sw.metrics task.Task.id ~node:(e / sw.epw)
+      ~requested_at:(Engine.now sw.engine);
     [ Pipeline.Emit (dst, Message.Task_assignment { task; client; port }) ]
   | None ->
     let scanned = scanned + sw.window in
     let cursor = (cursor + sw.window) mod sw.n in
     let round, scanned =
-      if scanned >= sw.n then (min (round + 1) (sw.k - 1), 0) else (round, scanned)
+      if scanned >= sw.n then (Int.min (round + 1) (sw.k - 1), 0) else (round, scanned)
     in
     [ Pipeline.Recirculate (Search { task; client; cursor; round; scanned }) ]
 
@@ -172,7 +173,7 @@ let program (sw : switch) : (Message.t, pkt) Pipeline.program =
     let offset = e mod sw.window and slot = e / sw.window in
     let old =
       Register.read_modify_write sw.counters.(offset) ctx slot (fun c ->
-          max 0 (c - 1))
+          Int.max 0 (c - 1))
     in
     if old = 1 then
       ignore
@@ -187,7 +188,7 @@ let program (sw : switch) : (Message.t, pkt) Pipeline.program =
       let offset = v mod sw.window and slot = v / sw.window in
       let old =
         Register.read_modify_write sw.counters.(offset) ctx slot (fun c ->
-            max 0 (c - 1))
+            Int.max 0 (c - 1))
       in
       if old = 1 then
         ignore
@@ -323,29 +324,24 @@ let create config =
   for node = 0 to config.workers - 1 do
     let executors =
       Array.init config.executors_per_worker (fun port ->
-          let exec =
-            Push_executor.create ~engine ~node ~port ~fn_model
-              ~on_complete:(fun task ~client ->
-                Fabric.send fabric ~src:(Addr.Host node) ~dst:Addr.Switch
-                  (Message.Task_completion
-                     {
-                       task_id = task.id;
-                       client;
-                       info =
-                         {
-                           exec_addr = Addr.Host node;
-                           exec_port = port;
-                           exec_rsrc = 0;
-                           exec_node = node;
-                         };
-                       rtrv_prio = 1;
-                     });
-                maybe_steal_after_completion ~node ~port)
-              ()
-          in
-          Push_executor.set_on_task_start exec (fun task ~node ->
-              Metrics.note_exec_start metrics task ~node);
-          exec)
+          Push_executor.create ~engine ~metrics ~node ~port ~fn_model
+            ~on_complete:(fun task ~client ->
+              Fabric.send fabric ~src:(Addr.Host node) ~dst:Addr.Switch
+                (Message.Task_completion
+                   {
+                     task_id = task.id;
+                     client;
+                     info =
+                       {
+                         exec_addr = Addr.Host node;
+                         exec_port = port;
+                         exec_rsrc = 0;
+                         exec_node = node;
+                       };
+                     rtrv_prio = 1;
+                   });
+              maybe_steal_after_completion ~node ~port)
+            ())
     in
     all_execs.(node) <- executors;
     Fabric.register fabric (Addr.Host node) (fun env ->
@@ -420,7 +416,7 @@ let run_until_drained t ~deadline =
     if outstanding t = 0 then true
     else if Engine.now t.engine >= deadline then false
     else begin
-      Engine.run ~until:(min deadline (Engine.now t.engine + step)) t.engine;
+      Engine.run ~until:(Int.min deadline (Engine.now t.engine + step)) t.engine;
       go ()
     end
   in

@@ -61,7 +61,7 @@ let mix x =
 
 (* [count] distinct nodes from a per-task hash stream. *)
 let sample_nodes (id : Task.id) ~workers ~count =
-  let count = min count workers in
+  let count = Int.min count workers in
   let chosen = Array.make count 0 in
   let h = ref (mix ((id.uid * 1_000_003) + (id.jid * 8191) + id.tid)) in
   for i = 0 to count - 1 do
@@ -78,6 +78,10 @@ let sample_nodes (id : Task.id) ~workers ~count =
   done;
   chosen
 
+let assign (sw : switch) ~(task : Task.t) ~client node =
+  Metrics.note_assign sw.metrics task.id ~node ~requested_at:(Engine.now sw.engine);
+  Pipeline.Emit (Addr.Host node, Message.Task_assignment { task; client; port = 0 })
+
 (* Power-of-k choices: the first k-1 sampled counters are plain reads;
    the last is read and conditionally incremented against their minimum
    in a single access (it wins ties).  When an earlier sample wins, its
@@ -85,12 +89,11 @@ let sample_nodes (id : Task.id) ~workers ~count =
    creates mirrors the real system's update lag. *)
 let schedule_task (sw : switch) ctx ~task ~client =
   let nodes = sample_nodes task.Task.id ~workers:sw.workers ~count:sw.samples in
-  Metrics.note_assign sw.metrics task.Task.id ~requested_at:(Engine.now sw.engine);
   let k = Array.length nodes in
   if k = 1 then begin
     let node = nodes.(0) in
     ignore (Register.read_and_increment sw.qlen.(node) ctx 0);
-    [ Pipeline.Emit (Addr.Host node, Message.Task_assignment { task; client; port = 0 }) ]
+    [ assign sw ~task ~client node ]
   end
   else begin
     let best = ref nodes.(0) in
@@ -107,12 +110,8 @@ let schedule_task (sw : switch) ctx ~task ~client =
       Register.read_modify_write sw.qlen.(last) ctx 0 (fun c ->
           if c <= !best_len then c + 1 else c)
     in
-    if last_len <= !best_len then
-      [ Pipeline.Emit (Addr.Host last, Message.Task_assignment { task; client; port = 0 }) ]
-    else
-      [ Pipeline.Emit (Addr.Host !best, Message.Task_assignment { task; client; port = 0 });
-        Pipeline.Recirculate (Incr { node = !best });
-      ]
+    if last_len <= !best_len then [ assign sw ~task ~client last ]
+    else [ assign sw ~task ~client !best; Pipeline.Recirculate (Incr { node = !best }) ]
   end
 
 let program (sw : switch) : (Message.t, pkt) Pipeline.program =
@@ -134,7 +133,7 @@ let program (sw : switch) : (Message.t, pkt) Pipeline.program =
     []
   | Wire (Task_completion { info; client; _ } as completion) ->
     ignore
-      (Register.read_modify_write sw.qlen.(info.exec_node) ctx 0 (fun c -> max 0 (c - 1)));
+      (Register.read_modify_write sw.qlen.(info.exec_node) ctx 0 (fun c -> Int.max 0 (c - 1)));
     [ Pipeline.Emit (client, completion) ]
   | Wire
       ( Job_ack _ | Queue_full _ | Task_request _ | Task_assignment _
@@ -149,7 +148,7 @@ let create (config : config) =
   let sw =
     {
       workers = config.workers;
-      samples = max 1 config.samples;
+      samples = Int.max 1 config.samples;
       qlen =
         Array.init config.workers (fun i ->
             Register.create ~name:(Printf.sprintf "racksched.qlen%d" i) ~size:1 ());
@@ -165,7 +164,7 @@ let create (config : config) =
   let fn_model = Fn_model.default in
   for node = 0 to config.workers - 1 do
     let worker =
-      Node_worker.create ~engine ~node ~executors:config.executors_per_worker
+      Node_worker.create ~engine ~metrics ~node ~executors:config.executors_per_worker
         ~fn_model ~dispatch_overhead:config.dispatch_overhead
         ~dispatch_jitter:(Time.us 4) ~rng:(Rng.split rng) ~intra:config.intra
         ~on_complete:(fun task ~client ->
@@ -185,8 +184,6 @@ let create (config : config) =
                }))
         ()
     in
-    Node_worker.set_on_task_start worker (fun task ~node ->
-        Metrics.note_exec_start metrics task ~node);
     Fabric.register fabric (Addr.Host node) (fun env ->
         match env.Fabric.payload with
         | Message.Task_assignment { task; client; port = _ } ->
@@ -244,7 +241,7 @@ let run_until_drained t ~deadline =
     if outstanding t = 0 then true
     else if Engine.now t.engine >= deadline then false
     else begin
-      Engine.run ~until:(min deadline (Engine.now t.engine + step)) t.engine;
+      Engine.run ~until:(Int.min deadline (Engine.now t.engine + step)) t.engine;
       go ()
     end
   in

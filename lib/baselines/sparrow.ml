@@ -122,7 +122,7 @@ let scheduler_handle t sched msg =
           (No_task { probe_id })
       | task :: rest ->
         job.pending <- rest;
-        Metrics.note_assign t.metrics task.id ~requested_at:(Engine.now t.engine);
+        Metrics.note_assign t.metrics task.id ~node ~requested_at:(Engine.now t.engine);
         Fabric.send t.fabric ~src:sched.sched_addr ~dst:(Addr.Host node)
           (Launch { task; probe_id })))
   | Finished { task_id; client } ->
@@ -162,7 +162,7 @@ let worker_handle t w fn_model ~from msg =
     let scheduler = from in
     if Addr.Port_tbl.mem w.waiting (scheduler, probe_id) then begin
       Addr.Port_tbl.remove w.waiting (scheduler, probe_id);
-      Metrics.note_exec_start t.metrics task ~node:w.node;
+      Metrics.note_exec_start t.metrics task ~node:w.node ~port:(-1);
       let service = Fn_model.service_time fn_model task ~node:w.node in
       let client =
         (* Sparrow replies to the submitting client via the scheduler;
@@ -172,6 +172,7 @@ let worker_handle t w fn_model ~from msg =
       ignore
         (Engine.schedule t.engine ~after:service (fun () ->
              w.free <- w.free + 1;
+             Metrics.note_exec_finish t.metrics task ~node:w.node ~port:(-1);
              Fabric.send t.fabric ~src:(Addr.Host w.node) ~dst:scheduler
                (Finished { task_id = task.id; client });
              worker_bind t w))

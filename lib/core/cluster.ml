@@ -54,9 +54,8 @@ let build_switch (config : config) ~topology ~metrics ~fabric =
   let engine = Fabric.engine fabric in
   let policy = config.policy_of topology in
   let program =
-    Switch_program.create ~engine
-      ~instrument:(Metrics.instrument metrics)
-      ~policy ~queue_capacity:config.queue_capacity ()
+    Switch_program.create ~engine ~metrics ~policy
+      ~queue_capacity:config.queue_capacity ()
   in
   let pipeline =
     (* Per-task fabric-arrival mark: the only point where fabric
@@ -73,8 +72,8 @@ let build_switch (config : config) ~topology ~metrics ~fabric =
   in
   (program, pipeline)
 
-let make_worker (config : config) ~fn_model ~fabric node =
-  Worker.create ~node ~executors:config.executors_per_worker ~fabric
+let make_worker (config : config) ~fn_model ~fabric ~metrics node =
+  Worker.create ~node ~executors:config.executors_per_worker ~fabric ~metrics
     ~make_config:(fun ~port ->
       {
         Executor.node;
@@ -103,17 +102,14 @@ let create_legacy (config : config) =
   let program, pipeline = build_switch config ~topology ~metrics ~fabric in
   let fn_model = Fn_model.with_topology topology in
   let workers =
-    Array.init config.workers (fun node -> make_worker config ~fn_model ~fabric node)
+    Array.init config.workers (fun node ->
+        make_worker config ~fn_model ~fabric ~metrics node)
   in
   let clients =
     Array.init config.clients (fun i -> make_client config ~fabric ~metrics i)
   in
-  let t =
-    { config; engine; fabrics = [| fabric |]; pipeline; program; topology; metrics;
-      workers; clients; sync = None }
-  in
-  Array.iter (fun worker -> Worker.set_on_task worker (Metrics.note_exec metrics)) workers;
-  t
+  { config; engine; fabrics = [| fabric |]; pipeline; program; topology; metrics;
+    workers; clients; sync = None }
 
 (* -- sharded construction ------------------------------------------------- *)
 
@@ -154,7 +150,8 @@ let create_sharded (config : config) shards =
   let fn_model = Fn_model.with_topology topology in
   let workers =
     Array.init config.workers (fun node ->
-        make_worker config ~fn_model ~fabric:host_fabric node)
+        make_worker config ~fn_model ~fabric:host_fabric ~metrics:(remote_metrics node)
+          node)
   in
   let clients =
     Array.init config.clients (fun i ->
@@ -162,14 +159,8 @@ let create_sharded (config : config) shards =
           ~metrics:(remote_metrics (config.workers + i))
           i)
   in
-  let t =
-    { config; engine = Fabric.engine switch_fabric; fabrics = instances; pipeline;
-      program; topology; metrics; workers; clients; sync = Some sync }
-  in
-  Array.iteri
-    (fun node worker -> Worker.set_on_task worker (Metrics.note_exec (remote_metrics node)))
-    workers;
-  t
+  { config; engine = Fabric.engine switch_fabric; fabrics = instances; pipeline;
+    program; topology; metrics; workers; clients; sync = Some sync }
 
 let create (config : config) =
   if config.workers < 1 then invalid_arg "Cluster.create: need workers";
@@ -181,7 +172,7 @@ let create (config : config) =
 let start t =
   (* Stagger initial pulls so 160 executors do not hit the switch in the
      same nanosecond. *)
-  let stagger = max 1 (Time.us 1 / max 1 t.config.executors_per_worker) in
+  let stagger = Int.max 1 (Time.us 1 / Int.max 1 t.config.executors_per_worker) in
   Array.iter (fun worker -> Worker.start worker ~stagger) t.workers
 
 (* [?executor] fans each barrier window's per-LP thunks out over a
@@ -201,7 +192,7 @@ let run_until_drained ?executor t ~deadline =
     if outstanding t = 0 then true
     else if Engine.now t.engine >= deadline then false
     else begin
-      run ?executor t ~until:(min deadline (Engine.now t.engine + step));
+      run ?executor t ~until:(Int.min deadline (Engine.now t.engine + step));
       go ()
     end
   in
@@ -230,7 +221,7 @@ let fail_over_switch t =
   Pipeline.flush_in_flight t.pipeline;
   lost
 
-let stagger t = max 1 (Time.us 1 / max 1 t.config.executors_per_worker)
+let stagger t = Int.max 1 (Time.us 1 / Int.max 1 t.config.executors_per_worker)
 
 let crash_worker t i =
   if i < 0 || i >= Array.length t.workers then

@@ -13,8 +13,6 @@ type config = {
   watchdog : Time.t option;
 }
 
-type milestone = Started | Finished
-
 type t = {
   config : config;
   fabric : Message.t Fabric.t;
@@ -22,8 +20,8 @@ type t = {
   addr : Addr.t;
   info : Message.executor_info;  (* rides every request and completion *)
   request : Message.t;  (* the pull request, built once: it never changes *)
+  metrics : Metrics.t;
   mutable obs_track : string;  (* see [track] *)
-  mutable on_task : milestone -> Task.t -> node:int -> unit;
   mutable busy : bool;
   mutable pending_fetch : (Task.t * Addr.t) option;
       (* a transmission-function task awaiting its parameters (§4.4) *)
@@ -68,7 +66,7 @@ and watchdog_expired t =
     if t.deadline = now && (not t.stopped) && not t.busy then send_request t
   end
 
-let create ~config ~fabric () =
+let create ~config ~fabric ~metrics () =
   let addr = Addr.Host config.node in
   let info : Message.executor_info =
     {
@@ -86,8 +84,8 @@ let create ~config ~fabric () =
       addr;
       info;
       request = Message.Task_request { info; rtrv_prio = 1 };
+      metrics;
       obs_track = "";
-      on_task = (fun _ _ ~node:_ -> ());
       busy = false;
       pending_fetch = None;
       stopped = false;
@@ -115,7 +113,6 @@ let track t =
 let start ?(after = 0) t =
   if after = 0 then send_request t else ignore (Engine.schedule t.engine ~after t.retry)
 
-let set_on_task t f = t.on_task <- f
 let stop t = t.stopped <- true
 
 let set_slowdown t factor =
@@ -159,7 +156,7 @@ let rec execute t (task : Task.t) ~client =
   else run t task ~client
 
 and run t (task : Task.t) ~client =
-  t.on_task Started task ~node:t.config.node;
+  Metrics.note_exec_start t.metrics task ~node:t.config.node ~port:t.config.port;
   if Obs.Recorder.active () then
     Obs.Recorder.begin_span ~at:(Engine.now t.engine) ~track:(track t) "task";
   let service = Fn_model.service_time t.config.fn_model task ~node:t.config.node in
@@ -173,7 +170,7 @@ and run t (task : Task.t) ~client =
       t.busy <- false;
       t.tasks_executed <- t.tasks_executed + 1;
       t.busy_time <- t.busy_time + service;
-      t.on_task Finished task ~node:t.config.node;
+      Metrics.note_exec_finish t.metrics task ~node:t.config.node ~port:t.config.port;
       if Obs.Recorder.active () then
         Obs.Recorder.end_span ~at:(Engine.now t.engine) ~track:(track t) "task";
       Obs.Recorder.record "exec.service_ns" service;

@@ -34,11 +34,13 @@ type config = {
 
 type t
 
-(** [create ~config ~fabric ()] builds an executor for node
-    [config.node] (fabric address [Host node]).  It does not register a
-    fabric handler — the {!Worker} owns the node's handler and routes
-    assignments by port. *)
-val create : config:config -> fabric:Message.t Fabric.t -> unit -> t
+(** [create ~config ~fabric ~metrics ()] builds an executor for node
+    [config.node] (fabric address [Host node]) that notes each task it
+    runs on [metrics]: its start ({!Metrics.note_exec_start}) and, if it
+    runs to the end, its finish ({!Metrics.note_exec_finish}).  It does
+    not register a fabric handler — the {!Worker} owns the node's
+    handler and routes assignments by port. *)
+val create : config:config -> fabric:Message.t Fabric.t -> metrics:Metrics.t -> unit -> t
 
 (** [start ?after t] sends the initial task request, optionally delayed
     to stagger executor start-up. *)
@@ -46,14 +48,6 @@ val start : ?after:Time.t -> t -> unit
 
 (** [deliver t msg] hands the executor a message routed to its port. *)
 val deliver : t -> Message.t -> unit
-
-(** What the executor reports of a task: it began running, or it ran
-    to the end (a task lost to a crash never finishes). *)
-type milestone = Started | Finished
-
-(** [set_on_task t f] installs the measurement hook, called with each
-    milestone of every task the executor runs. *)
-val set_on_task : t -> (milestone -> Task.t -> node:int -> unit) -> unit
 
 (** [stop t] stops the request loop (no further pulls). *)
 val stop : t -> unit

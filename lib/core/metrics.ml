@@ -6,6 +6,31 @@ module Trace_ctx = Draconis_obs.Trace_ctx
 
 type placement = { mutable local : int; mutable same_rack : int; mutable remote : int }
 
+type repair_flag = Add_flag | Retrieve_flag
+
+let repair_flag_name = function Add_flag -> "add" | Retrieve_flag -> "retrieve"
+
+type milestone =
+  | Submitted of Task.id
+  | Sent of Task.t list
+  | Resubmitted of Task.id
+  | Arrived of Task.t list
+  | Enqueued of { id : Task.id; level : int }
+  | Ranked of { id : Task.id; rank : int }
+  | Rejected of Task.t list
+  | Dequeued of { id : Task.id; level : int; rank : int }
+  | Swap_started of Task.id
+  | Swapped of { into : Task.id; out : Task.id; level : int }
+  | Spun of Task.id
+  | Recirculated of string
+  | Repair_flagged of { flag : repair_flag; level : int }
+  | Pop_scan_started
+  | Noop
+  | Assigned of { id : Task.id; node : int }
+  | Started of { task : Task.t; node : int; port : int }
+  | Finished of { task : Task.t; node : int; port : int }
+  | Completed of Task.id
+
 (* What the notes of one task have recorded so far: created by its first
    [note_submit] or [note_enqueue], dropped by its [note_complete] unless
    the client resubmitted it.  [unset] marks a note not seen yet.  When
@@ -50,6 +75,8 @@ type core = {
   mutable deadline_tracked : int;
   mutable deadline_misses : int;
   mutable attribution : Trace_ctx.t option;
+  mutable observer : (milestone -> unit) option;
+  observer_lock : Mutex.t;
 }
 
 type t = {
@@ -82,10 +109,28 @@ let create ?topology engine =
         deadline_tracked = 0;
         deadline_misses = 0;
         attribution = None;
+        observer = None;
+        observer_lock = Mutex.create ();
       };
   }
 
 let remote t ~engine ~post = { engine; core = t.core; post = Some post }
+
+let observe t f =
+  if Option.is_some t.core.observer then
+    invalid_arg "Metrics.observe: the metrics already have an observer";
+  t.core.observer <- Some f
+
+(* Every note reports its milestone first, inline on the caller's LP:
+   [if observed t then report t (...)] builds the milestone only when an
+   observer is installed, and the lock keeps the switch LP's and the
+   host LP's calls apart on a sharded cluster. *)
+let observed t = Option.is_some t.core.observer
+
+let report t milestone =
+  match t.core.observer with
+  | None -> ()
+  | Some f -> Mutex.protect t.core.observer_lock (fun () -> f milestone)
 
 (* Every note below reads [now] from the caller's engine and runs its
    body, a top-level function of the core, [now] and two arguments:
@@ -125,7 +170,9 @@ let submit c now id () =
   end;
   if Option.is_some c.attribution then s.journey <- Some (Trace_ctx.start ~at:now)
 
-let note_submit t id = dispatch t submit id ()
+let note_submit t id =
+  if observed t then report t (Submitted id);
+  dispatch t submit id ()
 
 let complete c now (id : Task.id) resubmitted =
   c.completed <- c.completed + 1;
@@ -144,7 +191,9 @@ let complete c now (id : Task.id) resubmitted =
        stays for the rest of the run. *)
     if not resubmitted then Task.Tbl.remove c.tasks id
 
-let note_complete t id ~resubmitted = dispatch t complete id resubmitted
+let note_complete t id ~resubmitted =
+  if observed t then report t (Completed id);
+  dispatch t complete id resubmitted
 
 let classify_placement c (task : Task.t) ~node =
   match (Task.locality_nodes task, c.topology) with
@@ -180,7 +229,9 @@ let exec_start c now task node =
     end;
     match s.journey with Some j -> Trace_ctx.exec_start j ~at:now | None -> ()
 
-let note_exec_start t task ~node = dispatch t exec_start task node
+let note_exec_start t task ~node ~port =
+  if observed t then report t (Started { task; node; port });
+  dispatch t exec_start task node
 
 let enqueue c now id level =
   let s = task_state c id in
@@ -190,7 +241,9 @@ let enqueue c now id level =
   end;
   match s.journey with Some j -> Trace_ctx.enqueue j ~at:now ~level | None -> ()
 
-let note_enqueue t id ~level = dispatch t enqueue id level
+let note_enqueue t id ~level =
+  if observed t then report t (Enqueued { id; level });
+  dispatch t enqueue id level
 
 let assign c now id requested_at =
   Meter.mark c.decisions ~now ();
@@ -203,13 +256,15 @@ let assign c now id requested_at =
     end;
     match s.journey with Some j -> Trace_ctx.assign j ~at:now | None -> ()
 
-let note_assign t id ~requested_at = dispatch t assign id requested_at
+let note_assign t id ~node ~requested_at =
+  if observed t then report t (Assigned { id; node });
+  dispatch t assign id requested_at
 
 (* The journey-only notes.  Attribution is off on every run but an
-   observed single-engine Draconis run, so they return before they
-   allocate.  It is never on for a sharded cluster, so a [remote]
-   handle's notes return at once: they act inline or not at all, and
-   never read the owner's state from another domain. *)
+   observed single-engine Draconis run, so with no observer they return
+   before they allocate.  It is never on for a sharded cluster, so a
+   [remote] handle's notes return at once: they act inline or not at
+   all, and never read the owner's state from another domain. *)
 let attributing t = Option.is_none t.post && Option.is_some t.core.attribution
 
 let live_journey t id =
@@ -223,39 +278,55 @@ let journeys_note t tasks step =
   if attributing t then
     List.iter (fun (task : Task.t) -> journey_note t task.id step) tasks
 
-let note_sent t tasks = journeys_note t tasks Trace_ctx.sent
-let note_arrive t tasks = journeys_note t tasks Trace_ctx.arrive
-let note_resubmit t id = journey_note t id (fun j ~at:_ -> Trace_ctx.flag_resubmit j)
+let note_sent t tasks =
+  if observed t then report t (Sent tasks);
+  journeys_note t tasks Trace_ctx.sent
 
-let note_exec t (milestone : Executor.milestone) task ~node =
-  match milestone with
-  | Started -> note_exec_start t task ~node
-  | Finished -> journey_note t task.Task.id Trace_ctx.exec_done
+let note_arrive t tasks =
+  if observed t then report t (Arrived tasks);
+  journeys_note t tasks Trace_ctx.arrive
 
-let swap_out j ~at:_ = Trace_ctx.flag_swap j
+let note_resubmit t id =
+  if observed t then report t (Resubmitted id);
+  journey_note t id (fun j ~at:_ -> Trace_ctx.flag_resubmit j)
 
-let swap_start j ~at =
-  Trace_ctx.flag_swap j;
-  Trace_ctx.spin j ~at
+let note_exec_finish t task ~node ~port =
+  if observed t then report t (Finished { task; node; port });
+  journey_note t task.Task.id Trace_ctx.exec_done
 
-let note_repair_window t ~level =
+let note_reject t tasks =
+  if observed t then report t (Rejected tasks);
+  journeys_note t tasks Trace_ctx.reject
+
+let note_dequeue t id ~level ~rank =
+  if observed t then report t (Dequeued { id; level; rank });
+  journey_note t id Trace_ctx.dequeue
+
+let note_swap_start t id =
+  if observed t then report t (Swap_started id);
+  journey_note t id (fun j ~at ->
+      Trace_ctx.flag_swap j;
+      Trace_ctx.spin j ~at)
+
+let note_swap t ~into ~out ~level =
+  if observed t then report t (Swapped { into; out; level });
+  journey_note t out (fun j ~at:_ -> Trace_ctx.flag_swap j)
+
+let note_spin t id =
+  if observed t then report t (Spun id);
+  journey_note t id Trace_ctx.spin
+
+let note_repair_flag t flag ~level =
+  if observed t then report t (Repair_flagged { flag; level });
   if attributing t then
     Task.Tbl.iter
       (fun _ s -> Option.iter (fun j -> Trace_ctx.repair_window j ~level) s.journey)
       t.core.tasks
 
-let instrument t : Instrument.t =
-  {
-    Instrument.default with
-    on_enqueue = (fun id ~level -> note_enqueue t id ~level);
-    on_dequeue = (fun id ~level:_ ~rank:_ -> journey_note t id Trace_ctx.dequeue);
-    on_assign = (fun id ~node:_ ~requested_at -> note_assign t id ~requested_at);
-    on_reject = (fun tasks -> journeys_note t tasks Trace_ctx.reject);
-    on_swap = (fun ~swapped_in:_ ~swapped_out ~level:_ -> journey_note t swapped_out swap_out);
-    on_repair_flag = (fun _ ~level -> note_repair_window t ~level);
-    on_spin = (fun id -> journey_note t id Trace_ctx.spin);
-    on_swap_start = (fun id -> journey_note t id swap_start);
-  }
+let note_rank t id ~rank = if observed t then report t (Ranked { id; rank })
+let note_recirculate t ~kind = if observed t then report t (Recirculated kind)
+let note_pop_scan t = if observed t then report t Pop_scan_started
+let note_noop t = if observed t then report t Noop
 
 let attribute t rules =
   if Option.is_some t.core.attribution then

@@ -1,6 +1,8 @@
 (** Experiment metrics, shared by Draconis and every baseline scheduler.
 
-    Metrics records samples.  It correlates client-side events
+    Metrics records samples.  Every scheduler — the Draconis switch
+    program and each baseline — its clients and its executors call the
+    [note_*] functions directly.  Metrics correlates client-side events
     (submission, completion), executor events (task start), and
     switch/scheduler events (enqueue, assignment) by task id, and
     exposes the samplers behind each figure of the paper's evaluation:
@@ -34,7 +36,8 @@
     {!note_complete} seals it once and drops it from the record, so a
     resubmitted task's stale copy cannot touch the breakdown the
     collector holds by reference.  With attribution off (the default)
-    the journey-only notes return before they allocate. *)
+    and no {!observe}r, the journey-only notes return before they
+    allocate. *)
 
 open Draconis_sim
 open Draconis_net
@@ -42,6 +45,35 @@ open Draconis_stats
 open Draconis_proto
 
 type placement = { mutable local : int; mutable same_rack : int; mutable remote : int }
+
+(** Which circular-queue repair flag tripped (paper §4.7). *)
+type repair_flag = Add_flag | Retrieve_flag
+
+(** ["add"] or ["retrieve"]. *)
+val repair_flag_name : repair_flag -> string
+
+(** What each [note_*] below reports to the {!observe}r: one
+    constructor per note. *)
+type milestone =
+  | Submitted of Task.id  (** {!note_submit} *)
+  | Sent of Task.t list  (** {!note_sent} *)
+  | Resubmitted of Task.id  (** {!note_resubmit} *)
+  | Arrived of Task.t list  (** {!note_arrive} *)
+  | Enqueued of { id : Task.id; level : int }  (** {!note_enqueue} *)
+  | Ranked of { id : Task.id; rank : int }  (** {!note_rank} *)
+  | Rejected of Task.t list  (** {!note_reject} *)
+  | Dequeued of { id : Task.id; level : int; rank : int }  (** {!note_dequeue} *)
+  | Swap_started of Task.id  (** {!note_swap_start} *)
+  | Swapped of { into : Task.id; out : Task.id; level : int }  (** {!note_swap} *)
+  | Spun of Task.id  (** {!note_spin} *)
+  | Recirculated of string  (** {!note_recirculate} *)
+  | Repair_flagged of { flag : repair_flag; level : int }  (** {!note_repair_flag} *)
+  | Pop_scan_started  (** {!note_pop_scan} *)
+  | Noop  (** {!note_noop} *)
+  | Assigned of { id : Task.id; node : int }  (** {!note_assign} *)
+  | Started of { task : Task.t; node : int; port : int }  (** {!note_exec_start} *)
+  | Finished of { task : Task.t; node : int; port : int }  (** {!note_exec_finish} *)
+  | Completed of Task.id  (** {!note_complete} *)
 
 type t
 
@@ -60,6 +92,17 @@ val create : ?topology:Topology.t -> Engine.t -> t
     only ever mutated from the owner's LP, in stamp order, making
     sampler contents bit-identical across shard counts. *)
 val remote : t -> engine:Engine.t -> post:(at:Time.t -> (unit -> unit) -> unit) -> t
+
+(** [observe t f] installs the observer of [t]'s state, shared by
+    every handle on it: each note also calls [f] with its milestone,
+    which adds to the samples and never replaces them.  [f] runs inline
+    where the note is made, so it adds no engine event and, on a
+    [remote] handle, no post; a lock serializes its calls, which come
+    from two domains on a 2-lane sharded run.  Each entity's milestones
+    reach it in that entity's order.  With no observer (every figure
+    and benchmark run) a note builds no milestone.
+    @raise Invalid_argument if [t] already has an observer. *)
+val observe : t -> (milestone -> unit) -> unit
 
 (** {2 Client-side events} *)
 
@@ -82,27 +125,59 @@ val note_sent : t -> Task.t list -> unit
 val note_resubmit : t -> Task.id -> unit
 val note_arrive : t -> Task.t list -> unit
 
-(** {2 Executor-side events} *)
+(** {2 Executor-side events} — every executor model notes its own
+    tasks.  [port] is the executor's index within [node], or [-1] where
+    the node runs tasks on a pool of executors it does not name
+    (RackSched's node worker, Sparrow's worker). *)
 
-(** [note_exec_start t task ~node] records scheduling delay and
+(** [note_exec_start t task ~node ~port] records scheduling delay and
     placement for a task starting on [node]. *)
-val note_exec_start : t -> Task.t -> node:int -> unit
+val note_exec_start : t -> Task.t -> node:int -> port:int -> unit
 
-(** The executors' hook ({!Executor.set_on_task}): {!note_exec_start}
-    on [Started]; on [Finished], the journey's service edge. *)
-val note_exec : t -> Executor.milestone -> Task.t -> node:int -> unit
+(** Journey only: the task ran to the end (a task lost to a crash never
+    finishes). *)
+val note_exec_finish : t -> Task.t -> node:int -> port:int -> unit
 
-(** {2 Scheduler-side events} — the {!Instrument.t} adapter wires these
-    into the Draconis switch program; baselines call them directly. *)
+(** {2 Scheduler-side events} — the Draconis switch program and every
+    baseline scheduler call these. *)
 
 val note_enqueue : t -> Task.id -> level:int -> unit
-val note_assign : t -> Task.id -> requested_at:Time.t -> unit
 
-(** The switch program's hooks into these notes: [on_enqueue] and
-    [on_assign] sample delays; they and the task-carrying hooks advance
-    journeys; [on_noop], [on_recirculate], [on_rank] and [on_pop_scan]
-    are no-ops. *)
-val instrument : t -> Instrument.t
+(** [note_assign t id ~node ~requested_at] — the scheduler sent the
+    task to an executor on [node]; [requested_at] is when the winning
+    request reached the scheduler (get_task() latency, Fig. 13). *)
+val note_assign : t -> Task.id -> node:int -> requested_at:Time.t -> unit
+
+(** Journey only: [tasks] bounced off a full queue; a task left the
+    switch queue, popped or swap-assigned ([rank] is the rank the PIFO
+    rank store released it at, [-1] for a circular queue); a popped task
+    failed the policy check and leaves on a swap packet (§5.1); a swap
+    packet exchanged its carried task [into] for the pending [out] at
+    [level]; a task rides a recirculation without landing (a multi-task
+    continuation, a PIFO probe, a swap hop or a switch resubmission); a
+    pointer-repair flag was set at [level], opening the queue's degraded
+    window until the repair packet lands (§4.7). *)
+val note_reject : t -> Task.t list -> unit
+
+val note_dequeue : t -> Task.id -> level:int -> rank:int -> unit
+val note_swap_start : t -> Task.id -> unit
+val note_swap : t -> into:Task.id -> out:Task.id -> level:int -> unit
+val note_spin : t -> Task.id -> unit
+val note_repair_flag : t -> repair_flag -> level:int -> unit
+
+(** Observer only (the switch program counts these facts itself): a
+    PIFO-backed policy computed [rank] for a task being admitted (just
+    before its {!note_enqueue}); the program produced a recirculation of
+    [kind] ("swap", "resubmit", "repair-add", "repair-retrieve",
+    "submission", "prio-request", "pifo-probe", "pifo-scan",
+    "pifo-claim", "pifo-restart"); a PIFO pop began a fresh rank-store
+    scan (restarts after a lost claim included); a no-op assignment was
+    sent. *)
+val note_rank : t -> Task.id -> rank:int -> unit
+
+val note_recirculate : t -> kind:string -> unit
+val note_pop_scan : t -> unit
+val note_noop : t -> unit
 
 (** {2 Phase attribution} *)
 

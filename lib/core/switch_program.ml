@@ -30,7 +30,7 @@ type t = {
   policy : Policy.t;
   queue_capacity : int;
   backend : backend;
-  instrument : Instrument.t;
+  metrics : Metrics.t;
   (* Each executor's no-op reply, indexed by node then port, built on
      its first use: outputs are immutable, and an idle executor polls
      every few microseconds. *)
@@ -47,7 +47,7 @@ let pifo_scan_width = 16
 let pifo_capacity_limit = 4096
 let max_pop_restarts = 3
 
-let create ~engine ?(instrument = Instrument.default) ~policy ~queue_capacity () =
+let create ~engine ~metrics ~policy ~queue_capacity () =
   if queue_capacity < 1 then
     invalid_arg "Switch_program.create: queue_capacity must be >= 1";
   Policy.validate policy;
@@ -92,7 +92,7 @@ let create ~engine ?(instrument = Instrument.default) ~policy ~queue_capacity ()
     policy;
     queue_capacity;
     backend;
-    instrument;
+    metrics;
     noop_replies = [||];
     counts =
       {
@@ -153,7 +153,7 @@ let renumbers t =
 
 let standby t =
   let fresh =
-    create ~engine:t.engine ~instrument:t.instrument ~policy:t.policy
+    create ~engine:t.engine ~metrics:t.metrics ~policy:t.policy
       ~queue_capacity:t.queue_capacity ()
   in
   { fresh with counts = { t.counts with retired_renumbers = renumbers t } }
@@ -161,33 +161,33 @@ let standby t =
 (* -- helpers -------------------------------------------------------------- *)
 
 (* Every recirculation the program produces flows through here, so the
-   instrument hook and the counter cannot drift apart. *)
+   note and the counter cannot drift apart. *)
 let recirc t ~kind pkt =
   t.counts.recirculations <- t.counts.recirculations + 1;
-  t.instrument.on_recirculate ~kind;
+  Metrics.note_recirculate t.metrics ~kind;
   Pipeline.Recirculate pkt
 
 (* A pointer-repair flag tripped (§4.7) and its repair packet launched:
    the queue is in its degraded window until the packet lands. *)
 let launch_repair t flag ~level ~kind pkt =
   t.counts.repairs_launched <- t.counts.repairs_launched + 1;
-  t.instrument.on_repair_flag flag ~level;
+  Metrics.note_repair_flag t.metrics flag ~level;
   if Obs.Recorder.active () then
     Obs.Recorder.mark ~at:(Engine.now t.engine) ~track:"queue"
-      (Printf.sprintf "repair-%s L%d" (Instrument.repair_flag_name flag) level);
+      (Printf.sprintf "repair-%s L%d" (Metrics.repair_flag_name flag) level);
   recirc t ~kind pkt
 
 (* [tasks] ride a recirculation without landing. *)
 let rec spin_all t = function
   | [] -> ()
   | (task : Task.t) :: rest ->
-    t.instrument.on_spin task.id;
+    Metrics.note_spin t.metrics task.id;
     spin_all t rest
 
 (* Bounce [tasks] to [client]'s retry path in one Queue_full (§4.3). *)
 let reject t ~client ~uid ~jid (tasks : Task.t list) =
   t.counts.rejected_tasks <- t.counts.rejected_tasks + List.length tasks;
-  t.instrument.on_reject tasks;
+  Metrics.note_reject t.metrics tasks;
   Pipeline.Emit (client, Message.Queue_full { uid; jid; tasks })
 
 let grown a len fill =
@@ -196,11 +196,11 @@ let grown a len fill =
   b
 
 (* The one-element output list answering [info]'s request with a no-op;
-   the counters and hooks run on every reply, the list is built once per
-   executor port. *)
+   the counter and the note run on every reply, the list is built once
+   per executor port. *)
 let noop_to t (info : Message.executor_info) =
   t.counts.noops <- t.counts.noops + 1;
-  t.instrument.on_noop ();
+  Metrics.note_noop t.metrics;
   let node = info.exec_node and port = info.exec_port in
   if node < 0 || port < 0 then
     invalid_arg "Switch_program: negative executor node or port";
@@ -225,7 +225,7 @@ let noop_to t (info : Message.executor_info) =
 
 let assign_to t (info : Message.executor_info) (entry : Entry.t) ~requested_at =
   t.counts.assignments <- t.counts.assignments + 1;
-  t.instrument.on_assign entry.task.id ~node:info.exec_node ~requested_at;
+  Metrics.note_assign t.metrics entry.task.id ~node:info.exec_node ~requested_at;
   Pipeline.Emit
     ( info.exec_addr,
       Message.Task_assignment
@@ -234,7 +234,7 @@ let assign_to t (info : Message.executor_info) (entry : Entry.t) ~requested_at =
 let retrieve_repair_output t ~level = function
   | None -> []
   | Some target ->
-    [ launch_repair t Instrument.Retrieve_flag ~level ~kind:"repair-retrieve"
+    [ launch_repair t Metrics.Retrieve_flag ~level ~kind:"repair-retrieve"
         (Switch_packet.Repair_retrieve { level; target });
     ]
 
@@ -246,7 +246,7 @@ let reject_enqueue t ~level ~add_repair ~retrieve_repair ~client ~uid ~jid tasks
     match add_repair with
     | None -> []
     | Some target ->
-      [ launch_repair t Instrument.Add_flag ~level ~kind:"repair-add"
+      [ launch_repair t Metrics.Add_flag ~level ~kind:"repair-add"
           (Switch_packet.Repair_add { level; target });
       ]
   in
@@ -257,7 +257,7 @@ let enqueue_entry t ctx ~level (entry : Entry.t) =
   ctx.Packet_ctx.telemetry.level <- level;
   let outcome = Circular_queue.enqueue (queues_exn t).(level) ctx entry in
   (match outcome with
-  | Circular_queue.Enqueued _ -> t.instrument.on_enqueue entry.task.id ~level
+  | Circular_queue.Enqueued _ -> Metrics.note_enqueue t.metrics entry.task.id ~level
   | Circular_queue.Rejected _ -> ());
   outcome
 
@@ -296,7 +296,7 @@ let bump_skip (entry : Entry.t) = { entry with skip = entry.skip + 1 }
 
 let start_swap t ~level ~(entry : Entry.t) ~index ~info ~requested_at =
   t.counts.swaps <- t.counts.swaps + 1;
-  t.instrument.on_swap_start entry.task.id;
+  Metrics.note_swap_start t.metrics entry.task.id;
   let next = Circular_queue.next_index (queues_exn t).(level) index in
   recirc t ~kind:"swap"
     (Switch_packet.Swap
@@ -328,7 +328,7 @@ let handle_request t ctx (info : Message.executor_info) ~rtrv_prio ~requested_at
         ]
       else noop_to t info
     | Circular_queue.Dequeued { index; entry } ->
-      t.instrument.on_dequeue entry.task.id ~level ~rank:(-1);
+      Metrics.note_dequeue t.metrics entry.task.id ~level ~rank:(-1);
       if not (Policy.uses_swapping t.policy) then
         [ assign_to t info entry ~requested_at ]
       else begin
@@ -343,7 +343,7 @@ let handle_request t ctx (info : Message.executor_info) ~rtrv_prio ~requested_at
 
 let resubmit_and_noop t ~level ~(entry : Entry.t) ~info =
   t.counts.resubmissions <- t.counts.resubmissions + 1;
-  t.instrument.on_spin entry.task.id;
+  Metrics.note_spin t.metrics entry.task.id;
   let noop = noop_to t info in
   recirc t ~kind:"resubmit" (Switch_packet.Resubmit { level; entry }) :: noop
 
@@ -375,15 +375,15 @@ let handle_swap t ctx ~level ~entry ~swap_indx ~info ~pkt_retrieve_ptr ~attempts
     | Circular_queue.Slot_invalid -> resubmit_and_noop t ~level ~entry ~info
     | Circular_queue.Swapped popped ->
       t.counts.swap_exchanges <- t.counts.swap_exchanges + 1;
-      t.instrument.on_dequeue popped.task.id ~level ~rank:(-1);
-      t.instrument.on_enqueue entry.task.id ~level;
-      t.instrument.on_swap ~swapped_in:entry.task.id ~swapped_out:popped.task.id ~level;
+      Metrics.note_dequeue t.metrics popped.task.id ~level ~rank:(-1);
+      Metrics.note_enqueue t.metrics entry.task.id ~level;
+      Metrics.note_swap t.metrics ~into:entry.task.id ~out:popped.task.id ~level;
       let popped = bump_skip popped in
       if Policy.satisfies t.policy ~entry:popped ~info then
         [ assign_to t info popped ~requested_at ]
       else begin
         t.counts.swaps <- t.counts.swaps + 1;
-        t.instrument.on_spin popped.task.id;
+        Metrics.note_spin t.metrics popped.task.id;
         [ recirc t ~kind:"swap"
             (Switch_packet.Swap
                {
@@ -455,8 +455,8 @@ let pifo_rank t ctx vft (task : Task.t) =
     now
 
 let pifo_admitted t pifo (task : Task.t) ~packed =
-  t.instrument.on_rank task.id ~rank:(Pifo.rank_of_packed packed);
-  t.instrument.on_enqueue task.id ~level:0;
+  Metrics.note_rank t.metrics task.id ~rank:(Pifo.rank_of_packed packed);
+  Metrics.note_enqueue t.metrics task.id ~level:0;
   (* Switch-CPU stamp compaction; in-flight scans lose their claims
      through the epoch bump and restart. *)
   if Pifo.needs_renumber pifo then Pifo.renumber pifo
@@ -477,7 +477,7 @@ let pifo_admit_outcome t pifo ~client ~uid ~jid ~(task : Task.t) ~rest = functio
   | Pifo.Probing probe ->
     (* Probe row was full: the admission recirculates with an advanced
        row cursor. *)
-    t.instrument.on_spin task.id;
+    Metrics.note_spin t.metrics task.id;
     [ recirc t ~kind:"pifo-probe"
         (Switch_packet.Pifo_admit { probe; task; client; uid; jid; rest });
     ]
@@ -516,7 +516,7 @@ let pifo_pop_next t ~info ~requested_at ~restarts = function
 let handle_pifo_pop t ctx pifo ~info ~requested_at ~restarts step =
   match step with
   | Switch_packet.Pop_start ->
-    t.instrument.on_pop_scan ();
+    Metrics.note_pop_scan t.metrics;
     pifo_pop_next t ~info ~requested_at ~restarts (Pifo.scan_start pifo ctx)
   | Switch_packet.Pop_scan s ->
     pifo_pop_next t ~info ~requested_at ~restarts (Pifo.scan_step pifo ctx s)
@@ -524,7 +524,8 @@ let handle_pifo_pop t ctx pifo ~info ~requested_at ~restarts step =
     match Pifo.claim pifo ctx c with
     | Pifo.Claimed { slot = _; packed; words } ->
       let entry = Entry.of_words words in
-      t.instrument.on_dequeue entry.task.id ~level:0 ~rank:(Pifo.rank_of_packed packed);
+      Metrics.note_dequeue t.metrics entry.task.id ~level:0
+        ~rank:(Pifo.rank_of_packed packed);
       [ assign_to t info entry ~requested_at ]
     | Pifo.Lost ->
       (* Raced by another claimer or invalidated by a renumber. *)

@@ -8,9 +8,14 @@
     PIFO-backed policies ({!Policy.backend} = [Pifo]: EDF, WFQ, aging
     priority) replace the circular queues with a {!Draconis_pifo.Pifo}
     rank store: admissions compute a rank on their traversal and pops
-    become multi-traversal scans whose recirculations the instrument
-    hooks surface ("pifo-probe" / "pifo-scan" / "pifo-claim" /
-    "pifo-restart").
+    become multi-traversal scans whose recirculations the program notes
+    ("pifo-probe" / "pifo-scan" / "pifo-claim" / "pifo-restart").
+
+    Every scheduling event (enqueue, dequeue, swap, repair flag,
+    assignment, rejection, recirculation, ...) is a direct
+    [Metrics.note_*] call on the deployment's {!Metrics.t}, as the
+    baselines' schedulers make them; how often each happened is the
+    program's own counter.
 
     The program is pure packet-in / packets-out logic against the
     {!Circular_queue} register state; it never blocks, loops, or holds
@@ -22,16 +27,16 @@ open Draconis_sim
 
 type t
 
-(** [create ~engine ~policy ~queue_capacity ()] allocates the per-level
-    queues ([queue_capacity] entries each) and program state.
-    [instrument] defaults to {!Instrument.default}.  Runs
+(** [create ~engine ~metrics ~policy ~queue_capacity ()] allocates the
+    per-level queues ([queue_capacity] entries each) and program state;
+    the program notes its events on [metrics].  Runs
     {!Policy.validate} on [policy].  For PIFO-backed policies
     [queue_capacity] must be a multiple of the scan width (16, or the
     capacity itself when smaller) and at most 4096 — a pop recirculates
     once per rank-store row, so deep PIFOs are rejected loudly. *)
 val create :
   engine:Engine.t ->
-  ?instrument:Instrument.t ->
+  metrics:Metrics.t ->
   policy:Policy.t ->
   queue_capacity:int ->
   unit ->
@@ -61,8 +66,8 @@ val total_occupancy : t -> int
 val registers : t -> Draconis_p4.Register.t list
 
 (** [standby t] is [t]'s fail-over standby: a fresh program (empty
-    queues or rank store) with [t]'s settings, whose counters start from
-    [t]'s, so they count for the whole deployment. *)
+    queues or rank store) with [t]'s settings and metrics, whose
+    counters start from [t]'s, so they count for the whole deployment. *)
 val standby : t -> t
 
 (** {2 Counters} — the deployment's; nothing else counts these facts.

@@ -4,7 +4,7 @@ open Draconis_net
 
 type t = { node : int; engine : Engine.t; executors : Executor.t array }
 
-let create ~node ~executors ~fabric ~make_config () =
+let create ~node ~executors ~fabric ~metrics ~make_config () =
   if executors < 1 then invalid_arg "Worker.create: need at least one executor";
   let t =
     {
@@ -12,7 +12,7 @@ let create ~node ~executors ~fabric ~make_config () =
       engine = Fabric.engine fabric;
       executors =
         Array.init executors (fun port ->
-            Executor.create ~config:(make_config ~port) ~fabric ());
+            Executor.create ~config:(make_config ~port) ~fabric ~metrics ());
     }
   in
   Fabric.register fabric (Addr.Host node) (fun env ->
@@ -54,8 +54,6 @@ let executor t i =
 
 let executor_count t = Array.length t.executors
 let iter_executors t f = Array.iter f t.executors
-
-let set_on_task t f = Array.iter (fun exec -> Executor.set_on_task exec f) t.executors
 
 let tasks_executed t =
   Array.fold_left (fun acc exec -> acc + Executor.tasks_executed exec) 0 t.executors

@@ -10,13 +10,15 @@ open Draconis_proto
 
 type t
 
-(** [create ~node ~executors ~fabric ~make_config ()] builds a worker
-    with [executors] executors whose configs come from
-    [make_config ~port]; registers the node's fabric handler. *)
+(** [create ~node ~executors ~fabric ~metrics ~make_config ()] builds a
+    worker with [executors] executors whose configs come from
+    [make_config ~port], each noting its tasks on [metrics]; registers
+    the node's fabric handler. *)
 val create :
   node:int ->
   executors:int ->
   fabric:Message.t Fabric.t ->
+  metrics:Metrics.t ->
   make_config:(port:int -> Executor.config) ->
   unit ->
   t
@@ -48,9 +50,6 @@ val engine : t -> Engine.t
 val executor : t -> int -> Executor.t
 val executor_count : t -> int
 val iter_executors : t -> (Executor.t -> unit) -> unit
-
-(** [set_on_task t f] installs the hook on every executor. *)
-val set_on_task : t -> (Executor.milestone -> Task.t -> node:int -> unit) -> unit
 
 val tasks_executed : t -> int
 val busy_time : t -> Time.t

@@ -1,30 +1,20 @@
 open Draconis_proto
+module Metrics = Draconis.Metrics
 
 (* -- the recorded execution ------------------------------------------------ *)
 
 type event =
   | Submitted of { id : Task.id }
-  | Enqueued of { id : Task.id; level : int; int_occ : int option }
-  | Dequeued of { id : Task.id; level : int; rank : int }
-  | Swapped of { into : Task.id; out : Task.id; level : int }
-  | Assigned of { id : Task.id; node : int }
-  | Rejected of { count : int }
-  | Noop
-  | Repair_flag of { flag : string; level : int }
-  | Recirculated of { kind : string }
-  | Ranked of { id : Task.id; rank : int }
-  | Pop_scan_started
+  | Switch of { milestone : Metrics.milestone; int_occ : int option }
   | Delivered of { id : Task.id; executor : int }
   | Returned of { id : Task.id }
   | Completed of { id : Task.id }
 
 let id_to_string (id : Task.id) = Printf.sprintf "%d.%d.%d" id.uid id.jid id.tid
 
-let event_to_string = function
-  | Submitted { id } -> Printf.sprintf "submitted %s" (id_to_string id)
-  | Enqueued { id; level; int_occ } ->
-    Printf.sprintf "enqueued %s L%d%s" (id_to_string id) level
-      (match int_occ with None -> "" | Some o -> Printf.sprintf " occ=%d" o)
+(* The rig logs the switch program's milestones only. *)
+let milestone_to_string : Metrics.milestone -> string = function
+  | Enqueued { id; level } -> Printf.sprintf "enqueued %s L%d" (id_to_string id) level
   | Dequeued { id; level; rank } ->
     Printf.sprintf "dequeued %s L%d%s" (id_to_string id) level
       (if rank < 0 then "" else Printf.sprintf " rank=%d" rank)
@@ -32,12 +22,22 @@ let event_to_string = function
     Printf.sprintf "swapped in=%s out=%s L%d" (id_to_string into) (id_to_string out)
       level
   | Assigned { id; node } -> Printf.sprintf "assigned %s node=%d" (id_to_string id) node
-  | Rejected { count } -> Printf.sprintf "rejected %d" count
+  | Rejected tasks -> Printf.sprintf "rejected %d" (List.length tasks)
   | Noop -> "noop"
-  | Repair_flag { flag; level } -> Printf.sprintf "repair-flag %s L%d" flag level
-  | Recirculated { kind } -> Printf.sprintf "recirculated %s" kind
+  | Repair_flagged { flag; level } ->
+    Printf.sprintf "repair-flag %s L%d" (Metrics.repair_flag_name flag) level
+  | Recirculated kind -> Printf.sprintf "recirculated %s" kind
   | Ranked { id; rank } -> Printf.sprintf "ranked %s rank=%d" (id_to_string id) rank
   | Pop_scan_started -> "pop-scan"
+  | Submitted _ | Sent _ | Resubmitted _ | Arrived _ | Swap_started _ | Spun _
+  | Started _ | Finished _ | Completed _ ->
+    "unlogged milestone"
+
+let event_to_string = function
+  | Submitted { id } -> Printf.sprintf "submitted %s" (id_to_string id)
+  | Switch { milestone; int_occ } ->
+    milestone_to_string milestone
+    ^ (match int_occ with None -> "" | Some o -> Printf.sprintf " occ=%d" o)
   | Delivered { id; executor } ->
     Printf.sprintf "delivered %s exec=%d" (id_to_string id) executor
   | Returned { id } -> Printf.sprintf "returned %s" (id_to_string id)
@@ -100,9 +100,7 @@ let kept_per_invariant = 3
    multiset is partition-independent. *)
 let switch_side = function
   | Submitted _ | Delivered _ | Returned _ | Completed _ -> false
-  | Enqueued _ | Dequeued _ | Swapped _ | Assigned _ | Rejected _ | Noop
-  | Repair_flag _ | Recirculated _ | Ranked _ | Pop_scan_started ->
-    true
+  | Switch _ -> true
 
 let check ?twin ?sharded schedule run =
   let checks = Hashtbl.create 16 in
@@ -216,10 +214,11 @@ let check ?twin ?sharded schedule run =
     let at = !i in
     (match run.events.(at) with
     | Submitted { id } -> bump submitted id
-    | Dequeued { id = out; level; rank = _ }
+    | Switch { milestone = Metrics.Dequeued { id = out; level; rank = _ }; _ }
       when at + 2 < n
            && (match (run.events.(at + 1), run.events.(at + 2)) with
-              | Enqueued e, Swapped s ->
+              | ( Switch { milestone = Metrics.Enqueued e; _ },
+                  Switch { milestone = Metrics.Swapped s; _ } ) ->
                 Task.compare_id e.id s.into = 0
                 && Task.compare_id s.out out = 0
                 && e.level = level && s.level = level
@@ -229,7 +228,9 @@ let check ?twin ?sharded schedule run =
          and the oracle replaces in place (FIFO position preserved,
          pointers untouched). *)
       let into =
-        match run.events.(at + 1) with Enqueued e -> e.id | _ -> assert false
+        match run.events.(at + 1) with
+        | Switch { milestone = Metrics.Enqueued e; _ } -> e.id
+        | _ -> assert false
       in
       checked "stamp-validity";
       (match Oracle.swap oracle ~out_id:out ~in_id:into with
@@ -239,9 +240,11 @@ let check ?twin ?sharded schedule run =
           (Printf.sprintf "swap popped %s at L%d, which the oracle never queued"
              (id_to_string out) level));
       i := at + 2
-    | Ranked { id; rank } -> Hashtbl.replace last_rank id rank
-    | Pop_scan_started -> if pifo then Queue.add at scan_starts
-    | Enqueued { id; level; int_occ } -> (
+    | Switch { milestone = Metrics.Ranked { id; rank }; _ } ->
+      Hashtbl.replace last_rank id rank
+    | Switch { milestone = Metrics.Pop_scan_started; _ } ->
+      if pifo then Queue.add at scan_starts
+    | Switch { milestone = Metrics.Enqueued { id; level }; int_occ } -> (
       if pifo then
         pifo_queued :=
           !pifo_queued
@@ -271,7 +274,7 @@ let check ?twin ?sharded schedule run =
         violate ~at "occupancy-bound"
           (Printf.sprintf "enqueue of %s at L%d beyond capacity %d" (id_to_string id)
              level schedule.Schedule.capacity))
-    | Dequeued { id; level; rank } -> (
+    | Switch { milestone = Metrics.Dequeued { id; level; rank }; _ } -> (
       if pifo then pifo_dequeue ~at id ~rank;
       if not reorders then checked "fifo-order";
       checked "stamp-validity";
@@ -293,8 +296,7 @@ let check ?twin ?sharded schedule run =
                "dequeue of %s at L%d, which the oracle never queued (stale or free \
                 slot resurrected)"
                (id_to_string id) level))
-    | Swapped _ (* orphan swap: its pair was consumed above *)
-    | Assigned _ | Rejected _ | Noop | Repair_flag _ | Recirculated _ -> ()
+    | Switch _ (* an orphan swap's pair was consumed above *) -> ()
     | Delivered { id; _ } | Returned { id } -> bump accounted id
     | Completed _ -> ());
     incr i

@@ -1,40 +1,34 @@
 (** Invariant checking: replay a recorded execution against the
     {!Oracle} and an end-state audit of the real register state.
 
-    {!Exec.run} records every switch-side {!Draconis.Instrument} event
-    and every host-side delivery into an event log; [check] replays
-    that log through the oracle and compares the drained end state
-    (pointers, repair flags, stamped entries) level by level.  Each
-    invariant keeps an evaluation counter so a sweep can prove every
-    invariant was actually exercised.  The first {!kept_per_invariant}
-    violations of each invariant carry a causal trace — the event
-    window leading up to the divergence — and the rest are counted. *)
+    {!Exec.run} records the switch program's milestones (read through
+    its {!Draconis.Metrics} observer) and every host-side delivery into
+    an event log; [check] replays that log through the oracle and
+    compares the drained end state (pointers, repair flags, stamped
+    entries) level by level.  Each invariant keeps an evaluation
+    counter so a sweep can prove every invariant was actually
+    exercised.  The first {!kept_per_invariant} violations of each
+    invariant carry a causal trace — the event window leading up to the
+    divergence — and the rest are counted. *)
 
 open Draconis_proto
 
-(** One entry of the recorded execution, in engine order.  Switch-side
-    events come from {!Draconis.Instrument} hooks; [Submitted] /
+(** One entry of the recorded execution, in engine order.  [Switch]
+    events are the switch program's milestones; [Submitted] /
     [Delivered] / [Returned] / [Completed] are host-side. *)
 type event =
   | Submitted of { id : Task.id }  (** client sent a job copy holding this task *)
-  | Enqueued of { id : Task.id; level : int; int_occ : int option }
-      (** [int_occ] is the occupancy the switch's INT stamp recorded for
-          this admission (None when the site took no occupancy stamp,
-          e.g. a PIFO probe continuation) — checked against the oracle
+  | Switch of { milestone : Draconis.Metrics.milestone; int_occ : int option }
+      (** one of the ten milestones the replay reads: enqueued,
+          dequeued, swapped, assigned, rejected, no-op, repair flag,
+          recirculated, ranked, pop scan started.  A dequeue's [rank] is
+          the rank the PIFO rank store released, [-1] for a circular
+          queue; pifo-order removes exactly the queued copy with this id
+          and rank.  [int_occ] is, for an enqueue, the occupancy the
+          switch's INT stamp recorded for the admission ([None] when the
+          site took no occupancy stamp, e.g. a PIFO probe continuation,
+          and for every other milestone) — checked against the oracle
           by the int-consistency invariant *)
-  | Dequeued of { id : Task.id; level : int; rank : int }
-      (** [rank] is the rank the PIFO rank store released, [-1] for a
-          circular queue; pifo-order removes exactly the queued copy
-          with this id and rank *)
-  | Swapped of { into : Task.id; out : Task.id; level : int }
-  | Assigned of { id : Task.id; node : int }
-  | Rejected of { count : int }
-  | Noop
-  | Repair_flag of { flag : string; level : int }
-  | Recirculated of { kind : string }
-  | Ranked of { id : Task.id; rank : int }
-      (** the switch computed this task's PIFO rank at admission *)
-  | Pop_scan_started  (** a PIFO pop began its scan (occupancy was read) *)
   | Delivered of { id : Task.id; executor : int }
       (** assignment arrived at an executor *)
   | Returned of { id : Task.id }  (** queue_full bounced the task to its client *)

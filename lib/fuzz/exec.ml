@@ -117,29 +117,18 @@ let plan_of_ops ops =
 
 (* -- pieces shared by the single-engine and the sharded rig --------------- *)
 
-let make_instrument record ~int_occ =
-  {
-    Instrument.default with
-    on_enqueue =
-      (fun id ~level -> record (Checker.Enqueued { id; level; int_occ = int_occ () }));
-    on_dequeue =
-      (fun id ~level ~rank -> record (Checker.Dequeued { id; level; rank }));
-    on_assign =
-      (fun id ~node ~requested_at:_ -> record (Checker.Assigned { id; node }));
-    on_reject = (fun tasks -> record (Checker.Rejected { count = List.length tasks }));
-    on_noop = (fun () -> record Checker.Noop);
-    on_swap =
-      (fun ~swapped_in ~swapped_out ~level ->
-        record (Checker.Swapped { into = swapped_in; out = swapped_out; level }));
-    on_recirculate = (fun ~kind -> record (Checker.Recirculated { kind }));
-    on_repair_flag =
-      (fun flag ~level ->
-        record
-          (Checker.Repair_flag
-             { flag = Instrument.repair_flag_name flag; level }));
-    on_rank = (fun id ~rank -> record (Checker.Ranked { id; rank }));
-    on_pop_scan = (fun () -> record Checker.Pop_scan_started);
-  }
+(* The rig's observer: the switch program's milestones that the
+   checker replays go to the event log, each enqueue with the occupancy
+   its admission stamped. *)
+let observer record ~int_occ (milestone : Metrics.milestone) =
+  match milestone with
+  | Enqueued _ -> record (Checker.Switch { milestone; int_occ = int_occ () })
+  | Dequeued _ | Swapped _ | Assigned _ | Rejected _ | Noop | Repair_flagged _
+  | Recirculated _ | Ranked _ | Pop_scan_started ->
+    record (Checker.Switch { milestone; int_occ = None })
+  | Submitted _ | Sent _ | Resubmitted _ | Arrived _ | Swap_started _ | Spun _
+  | Started _ | Finished _ | Completed _ ->
+    ()
 
 (* Pointer wraparound: start both pointers of every level just below
    the wrap modulus so the schedule crosses the boundary early
@@ -155,12 +144,12 @@ let set_wrap_offset program (schedule : Schedule.t) =
       Circular_queue.unsafe_set_pointers_for_test q ~add:p ~retrieve:p
     done
 
-(* The rig's switch: the program behind its own pipeline on [fabric].
-   The enqueue hook fires inside the admitting traversal, just after the
-   queue wrote the occupancy it admitted against into the pipeline's
-   packet context; reading it there pairs the event with the very
-   stamp the switch took ([None] where the traversal stamped none, e.g.
-   a PIFO probe continuation). *)
+(* The rig's switch: the program behind its own pipeline on [fabric],
+   noting on metrics the rig observes.  The enqueue note is made inside
+   the admitting traversal, just after the queue wrote the occupancy it
+   admitted against into the pipeline's packet context; reading it
+   there pairs the event with the very stamp the switch took ([None]
+   where the traversal stamped none, e.g. a PIFO probe continuation). *)
 let attach_switch ~record ~engine ~fabric (schedule : Schedule.t) =
   let pipeline = ref None in
   let int_occ () =
@@ -170,9 +159,11 @@ let attach_switch ~record ~engine ~fabric (schedule : Schedule.t) =
       let occupancy = (Pipeline.context p).Packet_ctx.telemetry.occupancy in
       if occupancy >= 0 then Some occupancy else None
   in
+  let metrics = Metrics.create engine in
+  Metrics.observe metrics (observer record ~int_occ);
   let program =
-    Switch_program.create ~engine ~instrument:(make_instrument record ~int_occ)
-      ~policy:(policy_of schedule.policy) ~queue_capacity:schedule.capacity ()
+    Switch_program.create ~engine ~metrics ~policy:(policy_of schedule.policy)
+      ~queue_capacity:schedule.capacity ()
   in
   let p =
     Pipeline.attach

@@ -7,9 +7,9 @@
     The rig is fully deterministic: clients at [Host 0..], executors at
     [Host 100..] (odd-indexed executors pull — they complete tasks and
     piggyback the next request; even-indexed ones absorb, so runs can
-    end with queued work), all switch-side {!Draconis.Instrument}
-    events and host-side deliveries recorded into one event log for
-    {!Checker.check}. *)
+    end with queued work), the switch program's milestones (through the
+    observer of its {!Draconis.Metrics}) and host-side deliveries
+    recorded into one event log for {!Checker.check}. *)
 
 (** An intentionally (re-)introduced protocol bug — the fuzz harness's
     self-test.  Each maps to a hidden kill switch in

@@ -14,9 +14,9 @@
     The worker count defaults to [Domain.recommended_domain_count () - 1]
     (at least 1), can be preset process-wide with the [DRACONIS_JOBS]
     environment variable, and is overridden by [set_jobs] (the [--jobs]
-    flag of [bench/main.exe] and [draconis-sim figures]).  With one job
-    nothing is spawned and every closure runs inline in the calling
-    domain, in order — the sequential reference behaviour. *)
+    flag of [bench/main.exe]).  With one job nothing is spawned and every
+    closure runs inline in the calling domain, in order — the sequential
+    reference behaviour. *)
 
 (** Hard cap on worker domains ([set_jobs], [DRACONIS_JOBS], [map],
     team sizes).  The OCaml 5 runtime supports at most 128 live domains

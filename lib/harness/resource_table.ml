@@ -13,7 +13,8 @@ let places_structurally profile ~levels ~entries =
     if levels = 1 then Draconis.Policy.Fcfs else Draconis.Policy.Priority { levels }
   in
   let program =
-    Draconis.Switch_program.create ~engine ~policy ~queue_capacity:capacity ()
+    Draconis.Switch_program.create ~engine ~metrics:(Draconis.Metrics.create engine)
+      ~policy ~queue_capacity:capacity ()
   in
   let constraints =
     {

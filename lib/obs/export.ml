@@ -35,14 +35,12 @@ let write_dump ~int runs path =
   else Printf.printf "wrote %s\n%!" path
 
 let with_exports r f =
-  (* [DRACONIS_INT] first, the flags second, so the flags win. *)
-  (try Int_telemetry.apply_env () with Invalid_argument msg -> fail "%s" msg);
   Option.iter
     (fun n ->
       try Int_telemetry.set_budget n
       with Invalid_argument msg -> fail "--int-budget: %s" msg)
     r.int_budget;
-  if Option.is_some r.int_out then Int_telemetry.enable ~budget:(Int_telemetry.budget ()) ();
+  if Option.is_some r.int_out then Int_telemetry.enable ();
   at_least_one "--probe-interval-us" r.probe_interval_us;
   at_least_one "--max-trace-events" r.max_trace_events;
   let wanted = List.exists Option.is_some [ r.trace_out; r.metrics_out; r.int_out ] in

@@ -6,13 +6,13 @@ type request = {
   trace_out : string option;  (** Chrome trace-event timeline *)
   metrics_out : string option;  (** metrics dump; a [.csv] path selects CSV *)
   int_out : string option;  (** metrics dump with INT sections; turns stamping on *)
-  int_budget : int option;  (** INT header budget; wins over [DRACONIS_INT] *)
+  int_budget : int option;  (** INT header budget *)
   probe_interval_us : int option;  (** probe period, simulated us, >= 1 *)
   max_trace_events : int option;  (** per-run event-buffer bound, >= 1 *)
 }
 
-(** [with_exports request f] applies [DRACONIS_INT], then [int_budget];
-    turns INT stamping on for [int_out]; enables the sink if any export
+(** [with_exports request f] applies [int_budget]; turns INT stamping
+    on for [int_out]; enables the sink if any export
     is asked for; runs [f]; then drains the sink and writes each file,
     re-parsing the trace, with one ["wrote ..."] line per file on
     stdout.  An invalid setting or a malformed trace prints the reason

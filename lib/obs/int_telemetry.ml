@@ -77,24 +77,6 @@ let enable ?budget () =
 
 let disable () = enabled_flag := false
 
-(* DRACONIS_INT value grammar: "0" disables, "N" (1..max_budget) enables
-   with header budget N.  Malformed values abort rather than silently
-   defaulting, matching DRACONIS_JOBS. *)
-let configure_of_string raw =
-  match int_of_string_opt (String.trim raw) with
-  | Some 0 -> disable ()
-  | Some n when n >= 1 && n <= max_budget -> enable ~budget:n ()
-  | Some _ | None ->
-    invalid_arg
-      (Printf.sprintf
-         "DRACONIS_INT: expected 0 (disabled) or a header budget in 1..%d, got %S"
-         max_budget raw)
-
-let apply_env () =
-  match Sys.getenv_opt "DRACONIS_INT" with
-  | None -> ()
-  | Some raw -> configure_of_string raw
-
 (* -- stamp stacks ------------------------------------------------------------ *)
 
 let ingress_stack ~sent_at =

@@ -72,7 +72,7 @@ val stack_stamps : stack -> stamp list
 val default_budget : int
 val max_budget : int
 
-(** Whether an INT export was asked for ([DRACONIS_INT], [--int-out]);
+(** Whether an INT export was asked for ([--int-out]);
     [false] by default.  An observed run then installs a collector for
     its packets.  Stamping itself keys on the installed collector, not
     on this flag. *)
@@ -84,15 +84,6 @@ val budget : unit -> int
 
 (** @raise Invalid_argument unless [1 <= n <= max_budget]. *)
 val set_budget : int -> unit
-
-(** Parse a [DRACONIS_INT] value: ["0"] disables, ["N"] (1..{!max_budget})
-    enables with header budget [N].
-    @raise Invalid_argument on anything else — malformed values abort
-    rather than silently defaulting. *)
-val configure_of_string : string -> unit
-
-(** Apply [DRACONIS_INT] from the environment (no-op when unset). *)
-val apply_env : unit -> unit
 
 (** {2 Stamp stacks} *)
 

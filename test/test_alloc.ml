@@ -209,35 +209,38 @@ let test_enqueue_budget () =
   if per_call > 24.0 then
     Alcotest.failf "%.1f minor words per enqueue, budget 24" per_call
 
-(* With attribution off (every run but an observed Draconis one) the
-   notes that only advance a task's phase journey return before they
-   allocate, whether a component calls them directly or through the
-   switch program's hooks, and whether or not the task has a record. *)
+(* With attribution off (every run but an observed Draconis one) and no
+   observer (every figure and benchmark run) the notes that only advance
+   a task's phase journey, and the ones only an observer reads, return
+   before they allocate, whether or not the task has a record. *)
 let test_journey_notes_off () =
   let m = Metrics.create (Engine.create ()) in
   let task = Draconis_proto.Task.make ~uid:0 ~jid:0 ~tid:1 ~fn_id:1 ~fn_par:1000 () in
   let stranger = Draconis_proto.Task.make ~uid:0 ~jid:0 ~tid:2 ~fn_id:1 ~fn_par:1000 () in
   Metrics.note_submit m task.id;
   let tasks = [ task; stranger ] in
-  let hooks = Metrics.instrument m in
   let round () =
     Metrics.note_sent m tasks;
     Metrics.note_arrive m tasks;
     Metrics.note_resubmit m task.id;
-    Metrics.note_exec m Executor.Finished task ~node:0;
-    hooks.on_dequeue task.id ~level:0 ~rank:(-1);
-    hooks.on_reject tasks;
-    hooks.on_swap ~swapped_in:stranger.id ~swapped_out:task.id ~level:0;
-    hooks.on_spin task.id;
-    hooks.on_swap_start stranger.id;
-    hooks.on_repair_flag Instrument.Add_flag ~level:0
+    Metrics.note_exec_finish m task ~node:0 ~port:0;
+    Metrics.note_dequeue m task.id ~level:0 ~rank:(-1);
+    Metrics.note_reject m tasks;
+    Metrics.note_swap m ~into:stranger.id ~out:task.id ~level:0;
+    Metrics.note_spin m task.id;
+    Metrics.note_swap_start m stranger.id;
+    Metrics.note_repair_flag m Metrics.Add_flag ~level:0;
+    Metrics.note_rank m task.id ~rank:3;
+    Metrics.note_recirculate m ~kind:"swap";
+    Metrics.note_pop_scan m;
+    Metrics.note_noop m
   in
   round ();
   let w0 = Gc.minor_words () in
   for _ = 1 to 10_000 do
     round ()
   done;
-  Alcotest.(check (float 0.0)) "minor words over 10k rounds of 10 notes" 0.0
+  Alcotest.(check (float 0.0)) "minor words over 10k rounds of 14 notes" 0.0
     (Gc.minor_words () -. w0)
 
 (* On one engine every note of a task's lifecycle runs its body inline:
@@ -255,8 +258,8 @@ let test_lifecycle_notes () =
   let lifecycle (task : Draconis_proto.Task.t) =
     Metrics.note_submit m task.id;
     Metrics.note_enqueue m task.id ~level:0;
-    Metrics.note_assign m task.id ~requested_at:0;
-    Metrics.note_exec m Executor.Started task ~node:0;
+    Metrics.note_assign m task.id ~node:0 ~requested_at:0;
+    Metrics.note_exec_start m task ~node:0 ~port:0;
     Metrics.note_complete m task.id ~resubmitted:false
   in
   for i = 0 to n - 1 do

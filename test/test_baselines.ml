@@ -16,7 +16,8 @@ let test_push_executor_fcfs () =
   let engine = Engine.create () in
   let order = ref [] in
   let exec =
-    B.Push_executor.create ~engine ~node:0 ~port:0 ~fn_model:Fn_model.default
+    B.Push_executor.create ~engine ~metrics:(Metrics.create engine) ~node:0 ~port:0
+      ~fn_model:Fn_model.default
       ~on_complete:(fun task ~client:_ -> order := task.Task.id.tid :: !order)
       ()
   in
@@ -34,14 +35,16 @@ let test_push_executor_fcfs () =
 let test_node_worker_parallelism_and_overhead () =
   let engine = Engine.create () in
   let starts = ref [] in
+  let metrics = Metrics.create engine in
+  Metrics.observe metrics (function
+    | Metrics.Started { task; _ } -> starts := (task.Task.id.tid, Engine.now engine) :: !starts
+    | _ -> ());
   let worker =
-    B.Node_worker.create ~engine ~node:0 ~executors:2 ~fn_model:Fn_model.default
+    B.Node_worker.create ~engine ~metrics ~node:0 ~executors:2 ~fn_model:Fn_model.default
       ~dispatch_overhead:(Time.us 3)
       ~on_complete:(fun _ ~client:_ -> ())
       ()
   in
-  B.Node_worker.set_on_task_start worker (fun task ~node:_ ->
-      starts := (task.Task.id.tid, Engine.now engine) :: !starts);
   for i = 1 to 3 do
     B.Node_worker.deliver worker (busy_task ~us:100 i) ~client:(Draconis_net.Addr.Host 9)
   done;

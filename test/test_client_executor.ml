@@ -122,7 +122,7 @@ let exec_config ?(watchdog = None) () =
   }
 
 let test_executor_pull_loop () =
-  let engine, fabric, _ = make_env () in
+  let engine, fabric, metrics = make_env () in
   let requests = ref 0 in
   let completions = ref [] in
   Fabric.register fabric Addr.Switch (fun env ->
@@ -137,7 +137,7 @@ let test_executor_pull_loop () =
       | Message.Task_completion { task_id; rtrv_prio; _ } ->
         completions := (task_id.tid, rtrv_prio) :: !completions
       | _ -> ());
-  let exec = Executor.create ~config:(exec_config ()) ~fabric () in
+  let exec = Executor.create ~config:(exec_config ()) ~fabric ~metrics () in
   (* Route switch->host traffic to the executor directly. *)
   Fabric.register fabric (Addr.Host 0) (fun env -> Executor.deliver exec env.Fabric.payload);
   Executor.start exec;
@@ -148,7 +148,7 @@ let test_executor_pull_loop () =
   Alcotest.(check int) "busy time recorded" (Time.us 10) (Executor.busy_time exec)
 
 let test_executor_noop_backoff () =
-  let engine, fabric, _ = make_env () in
+  let engine, fabric, metrics = make_env () in
   let request_times = ref [] in
   Fabric.register fabric Addr.Switch (fun env ->
       match env.Fabric.payload with
@@ -157,7 +157,7 @@ let test_executor_noop_backoff () =
         Fabric.send fabric ~src:Addr.Switch ~dst:(Addr.Host 0)
           (Message.Noop_assignment { port = 2 })
       | _ -> ());
-  let exec = Executor.create ~config:(exec_config ()) ~fabric () in
+  let exec = Executor.create ~config:(exec_config ()) ~fabric ~metrics () in
   Fabric.register fabric (Addr.Host 0) (fun env -> Executor.deliver exec env.Fabric.payload);
   Executor.start exec;
   Engine.run ~until:(Time.us 40) engine;
@@ -177,7 +177,7 @@ type reply = Noop | Assign of Time.t | Silent
    carries the next request) but is not recorded as one.  The executor
    has a 50 us watchdog. *)
 let scripted_env reply =
-  let engine, fabric, _ = make_env () in
+  let engine, fabric, metrics = make_env () in
   let sent = ref [] and pulls = ref 0 in
   let answer () =
     let n = !pulls in
@@ -200,15 +200,16 @@ let scripted_env reply =
       | Message.Task_completion _ -> answer ()
       | _ -> ());
   let exec =
-    Executor.create ~config:(exec_config ~watchdog:(Some (Time.us 50)) ()) ~fabric ()
+    Executor.create ~config:(exec_config ~watchdog:(Some (Time.us 50)) ()) ~fabric ~metrics
+      ()
   in
   Fabric.register fabric (Addr.Host 0) (fun env -> Executor.deliver exec env.Fabric.payload);
-  (engine, fabric, exec, sent)
+  (engine, fabric, metrics, exec, sent)
 
 (* Answers the first [noops] pull requests with a no-op, then falls
    silent. *)
 let watchdog_env ~noops =
-  let engine, _, exec, sent = scripted_env (fun n -> if n < noops then Noop else Silent) in
+  let engine, _, _, exec, sent = scripted_env (fun n -> if n < noops then Noop else Silent) in
   (engine, exec, fun () -> List.rev_map (fun t -> t / Time.us 1) !sent)
 
 let test_executor_watchdog_resends () =
@@ -291,7 +292,7 @@ let prop_watchdog_instants =
   QCheck.Test.make ~name:"executor watchdog re-sends exactly at unanswered windows"
     ~count:1000 arb (fun (script, faults) ->
       let script = Array.of_list script in
-      let engine, fabric, exec, sent =
+      let engine, fabric, metrics, exec, sent =
         scripted_env (fun n -> if n < Array.length script then script.(n) else Silent)
       in
       (* Deliveries that reach a running executor, and the no-ops among
@@ -313,11 +314,11 @@ let prop_watchdog_instants =
         Option.iter (fun a -> runs := (a, at) :: !runs) !running;
         running := None
       in
-      Executor.set_on_task exec (fun m _ ~node:_ ->
-          match m with
-          | Executor.Started ->
-            if Option.is_none !running then running := Some (Engine.now engine)
-          | Executor.Finished -> ended (Engine.now engine));
+      Metrics.observe metrics (function
+        | Metrics.Started _ ->
+          if Option.is_none !running then running := Some (Engine.now engine)
+        | Metrics.Finished _ -> ended (Engine.now engine)
+        | _ -> ());
       let crashes = ref [] and stops = ref [] and restarts = ref [] in
       List.iter
         (fun (at, f) ->
@@ -379,10 +380,10 @@ let prop_watchdog_instants =
       true)
 
 let test_executor_stop () =
-  let engine, fabric, _ = make_env () in
+  let engine, fabric, metrics = make_env () in
   let requests = ref 0 in
   Fabric.register fabric Addr.Switch (fun _ -> incr requests);
-  let exec = Executor.create ~config:(exec_config ()) ~fabric () in
+  let exec = Executor.create ~config:(exec_config ()) ~fabric ~metrics () in
   Executor.stop exec;
   Executor.start exec;
   Engine.run engine;
@@ -391,10 +392,10 @@ let test_executor_stop () =
 (* -- Worker demux ----------------------------------------------------------------- *)
 
 let test_worker_routes_by_port () =
-  let engine, fabric, _ = make_env () in
+  let engine, fabric, metrics = make_env () in
   Fabric.register fabric Addr.Switch (fun _ -> ());
   let worker =
-    Worker.create ~node:0 ~executors:4 ~fabric
+    Worker.create ~node:0 ~executors:4 ~fabric ~metrics
       ~make_config:(fun ~port -> { (exec_config ()) with port })
       ()
   in
@@ -418,7 +419,7 @@ let test_metrics_correlation () =
   Metrics.note_submit metrics id;
   ignore
     (Engine.schedule engine ~after:(Time.us 7) (fun () ->
-         Metrics.note_exec_start metrics task ~node:0));
+         Metrics.note_exec_start metrics task ~node:0 ~port:0));
   Engine.run engine;
   let delays = Metrics.scheduling_delay metrics in
   Alcotest.(check int) "delay = start - submit" (Time.us 7)
@@ -434,7 +435,7 @@ let test_metrics_queueing_by_level () =
   Metrics.note_enqueue metrics id ~level:2;
   ignore
     (Engine.schedule engine ~after:(Time.us 30) (fun () ->
-         Metrics.note_assign metrics id ~requested_at:(Time.us 25)));
+         Metrics.note_assign metrics id ~node:0 ~requested_at:(Time.us 25)));
   Engine.run engine;
   let q = Metrics.queueing_delay metrics ~level:2 in
   Alcotest.(check int) "queueing delay" (Time.us 30)

@@ -176,15 +176,10 @@ let test_resource_cluster_respects_constraints () =
   Cluster.start cluster;
   (* Track where resource-2 tasks run. *)
   let wrong_node = ref 0 in
-  Array.iter
-    (fun worker ->
-      Worker.set_on_task worker (fun milestone task ~node ->
-          if
-            milestone = Executor.Started
-            && Task.required_resources task land 2 <> 0
-            && node <> 1
-          then incr wrong_node))
-    (Cluster.workers cluster);
+  Metrics.observe (Cluster.metrics cluster) (function
+    | Metrics.Started { task; node; port = _ } ->
+      if Task.required_resources task land 2 <> 0 && node <> 1 then incr wrong_node
+    | _ -> ());
   let tasks =
     List.init 30 (fun i ->
         Task.make ~uid:0 ~jid:0 ~tid:i

@@ -78,16 +78,18 @@ let test_ps_preempts_long_task () =
   let engine = Engine.create () in
   let starts = ref [] in
   let completions = ref [] in
+  let metrics = Metrics.create engine in
+  Metrics.observe metrics (function
+    | Metrics.Started { task; _ } -> starts := (task.Task.id.tid, Engine.now engine) :: !starts
+    | _ -> ());
   let worker =
-    B.Node_worker.create ~engine ~node:0 ~executors:1 ~fn_model:Fn_model.default
+    B.Node_worker.create ~engine ~metrics ~node:0 ~executors:1 ~fn_model:Fn_model.default
       ~dispatch_overhead:0
       ~intra:(B.Node_worker.Processor_sharing { quantum = Time.us 10; overhead = 0 })
       ~on_complete:(fun task ~client:_ ->
         completions := (task.Task.id.tid, Engine.now engine) :: !completions)
       ()
   in
-  B.Node_worker.set_on_task_start worker (fun task ~node:_ ->
-      starts := (task.Task.id.tid, Engine.now engine) :: !starts);
   (* A 100us task arrives, then a 10us task right behind it. *)
   B.Node_worker.deliver worker (busy_task ~us:100 1) ~client:(Addr.Host 9);
   B.Node_worker.deliver worker (busy_task ~us:10 2) ~client:(Addr.Host 9);
@@ -107,8 +109,8 @@ let test_ps_preempts_long_task () =
 let test_ps_work_conserving () =
   let engine = Engine.create () in
   let worker =
-    B.Node_worker.create ~engine ~node:0 ~executors:2 ~fn_model:Fn_model.default
-      ~dispatch_overhead:0
+    B.Node_worker.create ~engine ~metrics:(Metrics.create engine) ~node:0 ~executors:2
+      ~fn_model:Fn_model.default ~dispatch_overhead:0
       ~intra:(B.Node_worker.Processor_sharing { quantum = Time.us 20; overhead = 0 })
       ~on_complete:(fun _ ~client:_ -> ())
       ()

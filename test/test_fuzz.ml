@@ -144,18 +144,18 @@ let test_pifo_order_judges_released_copy () =
   in
   let dup = id ~tid:1 in
   let fired rank =
+    let switch milestone = Fz.Checker.Switch { milestone; int_occ = None } in
     let events =
-      Fz.Checker.
-        [|
-          Submitted { id = dup };
-          Submitted { id = dup };
-          Ranked { id = dup; rank = 5 };
-          Enqueued { id = dup; level = 0; int_occ = None };
-          Ranked { id = dup; rank = 9 };
-          Enqueued { id = dup; level = 0; int_occ = None };
-          Pop_scan_started;
-          Dequeued { id = dup; level = 0; rank };
-        |]
+      [|
+        Fz.Checker.Submitted { id = dup };
+        Fz.Checker.Submitted { id = dup };
+        switch (Ranked { id = dup; rank = 5 });
+        switch (Enqueued { id = dup; level = 0 });
+        switch (Ranked { id = dup; rank = 9 });
+        switch (Enqueued { id = dup; level = 0 });
+        switch Pop_scan_started;
+        switch (Dequeued { id = dup; level = 0; rank });
+      |]
     in
     let run =
       {

@@ -1,5 +1,5 @@
 (* Tests for the in-band telemetry channel: configuration and the
-   DRACONIS_INT grammar, stamp-stack budget/loss accounting, the stamp
+   header budget's range check, stamp-stack budget/loss accounting, the stamp
    fields a traversal writes into its packet context, host-side
    collector aggregation and its JSON section, the ambient collector,
    the offline occupancy re-check, the sink drain tie-break, and an
@@ -39,35 +39,6 @@ let test_budget_validation () =
       Alcotest.(check int) "accepted" 8 (Int_t.budget ());
       Alcotest.(check int) "default" 4 Int_t.default_budget;
       Alcotest.(check int) "max" 64 Int_t.max_budget)
-
-let test_configure_of_string () =
-  with_clean_config (fun () ->
-      Alcotest.check_raises "garbage"
-        (Invalid_argument
-           "DRACONIS_INT: expected 0 (disabled) or a header budget in 1..64, got \"banana\"")
-        (fun () -> Int_t.configure_of_string "banana");
-      Alcotest.check_raises "out of range"
-        (Invalid_argument
-           "DRACONIS_INT: expected 0 (disabled) or a header budget in 1..64, got \"65\"")
-        (fun () -> Int_t.configure_of_string "65");
-      Int_t.configure_of_string "6";
-      Alcotest.(check bool) "enabled" true (Int_t.enabled ());
-      Alcotest.(check int) "budget" 6 (Int_t.budget ());
-      Int_t.configure_of_string "0";
-      Alcotest.(check bool) "disabled" false (Int_t.enabled ()))
-
-let test_apply_env () =
-  with_clean_config (fun () ->
-      Fun.protect
-        ~finally:(fun () -> Unix.putenv "DRACONIS_INT" "0")
-        (fun () ->
-          Unix.putenv "DRACONIS_INT" "12";
-          Int_t.apply_env ();
-          Alcotest.(check bool) "enabled from env" true (Int_t.enabled ());
-          Alcotest.(check int) "budget from env" 12 (Int_t.budget ());
-          Unix.putenv "DRACONIS_INT" "0";
-          Int_t.apply_env ();
-          Alcotest.(check bool) "disabled from env" false (Int_t.enabled ())))
 
 (* -- stamp stack ------------------------------------------------------------ *)
 
@@ -363,8 +334,6 @@ let test_end_to_end_dump_roundtrip () =
 let suite =
   [
     Alcotest.test_case "budget validation" `Quick test_budget_validation;
-    Alcotest.test_case "configure of string" `Quick test_configure_of_string;
-    Alcotest.test_case "apply env" `Quick test_apply_env;
     Alcotest.test_case "stack budget and lost" `Quick test_stack_budget_and_lost;
     Alcotest.test_case "stamp rides the packet context" `Quick test_context_telemetry;
     Alcotest.test_case "collector accounting" `Quick test_collector_accounting;

@@ -53,7 +53,9 @@ let test_render () =
 
 let program_registers ~policy ~queue_capacity =
   let engine = Engine.create () in
-  let program = Switch_program.create ~engine ~policy ~queue_capacity () in
+  let program =
+    Switch_program.create ~engine ~metrics:(Metrics.create engine) ~policy ~queue_capacity ()
+  in
   Switch_program.registers program
 
 let test_fcfs_164k_fits_tofino1 () =

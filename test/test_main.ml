@@ -32,5 +32,6 @@ let () =
       ("int-telemetry", Test_int_telemetry.suite);
       ("attribution", Test_attribution.suite);
       ("fuzz", Test_fuzz.suite);
+      ("milestones", Test_milestones.suite);
       ("alloc", Test_alloc.suite);
     ]

@@ -38,12 +38,10 @@ let test_fetch_adds_client_roundtrip () =
   let run_kind fn_id =
     let cluster = make_cluster () in
     let started_at = ref None in
-    Array.iter
-      (fun worker ->
-        Worker.set_on_task worker (fun milestone _ ~node:_ ->
-            if milestone = Executor.Started && !started_at = None then
-              started_at := Some (Engine.now (Cluster.engine cluster))))
-      (Cluster.workers cluster);
+    Metrics.observe (Cluster.metrics cluster) (function
+      | Metrics.Started _ when !started_at = None ->
+        started_at := Some (Engine.now (Cluster.engine cluster))
+      | _ -> ());
     ignore
       (Client.submit_job (Cluster.client cluster 0)
          [ Task.make ~uid:0 ~jid:0 ~tid:0 ~fn_id ~fn_par:(Time.us 50) () ]);
@@ -82,22 +80,22 @@ let test_param_size_adds_transfer_time () =
           (Message.Task_assignment { task; client; port = 0 })
       | _ -> ());
   let started_at = ref None in
-  let worker =
-    Worker.create ~node:0 ~executors:1 ~fabric
-      ~make_config:(fun ~port ->
-        {
-          Executor.node = 0;
-          port;
-          rsrc = 0;
-          noop_retry = Time.us 4;
-          fn_model = Fn_model.default;
-          scheduler = Addr.Switch;
-          watchdog = None;
-        })
-      ()
-  in
-  Worker.set_on_task worker (fun milestone _ ~node:_ ->
-      if milestone = Executor.Started then started_at := Some (Engine.now engine));
+  Metrics.observe metrics (function
+    | Metrics.Started _ -> started_at := Some (Engine.now engine)
+    | _ -> ());
+  ignore
+    (Worker.create ~node:0 ~executors:1 ~fabric ~metrics
+       ~make_config:(fun ~port ->
+         {
+           Executor.node = 0;
+           port;
+           rsrc = 0;
+           noop_retry = Time.us 4;
+           fn_model = Fn_model.default;
+           scheduler = Addr.Switch;
+           watchdog = None;
+         })
+       ());
   ignore (Client.submit_job client [ fetch_task ~us:10 0 ]);
   Engine.run ~until:(Time.ms 10) engine;
   match !started_at with

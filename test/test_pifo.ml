@@ -277,8 +277,9 @@ let test_cluster_aging () =
 let test_layout_fits_tofino1 () =
   List.iter
     (fun policy ->
+      let engine = Engine.create () in
       let program =
-        Switch_program.create ~engine:(Engine.create ()) ~policy
+        Switch_program.create ~engine ~metrics:(Metrics.create engine) ~policy
           ~queue_capacity:64 ()
       in
       let constraints =

@@ -24,7 +24,10 @@ let make ?(policy = Policy.Fcfs) ?(capacity = 16) () =
       ~config:{ Fabric.default_config with host_to_switch = Time.us 1; jitter = 0 }
       engine rng
   in
-  let program = Switch_program.create ~engine ~policy ~queue_capacity:capacity () in
+  let program =
+    Switch_program.create ~engine ~metrics:(Metrics.create engine) ~policy
+      ~queue_capacity:capacity ()
+  in
   let pipeline =
     Draconis_p4.Pipeline.attach fabric
       ~wrap:(fun msg -> Switch_packet.Wire msg)
