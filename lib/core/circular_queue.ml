@@ -144,7 +144,9 @@ let enqueue t ctx entry =
     (* (5) egress queue access: write the entry words and stamp. *)
     let slot = a mod t.capacity in
     let image = Entry.to_words entry in
-    Array.iteri (fun i word -> Register.write t.words.(i) ctx slot word) image;
+    for i = 0 to Entry.word_count - 1 do
+      Register.write t.words.(i) ctx slot image.(i)
+    done;
     Register.write t.stamps ctx slot a;
     Enqueued
       { index = a; retrieve_repair = (if retrieve_launch then Some a else None) }
@@ -170,9 +172,10 @@ let dequeue t ctx =
     let stamp = Register.exchange t.stamps ctx slot (free_stamp t) in
     if stamp <> r && not !debug_skip_stamp_check then Empty
     else begin
-      let image =
-        Array.init Entry.word_count (fun i -> Register.read t.words.(i) ctx slot)
-      in
+      let image = Array.make Entry.word_count 0 in
+      for i = 0 to Entry.word_count - 1 do
+        image.(i) <- Register.read t.words.(i) ctx slot
+      done;
       Dequeued { index = r; entry = Entry.of_words image }
     end
   end
@@ -207,11 +210,12 @@ let swap t ctx ~index entry =
     Slot_invalid
   end
   else begin
+    (* Each exchange leaves the outgoing word in the image's place. *)
     let image = Entry.to_words entry in
-    let old_image =
-      Array.mapi (fun i word -> Register.exchange t.words.(i) ctx slot word) image
-    in
-    Swapped (Entry.of_words old_image)
+    for i = 0 to Entry.word_count - 1 do
+      image.(i) <- Register.exchange t.words.(i) ctx slot image.(i)
+    done;
+    Swapped (Entry.of_words image)
   end
 
 let occupancy t =

@@ -1,28 +1,18 @@
 open Draconis_p4
 open Draconis_stats
 
-(* Structurally place the real register allocation of a (scaled-down)
-   switch program onto the profile's stages.  Scaling capacity and
-   per-stage SRAM by the same factor preserves placeability and keeps
-   allocation cheap. *)
+(* Structurally place the real register allocation of the switch
+   program onto the profile's stages. *)
 let places_structurally profile ~levels ~entries =
-  let scale = 1000 in
-  let capacity = max 1 (entries / scale) in
   let engine = Draconis_sim.Engine.create () in
   let policy =
     if levels = 1 then Draconis.Policy.Fcfs else Draconis.Policy.Priority { levels }
   in
   let program =
     Draconis.Switch_program.create ~engine ~metrics:(Draconis.Metrics.create engine)
-      ~policy ~queue_capacity:capacity ()
+      ~policy ~queue_capacity:entries ()
   in
-  let constraints =
-    {
-      (Layout.of_profile profile) with
-      Layout.bits_per_stage = profile.Resources.register_bits_per_stage / scale;
-    }
-  in
-  Layout.fits constraints (Draconis.Switch_program.registers program)
+  Layout.fits (Layout.of_profile profile) (Draconis.Switch_program.registers program)
 
 let run ?quick:_ () =
   let table =

@@ -1,14 +1,28 @@
-(* The cells live in a byte block, 8 bytes each, not in an [int array]:
-   the GC never scans a byte block, while an [int array] is scanned
-   word by word on every major cycle.  A 164k-entry queue holds twelve
-   such registers (2M words), and building one runs a major cycle or
-   two. *)
+(* Cells live in pages of [page_cells] 8-byte cells, in byte blocks
+   the GC never scans (it scans an [int array] word by word on every
+   major cycle).  A paged array's page table starts with every entry on
+   its [blank]: one shared page, never written, that holds the fill
+   value.  The first completed write into a page gives it a private
+   copy, so an array costs its page table plus the pages its writes
+   reached, not its provisioned size.  A page is 8 KB, above
+   [Max_young_wosize]: materializing one allocates in the major heap
+   and adds no minor words.  An array that fits in one page is
+   allocated eagerly, at its own size, and never materializes. *)
+let page_shift = 10
+let page_cells = 1 lsl page_shift
+let page_mask = page_cells - 1
+
+(* The blank page of every paged array until a [fill] with a non-zero
+   value.  Never written, so every domain may share it. *)
+let zero_page = Bytes.make (page_cells lsl 3) '\000'
+
 type t = {
   id : int;
   name : string;
   cell_bits : int;
   size : int;
-  cells : Bytes.t;
+  pages : Bytes.t array;
+  mutable blank : Bytes.t;  (* the page every unwritten entry shares *)
   mutable last : int;  (* stamp of the last data-path access; 0 = none *)
 }
 
@@ -22,12 +36,17 @@ let create ~name ~size ?(cell_bits = 32) () =
      lane (two 32-bit words read/written as one access). *)
   if cell_bits <> 8 && cell_bits <> 16 && cell_bits <> 32 && cell_bits <> 64 then
     invalid_arg "Register.create: cell_bits must be 8, 16, 32 or 64";
+  let pages =
+    if size <= page_cells then [| Bytes.make (size lsl 3) '\000' |]
+    else Array.make (((size - 1) lsr page_shift) + 1) zero_page
+  in
   {
     id = 1 + Atomic.fetch_and_add next_id 1;
     name;
     cell_bits;
     size;
-    cells = Bytes.make (size lsl 3) '\000';
+    pages;
+    blank = zero_page;
     last = 0;
   }
 
@@ -48,10 +67,22 @@ let[@inline] check_bounds t i =
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
+let[@inline never] materialize t p =
+  let page = Bytes.copy t.blank in
+  Array.unsafe_set t.pages p page;
+  page
+
 (* Unchecked: every caller checks the bounds first.  The [int64] never
    leaves the expression, so nothing is boxed. *)
-let[@inline] get t i = Int64.to_int (get64 t.cells (i lsl 3))
-let[@inline] set t i v = set64 t.cells (i lsl 3) (Int64.of_int v)
+let[@inline] get t i =
+  let page = Array.unsafe_get t.pages (i lsr page_shift) in
+  Int64.to_int (get64 page ((i land page_mask) lsl 3))
+
+let[@inline] set t i v =
+  let p = i lsr page_shift in
+  let page = Array.unsafe_get t.pages p in
+  let page = if page == t.blank then materialize t p else page in
+  set64 page ((i land page_mask) lsl 3) (Int64.of_int v)
 
 (* Top-level and annotated, so a lookup allocates no closure and
    compares ints inline. *)
@@ -166,7 +197,24 @@ let poke t i v =
   check_bounds t i;
   set t i v
 
+(* An eager array is written in place; a paged one drops its pages for
+   a blank holding [v]. *)
 let fill t v =
-  for i = 0 to t.size - 1 do
-    set t i v
-  done
+  if t.size <= page_cells then
+    for i = 0 to t.size - 1 do
+      set t i v
+    done
+  else begin
+    let blank =
+      if v = 0 then zero_page
+      else begin
+        let page = Bytes.create (page_cells lsl 3) in
+        for i = 0 to page_cells - 1 do
+          set64 page (i lsl 3) (Int64.of_int v)
+        done;
+        page
+      end
+    in
+    t.blank <- blank;
+    Array.fill t.pages 0 (Array.length t.pages) blank
+  end

@@ -19,7 +19,18 @@
     one; any other (never touched, or last touched by another context)
     defers to the context's list of the arrays this traversal touched,
     which a pipeline's one context consults about once per array per
-    run. *)
+    run.
+
+    Storage follows use.  An array larger than one page (1,024 cells)
+    keeps its cells in pages that materialize on the first completed
+    write into them, from the data path or {!poke}; until then a page
+    reads the array's fill value (zero, or the value of the last
+    {!fill}).  Creating or filling such an array costs its page table,
+    not its size, so the memory a run's registers hold follows the
+    slots it writes, while {!bits} still reports the provisioned
+    storage.  A write that raises and an RMW whose condition fails
+    materialize nothing.  A smaller array is allocated whole at
+    creation. *)
 
 type t
 

@@ -1,20 +1,36 @@
+(* Samples live in 1,024-slot chunks: the first [record] allocates the
+   first (many samplers, a level's or a fuzz execution's, never record
+   one), and each chunk that fills gets a successor.  Nothing is copied
+   as a sampler grows.  A doubling array left its old copy as garbage
+   at every growth, and the samplers that record once per task double
+   together, so where their copies fell in a major GC cycle could move
+   a run's peak heap by a tenth. *)
+let chunk_bits = 10
+let chunk_size = 1 lsl chunk_bits
+
 type t = {
-  mutable data : int array;
+  mutable chunks : int array array;  (* unused entries are [[||]] *)
   mutable size : int;
   mutable sorted_cache : int array option;
 }
 
-let create () = { data = Array.make 1024 0; size = 0; sorted_cache = None }
+let create () = { chunks = [||]; size = 0; sorted_cache = None }
 
 let record t v =
-  if t.size >= Array.length t.data then begin
-    let bigger = Array.make (2 * Array.length t.data) 0 in
-    Array.blit t.data 0 bigger 0 t.size;
-    t.data <- bigger
+  let c = t.size lsr chunk_bits in
+  if t.size land (chunk_size - 1) = 0 then begin
+    if c = Array.length t.chunks then begin
+      let spine = Array.make (Int.max 4 (2 * c)) [||] in
+      Array.blit t.chunks 0 spine 0 c;
+      t.chunks <- spine
+    end;
+    if Array.length t.chunks.(c) = 0 then t.chunks.(c) <- Array.make chunk_size 0
   end;
-  t.data.(t.size) <- v;
+  t.chunks.(c).(t.size land (chunk_size - 1)) <- v;
   t.size <- t.size + 1;
   t.sorted_cache <- None
+
+let get t i = t.chunks.(i lsr chunk_bits).(i land (chunk_size - 1))
 
 let count t = t.size
 
@@ -56,7 +72,11 @@ let sorted t =
   match t.sorted_cache with
   | Some a -> a
   | None ->
-    let a = Array.sub t.data 0 t.size in
+    let a = Array.make t.size 0 in
+    for c = 0 to ((t.size + chunk_size - 1) lsr chunk_bits) - 1 do
+      let first = c lsl chunk_bits in
+      Array.blit t.chunks.(c) 0 a first (Int.min chunk_size (t.size - first))
+    done;
     sort_ints a;
     t.sorted_cache <- Some a;
     a
@@ -85,7 +105,7 @@ let mean t =
   if t.size = 0 then invalid_arg "Sampler.mean: no samples";
   let total = ref 0.0 in
   for i = 0 to t.size - 1 do
-    total := !total +. float_of_int t.data.(i)
+    total := !total +. float_of_int (get t i)
   done;
   !total /. float_of_int t.size
 
@@ -104,10 +124,10 @@ let cdf t ~points =
 let merge a b =
   let t = create () in
   for i = 0 to a.size - 1 do
-    record t a.data.(i)
+    record t (get a i)
   done;
   for i = 0 to b.size - 1 do
-    record t b.data.(i)
+    record t (get b i)
   done;
   t
 

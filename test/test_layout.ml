@@ -96,22 +96,12 @@ let prop_arithmetic_and_structural_agree =
       let profile = Resources.tofino1 in
       let capacity = Resources.max_queue_entries profile ~priority_levels:levels in
       QCheck.assume (capacity > 0);
-      (* Use a scaled-down capacity to keep the test fast; proportional
-         scaling preserves placeability. *)
-      let capacity = max 1 (capacity / 1000) in
-      let scaled =
-        {
-          Layout.stages = profile.Resources.stages - profile.Resources.overhead_stages;
-          arrays_per_stage = profile.Resources.arrays_per_stage;
-          bits_per_stage = profile.Resources.register_bits_per_stage / 1000;
-        }
-      in
       let regs =
         program_registers
           ~policy:(if levels = 1 then Policy.Fcfs else Policy.Priority { levels })
           ~queue_capacity:capacity
       in
-      Layout.fits scaled regs)
+      Layout.fits (Layout.of_profile profile) regs)
 
 let suite =
   [

@@ -129,21 +129,36 @@ let prop_one_access_per_packet =
    access often lands between two of another's on the same register. *)
 type step = Reset of int | Access of { ctx : int; reg : int; prim : int; idx : int; arg : int }
 
+(* Each primitive as the register runs it, and as the model expects it
+   from the cell's old value: the result ([0] for [write]) and the cell
+   it leaves. *)
 let primitives =
   [|
-    ("read", fun r c i _ -> ignore (Register.read r c i));
-    ("write", fun r c i v -> Register.write r c i v);
-    ("read_modify_write", fun r c i _ -> ignore (Register.read_modify_write r c i succ));
-    ("exchange", fun r c i v -> ignore (Register.exchange r c i v));
-    ("read_and_increment", fun r c i _ -> ignore (Register.read_and_increment r c i));
+    ("read", (fun r c i _ -> Register.read r c i), fun old _ -> (old, old));
+    ( "write",
+      (fun r c i v ->
+        Register.write r c i v;
+        0),
+      fun _ v -> (0, v) );
+    ( "read_modify_write",
+      (fun r c i _ -> Register.read_modify_write r c i succ),
+      fun old _ -> (old, old + 1) );
+    ("exchange", (fun r c i v -> Register.exchange r c i v), fun old v -> (old, v));
+    ( "read_and_increment",
+      (fun r c i _ -> Register.read_and_increment r c i),
+      fun old _ -> (old, old + 1) );
     ( "read_and_advance",
-      fun r c i v -> ignore (Register.read_and_advance r c i ~modulus:(v + 1)) );
+      (fun r c i v -> Register.read_and_advance r c i ~modulus:(v + 1)),
+      fun old v -> (old, if old + 1 >= v + 1 then 0 else old + 1) );
     ( "compare_and_swap",
-      fun r c i v -> ignore (Register.compare_and_swap r c i ~expected:v ~desired:(v + 1)) );
+      (fun r c i v -> Register.compare_and_swap r c i ~expected:v ~desired:(v + 1)),
+      fun old v -> (old, if old = v then v + 1 else old) );
     ( "read_and_increment_below",
-      fun r c i v -> ignore (Register.read_and_increment_below r c i ~limit:v) );
+      (fun r c i v -> Register.read_and_increment_below r c i ~limit:v),
+      fun old v -> (old, if old < v then old + 1 else old) );
     ( "read_and_decrement_above",
-      fun r c i v -> ignore (Register.read_and_decrement_above r c i ~floor:v) );
+      (fun r c i v -> Register.read_and_decrement_above r c i ~floor:v),
+      fun old v -> (old, if old > v then old - 1 else old) );
   |]
 
 let n_ctxs = 3
@@ -153,7 +168,8 @@ let reg_size = 2
 let print_step = function
   | Reset c -> Printf.sprintf "reset c%d" c
   | Access { ctx; reg; prim; idx; arg } ->
-    Printf.sprintf "%s r%d c%d [%d] %d" (fst primitives.(prim)) reg ctx idx arg
+    let name, _, _ = primitives.(prim) in
+    Printf.sprintf "%s r%d c%d [%d] %d" name reg ctx idx arg
 
 let gen_step =
   QCheck.Gen.(
@@ -193,7 +209,8 @@ let prop_access_rule_matches_model =
             let before = cells r in
             let in_bounds = idx < reg_size in
             let violation = in_bounds && touched.(ctx).(reg) in
-            match (snd primitives.(prim)) r ctxs.(ctx) idx arg with
+            let _, run, _ = primitives.(prim) in
+            match ignore (run r ctxs.(ctx) idx arg) with
             | () ->
               touched.(ctx).(reg) <- true;
               in_bounds && not violation
@@ -201,6 +218,115 @@ let prop_access_rule_matches_model =
             | exception Packet_ctx.Access_violation name ->
               violation && name = Register.name r && cells r = before))
         steps)
+
+(* Paged storage against a plain [int array]: sizes from one cell to
+   three pages plus one (a page is 1,024 cells), indices biased to page
+   boundaries and one past either end, every data-path primitive on two
+   contexts, the control-plane ones and [fill].  Values, bounds errors
+   and [Access_violation]s must match, and after each [fill] every cell
+   must read the filled value, in pages written before it too. *)
+type cell_op =
+  | Fresh of int
+  | Data of { ctx : int; prim : int; idx : int; arg : int }
+  | Peek of int
+  | Poke of int * int
+  | Fill of int
+
+let print_cell_op = function
+  | Fresh c -> Printf.sprintf "reset c%d" c
+  | Data { ctx; prim; idx; arg } ->
+    let name, _, _ = primitives.(prim) in
+    Printf.sprintf "%s c%d [%d] %d" name ctx idx arg
+  | Peek i -> Printf.sprintf "peek [%d]" i
+  | Poke (i, v) -> Printf.sprintf "poke [%d] %d" i v
+  | Fill v -> Printf.sprintf "fill %d" v
+
+let gen_paged_case =
+  QCheck.Gen.(
+    let value = frequency [ (4, int_bound 3); (1, int) ] in
+    frequency [ (1, oneofl [ 1; 1023; 1024; 1025; 2048; 3072; 3073 ]); (2, int_range 1 3073) ]
+    >>= fun size ->
+    let index =
+      frequency
+        [
+          (3, int_bound (size - 1));
+          (2, oneofl [ -1; 0; 1023; 1024; 1025; 2047; 2048; 3071; 3072; size - 1; size ]);
+        ]
+    in
+    let op =
+      frequency
+        [
+          (3, map (fun c -> Fresh c) (int_bound 1));
+          ( 6,
+            map
+              (fun (ctx, prim, idx, arg) -> Data { ctx; prim; idx; arg })
+              (quad (int_bound 1) (int_bound (Array.length primitives - 1)) index value)
+          );
+          (1, map (fun i -> Peek i) index);
+          (1, map2 (fun i v -> Poke (i, v)) index value);
+          (1, map (fun v -> Fill v) (frequency [ (1, return 0); (2, value) ]));
+        ]
+    in
+    map (fun ops -> (size, ops)) (list_size (int_range 1 80) op))
+
+let prop_paged_cells_match_array =
+  QCheck.Test.make ~name:"paged cells match an int array across page boundaries" ~count:500
+    QCheck.(
+      make
+        ~print:Print.(pair int (list print_cell_op))
+        ~shrink:(fun (size, ops) -> Iter.map (fun ops -> (size, ops)) (Shrink.list ops))
+        gen_paged_case)
+    (fun (size, ops) ->
+      let r = Register.create ~name:"paged" ~size () in
+      let model = Array.make size 0 in
+      let ctxs = Array.init 2 (fun _ -> Packet_ctx.create ()) in
+      let touched = Array.make 2 false in
+      let in_bounds i = i >= 0 && i < size in
+      let cells_match () =
+        let ok = ref true in
+        for i = 0 to size - 1 do
+          if Register.peek r i <> model.(i) then ok := false
+        done;
+        !ok
+      in
+      List.for_all
+        (function
+          | Fresh c ->
+            Packet_ctx.reset ctxs.(c);
+            touched.(c) <- false;
+            true
+          | Data { ctx; prim; idx; arg } -> (
+            let _, run, expect = primitives.(prim) in
+            match run r ctxs.(ctx) idx arg with
+            | got ->
+              in_bounds idx
+              && (not touched.(ctx))
+              &&
+              let want, cell = expect model.(idx) arg in
+              touched.(ctx) <- true;
+              model.(idx) <- cell;
+              got = want
+            | exception Invalid_argument _ -> not (in_bounds idx)
+            | exception Packet_ctx.Access_violation name ->
+              in_bounds idx && touched.(ctx) && name = "paged")
+          | Peek i -> (
+            match Register.peek r i with
+            | v -> in_bounds i && v = model.(i)
+            | exception Invalid_argument _ -> not (in_bounds i))
+          | Poke (i, v) -> (
+            match Register.poke r i v with
+            | () ->
+              in_bounds i
+              &&
+              (model.(i) <- v;
+               true)
+            | exception Invalid_argument _ -> not (in_bounds i))
+          | Fill v ->
+            Register.fill r v;
+            Array.fill model 0 size v;
+            cells_match ())
+        ops
+      && cells_match ())
 
 (* -- Pipeline ------------------------------------------------------------------ *)
 
@@ -333,6 +459,7 @@ let suite =
     Alcotest.test_case "register metadata" `Quick test_register_metadata;
     QCheck_alcotest.to_alcotest prop_one_access_per_packet;
     QCheck_alcotest.to_alcotest prop_access_rule_matches_model;
+    QCheck_alcotest.to_alcotest prop_paged_cells_match_array;
     Alcotest.test_case "pipeline emit" `Quick test_pipeline_emit;
     Alcotest.test_case "pipeline recirculation" `Quick test_pipeline_recirculation;
     Alcotest.test_case "pipeline recirc saturation drops" `Quick

@@ -97,19 +97,37 @@ let prop_sampler_monotone =
         [ 0; 25; 50; 75; 90; 99; 100 ])
 
 (* Sizes around powers of two give the merge sort a ragged last run;
-   1025 also grows the sampler past its initial capacity. *)
+   around 1024 and 2048 they end on, before or after a 1,024-slot
+   chunk's boundary, and 4097 grows the chunk spine.  The merged copy,
+   the mean and a sampler cleared and refilled read every chunk. *)
 let prop_sampler_sorted =
   QCheck.Test.make ~name:"sampler sorted matches List.sort" ~count:300
     (QCheck.make ~print:QCheck.Print.(list int)
        QCheck.Gen.(
-         oneofl [ 0; 1; 2; 3; 7; 8; 9; 15; 16; 17; 63; 64; 65; 1023; 1024; 1025 ]
+         oneofl
+           [ 0; 1; 2; 3; 7; 8; 9; 15; 16; 17; 63; 64; 65; 1023; 1024; 1025; 2047; 2048;
+             2049; 4097 ]
          >>= fun n ->
          (* A narrow range forces duplicates; the full range mixes signs. *)
          oneofl [ int_range (-8) 8; int ] >>= fun value -> list_repeat n value))
     (fun samples ->
       let s = Sampler.create () in
       List.iter (Sampler.record s) samples;
-      Array.to_list (Sampler.sorted s) = List.sort compare samples)
+      let expected = List.sort compare samples in
+      let sorted_ok = Array.to_list (Sampler.sorted s) = expected in
+      let merged_ok =
+        Array.to_list (Sampler.sorted (Sampler.merge s s))
+        = List.sort compare (samples @ samples)
+      in
+      let mean_ok =
+        samples = []
+        || Sampler.mean s
+           = List.fold_left (fun acc v -> acc +. float_of_int v) 0.0 samples
+             /. float_of_int (List.length samples)
+      in
+      Sampler.clear s;
+      List.iter (Sampler.record s) samples;
+      sorted_ok && merged_ok && mean_ok && Array.to_list (Sampler.sorted s) = expected)
 
 (* -- Histogram --------------------------------------------------------------- *)
 
