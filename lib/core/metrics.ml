@@ -2,7 +2,6 @@ open Draconis_sim
 open Draconis_net
 open Draconis_stats
 open Draconis_proto
-module Trace_ctx = Draconis_obs.Trace_ctx
 
 type placement = { mutable local : int; mutable same_rack : int; mutable remote : int }
 
@@ -33,14 +32,11 @@ type milestone =
 
 (* What the notes of one task have recorded so far: created by its first
    [note_submit] or [note_enqueue], dropped by its [note_complete] unless
-   the client resubmitted it.  [unset] marks a note not seen yet.  When
-   the run attributes phases, [journey] is the task's, from its
-   submission until its completion seals it. *)
+   the client resubmitted it.  [unset] marks a note not seen yet. *)
 type task_state = {
   mutable submitted_at : Time.t;
   mutable enqueued_at : Time.t;
   mutable level : int;
-  mutable journey : Trace_ctx.journey option;
 }
 
 let unset = -1
@@ -74,7 +70,6 @@ type core = {
   mutable completed : int;
   mutable deadline_tracked : int;
   mutable deadline_misses : int;
-  mutable attribution : Trace_ctx.t option;
   mutable observer : (milestone -> unit) option;
   observer_lock : Mutex.t;
 }
@@ -108,7 +103,6 @@ let create ?topology engine =
         completed = 0;
         deadline_tracked = 0;
         deadline_misses = 0;
-        attribution = None;
         observer = None;
         observer_lock = Mutex.create ();
       };
@@ -158,7 +152,7 @@ let task_state c id =
   match Task.Tbl.find_opt c.tasks id with
   | Some s -> s
   | None ->
-    let s = { submitted_at = unset; enqueued_at = unset; level = 0; journey = None } in
+    let s = { submitted_at = unset; enqueued_at = unset; level = 0 } in
     Task.Tbl.replace c.tasks id s;
     s
 
@@ -167,25 +161,18 @@ let submit c now id () =
   if s.submitted_at = unset then begin
     c.submitted <- c.submitted + 1;
     s.submitted_at <- now
-  end;
-  if Option.is_some c.attribution then s.journey <- Some (Trace_ctx.start ~at:now)
+  end
 
 let note_submit t id =
   if observed t then report t (Submitted id);
   dispatch t submit id ()
 
-let complete c now (id : Task.id) resubmitted =
+let complete c now id resubmitted =
   c.completed <- c.completed + 1;
   match Task.Tbl.find_opt c.tasks id with
   | None -> ()
   | Some s ->
     if s.submitted_at <> unset then Sampler.record c.end_to_end_delay (now - s.submitted_at);
-    (match (c.attribution, s.journey) with
-    | Some rules, Some j ->
-      (* Sealed once: a stale copy's later notes find no journey. *)
-      s.journey <- None;
-      Trace_ctx.seal rules j ~key:(id.uid, id.jid, id.tid) ~at:now
-    | _ -> ());
     (* A resubmitted task may still have a copy queued or running:
        its start must find the first submission, so its record
        stays for the rest of the run. *)
@@ -226,8 +213,7 @@ let exec_start c now task node =
       | Some deadline ->
         c.deadline_tracked <- c.deadline_tracked + 1;
         if delay > deadline then c.deadline_misses <- c.deadline_misses + 1
-    end;
-    match s.journey with Some j -> Trace_ctx.exec_start j ~at:now | None -> ()
+    end
 
 let note_exec_start t task ~node ~port =
   if observed t then report t (Started { task; node; port });
@@ -238,8 +224,7 @@ let enqueue c now id level =
   if s.enqueued_at = unset then begin
     s.enqueued_at <- now;
     s.level <- level
-  end;
-  match s.journey with Some j -> Trace_ctx.enqueue j ~at:now ~level | None -> ()
+  end
 
 let note_enqueue t id ~level =
   if observed t then report t (Enqueued { id; level });
@@ -253,93 +238,40 @@ let assign c now id requested_at =
     if s.enqueued_at <> unset then begin
       Sampler.record (level_sampler c.queueing_by_level s.level) (now - s.enqueued_at);
       Sampler.record (level_sampler c.get_task_by_level s.level) (now - requested_at)
-    end;
-    match s.journey with Some j -> Trace_ctx.assign j ~at:now | None -> ()
+    end
 
 let note_assign t id ~node ~requested_at =
   if observed t then report t (Assigned { id; node });
   dispatch t assign id requested_at
 
-(* The journey-only notes.  Attribution is off on every run but an
-   observed single-engine Draconis run, so with no observer they return
-   before they allocate.  It is never on for a sharded cluster, so a
-   [remote] handle's notes return at once: they act inline or not at
-   all, and never read the owner's state from another domain. *)
-let attributing t = Option.is_none t.post && Option.is_some t.core.attribution
-
-let live_journey t id =
-  if not (attributing t) then None
-  else match Task.Tbl.find_opt t.core.tasks id with Some s -> s.journey | None -> None
-
-let journey_note t id step =
-  match live_journey t id with None -> () | Some j -> step j ~at:(Engine.now t.engine)
-
-let journeys_note t tasks step =
-  if attributing t then
-    List.iter (fun (task : Task.t) -> journey_note t task.id step) tasks
-
-let note_sent t tasks =
-  if observed t then report t (Sent tasks);
-  journeys_note t tasks Trace_ctx.sent
-
-let note_arrive t tasks =
-  if observed t then report t (Arrived tasks);
-  journeys_note t tasks Trace_ctx.arrive
-
-let note_resubmit t id =
-  if observed t then report t (Resubmitted id);
-  journey_note t id (fun j ~at:_ -> Trace_ctx.flag_resubmit j)
+(* The notes only an observer reads: with none installed they return
+   before they build a milestone. *)
+let note_sent t tasks = if observed t then report t (Sent tasks)
+let note_arrive t tasks = if observed t then report t (Arrived tasks)
+let note_resubmit t id = if observed t then report t (Resubmitted id)
 
 let note_exec_finish t task ~node ~port =
-  if observed t then report t (Finished { task; node; port });
-  journey_note t task.Task.id Trace_ctx.exec_done
+  if observed t then report t (Finished { task; node; port })
 
-let note_reject t tasks =
-  if observed t then report t (Rejected tasks);
-  journeys_note t tasks Trace_ctx.reject
+let note_reject t tasks = if observed t then report t (Rejected tasks)
 
 let note_dequeue t id ~level ~rank =
-  if observed t then report t (Dequeued { id; level; rank });
-  journey_note t id Trace_ctx.dequeue
+  if observed t then report t (Dequeued { id; level; rank })
 
-let note_swap_start t id =
-  if observed t then report t (Swap_started id);
-  journey_note t id (fun j ~at ->
-      Trace_ctx.flag_swap j;
-      Trace_ctx.spin j ~at)
+let note_swap_start t id = if observed t then report t (Swap_started id)
 
 let note_swap t ~into ~out ~level =
-  if observed t then report t (Swapped { into; out; level });
-  journey_note t out (fun j ~at:_ -> Trace_ctx.flag_swap j)
+  if observed t then report t (Swapped { into; out; level })
 
-let note_spin t id =
-  if observed t then report t (Spun id);
-  journey_note t id Trace_ctx.spin
+let note_spin t id = if observed t then report t (Spun id)
 
 let note_repair_flag t flag ~level =
-  if observed t then report t (Repair_flagged { flag; level });
-  if attributing t then
-    Task.Tbl.iter
-      (fun _ s -> Option.iter (fun j -> Trace_ctx.repair_window j ~level) s.journey)
-      t.core.tasks
+  if observed t then report t (Repair_flagged { flag; level })
 
 let note_rank t id ~rank = if observed t then report t (Ranked { id; rank })
 let note_recirculate t ~kind = if observed t then report t (Recirculated kind)
 let note_pop_scan t = if observed t then report t Pop_scan_started
 let note_noop t = if observed t then report t Noop
-
-let attribute t rules =
-  if Option.is_some t.core.attribution then
-    invalid_arg "Metrics.attribute: the run already attributes phases";
-  t.core.attribution <- Some rules
-
-let attribution t = Option.map Trace_ctx.collector t.core.attribution
-
-let finish_attribution t =
-  let live _ s n = if Option.is_some s.journey then n + 1 else n in
-  Option.map
-    (fun rules -> Trace_ctx.finish rules ~incomplete:(Task.Tbl.fold live t.core.tasks 0))
-    t.core.attribution
 
 let scheduling_delay t = t.core.scheduling_delay
 let end_to_end_delay t = t.core.end_to_end_delay

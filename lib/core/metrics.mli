@@ -30,14 +30,9 @@
     a task with no record (already completed, or never submitted)
     records no delay sample.
 
-    {b Phase journeys.}  When the run {!attribute}s phases, the record
-    also carries the task's {!Draconis_obs.Trace_ctx.journey}, started
-    by {!note_submit} and advanced by each milestone note.
-    {!note_complete} seals it once and drops it from the record, so a
-    resubmitted task's stale copy cannot touch the breakdown the
-    collector holds by reference.  With attribution off (the default)
-    and no {!observe}r, the journey-only notes return before they
-    allocate. *)
+    Each note is also one {!milestone} of the stream an {!observe}r
+    reads; what a reader derives from it (phase attribution:
+    {!Journey}) lives in the reader. *)
 
 open Draconis_sim
 open Draconis_net
@@ -99,8 +94,11 @@ val remote : t -> engine:Engine.t -> post:(at:Time.t -> (unit -> unit) -> unit) 
     where the note is made, so it adds no engine event and, on a
     [remote] handle, no post; a lock serializes its calls, which come
     from two domains on a 2-lane sharded run.  Each entity's milestones
-    reach it in that entity's order.  With no observer (every figure
-    and benchmark run) a note builds no milestone.
+    reach it in that entity's order.  With no observer (every benchmark
+    run and every unobserved figure run) a note builds no milestone.  An
+    observed single-engine Draconis run installs the {!Journey} reader,
+    so a caller that installs its own cannot also run that system
+    observed.
     @raise Invalid_argument if [t] already has an observer. *)
 val observe : t -> (milestone -> unit) -> unit
 
@@ -111,13 +109,12 @@ val observe : t -> (milestone -> unit) -> unit
     against the original, as the paper's latency spikes do). *)
 val note_submit : t -> Task.id -> unit
 
-(** [note_complete t id ~resubmitted] records the end-to-end delay,
-    seals the task's journey, and drops the task's record, unless
-    [resubmitted]: the client sent the task again after a timeout, so a
-    stale copy may still start. *)
+(** [note_complete t id ~resubmitted] records the end-to-end delay and
+    drops the task's record, unless [resubmitted]: the client sent the
+    task again after a timeout, so a stale copy may still start. *)
 val note_complete : t -> Task.id -> resubmitted:bool -> unit
 
-(** Journey only: the client put [tasks] on the wire (first send,
+(** Observer only: the client put [tasks] on the wire (first send,
     full-queue retry or timeout resubmission); its timeout resubmits a
     task; a submission carrying [tasks] reached the switch's ingress. *)
 val note_sent : t -> Task.t list -> unit
@@ -134,8 +131,8 @@ val note_arrive : t -> Task.t list -> unit
     placement for a task starting on [node]. *)
 val note_exec_start : t -> Task.t -> node:int -> port:int -> unit
 
-(** Journey only: the task ran to the end (a task lost to a crash never
-    finishes). *)
+(** Observer only: the task ran to the end (a task lost to a crash
+    never finishes). *)
 val note_exec_finish : t -> Task.t -> node:int -> port:int -> unit
 
 (** {2 Scheduler-side events} — the Draconis switch program and every
@@ -148,7 +145,7 @@ val note_enqueue : t -> Task.id -> level:int -> unit
     request reached the scheduler (get_task() latency, Fig. 13). *)
 val note_assign : t -> Task.id -> node:int -> requested_at:Time.t -> unit
 
-(** Journey only: [tasks] bounced off a full queue; a task left the
+(** Observer only: [tasks] bounced off a full queue; a task left the
     switch queue, popped or swap-assigned ([rank] is the rank the PIFO
     rank store released it at, [-1] for a circular queue); a popped task
     failed the policy check and leaves on a swap packet (§5.1); a swap
@@ -178,21 +175,6 @@ val note_rank : t -> Task.id -> rank:int -> unit
 val note_recirculate : t -> kind:string -> unit
 val note_pop_scan : t -> unit
 val note_noop : t -> unit
-
-(** {2 Phase attribution} *)
-
-(** [attribute t rules] gives every task submitted from now on a
-    journey, sealed under [rules].  Single-engine runs only: journey
-    notes act inline, never through {!remote}.
-    @raise Invalid_argument if [t] already attributes. *)
-val attribute : t -> Draconis_obs.Trace_ctx.t -> unit
-
-(** The collector of the sealed journeys, if [t] attributes. *)
-val attribution : t -> Draconis_obs.Attribution.t option
-
-(** Once, at the end of the run: records the open journeys as
-    incomplete and returns the collector. *)
-val finish_attribution : t -> Draconis_obs.Attribution.t option
 
 (** {2 Results} *)
 

@@ -79,12 +79,7 @@ let collect (system : Systems.running) ~load_tps ~horizon ~drained =
     events_per_sec = 0.0;
     drained;
     has_latency = true;
-    phases =
-      (* The sealed tasks at collect time are exactly the completed
-         ones. *)
-      (match Metrics.attribution metrics with
-      | Some collector -> Obs.Attribution.phase_percentiles collector
-      | None -> []);
+    phases = [];
   },
     c )
 
@@ -132,8 +127,10 @@ let observed (system : Systems.running) ~label ~until f =
     (* Phase attribution only where the whole milestone sequence exists
        (the Draconis data path); a baseline's partial stream would
        produce bogus breakdowns. *)
-    if system.phase_attribution then
-      Metrics.attribute system.metrics (Obs.Trace_ctx.create ());
+    let journeys =
+      if system.phase_attribution then Some (Journey.create system.engine) else None
+    in
+    Option.iter (fun j -> Journey.attach j system.metrics) journeys;
     (* INT telemetry: reuse a caller-installed collector (the int bench
        experiment manages its own to read depth figures back), else own
        one for the run.  Either way its sections land on this run's
@@ -163,10 +160,15 @@ let observed (system : Systems.running) ~label ~until f =
       (fun (name, before) (_, after) ->
         if after <> before then Obs.Recorder.add recorder name (after - before))
       (counter_names installed) (counter_names counts);
-    (match Metrics.finish_attribution system.metrics with
-    | None -> ()
-    | Some collector ->
-      Obs.Recorder.set_attribution recorder (Obs.Attribution.to_json collector));
+    let outcome =
+      match journeys with
+      | None -> outcome
+      | Some journeys ->
+        (* The run is over, so the collector is final. *)
+        let collector = Journey.finish journeys in
+        Obs.Recorder.set_attribution recorder (Obs.Attribution.to_json collector);
+        { outcome with phases = Obs.Attribution.phase_percentiles collector }
+    in
     (match int_collector with
     | None -> ()
     | Some c ->

@@ -43,7 +43,7 @@ type outcome = {
           zeros. *)
   phases : (string * int * int) list;
       (** per-phase (name, p50 ns, p99 ns) latency decomposition from
-          {!Draconis_obs.Attribution}; non-empty only when the run
+          the {!Draconis.Journey} reader; non-empty only when the run
           executed under an enabled {!Draconis_obs.Sink} on a system
           with {!Systems.running.phase_attribution} *)
 }

@@ -90,12 +90,12 @@ type running = {
           sample *)
   phase_attribution : bool;
       (** whether the system reports the full milestone sequence of a
-          task to its [metrics], so the runner may turn phase
-          attribution on ({!Draconis.Metrics.attribute}); true only for
-          Draconis — baselines share the client and executor but not
-          the switch program, so their milestone streams would be
-          incomplete; also false for a sharded cluster, whose journey
-          notes would have to cross logical processes *)
+          task to its [metrics], so an observed run may attach the
+          {!Draconis.Journey} reader; true only for Draconis — baselines
+          share the client and executor but not the switch program, so
+          their milestone streams would be incomplete; also false for a
+          sharded cluster, whose hosts note their milestones on their
+          own logical processes' clocks *)
   control : control;
 }
 

@@ -28,8 +28,10 @@ type breakdown = {
   flags : int;
 }
 
+(* The slowest-task list keeps this many breakdowns. *)
+let top_k = 10
+
 type t = {
-  top_k : int;
   samplers : Sampler.t array;
   total : Sampler.t;
   phase_sums : int array;
@@ -45,9 +47,8 @@ type t = {
   mutable top : breakdown list;  (* sorted: total desc, then key asc *)
 }
 
-let create ?(top_k = 10) () =
+let create () =
   {
-    top_k;
     samplers = Array.init Phase.count (fun _ -> Sampler.create ());
     total = Sampler.create ();
     phase_sums = Array.make Phase.count 0;
@@ -72,7 +73,7 @@ let insert_top t b =
     | x :: rest -> if compare_breakdown b x < 0 then b :: x :: rest else x :: insert rest
   in
   let top = insert t.top in
-  t.top <- (if List.length top > t.top_k then List.filteri (fun i _ -> i < t.top_k) top
+  t.top <- (if List.length top > top_k then List.filteri (fun i _ -> i < top_k) top
             else top)
 
 let dominant phases =

@@ -1,12 +1,12 @@
-(** Aggregation of per-task phase decompositions ({!Trace_ctx} seals
-    each completed task into a collector): per-phase histograms,
-    critical-path extraction (which phase dominates each task), the
-    top-K slowest tasks with their full breakdowns, and anomaly tags
-    for tasks hit by swaps, repair windows, resubmissions, or queue
-    rejections.
+(** Aggregation of per-task phase decompositions (the journey reader,
+    [Draconis.Journey], seals each completed task into a collector):
+    per-phase histograms, critical-path extraction (which phase
+    dominates each task), the 10 slowest tasks with their full
+    breakdowns, and anomaly tags for tasks hit by swaps, repair windows,
+    resubmissions, or queue rejections.
 
-    All listings follow {!Phase.all} order and top-K ties break on the
-    task key, so every rendering is deterministic. *)
+    All listings follow {!Phase.all} order and ties among the slowest
+    tasks break on the task key, so every rendering is deterministic. *)
 
 open Draconis_sim
 open Draconis_stats
@@ -34,11 +34,10 @@ type breakdown = {
 
 type t
 
-(** [create ?top_k ()] — [top_k] bounds the slowest-task list (10). *)
-val create : ?top_k:int -> unit -> t
+val create : unit -> t
 
 (** [add t b] folds one sealed task in (histograms, sums, critical
-    path, anomalies, top-K). *)
+    path, anomalies, slowest tasks). *)
 val add : t -> breakdown -> unit
 
 (** [note_incomplete t n] records journeys that never completed. *)
@@ -59,7 +58,7 @@ val phase_sum : t -> Phase.t -> int
 
 val total_sum : t -> int
 
-(** Slowest sealed tasks, worst first, at most [top_k]. *)
+(** Slowest sealed tasks, worst first, at most 10. *)
 val top : t -> breakdown list
 
 (** [(name, count)] anomaly tags, fixed order. *)

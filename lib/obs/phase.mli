@@ -1,7 +1,7 @@
 (** The causal phases of one task's life, client to client.
 
     Every completed task's end-to-end delay is decomposed into exactly
-    these phases (see {!Trace_ctx}); the decomposition is a partition,
+    these phases (see [Draconis.Journey]); the decomposition is a partition,
     so the per-task phase values sum to the measured delay to the tick.
 
     - [Client]: client-side time — submission bookkeeping, full-queue

@@ -26,13 +26,13 @@ let lognormal ~mu ~sigma rng =
   (* Box-Muller transform. *)
   let u1 = 1.0 -. Rng.float rng and u2 = Rng.float rng in
   let z = sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2) in
-  max 0 (int_of_float (Float.round (exp (mu +. (sigma *. z)))))
+  Int.max 0 (int_of_float (Float.round (exp (mu +. (sigma *. z)))))
 
 let pareto ~scale ~alpha rng =
   let u = 1.0 -. Rng.float rng in
-  max scale (int_of_float (Float.round (float_of_int scale /. (u ** (1.0 /. alpha)))))
+  Int.max scale (int_of_float (Float.round (float_of_int scale /. (u ** (1.0 /. alpha)))))
 
-let scale f d rng = max 0 (int_of_float (Float.round (f *. float_of_int (d rng))))
+let scale f d rng = Int.max 0 (int_of_float (Float.round (f *. float_of_int (d rng))))
 
 let mean_estimate d rng ~n =
   if n <= 0 then invalid_arg "Dist.mean_estimate: n must be positive";

@@ -32,7 +32,7 @@ let drive engine rng spec ~submit =
   let mean_gap_ns = 1e9 /. job_rate in
   let interarrival () =
     let u = 1.0 -. Rng.float rng in
-    max 1 (int_of_float (Float.round (-.mean_gap_ns *. log u)))
+    Int.max 1 (int_of_float (Float.round (-.mean_gap_ns *. log u)))
   in
   let rec arrive () =
     if Engine.now engine <= spec.horizon then begin

@@ -279,11 +279,10 @@ let test_failed_writes_materialize_nothing () =
   Alcotest.(check (float 0.0)) "major words of the first write" page_words
     (major_words () -. w1)
 
-(* With attribution off (every run but an observed Draconis one) and no
-   observer (every figure and benchmark run) the notes that only advance
-   a task's phase journey, and the ones only an observer reads, return
-   before they allocate, whether or not the task has a record. *)
-let test_journey_notes_off () =
+(* With no observer (every benchmark run and every unobserved figure
+   run) the 14 notes that only an observer reads return before they
+   build a milestone: 0 words, whether or not the task has a record. *)
+let test_observer_notes_off () =
   let m = Metrics.create (Engine.create ()) in
   let task = Draconis_proto.Task.make ~uid:0 ~jid:0 ~tid:1 ~fn_id:1 ~fn_par:1000 () in
   let stranger = Draconis_proto.Task.make ~uid:0 ~jid:0 ~tid:2 ~fn_id:1 ~fn_par:1000 () in
@@ -367,7 +366,7 @@ let suite =
       test_queue_pages;
     Alcotest.test_case "register: failed writes materialize no page" `Quick
       test_failed_writes_materialize_nothing;
-    Alcotest.test_case "journey notes allocate nothing unattributed" `Quick
-      test_journey_notes_off;
+    Alcotest.test_case "observer-only notes allocate nothing unobserved" `Quick
+      test_observer_notes_off;
     Alcotest.test_case "lifecycle notes allocate no closure" `Quick test_lifecycle_notes;
   ]

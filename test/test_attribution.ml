@@ -29,15 +29,15 @@ let burst_driver ?tprops ~jobs ~tasks_per_job ~gap ~fn_par () :
                     ~fn_par ()))))
   done
 
-(* Run [system] with its metrics attributing phases under checking rules
-   and return the outcome plus the finished collector.  [~check:true]
-   makes every seal raise on any telescoping discrepancy, so the run
-   itself is the property test; the postconditions below re-check the
-   aggregates. *)
+(* Run [system] with the journey reader attached to its metrics and
+   return the outcome plus the finished collector.  Every seal raises on
+   any telescoping discrepancy, so the run itself is the property test;
+   the postconditions below re-check the aggregates. *)
 let run_attributed (system : H.Systems.running) ~driver ~horizon =
-  Draconis.Metrics.attribute system.metrics (Obs.Trace_ctx.create ~check:true ());
+  let journeys = Draconis.Journey.create system.engine in
+  Draconis.Journey.attach journeys system.metrics;
   let outcome = H.Runner.run system ~driver ~load_tps:0.0 ~horizon () in
-  (outcome, Option.get (Draconis.Metrics.finish_attribution system.metrics))
+  (outcome, Draconis.Journey.finish journeys)
 
 (* The collector's totals must be a permutation of the end-to-end
    delays the metrics recorded: same multiset, task by task. *)
@@ -68,9 +68,31 @@ let test_multi_task_recirculation () =
   check_totals_match_metrics system collector;
   (* Continuation hops were charged somewhere visible. *)
   Alcotest.(check bool) "recirc phase charged" true
-    (Obs.Attribution.phase_sum collector Obs.Phase.Recirc > 0);
-  (* The runner surfaced the decomposition on the outcome. *)
-  Alcotest.(check bool) "outcome carries phases" true (outcome.H.Runner.phases <> [])
+    (Obs.Attribution.phase_sum collector Obs.Phase.Recirc > 0)
+
+(* The reader only reads: attaching it leaves the run's outcome and its
+   delay samples as they are. *)
+let test_reader_only_reads () =
+  let run ~attached =
+    let system = H.Systems.draconis spec in
+    let driver =
+      burst_driver ~jobs:60 ~tasks_per_job:4 ~gap:(Time.us 40) ~fn_par:(Time.us 80) ()
+    in
+    let outcome =
+      if attached then fst (run_attributed system ~driver ~horizon:(Time.ms 3))
+      else H.Runner.run system ~driver ~load_tps:0.0 ~horizon:(Time.ms 3) ()
+    in
+    let m = system.metrics in
+    ( { outcome with H.Runner.phases = [] },
+      Sampler.sorted (Draconis.Metrics.scheduling_delay m),
+      Sampler.sorted (Draconis.Metrics.end_to_end_delay m) )
+  in
+  let outcome, sched, e2e = run ~attached:false in
+  let outcome', sched', e2e' = run ~attached:true in
+  Alcotest.(check bool) "outcomes equal apart from phases" true (outcome = outcome');
+  Alcotest.(check (array int)) "scheduling delays" sched sched';
+  Alcotest.(check (array int)) "end-to-end delays" e2e e2e';
+  Alcotest.(check int) "every task completed" 240 outcome.H.Runner.completed
 
 let test_swaps_attributed () =
   (* Half the nodes expose resource 1, half resource 2; tasks demanding
@@ -130,7 +152,7 @@ let test_failover_resubmission_attributed () =
    until 1 ms while the client resubmits at 300, 600 and 900 us: the
    copies start at ~1.0, ~1.1 and ~1.2 ms, and the first completes the
    task at ~1.1 ms.  The resubmitted task keeps its metrics record, but
-   its journey is sealed at that completion: the stale copies' later
+   the reader seals its journey at that completion: the stale copies' later
    starts and finishes must not move the breakdown the collector holds,
    nor count as an open journey. *)
 let test_stale_copy_leaves_sealed_journey () =
@@ -147,7 +169,8 @@ let test_stale_copy_leaves_sealed_journey () =
       }
   in
   let m = Cluster.metrics cluster in
-  Metrics.attribute m (Obs.Trace_ctx.create ~check:true ());
+  let journeys = Draconis.Journey.create (Cluster.engine cluster) in
+  Draconis.Journey.attach journeys m;
   Cluster.start cluster;
   ignore
     (F.Injector.arm
@@ -164,7 +187,7 @@ let test_stale_copy_leaves_sealed_journey () =
   in
   run_to_completion (Time.ms 1);
   Alcotest.(check int) "completed" 1 (Draconis.Client.completions client);
-  let collector = Option.get (Metrics.attribution m) in
+  let collector = Draconis.Journey.collector journeys in
   let breakdowns () =
     List.map
       (fun (b : Obs.Attribution.breakdown) ->
@@ -184,11 +207,111 @@ let test_stale_copy_leaves_sealed_journey () =
   Alcotest.(check int) "the resubmitted task keeps its record" 1 (Metrics.in_flight m);
   Alcotest.(check (list (list int))) "sealed breakdown unchanged" sealed (breakdowns ());
   Alcotest.(check (list int)) "attribution totals unchanged" sealed_sums (sums ());
-  let collector = Option.get (Metrics.finish_attribution m) in
+  let collector = Draconis.Journey.finish journeys in
   Alcotest.(check int) "sealed once" 1 (Obs.Attribution.sealed collector);
   Alcotest.(check int) "no open journey" 0 (Obs.Attribution.incomplete collector);
   Alcotest.(check int) "tagged resubmitted" 1
     (List.assoc "resubmitted" (Obs.Attribution.anomalies collector))
+
+(* -- the milestone -> phase table ------------------------------------------- *)
+
+(* The notes of three tasks, each at a chosen instant on one engine:
+   - A runs the plain path;
+   - B bounces off a full queue, retries, and is later swapped out by C;
+   - C is popped, fails the policy check, rides the swap recirculation
+     back into level 0 and sits there through a repair window.
+   A level-1 repair flag while A is queued at level 0 tags nothing.
+   Every bucket of every task is pinned, so charging any milestone to
+   another phase, even one of the same scheduling class, fails here. *)
+let scripted_journeys () =
+  let engine = Engine.create () in
+  let m = Draconis.Metrics.create engine in
+  let journeys = Draconis.Journey.create engine in
+  Draconis.Journey.attach journeys m;
+  let task tid = Task.make ~uid:0 ~jid:0 ~tid ~fn_id:Task.Fn.busy_loop ~fn_par:1000 () in
+  let a = task 0 and b = task 1 and c = task 2 in
+  let at t note = ignore (Engine.schedule_at engine ~at:t note) in
+  let module M = Draconis.Metrics in
+  (* A: the plain path. *)
+  at 0 (fun () -> M.note_submit m a.id);
+  at 10 (fun () -> M.note_sent m [ a ]);
+  at 1_600 (fun () -> M.note_arrive m [ a ]);
+  at 2_000 (fun () -> M.note_enqueue m a.id ~level:0);
+  at 3_000 (fun () -> M.note_repair_flag m M.Retrieve_flag ~level:1);
+  at 5_000 (fun () ->
+      M.note_dequeue m a.id ~level:0 ~rank:(-1);
+      M.note_assign m a.id ~node:0 ~requested_at:4_900);
+  at 6_500 (fun () -> M.note_exec_start m a ~node:0 ~port:0);
+  at 106_500 (fun () -> M.note_exec_finish m a ~node:0 ~port:0);
+  at 110_000 (fun () -> M.note_complete m a.id ~resubmitted:false);
+  (* B: rejected by a full queue, retried, swapped out by C. *)
+  at 100 (fun () -> M.note_submit m b.id);
+  at 150 (fun () -> M.note_sent m [ b ]);
+  at 1_700 (fun () -> M.note_arrive m [ b ]);
+  at 2_100 (fun () -> M.note_reject m [ b ]);
+  at 12_100 (fun () -> M.note_sent m [ b ]);
+  at 13_700 (fun () -> M.note_arrive m [ b ]);
+  at 14_000 (fun () -> M.note_enqueue m b.id ~level:0);
+  at 17_500 (fun () -> M.note_exec_start m b ~node:1 ~port:0);
+  at 67_500 (fun () -> M.note_exec_finish m b ~node:1 ~port:0);
+  at 71_000 (fun () -> M.note_complete m b.id ~resubmitted:false);
+  (* C: popped, swapped back in at the next traversal, then repaired. *)
+  at 200 (fun () -> M.note_submit m c.id);
+  at 250 (fun () -> M.note_sent m [ c ]);
+  at 1_800 (fun () -> M.note_arrive m [ c ]);
+  at 2_200 (fun () -> M.note_enqueue m c.id ~level:0);
+  at 15_000 (fun () ->
+      M.note_dequeue m c.id ~level:0 ~rank:(-1);
+      M.note_swap_start m c.id;
+      M.note_recirculate m ~kind:"swap");
+  at 16_000 (fun () ->
+      M.note_dequeue m b.id ~level:0 ~rank:(-1);
+      M.note_enqueue m c.id ~level:0;
+      M.note_swap m ~into:c.id ~out:b.id ~level:0;
+      M.note_assign m b.id ~node:1 ~requested_at:15_000);
+  at 20_000 (fun () -> M.note_repair_flag m M.Add_flag ~level:0);
+  at 30_000 (fun () ->
+      M.note_dequeue m c.id ~level:0 ~rank:(-1);
+      M.note_assign m c.id ~node:2 ~requested_at:29_900);
+  at 31_000 (fun () -> M.note_exec_start m c ~node:2 ~port:0);
+  at 51_000 (fun () -> M.note_exec_finish m c ~node:2 ~port:0);
+  at 54_000 (fun () -> M.note_complete m c.id ~resubmitted:false);
+  Engine.run engine;
+  Draconis.Journey.finish journeys
+
+let test_phase_table_pinned () =
+  let collector = scripted_journeys () in
+  Alcotest.(check int) "sealed" 3 (Obs.Attribution.sealed collector);
+  Alcotest.(check int) "incomplete" 0 (Obs.Attribution.incomplete collector);
+  Alcotest.(check bool) "exact" true (Obs.Attribution.exact collector);
+  let row (b : Obs.Attribution.breakdown) =
+    let uid, jid, tid = b.key in
+    Printf.sprintf "%d.%d.%d total=%d sched=%d flags=%d %s" uid jid tid b.total b.sched
+      b.flags
+      (String.concat " "
+         (List.map
+            (fun p ->
+              Printf.sprintf "%s=%d" (Obs.Phase.name p) b.phases.(Obs.Phase.index p))
+            Obs.Phase.all))
+  in
+  let swap = Obs.Attribution.flag_swap
+  and repair = Obs.Attribution.flag_repair
+  and reject = Obs.Attribution.flag_reject in
+  Alcotest.(check (list string))
+    "breakdowns, slowest first"
+    [
+      "0.0.0 total=110000 sched=6500 flags=0 client=10 fabric=1590 pipeline=400 \
+       queue=3000 recirc=0 dispatch=1500 service=100000 reply=3500";
+      Printf.sprintf
+        "0.0.1 total=70900 sched=17400 flags=%d client=10050 fabric=3150 pipeline=700 \
+         queue=2000 recirc=0 dispatch=1500 service=50000 reply=3500"
+        (reject lor swap);
+      Printf.sprintf
+        "0.0.2 total=53800 sched=30800 flags=%d client=50 fabric=1550 pipeline=400 \
+         queue=26800 recirc=1000 dispatch=1000 service=20000 reply=3000"
+        (swap lor repair);
+    ]
+    (List.map row (Obs.Attribution.top collector))
 
 (* -- offline analyzer round-trip -------------------------------------------- *)
 
@@ -203,9 +326,10 @@ let with_temp_file contents f =
       f path)
 
 let test_analyzer_round_trip () =
-  (* Under an enabled sink the runner installs the context itself; the
-     metrics dump then carries the attribution, and the analyzer must
-     re-verify exactness offline from the JSON alone. *)
+  (* Under an enabled sink the runner attaches the journey reader
+     itself; the outcome and the metrics dump then carry the
+     attribution, and the analyzer must re-verify exactness offline from
+     the JSON alone. *)
   Obs.Sink.enable ();
   let dump =
     Fun.protect
@@ -217,6 +341,8 @@ let test_analyzer_round_trip () =
         in
         let outcome = H.Runner.run system ~driver ~load_tps:0.0 ~horizon:(Time.ms 3) () in
         Alcotest.(check bool) "drained" true outcome.H.Runner.drained;
+        Alcotest.(check bool) "outcome carries phases" true
+          (outcome.H.Runner.phases <> []);
         Obs.Dump.metrics_json (Obs.Sink.drain ()))
   in
   with_temp_file dump (fun path ->
@@ -376,29 +502,11 @@ let test_compare_rejects_wrong_schema () =
         Alcotest.(check bool) "error names the schema" true
           (Astring.String.is_infix ~affix:"draconis-obs/2" msg))
 
-let test_phase_check_env_fails_loudly () =
-  (* DRACONIS_PHASE_CHECK takes explicit booleans only: junk must raise
-     rather than silently arming (or disarming) the exact-sum check. *)
-  let with_env v f =
-    Unix.putenv "DRACONIS_PHASE_CHECK" v;
-    Fun.protect ~finally:(fun () -> Unix.putenv "DRACONIS_PHASE_CHECK" "") f
-  in
-  with_env "ture" (fun () ->
-      (try
-         ignore (Obs.Trace_ctx.create ());
-         Alcotest.fail "junk DRACONIS_PHASE_CHECK accepted"
-       with Invalid_argument _ -> ());
-      (* An explicit [check] never consults the environment. *)
-      ignore (Obs.Trace_ctx.create ~check:true ()));
-  with_env "1" (fun () -> ignore (Obs.Trace_ctx.create ()));
-  with_env "0" (fun () -> ignore (Obs.Trace_ctx.create ()))
-
 let suite =
   [
     Alcotest.test_case "multi-task recirculation sums exactly" `Quick
       test_multi_task_recirculation;
-    Alcotest.test_case "DRACONIS_PHASE_CHECK fails loudly" `Quick
-      test_phase_check_env_fails_loudly;
+    Alcotest.test_case "the reader only reads" `Quick test_reader_only_reads;
     Alcotest.test_case "swaps attributed and exact" `Quick test_swaps_attributed;
     Alcotest.test_case "fail-over resubmission sums exactly" `Quick
       test_failover_resubmission_attributed;
@@ -406,6 +514,8 @@ let suite =
     Alcotest.test_case "analyzer reads obs schemas /1 to /4" `Quick test_analyzer_schemas;
     Alcotest.test_case "stale copy leaves the sealed journey" `Quick
       test_stale_copy_leaves_sealed_journey;
+    Alcotest.test_case "phase table pinned on scripted tasks" `Quick
+      test_phase_table_pinned;
     Alcotest.test_case "compare: identical reports pass" `Quick test_compare_self_passes;
     Alcotest.test_case "compare: drift within tolerance" `Quick
       test_compare_within_tolerance;
