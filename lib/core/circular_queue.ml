@@ -172,9 +172,12 @@ let dequeue t ctx =
     let stamp = Register.exchange t.stamps ctx slot (free_stamp t) in
     if stamp <> r && not !debug_skip_stamp_check then Empty
     else begin
+      (* Each word is read and cleared in one access, as a stateful ALU
+         does: the words are only ever read behind a matching stamp, so
+         the zeros are never seen, and a drained slot holds nothing. *)
       let image = Array.make Entry.word_count 0 in
       for i = 0 to Entry.word_count - 1 do
-        image.(i) <- Register.read t.words.(i) ctx slot
+        image.(i) <- Register.exchange t.words.(i) ctx slot 0
       done;
       Dequeued { index = r; entry = Entry.of_words image }
     end
@@ -237,6 +240,13 @@ let peek_entry t ~index =
     let image = Array.init Entry.word_count (fun i -> Register.peek t.words.(i) slot) in
     Some (Entry.of_words image)
   end
+
+let stamped_slots t =
+  let n = ref 0 in
+  for slot = 0 to t.capacity - 1 do
+    if Register.peek t.stamps slot <> free_stamp t then incr n
+  done;
+  !n
 
 let register_bits t =
   Register.bits t.add_ptr + Register.bits t.retrieve_ptr

@@ -93,7 +93,12 @@ type dequeue_outcome =
       (** a retrieve repair is in flight; caller returns a no-op
           (§4.7.2) *)
 
-(** [dequeue t ctx] is the task-request path. *)
+(** [dequeue t ctx] is the task-request path.  A valid dequeue reads
+    and clears each entry word in one access (an exchange with zero, as
+    a stateful ALU does), so a drained slot holds only zeros and the
+    free stamp, and a drained register page can return to its blank;
+    the words are only ever read behind a matching stamp, so the zeros
+    are never seen. *)
 val dequeue : t -> Packet_ctx.t -> dequeue_outcome
 
 (** [apply_repair_add t ctx ~target] is the repair-packet path: resets
@@ -135,6 +140,11 @@ val peek_retrieve_repair_flag : t -> bool
     stamped with [index]. *)
 val peek_entry : t -> index:int -> Entry.t option
 
+(** Slots whose stamp is not the free sentinel.  A dequeue frees its
+    slot's stamp, so once the repair flags are clear this counts exactly
+    the pending tasks between the retrieve and add pointers. *)
+val stamped_slots : t -> int
+
 (** Total register bits this queue occupies (resource accounting). *)
 val register_bits : t -> int
 
@@ -153,7 +163,8 @@ val unsafe_set_pointers_for_test : t -> add:int -> retrieve:int -> unit
 
 (** When true, [dequeue] skips the §4.5 stamp-validity test and treats
     every slot as holding a valid task — empty polls then resurrect
-    stale or never-written entries. *)
+    drained or never-written slots, whose words read zero (task
+    0.0.0). *)
 val debug_skip_stamp_check : bool ref
 
 (** When true, [enqueue] never detects a retrieve-pointer overrun, so

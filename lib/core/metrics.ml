@@ -48,6 +48,11 @@ module Int_tbl = Hashtbl.Make (struct
   let hash x = x land max_int
 end)
 
+(* The fairness classes' scheduling delays.  While one class has been
+   seen, its delays are exactly [scheduling_delay]'s, so it shares that
+   sampler instead of recording each delay twice. *)
+type classes = No_class | One_class of int | Classes of Sampler.t Int_tbl.t
+
 (* All the actual state — tables, samplers, counters — lives in one
    [core] owned by a single logical process.  A [t] is a handle on a
    core: the owner's handle mutates it directly, while a [remote] handle
@@ -62,7 +67,7 @@ type core = {
   end_to_end_delay : Sampler.t;
   queueing_by_level : Sampler.t Int_tbl.t;
   get_task_by_level : Sampler.t Int_tbl.t;
-  delay_by_class : Sampler.t Int_tbl.t;
+  mutable classes : classes;
   decisions : Meter.t;
   placement : placement;
   mutable submitted : int;
@@ -95,7 +100,7 @@ let create ?topology engine =
         end_to_end_delay = Sampler.create ();
         queueing_by_level = Int_tbl.create 8;
         get_task_by_level = Int_tbl.create 8;
-        delay_by_class = Int_tbl.create 8;
+        classes = No_class;
         decisions = Meter.create ();
         placement = { local = 0; same_rack = 0; remote = 0 };
         submitted = 0;
@@ -198,6 +203,20 @@ let task_class (task : Task.t) =
   | Some id -> id
   | None -> ( match task.tprops with Task.Priority p -> p | _ -> 0)
 
+(* A second class gives the first a copy of the delays recorded so far,
+   before [delay] lands in [scheduling_delay]. *)
+let record_delay c cls delay =
+  (match c.classes with
+  | Classes tbl -> Sampler.record (level_sampler tbl cls) delay
+  | One_class k when k = cls -> ()
+  | No_class -> c.classes <- One_class cls
+  | One_class k ->
+    let tbl = Int_tbl.create 8 in
+    Int_tbl.replace tbl k (Sampler.merge c.scheduling_delay (Sampler.create ()));
+    Sampler.record (level_sampler tbl cls) delay;
+    c.classes <- Classes tbl);
+  Sampler.record c.scheduling_delay delay
+
 let exec_start c now task node =
   c.started <- c.started + 1;
   classify_placement c task ~node;
@@ -206,8 +225,7 @@ let exec_start c now task node =
   | Some s ->
     if s.submitted_at <> unset then begin
       let delay = now - s.submitted_at in
-      Sampler.record c.scheduling_delay delay;
-      Sampler.record (level_sampler c.delay_by_class (task_class task)) delay;
+      record_delay c (task_class task) delay;
       match Task.relative_deadline task with
       | None -> ()
       | Some deadline ->
@@ -231,7 +249,7 @@ let note_enqueue t id ~level =
   dispatch t enqueue id level
 
 let assign c now id requested_at =
-  Meter.mark c.decisions ~now ();
+  Meter.mark c.decisions ~now;
   match Task.Tbl.find_opt c.tasks id with
   | None -> ()
   | Some s ->
@@ -278,8 +296,12 @@ let end_to_end_delay t = t.core.end_to_end_delay
 let queueing_delay t ~level = level_sampler t.core.queueing_by_level level
 
 let delay_by_class t =
-  Int_tbl.fold (fun cls sampler acc -> (cls, sampler) :: acc) t.core.delay_by_class []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  match t.core.classes with
+  | No_class -> []
+  | One_class cls -> [ (cls, t.core.scheduling_delay) ]
+  | Classes tbl ->
+    Int_tbl.fold (fun cls sampler acc -> (cls, sampler) :: acc) tbl []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 let deadline_tracked t = t.core.deadline_tracked
 let deadline_misses t = t.core.deadline_misses

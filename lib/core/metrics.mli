@@ -186,7 +186,10 @@ val queueing_delay : t -> level:int -> Sampler.t
 
 (** Scheduling delay per fairness class — a task's tenant id or
     priority level (0 otherwise) — sorted by class.  Feeds the PIFO
-    experiment's fairness index and starvation measurements. *)
+    experiment's fairness index and starvation measurements.  While a
+    run has seen one class, that class's sampler is
+    {!scheduling_delay} itself; the first delay of a second class gives
+    the first its own copy. *)
 val delay_by_class : t -> (int * Sampler.t) list
 
 (** Started tasks that carried a {!Task.Deadline} property. *)

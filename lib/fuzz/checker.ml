@@ -50,6 +50,7 @@ type level_state = {
   retrieve_flag : bool;
   pointer_occupancy : int;
   walk : Task.id list;  (** stamped entries from retrieve to add pointer *)
+  stamped : int;  (** slots holding a stamp anywhere in the queue *)
 }
 
 type run = {
@@ -329,13 +330,18 @@ let check ?twin ?sharded schedule run =
              level
              (String.concat " " (List.map id_to_string st.walk))
              (String.concat " " (List.map id_to_string oracle_ids)));
-      if
-        (not st.add_flag) && (not st.retrieve_flag)
-        && st.pointer_occupancy <> List.length st.walk
-      then
-        fail
-          (Printf.sprintf "L%d: pointer occupancy %d but %d stamped entries" level
-             st.pointer_occupancy (List.length st.walk)))
+      if (not st.add_flag) && not st.retrieve_flag then begin
+        if st.pointer_occupancy <> List.length st.walk then
+          fail
+            (Printf.sprintf "L%d: pointer occupancy %d but %d stamped entries" level
+               st.pointer_occupancy (List.length st.walk));
+        (* A dequeue frees its slot's stamp, so a stamp outside the walk
+           is a slot that a swap could still claim after its task left. *)
+        if st.stamped <> List.length st.walk then
+          fail
+            (Printf.sprintf "L%d: %d slots hold a stamp but the walk holds %d tasks"
+               level st.stamped (List.length st.walk))
+      end)
     run.levels;
   (* Conservation: every copy of a submitted task must end up assigned,
      bounced back, or still queued.  Remaining copies come from the

@@ -45,6 +45,9 @@ type level_state = {
   pointer_occupancy : int;
   walk : Task.id list;
       (** stamped entries walked from retrieve to add pointer *)
+  stamped : int;
+      (** slots holding a stamp anywhere in the queue (a rank store,
+          which has no stamps, reports its walk's length) *)
 }
 
 type run = {

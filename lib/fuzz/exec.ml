@@ -262,6 +262,7 @@ let collect_levels program (schedule : Schedule.t) =
         retrieve_flag = false;
         pointer_occupancy = Draconis_pifo.Pifo.occupancy pifo;
         walk;
+        stamped = List.length walk;
       };
     |]
   | None ->
@@ -289,6 +290,7 @@ let collect_levels program (schedule : Schedule.t) =
           retrieve_flag = Circular_queue.peek_retrieve_repair_flag q;
           pointer_occupancy = Circular_queue.occupancy q;
           walk = List.rev !walk;
+          stamped = Circular_queue.stamped_slots q;
         })
 
 (* -- the single-engine rig ------------------------------------------------ *)

@@ -2,12 +2,18 @@
    the GC never scans (it scans an [int array] word by word on every
    major cycle).  A paged array's page table starts with every entry on
    its [blank]: one shared page, never written, that holds the fill
-   value.  The first completed write into a page gives it a private
-   copy, so an array costs its page table plus the pages its writes
-   reached, not its provisioned size.  A page is 8 KB, above
+   value.  The first write that changes a cell of a page gives it a
+   private copy, and [live] counts, per page, the cells that differ from
+   the fill value.  A page whose count returns to zero is [drained]: it
+   goes back to the blank when another page drains or materializes, so
+   an array costs its page table plus the pages that hold live cells
+   (and at most one drained page), not its provisioned size.  Releasing
+   a page at once instead would copy it again on every write of a queue
+   that fills and drains one slot, and looking for a drained page on
+   every write slowed the queue's writes.  A page is 8 KB, above
    [Max_young_wosize]: materializing one allocates in the major heap
    and adds no minor words.  An array that fits in one page is
-   allocated eagerly, at its own size, and never materializes. *)
+   allocated eagerly, at its own size, and written in place. *)
 let page_shift = 10
 let page_cells = 1 lsl page_shift
 let page_mask = page_cells - 1
@@ -23,6 +29,11 @@ type t = {
   size : int;
   pages : Bytes.t array;
   mutable blank : Bytes.t;  (* the page every unwritten entry shares *)
+  mutable fill_value : int;  (* the value every cell of [blank] holds *)
+  mutable live : int array;
+      (* per page, the cells that differ from [fill_value]; [[||]] until
+         the first page materializes *)
+  mutable drained : int;  (* a materialized page with no live cell, or -1 *)
   mutable last : int;  (* stamp of the last data-path access; 0 = none *)
 }
 
@@ -47,6 +58,9 @@ let create ~name ~size ?(cell_bits = 32) () =
     size;
     pages;
     blank = zero_page;
+    fill_value = 0;
+    live = [||];
+    drained = -1;
     last = 0;
   }
 
@@ -67,10 +81,24 @@ let[@inline] check_bounds t i =
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
+(* The drained page goes back to the blank unless a write has given it
+   a live cell again. *)
+let release t =
+  let p = t.drained in
+  t.drained <- -1;
+  if Array.unsafe_get t.live p = 0 then Array.unsafe_set t.pages p t.blank
+
+(* Page [p] is blank, so it is not the drained page. *)
 let[@inline never] materialize t p =
+  if t.drained >= 0 then release t;
+  if Array.length t.live = 0 then t.live <- Array.make (Array.length t.pages) 0;
   let page = Bytes.copy t.blank in
   Array.unsafe_set t.pages p page;
   page
+
+let[@inline never] drain t p =
+  if t.drained >= 0 && t.drained <> p then release t;
+  t.drained <- p
 
 (* Unchecked: every caller checks the bounds first.  The [int64] never
    leaves the expression, so nothing is boxed. *)
@@ -78,11 +106,28 @@ let[@inline] get t i =
   let page = Array.unsafe_get t.pages (i lsr page_shift) in
   Int64.to_int (get64 page ((i land page_mask) lsl 3))
 
-let[@inline] set t i v =
-  let p = i lsr page_shift in
-  let page = Array.unsafe_get t.pages p in
-  let page = if page == t.blank then materialize t p else page in
-  set64 page ((i land page_mask) lsl 3) (Int64.of_int v)
+(* [store t i old v] writes [v] over [old], the value cell [i] holds.
+   A paged array skips a write that changes nothing, so writing the fill
+   value into a blank page materializes nothing; otherwise it keeps the
+   page's count of live cells.  A drained page is released when another
+   page drains or materializes, so the common write pays only the count. *)
+let[@inline] store t i old v =
+  if t.size <= page_cells then
+    set64 (Array.unsafe_get t.pages 0) (i lsl 3) (Int64.of_int v)
+  else if old <> v then begin
+    let p = i lsr page_shift in
+    let page = Array.unsafe_get t.pages p in
+    let page = if page == t.blank then materialize t p else page in
+    set64 page ((i land page_mask) lsl 3) (Int64.of_int v);
+    if old = t.fill_value then Array.unsafe_set t.live p (Array.unsafe_get t.live p + 1)
+    else if v = t.fill_value then begin
+      let n = Array.unsafe_get t.live p - 1 in
+      Array.unsafe_set t.live p n;
+      if n = 0 then drain t p
+    end
+  end
+
+let[@inline] set t i v = store t i (get t i) v
 
 (* Top-level and annotated, so a lookup allocates no closure and
    compares ints inline. *)
@@ -142,7 +187,7 @@ let read_modify_write t ctx i f =
   check_bounds t i;
   access t ctx;
   let old = get t i in
-  set t i (f old);
+  store t i old (f old);
   old
 
 (* The fixed-function RMWs below are what the hot paths use: each is
@@ -151,42 +196,42 @@ let exchange t ctx i v =
   check_bounds t i;
   access t ctx;
   let old = get t i in
-  set t i v;
+  store t i old v;
   old
 
 let read_and_increment t ctx i =
   check_bounds t i;
   access t ctx;
   let old = get t i in
-  set t i (old + 1);
+  store t i old (old + 1);
   old
 
 let read_and_advance t ctx i ~modulus =
   check_bounds t i;
   access t ctx;
   let old = get t i in
-  set t i (if old + 1 >= modulus then 0 else old + 1);
+  store t i old (if old + 1 >= modulus then 0 else old + 1);
   old
 
 let compare_and_swap t ctx i ~expected ~desired =
   check_bounds t i;
   access t ctx;
   let old = get t i in
-  if old = expected then set t i desired;
+  if old = expected then store t i old desired;
   old
 
 let read_and_increment_below t ctx i ~limit =
   check_bounds t i;
   access t ctx;
   let old = get t i in
-  if old < limit then set t i (old + 1);
+  if old < limit then store t i old (old + 1);
   old
 
 let read_and_decrement_above t ctx i ~floor =
   check_bounds t i;
   access t ctx;
   let old = get t i in
-  if old > floor then set t i (old - 1);
+  if old > floor then store t i old (old - 1);
   old
 
 let peek t i =
@@ -216,5 +261,8 @@ let fill t v =
       end
     in
     t.blank <- blank;
-    Array.fill t.pages 0 (Array.length t.pages) blank
+    t.fill_value <- v;
+    Array.fill t.pages 0 (Array.length t.pages) blank;
+    Array.fill t.live 0 (Array.length t.live) 0;
+    t.drained <- -1
   end

@@ -23,14 +23,19 @@
 
     Storage follows use.  An array larger than one page (1,024 cells)
     keeps its cells in pages that materialize on the first completed
-    write into them, from the data path or {!poke}; until then a page
-    reads the array's fill value (zero, or the value of the last
-    {!fill}).  Creating or filling such an array costs its page table,
-    not its size, so the memory a run's registers hold follows the
-    slots it writes, while {!bits} still reports the provisioned
-    storage.  A write that raises and an RMW whose condition fails
-    materialize nothing.  A smaller array is allocated whole at
-    creation. *)
+    write that changes one of their cells, from the data path or
+    {!poke}; until then a page reads the array's fill value (zero, or
+    the value of the last {!fill}).  Each page counts its cells that
+    differ from the fill value, and a page whose count returns to zero
+    goes back to the shared blank once another page of the array drains
+    or materializes.
+    Creating or filling such an array costs its page table, not its
+    size, so the memory a run's registers hold follows the cells that
+    hold something now, while {!bits} still reports the provisioned
+    storage.  A write that raises, an RMW whose condition fails and a
+    write of the value a cell already holds (the fill value into a blank
+    page, say) materialize nothing.  A smaller array is allocated whole
+    at creation and written in place. *)
 
 type t
 

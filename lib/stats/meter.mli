@@ -1,22 +1,22 @@
 (** Event-rate meter.
 
     Counts discrete events (scheduling decisions, packets, drops) and
-    reports rates over a window of simulated time.  [mark] may carry a
-    weight for batched events. *)
+    reports rates over a window of simulated time.  It keeps one word
+    per mark, the mark's time, in a {!Sampler}'s chunks. *)
 
 type t
 
 val create : unit -> t
 
-(** [mark t ?weight ~now ()] records [weight] (default 1) events at
-    simulated time [now] (nanoseconds). *)
-val mark : t -> ?weight:int -> now:int -> unit -> unit
+(** [mark t ~now] records one event at simulated time [now]
+    (nanoseconds). *)
+val mark : t -> now:int -> unit
 
 val total : t -> int
 
-(** [rate_per_sec t] is total events divided by the span between first
-    and last mark, in events per simulated second.  Zero if fewer than
-    two distinct timestamps were marked. *)
+(** [rate_per_sec t] is total events divided by the span from the first
+    mark's time to the last mark's, in events per simulated second.
+    Zero if that span is not positive. *)
 val rate_per_sec : t -> float
 
 (** [first_after t ~after] is the earliest mark timestamp at or after

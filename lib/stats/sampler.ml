@@ -121,6 +121,13 @@ let cdf t ~points =
         (a.(rank), frac))
   end
 
+let fold f init t =
+  let acc = ref init in
+  for i = 0 to t.size - 1 do
+    acc := f !acc (get t i)
+  done;
+  !acc
+
 let merge a b =
   let t = create () in
   for i = 0 to a.size - 1 do

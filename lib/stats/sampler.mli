@@ -33,6 +33,10 @@ val sorted : t -> int array
     paper's CDF figures. *)
 val cdf : t -> points:int -> (int * float) array
 
+(** [fold f init t] folds [f] over the samples in the order they were
+    recorded. *)
+val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
+
 (** [merge a b] is a new sampler containing the samples of both. *)
 val merge : t -> t -> t
 

@@ -224,7 +224,11 @@ let page_words = 1026.0
 (* A 164k-entry queue provisions twelve 164k-cell arrays (about 2M
    words if allocated up front) but costs page tables and its stamps'
    blank page; 10k enqueue+dequeue rounds sweep 10k slots and
-   materialize at most the pages those slots touch in each array. *)
+   materialize at most the pages those slots touch in each array.  Each
+   round drains the page it is in: a page released as soon as it drains
+   would be copied again on every round (51.3M words over the 10k
+   rounds), while one released when the next page materializes is
+   copied once. *)
 let test_queue_pages () =
   let w0 = major_words () in
   let q = Circular_queue.create ~name:"q" ~capacity:164_000 () in
@@ -250,6 +254,64 @@ let test_queue_pages () =
   if words > budget then
     Alcotest.failf "%d rounds: %.0f major words, budget %.0f (%d arrays)" n words budget
       arrays
+
+let round_trip q ctx =
+  Packet_ctx.reset ctx;
+  (match Circular_queue.enqueue q ctx test_entry with
+  | Circular_queue.Enqueued _ -> ()
+  | Circular_queue.Rejected _ -> Alcotest.fail "enqueue rejected");
+  Packet_ctx.reset ctx;
+  match Circular_queue.dequeue q ctx with
+  | Circular_queue.Dequeued _ -> ()
+  | Circular_queue.Empty | Circular_queue.Repair_pending -> Alcotest.fail "dequeue missed"
+
+(* A dequeue clears its slot, and a page whose cells all hold the fill
+   value again goes back to the blank when another page drains or
+   materializes.  So a queue swept twice at occupancy 1 holds, beyond what it
+   held when created, its per-page counts and at most two pages per
+   array: the one the pointers are in and one drained behind them. *)
+let test_drained_pages_released () =
+  let pages = 8 in
+  let capacity = pages * 1024 in
+  let q = Circular_queue.create ~name:"q" ~capacity () in
+  let created = Obj.reachable_words (Obj.repr q) in
+  let ctx = Packet_ctx.create () in
+  for _ = 1 to 2 * capacity do
+    round_trip q ctx
+  done;
+  Gc.full_major ();
+  let held = float_of_int (Obj.reachable_words (Obj.repr q) - created) in
+  let arrays = Entry.word_count + 1 in
+  let budget = float_of_int arrays *. ((2.0 *. page_words) +. float_of_int (pages + 1)) in
+  if held > budget then
+    Alcotest.failf "a %d-slot queue swept twice holds %.0f more words, budget %.0f" capacity
+      held budget
+
+(* A dequeue on an empty queue exchanges the free stamp over the free
+   stamp: it changes no cell, so it materializes no page. *)
+let test_empty_dequeue_materializes_nothing () =
+  let q = Circular_queue.create ~name:"q" ~capacity:4096 () in
+  let ctx = Packet_ctx.create () in
+  let w0 = major_words () in
+  for _ = 1 to 100 do
+    Packet_ctx.reset ctx;
+    match Circular_queue.dequeue q ctx with
+    | Circular_queue.Empty -> ()
+    | Circular_queue.Dequeued _ | Circular_queue.Repair_pending ->
+      Alcotest.fail "an empty queue dequeued"
+  done;
+  Alcotest.(check (float 0.0)) "major words of 100 empty dequeues" 0.0 (major_words () -. w0)
+
+(* The decision meter keeps one word per mark, in chunks of a
+   [Sampler]. *)
+let test_meter_words_per_mark () =
+  let m = Draconis_stats.Meter.create () in
+  let n = 100_000 in
+  for i = 1 to n do
+    Draconis_stats.Meter.mark m ~now:(i * 10)
+  done;
+  let per_mark = float_of_int (Obj.reachable_words (Obj.repr m)) /. float_of_int n in
+  if per_mark > 1.1 then Alcotest.failf "%.2f words per mark, budget 1.1" per_mark
 
 (* Only a completed write materializes a page: a write that raises (out
    of bounds, or a second access) and an RMW whose condition fails leave
@@ -366,6 +428,11 @@ let suite =
       test_queue_pages;
     Alcotest.test_case "register: failed writes materialize no page" `Quick
       test_failed_writes_materialize_nothing;
+    Alcotest.test_case "queue registers: drained pages go back to the blank" `Quick
+      test_drained_pages_released;
+    Alcotest.test_case "queue: an empty dequeue materializes no page" `Quick
+      test_empty_dequeue_materializes_nothing;
+    Alcotest.test_case "meter keeps one word per mark" `Quick test_meter_words_per_mark;
     Alcotest.test_case "observer-only notes allocate nothing unobserved" `Quick
       test_observer_notes_off;
     Alcotest.test_case "lifecycle notes allocate no closure" `Quick test_lifecycle_notes;

@@ -277,27 +277,62 @@ let test_create_validation () =
 
 (* -- model-based property test ---------------------------------------------------- *)
 
-(* Drive random enqueue/dequeue sequences (applying requested repairs
-   immediately, as the pipeline's recirculation would within ~1us) and
-   compare against a plain FIFO model. *)
+type model_op = Enq | Deq | Swap of int
+
+let print_model_op = function
+  | Enq -> "enq"
+  | Deq -> "deq"
+  | Swap d -> Printf.sprintf "swap %+d" d
+
+(* Small capacities keep every register array eager (one page); 1,100
+   and 2,500 slots are paged, and their op lists are long enough for the
+   ring to wrap, so slots are swept, drained and written again.  A swap
+   aims at the retrieve pointer plus an offset: behind it are slots
+   just emptied, ahead of it pending tasks and then free slots. *)
+let gen_fifo_case =
+  QCheck.Gen.(
+    frequency [ (3, int_range 1 8); (1, oneofl [ 1_100; 2_500 ]) ] >>= fun capacity ->
+    let length =
+      if capacity > 8 then int_range (3 * capacity) (4 * capacity) else int_range 1 200
+    in
+    let op =
+      frequency
+        [
+          (5, return Enq);
+          (5, return Deq);
+          (2, map (fun d -> Swap d) (int_range (-4) 12));
+        ]
+    in
+    map (fun ops -> (capacity, ops)) (list_size length op))
+
+(* Drive random enqueue/dequeue/swap sequences (applying requested
+   repairs immediately, as the pipeline's recirculation would within
+   ~1us) and compare against a plain FIFO model of (write-index, task)
+   pairs: a swap succeeds exactly on a pending task's write-index and
+   hands out that task. *)
 let prop_matches_fifo_model =
   QCheck.Test.make ~name:"circular queue behaves as a bounded FIFO under repairs"
     ~count:300
-    QCheck.(pair (int_range 1 8) (list_of_size (Gen.int_range 1 200) bool))
+    (QCheck.make
+       ~print:QCheck.Print.(pair int (list print_model_op))
+       ~shrink:(fun (capacity, ops) ->
+         QCheck.Iter.map (fun ops -> (capacity, ops)) (QCheck.Shrink.list ops))
+       gen_fifo_case)
     (fun (capacity, ops) ->
       let q = Circular_queue.create ~name:"model" ~capacity () in
+      let wrap = Circular_queue.wrap_modulus q in
       let model = Queue.create () in
       let next = ref 0 in
       let ok = ref true in
       List.iter
-        (fun is_enqueue ->
-          if is_enqueue then begin
+        (function
+          | Enq -> (
             incr next;
             let e = entry !next in
             match Circular_queue.enqueue q (ctx ()) e with
-            | Circular_queue.Enqueued { retrieve_repair; _ } ->
+            | Circular_queue.Enqueued { index; retrieve_repair } ->
               if Queue.length model >= capacity then ok := false;
-              Queue.add !next model;
+              Queue.add (index, ref !next) model;
               (match retrieve_repair with
               | Some target -> Circular_queue.apply_repair_retrieve q (ctx ()) ~target
               | None -> ())
@@ -305,17 +340,30 @@ let prop_matches_fifo_model =
               if Queue.length model < capacity then ok := false;
               match add_repair with
               | Some target -> Circular_queue.apply_repair_add q (ctx ()) ~target
-              | None -> ())
-          end
-          else begin
+              | None -> ()))
+          | Deq -> (
             match Circular_queue.dequeue q (ctx ()) with
-            | Circular_queue.Dequeued { entry = e; _ } -> (
+            | Circular_queue.Dequeued { index; entry = e } -> (
               match Queue.take_opt model with
-              | Some expected -> if tid e <> expected then ok := false
+              | Some (i, expected) -> if i <> index || tid e <> !expected then ok := false
               | None -> ok := false)
             | Circular_queue.Empty -> if not (Queue.is_empty model) then ok := false
-            | Circular_queue.Repair_pending -> ok := false
-          end)
+            | Circular_queue.Repair_pending -> ok := false)
+          | Swap d -> (
+            let index =
+              (((Circular_queue.peek_retrieve_ptr q + d) mod wrap) + wrap) mod wrap
+            in
+            let pending =
+              Queue.fold (fun acc (i, t) -> if i = index then Some t else acc) None model
+            in
+            incr next;
+            match (Circular_queue.swap q (ctx ()) ~index (entry !next), pending) with
+            | Circular_queue.Swapped e, Some t ->
+              if tid e <> !t then ok := false;
+              t := !next
+            | Circular_queue.Slot_invalid, None -> ()
+            | Circular_queue.Swapped _, None | Circular_queue.Slot_invalid, Some _ ->
+              ok := false))
         ops;
       !ok && Circular_queue.occupancy q = Queue.length model)
 

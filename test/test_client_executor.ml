@@ -428,6 +428,48 @@ let test_metrics_correlation () =
   Metrics.note_submit metrics id;
   Alcotest.(check int) "first submission wins" 1 (Metrics.submitted metrics)
 
+(* A run with one fairness class shares [scheduling_delay] as that
+   class's sampler; the first delay of a second class gives the first
+   class the delays recorded before it, and the new delay only to its
+   own class. *)
+let test_metrics_delay_by_class () =
+  let engine = Engine.create () in
+  let metrics = Metrics.create engine in
+  let start tid prio us =
+    let task =
+      Task.make ~uid:0 ~jid:0 ~tid ~tprops:(Task.Priority prio) ~fn_id:1 ~fn_par:1 ()
+    in
+    Metrics.note_submit metrics task.id;
+    ignore
+      (Engine.schedule engine ~after:(Time.us us) (fun () ->
+           Metrics.note_exec_start metrics task ~node:0 ~port:0))
+  in
+  let classes () =
+    List.map
+      (fun (cls, s) -> (cls, Array.to_list (Draconis_stats.Sampler.sorted s)))
+      (Metrics.delay_by_class metrics)
+  in
+  Alcotest.(check (list (pair int (list int)))) "no class yet" [] (classes ());
+  start 1 1 3;
+  start 2 1 5;
+  Engine.run engine;
+  Alcotest.(check (list (pair int (list int))))
+    "one class" [ (1, [ Time.us 3; Time.us 5 ]) ] (classes ());
+  Alcotest.(check bool) "one class shares the scheduling delay" true
+    (snd (List.hd (Metrics.delay_by_class metrics)) == Metrics.scheduling_delay metrics);
+  start 3 2 7;
+  Engine.run engine;
+  start 4 1 11;
+  start 5 3 13;
+  Engine.run engine;
+  Alcotest.(check (list (pair int (list int))))
+    "three classes"
+    [ (1, [ Time.us 3; Time.us 5; Time.us 11 ]); (2, [ Time.us 7 ]); (3, [ Time.us 13 ]) ]
+    (classes ());
+  Alcotest.(check (list int)) "every delay once in the scheduling delay"
+    (List.map Time.us [ 3; 5; 7; 11; 13 ])
+    (Array.to_list (Draconis_stats.Sampler.sorted (Metrics.scheduling_delay metrics)))
+
 let test_metrics_queueing_by_level () =
   let engine = Engine.create () in
   let metrics = Metrics.create engine in
@@ -544,6 +586,7 @@ let suite =
     Alcotest.test_case "worker routes by port" `Quick test_worker_routes_by_port;
     Alcotest.test_case "metrics correlation" `Quick test_metrics_correlation;
     Alcotest.test_case "metrics per-level queueing" `Quick test_metrics_queueing_by_level;
+    Alcotest.test_case "metrics delay by class" `Quick test_metrics_delay_by_class;
     Alcotest.test_case "task records live only while in flight" `Quick
       test_records_live_while_in_flight;
     Alcotest.test_case "resubmitted task keeps its record" `Quick

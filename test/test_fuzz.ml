@@ -179,6 +179,45 @@ let test_pifo_order_judges_released_copy () =
   Alcotest.(check bool) "higher-rank copy first trips pifo-order" true (fired 9);
   Alcotest.(check bool) "a rank no copy holds trips pifo-order" true (fired 7)
 
+(* A dequeue frees its slot's stamp, so a drained queue holds a stamp
+   only on the tasks its walk finds.  A stamp left on a dequeued slot
+   (the dequeue read the stamp instead of exchanging it) is what a swap
+   could claim a second time; the switch program's staleness guard keeps
+   every swap off such slots, so only the drained state shows it. *)
+let test_drained_stamps () =
+  let schedule =
+    Fz.Schedule.of_string
+      "draconis-fuzz/1\n\
+       seed=1 capacity=4 policy=fcfs clients=1 executors=1 service=1000\n"
+  in
+  let fired stamped =
+    let level =
+      {
+        Fz.Checker.add_ptr = 3;
+        retrieve_ptr = 3;
+        add_flag = false;
+        retrieve_flag = false;
+        pointer_occupancy = 0;
+        walk = [];
+        stamped;
+      }
+    in
+    let run =
+      {
+        Fz.Checker.events = [||];
+        levels = [| level |];
+        fabric_lost = 0;
+        recirc_dropped = 0;
+        access_violation = None;
+        fingerprint = 0L;
+        out_of_budget = None;
+      }
+    in
+    List.mem_assoc "pointer-convergence" (Fz.Checker.check schedule run).Fz.Checker.fired
+  in
+  Alcotest.(check bool) "no stamp outside the walk" false (fired 0);
+  Alcotest.(check bool) "a stamp left on a dequeued slot" true (fired 1)
+
 let test_sharded_rig_consistency () =
   (* The sharded execution path directly: the same schedule through one
      LP and through a switch-LP/host-LP split must agree on everything
@@ -266,6 +305,8 @@ let suite =
       test_clean_campaign_exercises_all_invariants;
     Alcotest.test_case "pifo-order judges the released copy" `Quick
       test_pifo_order_judges_released_copy;
+    Alcotest.test_case "drained stamps outside the walk are caught" `Quick
+      test_drained_stamps;
     Alcotest.test_case "sharded execution matches across LP partitionings" `Quick
       test_sharded_rig_consistency;
     Alcotest.test_case "injected stamp bug caught and shrunk" `Quick

@@ -328,6 +328,97 @@ let prop_paged_cells_match_array =
         ops
       && cells_match ())
 
+(* A 4-page register whose writes gather on a few cells of each page
+   and often store the fill value, so pages materialize, drain, go back
+   to the blank and materialize again.  After each op the cell it
+   touched, after each [fill] and [Peek_all] every cell, and at the end
+   every cell must read as a plain [int array] does. *)
+type drain_op =
+  | D_write of int * int
+  | D_poke of int * int
+  | D_exchange of int * int
+  | D_cas of int * int * int
+  | D_fill of int
+  | D_peek_all
+
+let print_drain_op = function
+  | D_write (i, v) -> Printf.sprintf "write [%d] %d" i v
+  | D_poke (i, v) -> Printf.sprintf "poke [%d] %d" i v
+  | D_exchange (i, v) -> Printf.sprintf "exchange [%d] %d" i v
+  | D_cas (i, e, d) -> Printf.sprintf "cas [%d] %d -> %d" i e d
+  | D_fill v -> Printf.sprintf "fill %d" v
+  | D_peek_all -> "peek all"
+
+let drain_pages = 4
+
+let gen_drain_ops =
+  QCheck.Gen.(
+    let index =
+      map2
+        (fun page cell -> (page * 1024) + cell)
+        (int_bound (drain_pages - 1))
+        (frequency [ (4, int_bound 3); (1, int_bound 1023) ])
+    in
+    let value = frequency [ (3, return 0); (2, int_bound 3); (1, return 7) ] in
+    list_size (int_range 1 300)
+      (frequency
+         [
+           (4, map2 (fun i v -> D_write (i, v)) index value);
+           (2, map2 (fun i v -> D_poke (i, v)) index value);
+           (4, map2 (fun i v -> D_exchange (i, v)) index value);
+           (2, map3 (fun i e d -> D_cas (i, e, d)) index value value);
+           (1, map (fun v -> D_fill v) (oneofl [ 0; 3; 7 ]));
+           (1, return D_peek_all);
+         ]))
+
+let prop_drained_pages_match_array =
+  QCheck.Test.make ~name:"drained register pages match an int array" ~count:300
+    QCheck.(make ~print:(Print.list print_drain_op) ~shrink:Shrink.list gen_drain_ops)
+    (fun ops ->
+      let size = drain_pages * 1024 in
+      let r = Register.create ~name:"drain" ~size () in
+      let model = Array.make size 0 in
+      let ctx = Packet_ctx.create () in
+      let fresh () =
+        Packet_ctx.reset ctx;
+        ctx
+      in
+      let all_match () =
+        let ok = ref true in
+        for i = 0 to size - 1 do
+          if Register.peek r i <> model.(i) then ok := false
+        done;
+        !ok
+      in
+      List.for_all
+        (fun op ->
+          match op with
+          | D_write (i, v) ->
+            Register.write r (fresh ()) i v;
+            model.(i) <- v;
+            Register.peek r i = v
+          | D_poke (i, v) ->
+            Register.poke r i v;
+            model.(i) <- v;
+            Register.peek r i = v
+          | D_exchange (i, v) ->
+            let old = Register.exchange r (fresh ()) i v in
+            let want = model.(i) in
+            model.(i) <- v;
+            old = want && Register.peek r i = v
+          | D_cas (i, expected, desired) ->
+            let old = Register.compare_and_swap r (fresh ()) i ~expected ~desired in
+            let want = model.(i) in
+            if want = expected then model.(i) <- desired;
+            old = want && Register.peek r i = model.(i)
+          | D_fill v ->
+            Register.fill r v;
+            Array.fill model 0 size v;
+            all_match ()
+          | D_peek_all -> all_match ())
+        ops
+      && all_match ())
+
 (* -- Pipeline ------------------------------------------------------------------ *)
 
 type pkt = Ping of int | Loop of int
@@ -460,6 +551,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_one_access_per_packet;
     QCheck_alcotest.to_alcotest prop_access_rule_matches_model;
     QCheck_alcotest.to_alcotest prop_paged_cells_match_array;
+    QCheck_alcotest.to_alcotest prop_drained_pages_match_array;
     Alcotest.test_case "pipeline emit" `Quick test_pipeline_emit;
     Alcotest.test_case "pipeline recirculation" `Quick test_pipeline_recirculation;
     Alcotest.test_case "pipeline recirc saturation drops" `Quick

@@ -177,22 +177,121 @@ let prop_histogram_quantile_error =
 let test_meter_rate () =
   let m = Meter.create () in
   for i = 1 to 11 do
-    Meter.mark m ~now:(i * 100_000_000) ()
+    Meter.mark m ~now:(i * 100_000_000)
   done;
   Alcotest.(check int) "total" 11 (Meter.total m);
   (* 11 marks over 1 simulated second (span first..last). *)
   Alcotest.(check (float 0.5)) "rate over window" 11.0
     (Meter.rate_over m ~duration:1_000_000_000)
 
-let test_meter_weight_and_timeline () =
+let test_meter_timeline () =
   let m = Meter.create () in
-  Meter.mark m ~weight:5 ~now:100 ();
-  Meter.mark m ~weight:3 ~now:1_100 ();
-  Alcotest.(check int) "weighted total" 8 (Meter.total m);
+  List.iter (fun now -> Meter.mark m ~now) [ 100; 1_100; 100; 999; 1_500; 100 ];
+  Alcotest.(check int) "total" 6 (Meter.total m);
   let timeline = Meter.timeline m ~bucket:1_000 in
   Alcotest.(check int) "two buckets" 2 (Array.length timeline);
-  Alcotest.(check (pair int int)) "bucket 0" (0, 5) timeline.(0);
-  Alcotest.(check (pair int int)) "bucket 1" (1, 3) timeline.(1)
+  Alcotest.(check (pair int int)) "bucket 0" (0, 4) timeline.(0);
+  Alcotest.(check (pair int int)) "bucket 1" (1, 2) timeline.(1);
+  Alcotest.(check (option int)) "first at or after 1000" (Some 1_100)
+    (Meter.first_after m ~after:1_000)
+
+(* The meter as it was kept before it stored one word per mark: a list
+   of (time, weight) pairs, newest first.  Every query of [Meter] must
+   agree with it. *)
+module List_meter = struct
+  type t = {
+    mutable total : int;
+    mutable first : int option;
+    mutable last : int;
+    mutable marks : (int * int) list;
+  }
+
+  let create () = { total = 0; first = None; last = 0; marks = [] }
+
+  let mark t ~now =
+    t.total <- t.total + 1;
+    (match t.first with None -> t.first <- Some now | Some _ -> ());
+    t.last <- now;
+    t.marks <- (now, 1) :: t.marks
+
+  let rate_per_sec t =
+    match t.first with
+    | None -> 0.0
+    | Some first ->
+      let span = t.last - first in
+      if span <= 0 then 0.0 else float_of_int t.total /. (float_of_int span /. 1e9)
+
+  let first_after t ~after =
+    List.fold_left
+      (fun best (time, _) ->
+        if time < after then best
+        else
+          match best with
+          | Some b when b <= time -> best
+          | Some _ | None -> Some time)
+      None t.marks
+
+  let timeline t ~bucket =
+    match t.first with
+    | None -> [||]
+    | Some _ ->
+      let marks = Array.of_list t.marks in
+      let key (time, _) = time / bucket in
+      Array.stable_sort (fun a b -> Int.compare (key a) (key b)) marks;
+      let rec sum i acc =
+        if i < 0 then acc
+        else
+          let b = key marks.(i) and w = snd marks.(i) in
+          match acc with
+          | (b', w') :: rest when b' = b -> sum (i - 1) ((b, w + w') :: rest)
+          | _ -> sum (i - 1) ((b, w) :: acc)
+      in
+      Array.of_list (sum (Array.length marks - 1) [])
+
+  let clear t =
+    t.total <- 0;
+    t.first <- None;
+    t.last <- 0;
+    t.marks <- []
+end
+
+type meter_op = Mark of int | Clear
+
+let prop_meter_matches_list =
+  let time =
+    QCheck.Gen.(
+      frequency
+        [ (6, int_range 0 5_000); (1, int_range (-50) 0); (1, int_range 0 max_int) ])
+  in
+  let op = QCheck.Gen.(frequency [ (30, map (fun t -> Mark t) time); (1, return Clear) ]) in
+  QCheck.Test.make ~name:"meter matches the list meter it replaced" ~count:300
+    (QCheck.make
+       ~print:
+         QCheck.Print.(
+           list (function Mark t -> Printf.sprintf "mark %d" t | Clear -> "clear"))
+       QCheck.Gen.(list_size (int_range 0 2_500) op))
+    (fun ops ->
+      let m = Meter.create () and r = List_meter.create () in
+      List.iter
+        (function
+          | Mark now ->
+            Meter.mark m ~now;
+            List_meter.mark r ~now
+          | Clear ->
+            Meter.clear m;
+            List_meter.clear r)
+        ops;
+      Meter.total m = r.total
+      && Float.equal (Meter.rate_per_sec m) (List_meter.rate_per_sec r)
+      && Float.equal
+           (Meter.rate_over m ~duration:1_000_000)
+           (float_of_int r.total /. (float_of_int 1_000_000 /. 1e9))
+      && List.for_all
+           (fun after -> Meter.first_after m ~after = List_meter.first_after r ~after)
+           [ min_int; -1; 0; 1; 100; 2_500; 4_999; 5_000; 5_001; max_int ]
+      && List.for_all
+           (fun bucket -> Meter.timeline m ~bucket = List_meter.timeline r ~bucket)
+           [ 1; 7; 100; 1_000; 1 lsl 40 ])
 
 let test_meter_empty () =
   let m = Meter.create () in
@@ -254,7 +353,8 @@ let suite =
     Alcotest.test_case "histogram mean and clear" `Quick test_histogram_mean_clear;
     QCheck_alcotest.to_alcotest prop_histogram_quantile_error;
     Alcotest.test_case "meter rate" `Quick test_meter_rate;
-    Alcotest.test_case "meter weights and timeline" `Quick test_meter_weight_and_timeline;
+    Alcotest.test_case "meter timeline" `Quick test_meter_timeline;
+    QCheck_alcotest.to_alcotest prop_meter_matches_list;
     Alcotest.test_case "meter empty" `Quick test_meter_empty;
     Alcotest.test_case "table render" `Quick test_table_render;
     Alcotest.test_case "table pads/truncates rows" `Quick test_table_pads_rows;
